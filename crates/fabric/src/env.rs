@@ -14,13 +14,13 @@
 //!   expected. Fabric constructors ([`crate::TcpFabric::connect`],
 //!   [`crate::try_from_env`]) call it, so a bad variable fails fast at
 //!   construction with a readable message.
-//! * The cached getters ([`crate::sync_timeout`], [`crate::spin_budget`],
-//!   `pool_cap`, …) fall back to their documented defaults on a
-//!   malformed value instead of panicking — by the time a worker thread
-//!   reads them, construction has already validated the environment, so
-//!   the fallback only triggers for backends built without a validating
-//!   constructor (e.g. a bare `InProcFabric` in a unit test), where a
-//!   silent default is preferable to killing a worker.
+//! * The cached getters ([`crate::sync_timeout`], `pool_cap`, …) fall
+//!   back to their documented defaults on a malformed value instead of
+//!   panicking — by the time a worker thread reads them, construction
+//!   has already validated the environment, so the fallback only
+//!   triggers for backends built without a validating constructor (e.g.
+//!   a bare `InProcFabric` in a unit test), where a silent default is
+//!   preferable to killing a worker.
 
 use std::fmt;
 use std::time::Duration;
@@ -112,11 +112,6 @@ pub fn read_ms(var: &'static str, expected: &'static str) -> Result<Option<Durat
     Ok(read_u64(var, expected)?.map(Duration::from_millis))
 }
 
-/// Read an env var as a microsecond count.
-pub fn read_us(var: &'static str, expected: &'static str) -> Result<Option<Duration>, EnvError> {
-    Ok(read_u64(var, expected)?.map(Duration::from_micros))
-}
-
 /// Read-with-default for the cached hot-path getters: a malformed value
 /// falls back to `default` (construction-time [`validate`] is the loud
 /// path; see the module docs for why workers never panic here).
@@ -140,7 +135,6 @@ pub fn read_usize_or(var: &'static str, default: usize) -> usize {
 /// readable message instead of panicking in a worker thread later.
 pub fn validate() -> Result<(), EnvError> {
     read_ms("PIPMCOLL_SYNC_TIMEOUT_MS", "a whole number of milliseconds")?;
-    read_us("PIPMCOLL_SPIN_US", "a whole number of microseconds")?;
     read_usize("PIPMCOLL_POOL_CAP", "a whole number of buffers")?;
     read_ms("PIPMCOLL_HEARTBEAT_MS", "a millisecond count")?;
     read_usize("PIPMCOLL_PROGRESS_THREADS", "a thread count")?;

@@ -72,7 +72,7 @@ pub use pool::{FrameBuf, FramePool, PoolStats};
 pub use stats::{FabricStats, LaneStats, LatencyHist, LatencySnapshot};
 pub use tcp::{LanePolicy, TcpConfig, TcpFabric};
 pub use timeout::sync_timeout;
-pub use wait::{spin_budget, Spinner};
+pub use wait::Waiters;
 pub use wire::{WireError, WIRE_VERSION};
 
 /// A point-to-point channel: `(src rank, dst rank, tag)`. Matching and

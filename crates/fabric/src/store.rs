@@ -16,11 +16,11 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::error::{BlockedRecv, FabricError, FabricResult, TimeoutDiag};
-use crate::wait::Spinner;
+use crate::wait::Waiters;
 use crate::ChanKey;
 
 /// One wire arrival: its segment coordinates plus payload. A whole
@@ -91,12 +91,23 @@ impl ChanState {
     }
 }
 
+/// Receiver wait shards per store: one bit each in [`Wakes`].
+const WAIT_SHARDS: usize = 64;
+
+/// Receiver wake-ups owed by deliveries made with
+/// [`MsgStore::deliver_deferred`], one bit per wait shard.
+#[derive(Default)]
+pub struct Wakes(u64);
+
 /// Per-channel FIFO message store with blocking receive.
 pub struct MsgStore {
     /// Backend name, for timeout diagnostics.
     backend: &'static str,
     chans: Mutex<HashMap<ChanKey, ChanState>>,
-    cv: Condvar,
+    /// Parked receivers, sharded by channel: a delivery wakes only the
+    /// receivers whose channel shares its shard, not every receiver
+    /// parked on the store.
+    waiters: [Waiters; WAIT_SHARDS],
     /// Wire re-deliveries suppressed by sequence dedup.
     dups: AtomicU64,
 }
@@ -107,9 +118,19 @@ impl MsgStore {
         MsgStore {
             backend,
             chans: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
+            waiters: std::array::from_fn(|_| Waiters::new()),
             dups: AtomicU64::new(0),
         }
+    }
+
+    /// The wait shard of channel `key`.
+    fn shard((src, dst, tag): ChanKey) -> usize {
+        let h = (src as u64) ^ (dst as u64).rotate_left(21) ^ u64::from(tag).rotate_left(42);
+        (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
+    }
+
+    fn waiters_for(&self, key: ChanKey) -> &Waiters {
+        &self.waiters[Self::shard(key)]
     }
 
     fn lock(&self) -> FabricResult<std::sync::MutexGuard<'_, HashMap<ChanKey, ChanState>>> {
@@ -123,7 +144,7 @@ impl MsgStore {
     pub fn push(&self, key: ChanKey, payload: Vec<u8>) {
         if let Ok(mut g) = self.lock() {
             g.entry(key).or_default().ready.push_back(payload);
-            self.cv.notify_all();
+            self.waiters_for(key).notify(&g);
         }
     }
 
@@ -162,6 +183,26 @@ impl MsgStore {
         seg_count: u16,
         payload: Vec<u8>,
     ) -> (bool, u64) {
+        let mut wakes = Wakes::default();
+        let out = self.deliver_deferred(key, seq, seg_idx, seg_count, payload, &mut wakes);
+        self.wake(&mut wakes);
+        out
+    }
+
+    /// [`MsgStore::deliver_seg_watermark`] without waking receivers:
+    /// the wake-up this delivery owes is added to `wakes`, to be paid by
+    /// one [`MsgStore::wake`] after a whole batch of frames. A reader
+    /// that decodes hundreds of small frames per socket read then wakes
+    /// each parked receiver once, not once per frame.
+    pub fn deliver_deferred(
+        &self,
+        key: ChanKey,
+        seq: u64,
+        seg_idx: u16,
+        seg_count: u16,
+        payload: Vec<u8>,
+        wakes: &mut Wakes,
+    ) -> (bool, u64) {
         let Ok(mut g) = self.lock() else {
             return (false, 0);
         };
@@ -183,7 +224,7 @@ impl MsgStore {
                 st.absorb(f);
                 st.next_seq += 1;
             }
-            self.cv.notify_all();
+            wakes.0 |= 1 << Self::shard(key);
             (true, st.next_seq)
         } else if let std::collections::btree_map::Entry::Vacant(e) = st.held.entry(seq) {
             e.insert(SegFrame {
@@ -199,69 +240,66 @@ impl MsgStore {
         }
     }
 
+    /// Pay the wake-ups deferred into `wakes` and clear it.
+    pub fn wake(&self, wakes: &mut Wakes) {
+        let mut shards = std::mem::take(&mut wakes.0);
+        if shards == 0 {
+            return;
+        }
+        let Ok(g) = self.lock() else {
+            return;
+        };
+        while shards != 0 {
+            self.waiters[shards.trailing_zeros() as usize].notify(&g);
+            shards &= shards - 1;
+        }
+    }
+
     /// Blocking receive of the next in-order message on `key`, giving up
     /// with a [`FabricError::Timeout`] naming the channel, the backend,
     /// the hold-back state and traffic elsewhere in the store — so an
     /// under-synchronized schedule fails in seconds with the evidence
     /// needed to tell a missing sender from a stuck transport.
     pub fn pop_within(&self, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let mut spinner = Spinner::new();
-        let mut g = self.lock()?;
-        loop {
-            if let Some(st) = g.get_mut(&key) {
-                if let Some(m) = st.ready.pop_front() {
+        let (mut g, msg) = self
+            .waiters_for(key)
+            .wait_for(self.lock()?, timeout, |chans| {
+                let st = chans.entry(key).or_default();
+                let msg = st.ready.pop_front();
+                if msg.is_some() {
                     st.waiting_since = None;
-                    return Ok(m);
+                } else {
+                    // First miss only: the watchdog's view of this wait.
+                    st.waiting_since.get_or_insert_with(Instant::now);
                 }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                let (held, next_seq) = g
-                    .get(&key)
-                    .map_or((0, 0), |st| (st.held.len(), st.next_seq));
-                let ready_elsewhere = g
-                    .iter()
-                    .filter(|(k, _)| **k != key)
-                    .map(|(_, st)| st.ready.len())
-                    .sum();
-                if let Some(st) = g.get_mut(&key) {
-                    st.waiting_since = None;
-                }
-                return Err(FabricError::Timeout(Box::new(TimeoutDiag {
-                    backend: self.backend,
-                    chan: key,
-                    waited: now.saturating_duration_since(start),
-                    lane: None,
-                    ready: 0,
-                    held,
-                    next_seq,
-                    ready_elsewhere,
-                    send_queue_depth: None,
-                    dead_lanes: Vec::new(),
-                    suspected: Vec::new(),
-                })));
-            }
-            g.entry(key).or_default().waiting_since.get_or_insert(start);
-            // Spin first: the message usually lands within microseconds,
-            // and a park/unpark round trip costs more than that.
-            if spinner.turn() {
-                drop(g);
-                g = self.lock()?;
-                continue;
-            }
-            // `saturating_duration_since`: the deadline may slip into the
-            // past between the check above and this subtraction.
-            let wait = deadline.saturating_duration_since(now);
-            let (guard, _timed_out) =
-                self.cv
-                    .wait_timeout(g, wait)
-                    .map_err(|_| FabricError::QueuePoisoned {
-                        what: "receive store",
-                    })?;
-            g = guard;
+                msg
+            })
+            .map_err(|_| FabricError::QueuePoisoned {
+                what: "receive store",
+            })?;
+        if let Some(m) = msg {
+            return Ok(m);
         }
+        let ready_elsewhere = g
+            .iter()
+            .filter(|(k, _)| **k != key)
+            .map(|(_, st)| st.ready.len())
+            .sum();
+        let st = g.entry(key).or_default();
+        let since = st.waiting_since.take();
+        Err(FabricError::Timeout(Box::new(TimeoutDiag {
+            backend: self.backend,
+            chan: key,
+            waited: since.map_or(timeout, |t| t.elapsed()),
+            lane: None,
+            ready: 0,
+            held: st.held.len(),
+            next_seq: st.next_seq,
+            ready_elsewhere,
+            send_queue_depth: None,
+            dead_lanes: Vec::new(),
+            suspected: Vec::new(),
+        })))
     }
 
     /// Non-blocking receive: the next in-order message on `key` if one
@@ -489,5 +527,74 @@ mod tests {
         s.clear_ready();
         s.deliver_seq(K, 1, vec![1]);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
+    }
+
+    #[test]
+    fn deferred_wakes_reach_parked_receivers() {
+        // Receivers parked on two channels; one batch delivers to both
+        // and pays its wake-ups once at the end.
+        let s = std::sync::Arc::new(MsgStore::new("test"));
+        let chans = [(0, 1, 1), (2, 3, 9)];
+        let receivers: Vec<_> = chans
+            .iter()
+            .map(|&key| {
+                let s = std::sync::Arc::clone(&s);
+                std::thread::spawn(move || {
+                    let t0 = Instant::now();
+                    let m = s.pop_within(key, Duration::from_secs(5)).unwrap();
+                    (m, t0.elapsed())
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let mut wakes = Wakes::default();
+        for (i, &key) in chans.iter().enumerate() {
+            assert_eq!(
+                s.deliver_deferred(key, 0, 0, 0, vec![i as u8], &mut wakes),
+                (true, 1)
+            );
+        }
+        s.wake(&mut wakes);
+        for (i, r) in receivers.into_iter().enumerate() {
+            let (m, waited) = r.join().unwrap();
+            assert_eq!(m, vec![i as u8]);
+            assert!(
+                waited < Duration::from_secs(5),
+                "receiver {i} was never woken"
+            );
+        }
+    }
+
+    #[test]
+    fn lost_wakeup_store_ping_pong() {
+        // Each side parks in `pop_within` until the other's push lands;
+        // a push that skipped the notify while its receiver was parked
+        // would leave that park to run out its whole timeout.
+        const ROUNDS: u32 = 20_000;
+        const T: Duration = Duration::from_secs(5);
+        const PING: ChanKey = (0, 1, 1);
+        const PONG: ChanKey = (1, 0, 1);
+        let pop = |s: &MsgStore, key: ChanKey, round: u32| {
+            let t0 = Instant::now();
+            let m = s.pop_within(key, T).unwrap();
+            assert!(
+                t0.elapsed() < T,
+                "round {round} waited out its timeout: a wake-up was lost"
+            );
+            m
+        };
+        let s = std::sync::Arc::new(MsgStore::new("test"));
+        let s2 = std::sync::Arc::clone(&s);
+        let echo = std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let m = pop(&s2, PING, round);
+                s2.push(PONG, m);
+            }
+        });
+        for round in 0..ROUNDS {
+            s.push(PING, round.to_le_bytes().to_vec());
+            assert_eq!(pop(&s, PONG, round), round.to_le_bytes());
+        }
+        echo.join().unwrap();
     }
 }

@@ -29,10 +29,12 @@
 //! pushing a frame, a repair request, shutdown) bumps the owning
 //! worker's [`WorkSignal`]; after a successful write the worker signals
 //! the owner of the *reverse* endpoint, whose socket now has readable
-//! bytes — all nodes live in this process, so the writer is always
-//! positioned to poke the reader. An idle worker spins briefly
-//! ([`Spinner`]), then parks with a bounded timeout, so a missed edge
-//! costs milliseconds, not liveness.
+//! bytes, and after a read that drained bytes it signals the reverse
+//! endpoint's owner again if that writer last hit `WouldBlock` — all
+//! nodes live in this process, so either end is always positioned to
+//! poke the other. A worker whose cycle made no progress parks at once
+//! with a bounded timeout, so a missed edge costs milliseconds, not
+//! liveness.
 //!
 //! The former repair, retransmit and heartbeat threads fold into worker
 //! 0 as deadline-ordered timer duties: a retransmit scan every `rto/4`,
@@ -88,7 +90,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -98,9 +100,9 @@ use crate::chaos::{ChaosRng, FrameFate, WireChaos};
 use crate::error::{DeadPeer, FabricDiag, FabricError, FabricHealth, FabricResult, QueueDiag};
 use crate::pool::{FrameBuf, FramePool, PoolStats, WriteCursor};
 use crate::stats::{FabricStats, LaneStats, LatencyHist};
-use crate::store::MsgStore;
+use crate::store::{MsgStore, Wakes};
 use crate::timeout::sync_timeout;
-use crate::wait::{Spinner, WorkSignal};
+use crate::wait::{Waiters, WorkSignal};
 use crate::wire::{Frame, FrameDecoder, FrameKind, WireError};
 use crate::{ChanKey, Fabric};
 
@@ -307,8 +309,12 @@ struct SendQueue {
     /// Deepest the unbounded control queue has ever been — the one
     /// queue backpressure cannot bound, so it gets a high-water mark.
     ctrl_hwm: AtomicU64,
-    /// Signalled when the user queue drains below capacity.
-    can_push: Condvar,
+    /// Senders parked on a full user queue.
+    can_push: Waiters,
+    /// The endpoint draining this queue last hit `WouldBlock` with bytes
+    /// still in its cursor: the socket's reader wakes that endpoint's
+    /// worker when it drains bytes (the writer has no other edge).
+    write_blocked: AtomicBool,
 }
 
 impl SendQueue {
@@ -317,39 +323,27 @@ impl SendQueue {
             inner: Mutex::new(QueueInner::default()),
             cap,
             ctrl_hwm: AtomicU64::new(0),
-            can_push: Condvar::new(),
+            can_push: Waiters::new(),
+            write_blocked: AtomicBool::new(false),
         }
     }
 
     /// Enqueue a user frame, blocking while the queue is at capacity.
     /// Returns whether the caller stalled waiting for space.
     fn push_user(&self, frame: FrameBuf) -> Result<bool, PushError> {
-        let start = Instant::now();
-        let deadline = start + sync_timeout();
-        let mut spinner = Spinner::new();
-        let mut g = self.inner.lock().map_err(|_| PushError::Poisoned)?;
+        let timeout = sync_timeout();
         let mut stalled = false;
-        while g.user.len() >= self.cap && !g.closed {
-            stalled = true;
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::Timeout(now.saturating_duration_since(start)));
-            }
-            // The progress pool usually frees a slot within microseconds;
-            // spin through that window before paying for a park.
-            if spinner.turn() {
-                drop(g);
-                g = self.inner.lock().map_err(|_| PushError::Poisoned)?;
-                continue;
-            }
-            // Saturating: the deadline may slip into the past between the
-            // check above and this subtraction.
-            let wait = deadline.saturating_duration_since(now);
-            let (guard, _) = self
-                .can_push
-                .wait_timeout(g, wait)
-                .map_err(|_| PushError::Poisoned)?;
-            g = guard;
+        let g = self.inner.lock().map_err(|_| PushError::Poisoned)?;
+        let (mut g, room) = self
+            .can_push
+            .wait_for(g, timeout, |q| {
+                let room = q.user.len() < self.cap || q.closed;
+                stalled |= !room;
+                room.then_some(())
+            })
+            .map_err(|_| PushError::Poisoned)?;
+        if room.is_none() {
+            return Err(PushError::Timeout(timeout));
         }
         g.user.push_back(frame);
         Ok(stalled)
@@ -406,9 +400,8 @@ impl SendQueue {
                 None => break,
             }
         }
-        drop(g);
         if popped_user {
-            self.can_push.notify_all();
+            self.can_push.notify(&g);
         }
         moved
     }
@@ -424,8 +417,8 @@ impl SendQueue {
     fn close(&self) {
         if let Ok(mut g) = self.inner.lock() {
             g.closed = true;
+            self.can_push.notify(&g);
         }
-        self.can_push.notify_all();
     }
 }
 
@@ -508,6 +501,9 @@ struct Endpoint {
     cur_gen: Arc<AtomicU64>,
     stream: TcpStream,
     queue: Arc<SendQueue>,
+    /// The reverse direction's queue, whose writer this endpoint's reads
+    /// unblock (see [`SendQueue::write_blocked`]).
+    reverse: Arc<SendQueue>,
     decoder: FrameDecoder,
     cursor: WriteCursor,
     /// Frames handled since the last owed-ack flush.
@@ -515,6 +511,33 @@ struct Endpoint {
     /// Scratch for the payload-frame identities staged each refill
     /// (reused across passes; emptied after the wire-time RTT stamp).
     staged: Vec<(ChanKey, u64)>,
+}
+
+impl Endpoint {
+    /// A fresh endpoint for `(here, peer, lane)` at repair generation
+    /// `gen`, or `None` if the mesh has no queue for that direction.
+    fn new(
+        mesh: &Mesh,
+        (here, peer, lane): LaneKey,
+        gen: u64,
+        cur_gen: &Arc<AtomicU64>,
+        stream: TcpStream,
+    ) -> Option<Endpoint> {
+        Some(Endpoint {
+            here,
+            peer,
+            lane,
+            gen,
+            cur_gen: Arc::clone(cur_gen),
+            stream,
+            queue: Arc::clone(mesh.queues.get(&(here, peer, lane))?),
+            reverse: Arc::clone(mesh.queues.get(&(peer, here, lane))?),
+            decoder: FrameDecoder::new(),
+            cursor: WriteCursor::new(),
+            since_flush: 0,
+            staged: Vec::new(),
+        })
+    }
 }
 
 /// Progress-pool plumbing: endpoint ownership, wakeup signals, the
@@ -1046,12 +1069,16 @@ impl Mesh {
     /// Process one decoded frame arriving at node `here` from `peer` on
     /// `lane`. Never panics: anything unexpected is recorded and the
     /// worker keeps going.
-    fn handle_frame(&self, here: usize, peer: usize, lane: usize, frame: Frame) {
+    fn handle_frame(&self, here: usize, peer: usize, lane: usize, frame: Frame, wakes: &mut Wakes) {
         match frame.kind {
-            FrameKind::Eager => {
+            // Rendezvous DATA participates in the cumulative-ack protocol
+            // exactly like an eager frame: the raised watermark retires
+            // the sender's pending entry and feeds the ack-RTT histogram.
+            FrameKind::Eager | FrameKind::Data => {
                 // A piggybacked cumulative ack for the reverse channel
-                // rides in `aux` (watermark + 1; 0 = none aboard).
-                if frame.aux > 0 {
+                // rides in an eager frame's `aux` (watermark + 1; 0 =
+                // none aboard); a DATA frame's `aux` is its rendezvous id.
+                if frame.kind == FrameKind::Eager && frame.aux > 0 {
                     let rev = (frame.dst as usize, frame.src as usize, frame.tag);
                     self.apply_ack(rev, frame.aux - 1);
                 }
@@ -1059,28 +1086,13 @@ impl Mesh {
                 // the previous ack may be the thing that was lost, and
                 // the duplicate's watermark re-covers it.
                 let chan = frame.chan();
-                let (_, watermark) = self.stores[here].deliver_seg_watermark(
+                let (_, watermark) = self.stores[here].deliver_deferred(
                     chan,
                     frame.seq,
                     frame.seg_idx,
                     frame.seg_count,
                     frame.payload,
-                );
-                self.note_owed(chan, watermark);
-            }
-            FrameKind::Data => {
-                // Rendezvous DATA participates in the cumulative-ack
-                // protocol exactly like an eager frame: the raised
-                // watermark retires the sender's pending entry and
-                // feeds the ack-RTT histogram — rendezvous-dominated
-                // workloads used to record no RTT samples at all.
-                let chan = frame.chan();
-                let (_, watermark) = self.stores[here].deliver_seg_watermark(
-                    chan,
-                    frame.seq,
-                    frame.seg_idx,
-                    frame.seg_count,
-                    frame.payload,
+                    wakes,
                 );
                 self.note_owed(chan, watermark);
             }
@@ -1228,13 +1240,24 @@ fn endpoint_step(mesh: &Mesh, ep: &mut Endpoint, stage: usize, scratch: &mut [u8
                 wrote = true;
                 progressed = true;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                // Ask the socket's reader for a wake-up when it drains
+                // bytes, then retry once: a drain that raced the flag
+                // would otherwise go unnoticed until the park cap.
+                if !ep.queue.write_blocked.swap(true, Ordering::SeqCst) {
+                    continue;
+                }
+                break;
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 report_break(mesh, ep);
                 return (false, progressed);
             }
         }
+    }
+    if ep.cursor.is_empty() && ep.queue.write_blocked.load(Ordering::Relaxed) {
+        ep.queue.write_blocked.store(false, Ordering::Relaxed);
     }
     if wrote {
         mesh.touch();
@@ -1247,6 +1270,10 @@ fn endpoint_step(mesh: &Mesh, ep: &mut Endpoint, stage: usize, scratch: &mut [u8
     // READ: drain the socket (bounded per pass for fairness), decode,
     // dispatch.
     let mut reads = 0usize;
+    // Receiver wake-ups owed by this read's deliveries, paid once the
+    // read's frames are all in.
+    let mut wakes = Wakes::default();
+    let store = &mesh.stores[ep.here];
     loop {
         match ep.stream.read(scratch) {
             Ok(0) => {
@@ -1267,7 +1294,7 @@ fn endpoint_step(mesh: &Mesh, ep: &mut Endpoint, stage: usize, scratch: &mut [u8
                             mesh.touch_at(nanos);
                             mesh.note_heard_at(ep.here, ep.peer, nanos);
                             mesh.note_lane_heard_at(ep.lane, nanos);
-                            mesh.handle_frame(ep.here, ep.peer, ep.lane, frame);
+                            mesh.handle_frame(ep.here, ep.peer, ep.lane, frame, &mut wakes);
                             ep.since_flush += 1;
                             // Batch acks: every 32 frames under sustained
                             // load (the quiet-socket flush is below).
@@ -1276,7 +1303,10 @@ fn endpoint_step(mesh: &Mesh, ep: &mut Endpoint, stage: usize, scratch: &mut [u8
                                 ep.since_flush = 0;
                             }
                         }
-                        Ok(None) => break,
+                        Ok(None) => {
+                            store.wake(&mut wakes);
+                            break;
+                        }
                         Err(e) => {
                             // A garbled header cannot be resynced on a
                             // byte stream; reconnect instead. (Checksum
@@ -1302,6 +1332,7 @@ fn endpoint_step(mesh: &Mesh, ep: &mut Endpoint, stage: usize, scratch: &mut [u8
                                     got,
                                 });
                             }
+                            store.wake(&mut wakes);
                             report_break(mesh, ep);
                             return (false, progressed);
                         }
@@ -1335,6 +1366,10 @@ fn endpoint_step(mesh: &Mesh, ep: &mut Endpoint, stage: usize, scratch: &mut [u8
                 return (false, progressed);
             }
         }
+    }
+    if reads > 0 && ep.reverse.write_blocked.load(Ordering::SeqCst) {
+        // The reverse endpoint writes into the socket we just drained.
+        mesh.notify_owner(ep.peer, ep.here, ep.lane);
     }
     (true, progressed)
 }
@@ -1629,25 +1664,12 @@ fn repair_one(mesh: &Mesh, req: RepairReq) {
                 for (here, peer, stream) in
                     [(req.lo, req.hi, lo_stream), (req.hi, req.lo, hi_stream)]
                 {
-                    let Some(queue) = mesh.queues.get(&(here, peer, req.lane)).cloned() else {
+                    let Some(ep) =
+                        Endpoint::new(mesh, (here, peer, req.lane), new_gen, &entry.gen, stream)
+                    else {
                         continue;
                     };
-                    deliver_endpoint(
-                        mesh,
-                        Endpoint {
-                            here,
-                            peer,
-                            lane: req.lane,
-                            gen: new_gen,
-                            cur_gen: Arc::clone(&entry.gen),
-                            stream,
-                            queue,
-                            decoder: FrameDecoder::new(),
-                            cursor: WriteCursor::new(),
-                            since_flush: 0,
-                            staged: Vec::new(),
-                        },
-                    );
+                    deliver_endpoint(mesh, ep);
                 }
             }
             _ => mesh.record(FabricError::LaneDead {
@@ -1690,9 +1712,9 @@ fn repair_pass(mesh: &Mesh) -> bool {
 
 /// The progress-pool worker loop. Every worker drives its owned
 /// endpoints; worker 0 additionally runs the retransmit, heartbeat and
-/// repair timer duties. Idle workers spin briefly then park on their
-/// [`WorkSignal`] with a bounded timeout (worker 0's bounded by its
-/// next timer deadline).
+/// repair timer duties. A cycle that makes no progress parks the worker
+/// on its [`WorkSignal`] with a bounded timeout (worker 0's bounded by
+/// its next timer deadline).
 fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
     // The census was incremented at spawn time (so a fresh fabric's
     // count is accurate before the OS schedules us); this guard only
@@ -1720,7 +1742,6 @@ fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
     let mut rng = ChaosRng::new(0xF0F0_F0F0 ^ widx as u64);
     let mut eps: Vec<Endpoint> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
-    let mut spinner = Spinner::new();
     loop {
         // Epoch read precedes the work scan: anything enqueued after
         // this line bumps the epoch and cuts the park short.
@@ -1772,10 +1793,6 @@ fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
             // ack RTT would grow with the lane count. `owed_len` makes
             // this a single atomic load when nothing is owed.
             mesh.flush_owed_acks();
-            spinner = Spinner::new();
-            continue;
-        }
-        if spinner.turn() {
             continue;
         }
         let cap = if widx == 0 {
@@ -1793,7 +1810,6 @@ fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
             Duration::from_millis(10)
         };
         mesh.progress.signals[widx].wait(seen, cap);
-        spinner = Spinner::new();
     }
 }
 
@@ -1961,27 +1977,9 @@ impl TcpFabric {
                         for (here, peer, stream) in
                             [(a, b, out.try_clone()?), (b, a, inn.try_clone()?)]
                         {
-                            let queue = mesh
-                                .queues
-                                .get(&(here, peer, lane))
-                                .cloned()
+                            let ep = Endpoint::new(&mesh, (here, peer, lane), 0, &gen, stream)
                                 .expect("queue exists for every directed pair");
-                            deliver_endpoint(
-                                &mesh,
-                                Endpoint {
-                                    here,
-                                    peer,
-                                    lane,
-                                    gen: 0,
-                                    cur_gen: Arc::clone(&gen),
-                                    stream,
-                                    queue,
-                                    decoder: FrameDecoder::new(),
-                                    cursor: WriteCursor::new(),
-                                    since_flush: 0,
-                                    staged: Vec::new(),
-                                },
-                            );
+                            deliver_endpoint(&mesh, ep);
                         }
                         conns.insert((a, b, lane), ConnEntry { gen, out, inn });
                     }
@@ -3020,6 +3018,99 @@ mod tests {
             wait_browned(&f, &[]),
             "lane 1 never restored after heal: health {:?}",
             f.health().browned_lanes
+        );
+    }
+
+    #[test]
+    fn lost_wakeup_full_send_queue() {
+        // A one-slot queue per pair: nearly every send parks until a
+        // progress worker frees the slot, so a free that skipped the
+        // notify would leave the sender parked for a whole sync timeout.
+        const N: u32 = 10_000;
+        let t = sync_timeout();
+        let f = TcpFabric::connect(
+            Topology::new(2, 1),
+            TcpConfig {
+                lanes: 1,
+                queue_cap: 1,
+                ..TcpConfig::default()
+            },
+        )
+        .unwrap();
+        let timed = |i: u32, op: &dyn Fn()| {
+            let t0 = Instant::now();
+            op();
+            assert!(
+                t0.elapsed() < t,
+                "message {i} waited out the sync timeout: a wake-up was lost"
+            );
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..N {
+                    timed(i, &|| f.send((0, 1, 4), i.to_le_bytes().to_vec()).unwrap());
+                }
+            });
+            for i in 0..N {
+                timed(i, &|| {
+                    assert_eq!(f.recv((0, 1, 4)).unwrap(), i.to_le_bytes())
+                });
+            }
+        });
+        assert!(f.stats().lanes[0].stalls > 0, "the queue never filled");
+        assert!(f.drain_errors().is_empty());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn write_stall_is_woken_by_the_reader() {
+        // One lane, two workers: the two ends of the connection land on
+        // different workers, so only the reading worker can tell when a
+        // writer stuck on `WouldBlock` may go on. A frame far larger than
+        // the socket buffers completes no frame (and so sends no ack
+        // back) for many read passes; without a wake-up from the reader
+        // each refill of the socket costs the writer a park of up to
+        // 10 ms. Small kernel buffers make those refills many: on a
+        // 2-vCPU VM the transfer takes ~0.25 s with the wake-up and
+        // ~1.4 s without it.
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_SNDBUF: i32 = 7;
+        const SO_RCVBUF: i32 = 8;
+        let f = TcpFabric::connect(
+            Topology::new(2, 1),
+            TcpConfig {
+                lanes: 1,
+                progress_threads: 2,
+                eager_max: 64 << 20,
+                // No retransmit of a frame that is still streaming.
+                rto: Duration::from_secs(5),
+                ..TcpConfig::default()
+            },
+        )
+        .unwrap();
+        let bytes: i32 = 16 << 10;
+        for conn in f.mesh.conns.lock().unwrap().values() {
+            for stream in [&conn.out, &conn.inn] {
+                for opt in [SO_SNDBUF, SO_RCVBUF] {
+                    // SAFETY: a live socket descriptor, and a pointer to
+                    // an i32 of the length passed.
+                    let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, opt, &bytes, 4) };
+                    assert_eq!(rc, 0, "setsockopt");
+                }
+            }
+        }
+        let msg = vec![0x5A; 4 << 20];
+        let start = Instant::now();
+        f.send((1, 0, 2), msg.clone()).unwrap();
+        assert_eq!(f.recv((1, 0, 2)).unwrap(), msg);
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "4 MiB over one lane took {took:?}: the writer waited out its park cap"
         );
     }
 }

@@ -1,83 +1,90 @@
-//! The shared adaptive wait strategy: spin briefly, yield occasionally,
-//! then fall back to a timed condvar park.
+//! The shared wait primitives: [`Waiters`] for every blocking wait on a
+//! mutex-guarded condition, and [`WorkSignal`] for the fabric's idle
+//! progress threads.
 //!
-//! Every blocking primitive on the hot path — the fabric's lane send
-//! queues and receive stores, the runtime's address-board fetches and
-//! flag waits — used to park on its condvar immediately. At the message
-//! rates the paper targets (millions of small messages per second) the
-//! park/unpark round trip through the scheduler costs far more than the
-//! wait itself: the counterpart thread typically produces the awaited
-//! state within microseconds. A short spin phase keeps the waiter on-CPU
-//! across that window and only parks when the wait turns out to be long.
-//!
-//! Tuning: `PIPMCOLL_SPIN_US` is the spin budget in microseconds
-//! (default 50; 0 disables spinning and parks immediately, the pre-spin
-//! behaviour — the right setting for heavily oversubscribed hosts).
+//! Every blocking wait — the fabric's lane send queues and receive
+//! stores, the runtime's address-board fetches, flag waits and
+//! barriers, the service's request completion — parks on its first
+//! miss. Spinning first only pays when the thread that will produce the
+//! awaited state has a CPU of its own; on a host where rank, progress
+//! and engine threads outnumber the cores, a spinning waiter holds the
+//! very CPU its producer is queued for. The notifying side stays cheap
+//! instead: [`Waiters`] counts its parked threads, so a notify with
+//! nobody parked is a load under the lock the notifier already holds,
+//! not a futex syscall.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Spin budget before a waiter parks on its condvar. Parsed once;
-/// override with `PIPMCOLL_SPIN_US`. Malformed values fall back to the
-/// default — [`crate::env::validate`] rejects them loudly at fabric
-/// construction.
-pub fn spin_budget() -> Duration {
-    static US: OnceLock<u64> = OnceLock::new();
-    let us = *US.get_or_init(|| crate::env::read_u64_or("PIPMCOLL_SPIN_US", 50));
-    Duration::from_micros(us)
-}
-
-/// Whether the host exposes exactly one hardware thread. Busy-spinning
-/// is pure waste there: the state being awaited can only be produced by
-/// another thread, and that thread needs this core to produce it.
-fn single_hw_thread() -> bool {
-    static ONE: OnceLock<bool> = OnceLock::new();
-    *ONE.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() == 1))
-}
-
-/// One wait's spin state. Create a `Spinner` at the top of a blocking
-/// wait; each time the awaited condition is still false, call
-/// [`Spinner::turn`]: while it returns `true` the caller should drop its
-/// lock, let the spinner burn a few cycles, and re-check; once it
-/// returns `false` the budget is spent and the caller should park on its
-/// condvar as before. The budget clock starts at the first `turn`, so a
-/// wait that never blocks never reads the clock.
+/// The threads parked on one mutex-guarded condition.
+///
+/// Protocol: change the guarded state and call [`Waiters::notify`]
+/// while still holding the mutex; wait with [`Waiters::wait_for`],
+/// passing the guard of that same mutex. The parked count is raised by
+/// a waiter that holds the mutex and read by a notifier that holds it,
+/// so no wake-up can be lost: a waiter that saw the old state was
+/// counted (and already on the condvar, which releases the mutex
+/// atomically) before the notifier could take the lock, and a waiter
+/// that takes the lock after the notifier sees the new state.
 #[derive(Default)]
-pub struct Spinner {
-    until: Option<Instant>,
-    rounds: u32,
+pub struct Waiters {
+    /// Threads inside [`Waiters::wait_for`]'s park. Only touched under
+    /// the guarded mutex, whose lock and unlock order every access, so
+    /// relaxed atomics suffice.
+    parked: AtomicUsize,
+    cv: Condvar,
 }
 
-impl Spinner {
-    /// A fresh spinner with the full [`spin_budget`].
-    pub fn new() -> Spinner {
-        Spinner::default()
+impl Waiters {
+    /// No thread parked yet.
+    pub fn new() -> Waiters {
+        Waiters::default()
     }
 
-    /// Burn one spin round. Returns `true` while the spin budget lasts
-    /// (re-check the condition), `false` once it is time to park.
-    pub fn turn(&mut self) -> bool {
-        let budget = spin_budget();
-        if budget.is_zero() {
-            return false;
+    /// Wake every parked waiter. `_held` is the guard of the mutex the
+    /// waiters park on: the caller has just changed the state under it.
+    /// Costs one relaxed load when nobody is parked.
+    pub fn notify<T>(&self, _held: &MutexGuard<'_, T>) {
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.cv.notify_all();
         }
-        let until = *self.until.get_or_insert_with(|| Instant::now() + budget);
-        if Instant::now() >= until {
-            return false;
+    }
+
+    /// Block until `ready` returns `Some` or `timeout` passes without it.
+    /// `ready` runs under the lock, first before any clock read — a wait
+    /// whose condition already holds costs no `Instant::now()` — and
+    /// again after every wake-up. Returns the guard with `ready`'s value,
+    /// or with `None` on timeout so the caller can describe what it
+    /// waited for. A mutex poisoned while parked comes back as `Err`,
+    /// carrying the guard and `None`.
+    pub fn wait_for<'a, T, R>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        timeout: Duration,
+        mut ready: impl FnMut(&mut T) -> Option<R>,
+    ) -> LockResult<(MutexGuard<'a, T>, Option<R>)> {
+        if let Some(r) = ready(&mut guard) {
+            return Ok((guard, Some(r)));
         }
-        self.rounds = self.rounds.wrapping_add(1);
-        if single_hw_thread() || self.rounds.is_multiple_of(16) {
-            // Cede the core — every round on a single-hardware-thread
-            // host (the counterpart literally cannot progress while we
-            // hold the CPU), every 16th otherwise, in case the host is
-            // oversubscribed and the counterpart needs this core.
-            std::thread::yield_now();
-        } else {
-            for _ in 0..32 {
-                std::hint::spin_loop();
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok((guard, None));
+            }
+            self.parked.fetch_add(1, Ordering::Relaxed);
+            let woke = self.cv.wait_timeout(guard, left);
+            // Reacquired (poisoned or not): the count drops under the lock.
+            self.parked.fetch_sub(1, Ordering::Relaxed);
+            guard = match woke {
+                Ok((g, _)) => g,
+                Err(p) => return Err(PoisonError::new((p.into_inner().0, None))),
+            };
+            if let Some(r) = ready(&mut guard) {
+                return Ok((guard, Some(r)));
             }
         }
-        true
     }
 }
 
@@ -96,10 +103,10 @@ impl Spinner {
 ///   of being missed.
 #[derive(Default)]
 pub struct WorkSignal {
-    epoch: std::sync::atomic::AtomicU64,
-    sleepers: std::sync::atomic::AtomicUsize,
-    lock: std::sync::Mutex<()>,
-    cv: std::sync::Condvar,
+    epoch: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
 }
 
 impl WorkSignal {
@@ -112,14 +119,17 @@ impl WorkSignal {
     /// to [`WorkSignal::wait`] so a notification between the check and
     /// the park is never lost.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::Acquire)
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Announce new work. Wakes every parked waiter; costs one atomic
     /// add when nobody is parked.
     pub fn notify(&self) {
-        self.epoch.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-        if self.sleepers.load(std::sync::atomic::Ordering::Acquire) > 0 {
+        // SeqCst on both sides: the epoch bump and the sleeper count are
+        // a store-then-load pair against `wait`'s, and only a total
+        // order guarantees at least one side sees the other.
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.lock.lock().unwrap();
             self.cv.notify_all();
         }
@@ -129,11 +139,10 @@ impl WorkSignal {
     /// Returns immediately if a notification already happened since
     /// `seen` was read.
     pub fn wait(&self, seen: u64, timeout: Duration) {
-        self.sleepers
-            .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
         let deadline = Instant::now() + timeout;
         let mut g = self.lock.lock().unwrap();
-        while self.epoch.load(std::sync::atomic::Ordering::Acquire) == seen {
+        while self.epoch.load(Ordering::SeqCst) == seen {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -142,8 +151,7 @@ impl WorkSignal {
             g = g2;
         }
         drop(g);
-        self.sleepers
-            .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -152,26 +160,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_budget_is_fifty_micros() {
-        // The test environment does not set the variable.
-        assert_eq!(spin_budget(), Duration::from_micros(50));
+    fn waiters_ready_condition_returns_without_parking() {
+        let m = std::sync::Mutex::new(7u32);
+        let w = Waiters::new();
+        let (_g, got) = w
+            .wait_for(m.lock().unwrap(), Duration::ZERO, |v| Some(*v))
+            .unwrap();
+        assert_eq!(got, Some(7));
     }
 
     #[test]
-    fn spinner_exhausts_its_budget() {
-        let mut s = Spinner::new();
+    fn waiters_time_out_with_the_guard() {
+        let m = std::sync::Mutex::new(0u32);
+        let w = Waiters::new();
         let start = Instant::now();
-        let mut turns = 0u64;
-        while s.turn() {
-            turns += 1;
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "spinner must terminate"
-            );
-        }
-        assert!(turns > 0, "a 50µs budget affords at least one turn");
-        // Once exhausted, it stays exhausted.
-        assert!(!s.turn());
+        let (g, got) = w
+            .wait_for(m.lock().unwrap(), Duration::from_millis(10), |v| {
+                (*v > 0).then_some(())
+            })
+            .unwrap();
+        assert_eq!(got, None);
+        assert_eq!(*g, 0, "the caller keeps the lock to describe the miss");
+        assert!(start.elapsed() >= Duration::from_millis(10));
+        assert_eq!(w.parked.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn lost_wakeup_waiters_ping_pong() {
+        // Two threads take turns on one counter; each parks until the
+        // counter has its parity. A notify skipped while the other side
+        // is parked leaves that park to run out its whole timeout.
+        const ROUNDS: u64 = 20_000;
+        const T: Duration = Duration::from_secs(5);
+        let shared = std::sync::Arc::new((Mutex::new(0u64), Waiters::new()));
+        let player = |parity: u64| {
+            let shared = std::sync::Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (m, w) = &*shared;
+                for round in 0..ROUNDS {
+                    let t0 = Instant::now();
+                    let (mut g, turn) = w
+                        .wait_for(m.lock().unwrap(), T, |v| (*v % 2 == parity).then_some(()))
+                        .unwrap();
+                    assert!(
+                        turn.is_some() && t0.elapsed() < T,
+                        "round {round} waited out its timeout: a wake-up was lost"
+                    );
+                    *g += 1;
+                    w.notify(&g);
+                }
+            })
+        };
+        let (a, b) = (player(0), player(1));
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(*shared.0.lock().unwrap(), 2 * ROUNDS);
     }
 
     #[test]

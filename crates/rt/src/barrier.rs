@@ -9,10 +9,10 @@
 //! normally, so a single hung or failed rank degrades the run into a
 //! diagnostic instead of a wedged test suite.
 
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
-use pipmcoll_fabric::Spinner;
+use pipmcoll_fabric::Waiters;
 
 struct BarrierState {
     /// Ranks arrived in the current generation.
@@ -25,7 +25,7 @@ struct BarrierState {
 pub struct TimedBarrier {
     n: usize,
     state: Mutex<BarrierState>,
-    cv: Condvar,
+    waiters: Waiters,
 }
 
 impl TimedBarrier {
@@ -38,7 +38,7 @@ impl TimedBarrier {
                 arrived: 0,
                 generation: 0,
             }),
-            cv: Condvar::new(),
+            waiters: Waiters::new(),
         }
     }
 
@@ -50,41 +50,25 @@ impl TimedBarrier {
     /// stay aligned — the timeout is a reporting mechanism, not a
     /// cancellation of the rendezvous.
     pub fn wait_within(&self, timeout: Duration) -> Result<(), String> {
-        let deadline = Instant::now() + timeout;
-        let mut spinner = Spinner::new();
         let mut g = self.state.lock().map_err(|_| "barrier lock poisoned")?;
         let my_gen = g.generation;
         g.arrived += 1;
         if g.arrived == self.n {
             g.arrived = 0;
             g.generation += 1;
-            self.cv.notify_all();
+            self.waiters.notify(&g);
             return Ok(());
         }
-        loop {
-            if g.generation != my_gen {
-                return Ok(());
-            }
-            // Barrier peers usually arrive within the spin budget (the
-            // collectives here barrier every few µs of work); parking
-            // each rank on every barrier costs more than the barrier.
-            if spinner.turn() {
-                drop(g);
-                g = self.state.lock().map_err(|_| "barrier lock poisoned")?;
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(format!(
-                    "barrier timed out after {:?}: {}/{} ranks arrived",
-                    timeout, g.arrived, self.n
-                ));
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(g, deadline.saturating_duration_since(now))
-                .map_err(|_| "barrier lock poisoned")?;
-            g = guard;
+        match self
+            .waiters
+            .wait_for(g, timeout, |s| (s.generation != my_gen).then_some(()))
+            .map_err(|_| "barrier lock poisoned")?
+        {
+            (_, Some(())) => Ok(()),
+            (g, None) => Err(format!(
+                "barrier timed out after {:?}: {}/{} ranks arrived",
+                timeout, g.arrived, self.n
+            )),
         }
     }
 }
@@ -143,5 +127,33 @@ mod tests {
         let t = std::thread::spawn(move || b2.wait_within(Duration::from_secs(2)));
         b.wait_within(Duration::from_secs(2)).unwrap();
         assert!(t.join().unwrap().is_ok());
+    }
+
+    #[test]
+    fn lost_wakeup_barrier_generations() {
+        // Two of three parties park in every generation; a completion
+        // that skipped the notify would leave them parked for the whole
+        // timeout.
+        const GENERATIONS: usize = 10_000;
+        const T: Duration = Duration::from_secs(5);
+        let b = Arc::new(TimedBarrier::new(3));
+        let parties: Vec<_> = (0..3)
+            .map(|_| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || {
+                    for generation in 0..GENERATIONS {
+                        let t0 = std::time::Instant::now();
+                        b.wait_within(T).unwrap();
+                        assert!(
+                            t0.elapsed() < T,
+                            "generation {generation} waited out its timeout: a wake-up was lost"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for p in parties {
+            p.join().unwrap();
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pipmcoll_model::dtype::reduce_into;
@@ -21,7 +21,7 @@ use pipmcoll_model::{Datatype, ReduceOp};
 /// (malformed values panic with a diagnostic).
 pub use pipmcoll_fabric::sync_timeout;
 
-use pipmcoll_fabric::Spinner;
+use pipmcoll_fabric::Waiters;
 
 /// A fixed-size byte buffer other ranks may read/write, PiP-style.
 ///
@@ -194,7 +194,7 @@ pub struct Board {
     /// The posting rank, for diagnostics.
     owner: usize,
     posted: Mutex<HashMap<u16, Posted>>,
-    cv: Condvar,
+    waiters: Waiters,
 }
 
 impl Board {
@@ -210,7 +210,7 @@ impl Board {
     pub fn post(&self, slot: u16, p: Posted) {
         let mut g = self.posted.lock().unwrap();
         g.insert(slot, p);
-        self.cv.notify_all();
+        self.waiters.notify(&g);
     }
 
     /// Blocking lookup of `slot`.
@@ -234,40 +234,20 @@ impl Board {
     /// Non-panicking [`Board::fetch_within`]: the fail-stop communicator
     /// records the timeout as a rank failure instead of unwinding.
     pub fn try_fetch_within(&self, slot: u16, timeout: Duration) -> Result<Posted, String> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut spinner = Spinner::new();
-        let mut g = self
-            .posted
-            .lock()
-            .map_err(|_| format!("rank {} address board poisoned", self.owner))?;
-        loop {
-            if let Some(p) = g.get(&slot) {
-                return Ok(*p);
-            }
-            // The posting peer is typically µs away; spin through that
-            // window before paying a park/unpark round trip.
-            if spinner.turn() {
-                drop(g);
-                g = self
-                    .posted
-                    .lock()
-                    .map_err(|_| format!("rank {} address board poisoned", self.owner))?;
-                continue;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(format!(
-                    "timeout: rank {} never posted board slot {slot} \
-                     (posted slots: {:?}) — schedule under-synchronized?",
-                    self.owner,
-                    g.keys().collect::<Vec<_>>()
-                ));
-            }
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout(g, deadline.saturating_duration_since(now))
-                .map_err(|_| format!("rank {} address board poisoned", self.owner))?;
-            g = guard;
+        let poisoned = || format!("rank {} address board poisoned", self.owner);
+        let g = self.posted.lock().map_err(|_| poisoned())?;
+        match self
+            .waiters
+            .wait_for(g, timeout, |posted| posted.get(&slot).copied())
+            .map_err(|_| poisoned())?
+        {
+            (_, Some(p)) => Ok(p),
+            (g, None) => Err(format!(
+                "timeout: rank {} never posted board slot {slot} \
+                 (posted slots: {:?}) — schedule under-synchronized?",
+                self.owner,
+                g.keys().collect::<Vec<_>>()
+            )),
         }
     }
 
@@ -283,7 +263,7 @@ pub struct FlagSet {
     /// The waiting rank, for diagnostics.
     owner: usize,
     counts: Mutex<HashMap<u16, u32>>,
-    cv: Condvar,
+    waiters: Waiters,
 }
 
 impl FlagSet {
@@ -299,7 +279,7 @@ impl FlagSet {
     pub fn signal(&self, flag: u16) {
         let mut g = self.counts.lock().unwrap();
         *g.entry(flag).or_default() += 1;
-        self.cv.notify_all();
+        self.waiters.notify(&g);
     }
 
     /// Block until `flag` has been signalled at least `count` times.
@@ -321,40 +301,21 @@ impl FlagSet {
     /// Non-panicking [`FlagSet::wait_within`]: the fail-stop communicator
     /// records the timeout as a rank failure instead of unwinding.
     pub fn try_wait_within(&self, flag: u16, count: u32, timeout: Duration) -> Result<(), String> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut spinner = Spinner::new();
-        let mut g = self
-            .counts
-            .lock()
-            .map_err(|_| format!("rank {} flag set poisoned", self.owner))?;
-        loop {
-            let have = g.get(&flag).copied().unwrap_or(0);
-            if have >= count {
-                return Ok(());
-            }
-            // Signals usually land within the spin budget; park only
-            // when the wait turns out to be long.
-            if spinner.turn() {
-                drop(g);
-                g = self
-                    .counts
-                    .lock()
-                    .map_err(|_| format!("rank {} flag set poisoned", self.owner))?;
-                continue;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(format!(
-                    "timeout: rank {} waited for flag {flag} to reach {count} \
-                     but only {have} signals arrived — schedule under-synchronized?",
-                    self.owner
-                ));
-            }
-            let (guard, _timed_out) = self
-                .cv
-                .wait_timeout(g, deadline.saturating_duration_since(now))
-                .map_err(|_| format!("rank {} flag set poisoned", self.owner))?;
-            g = guard;
+        let poisoned = || format!("rank {} flag set poisoned", self.owner);
+        let g = self.counts.lock().map_err(|_| poisoned())?;
+        let have = |counts: &HashMap<u16, u32>| counts.get(&flag).copied().unwrap_or(0);
+        match self
+            .waiters
+            .wait_for(g, timeout, |counts| (have(counts) >= count).then_some(()))
+            .map_err(|_| poisoned())?
+        {
+            (_, Some(())) => Ok(()),
+            (g, None) => Err(format!(
+                "timeout: rank {} waited for flag {flag} to reach {count} \
+                 but only {} signals arrived — schedule under-synchronized?",
+                self.owner,
+                have(&g)
+            )),
         }
     }
 
@@ -502,5 +463,45 @@ mod tests {
         assert!(msg.contains("rank 3"), "{msg}");
         assert!(msg.contains("flag 7"), "{msg}");
         assert!(msg.contains("only 1"), "{msg}");
+    }
+
+    #[test]
+    fn lost_wakeup_board_and_flag_ping_pong() {
+        // Two ranks alternate: post a slot, then wait on a flag the peer
+        // signals after fetching it. A post or signal that skipped the
+        // notify while the peer was parked would leave that park to run
+        // out its whole timeout.
+        const ROUNDS: u16 = 10_000;
+        const T: Duration = Duration::from_secs(5);
+        let boards = Arc::new([Board::for_rank(0), Board::for_rank(1)]);
+        let flags = Arc::new([FlagSet::for_rank(0), FlagSet::for_rank(1)]);
+        let rank = |me: usize| {
+            let (boards, flags) = (Arc::clone(&boards), Arc::clone(&flags));
+            std::thread::spawn(move || {
+                let peer = 1 - me;
+                for round in 0..ROUNDS {
+                    let t0 = std::time::Instant::now();
+                    let posted = Posted {
+                        key: BufKey::Send(me),
+                        offset: round.into(),
+                        len: 1,
+                    };
+                    boards[me].post(round, posted);
+                    let got = boards[peer].try_fetch_within(round, T).unwrap();
+                    assert_eq!(got.offset, usize::from(round));
+                    flags[peer].signal(0);
+                    flags[me]
+                        .try_wait_within(0, u32::from(round) + 1, T)
+                        .unwrap();
+                    assert!(
+                        t0.elapsed() < T,
+                        "round {round} waited out its timeout: a wake-up was lost"
+                    );
+                }
+            })
+        };
+        let (a, b) = (rank(0), rank(1));
+        a.join().unwrap();
+        b.join().unwrap();
     }
 }

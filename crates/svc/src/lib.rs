@@ -57,11 +57,11 @@ pub mod tagspace;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pipmcoll_core::nb::CollSpec;
-use pipmcoll_fabric::{sync_timeout, Fabric, FabricError, LatencyHist, LatencySnapshot};
+use pipmcoll_fabric::{sync_timeout, Fabric, FabricError, LatencyHist, LatencySnapshot, Waiters};
 use pipmcoll_model::{Datatype, ReduceOp};
 use pipmcoll_rt::FaultPlan;
 
@@ -359,7 +359,10 @@ enum ReqState {
 /// Completion plumbing shared by a [`Request`] and the engine.
 pub(crate) struct ReqShared {
     state: Mutex<ReqState>,
-    cv: Condvar,
+    /// Holders blocked in [`Request::wait`]; a completion nobody waits
+    /// on (the common case for a polled or batched request) costs no
+    /// wake-up syscall.
+    waiters: Waiters,
     /// Set by [`Request::cancel`] (or the handle's drop); the engine
     /// resolves the request with [`SvcError::Cancelled`] on its next
     /// pass and quarantines its slot if it was in flight.
@@ -370,7 +373,7 @@ impl ReqShared {
     fn new() -> Arc<ReqShared> {
         Arc::new(ReqShared {
             state: Mutex::new(ReqState::Pending),
-            cv: Condvar::new(),
+            waiters: Waiters::new(),
             cancelled: std::sync::atomic::AtomicBool::new(false),
         })
     }
@@ -379,7 +382,7 @@ impl ReqShared {
     pub(crate) fn complete(&self, result: SvcResult<Vec<Vec<u8>>>) {
         let mut g = self.state.lock().unwrap_or_else(|p| p.into_inner());
         *g = ReqState::Ready(Some(result));
-        self.cv.notify_all();
+        self.waiters.notify(&g);
     }
 
     /// Engine side: has the holder asked to cancel?
@@ -426,28 +429,20 @@ impl Request {
     /// # Panics
     /// Panics if the result was already taken.
     pub fn wait(&self) -> SvcResult<Vec<Vec<u8>>> {
-        let deadline = std::time::Instant::now() + sync_timeout() * 3;
-        let mut g = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match &mut *g {
-                ReqState::Ready(slot) => return slot.take().expect("request result taken twice"),
-                ReqState::Pending => {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return Err(SvcError::Stalled {
-                            waited: sync_timeout() * 3,
-                            outstanding: 0,
-                        });
-                    }
-                    let (g2, _) = self
-                        .shared
-                        .cv
-                        .wait_timeout(g, deadline - now)
-                        .unwrap_or_else(|p| p.into_inner());
-                    g = g2;
-                }
-            }
-        }
+        let backstop = sync_timeout() * 3;
+        let g = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        let (_g, result) = self
+            .shared
+            .waiters
+            .wait_for(g, backstop, |st| match st {
+                ReqState::Ready(slot) => Some(slot.take().expect("request result taken twice")),
+                ReqState::Pending => None,
+            })
+            .unwrap_or_else(|p| p.into_inner());
+        result.unwrap_or(Err(SvcError::Stalled {
+            waited: backstop,
+            outstanding: 0,
+        }))
     }
 
     /// Wait on a batch, returning results in input order.
@@ -688,5 +683,58 @@ impl Job {
             root,
             data,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request() -> (Request, Arc<ReqShared>) {
+        let shared = ReqShared::new();
+        (
+            Request {
+                shared: Arc::clone(&shared),
+            },
+            shared,
+        )
+    }
+
+    #[test]
+    fn lost_wakeup_request_completes_before_or_after_wait() {
+        // Completed before `wait`: the result is there without parking.
+        let (req, shared) = request();
+        shared.complete(Ok(vec![vec![1]]));
+        assert_eq!(req.wait().unwrap(), vec![vec![1]]);
+        // Completed after `wait` has parked.
+        let (req, shared) = request();
+        let engine = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            shared.complete(Ok(vec![vec![2]]));
+        });
+        assert_eq!(req.wait().unwrap(), vec![vec![2]]);
+        engine.join().unwrap();
+        // Racing: an engine thread completes while the holder may be
+        // anywhere between taking the lock and parking. A completion
+        // that skipped the notify would leave it parked for three sync
+        // timeouts.
+        let (to_engine, inbox) = std::sync::mpsc::channel::<Arc<ReqShared>>();
+        let engine = std::thread::spawn(move || {
+            for (i, shared) in inbox.iter().enumerate() {
+                shared.complete(Ok(vec![(i as u32).to_le_bytes().to_vec()]));
+            }
+        });
+        for i in 0..10_000u32 {
+            let (req, shared) = request();
+            to_engine.send(shared).unwrap();
+            let t0 = std::time::Instant::now();
+            assert_eq!(req.wait().unwrap(), vec![i.to_le_bytes().to_vec()]);
+            assert!(
+                t0.elapsed() < sync_timeout(),
+                "request {i} waited out a sync timeout: a wake-up was lost"
+            );
+        }
+        drop(to_engine);
+        engine.join().unwrap();
     }
 }
