@@ -167,7 +167,9 @@ impl From<FabricError> for SvcError {
 }
 
 /// Service tuning. `world` is the rank count every job's collectives
-/// span (one fabric rank per member, the tcp backend's ppn = 1 shape).
+/// span, one fabric rank per member. The fabric decides where those
+/// ranks live: the benchmark's `svc_storm` runs world 4 as 2 nodes ×
+/// 2 ranks over TCP.
 #[derive(Clone, Debug)]
 pub struct SvcConfig {
     /// World size.

@@ -17,11 +17,36 @@
 //! Exhaustion is deferral, not error: [`TagSpace::acquire`] returns
 //! `None` when every slot is held or quarantined, and the scheduler
 //! simply leaves the collective queued until a completion frees one.
+//!
+//! **Cooling window.** Which free slot `acquire` hands out decides how
+//! many distinct `(src, dst, tag)` channels a job spreads its traffic
+//! over, and every channel owns receive-store, sender-sequence and
+//! retransmit entries in the fabric. A released slot first waits in a
+//! FIFO of the [`COOL`] most recent releases, then moves to a LIFO
+//! stack of ready slots; `acquire` pops the stack and falls back to the
+//! FIFO's oldest entry only when the stack is empty (small spaces). A
+//! job with at most `d` collectives in flight therefore touches at most
+//! `d + COOL` slots however long it runs, so the fabric's per-channel
+//! entries stay hot, while a just-released slot still waits for
+//! [`COOL`] other releases before it backs another collective (or, in a
+//! space too small for that, for every other free slot to be issued).
+//!
+//! Reuse is safe at any distance: a slot is released only once its
+//! collective consumed every frame addressed to its tags, and a wire
+//! re-delivery (retransmit, chaos duplicate) carries a per-channel
+//! sequence number below the receiver's cursor, which persists across
+//! reuse, so the receive store drops it. The cooling window is defence
+//! in depth on top of that.
+
+use std::collections::VecDeque;
+
+/// Releases a slot waits behind before it is ready to reissue.
+pub const COOL: usize = 64;
 
 /// What a sequence slot is currently doing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Slot {
-    /// Reusable.
+    /// Reusable: on the ready stack or in the cooling FIFO.
     Free,
     /// Backing an in-flight collective.
     Held,
@@ -34,10 +59,12 @@ enum Slot {
 /// communicator.
 pub struct TagSpace {
     slots: Vec<Slot>,
-    /// Round-robin scan start, so consecutive collectives get distinct
-    /// slots even when the previous slot was already released (defense
-    /// in depth against any frame the completion check missed).
-    cursor: usize,
+    /// Free slots ready to issue, most recently ready on top. Starts
+    /// with every slot, lowest on top.
+    ready: Vec<u32>,
+    /// Released slots, oldest first, waiting for [`COOL`] later
+    /// releases before they join `ready`.
+    cooling: VecDeque<u32>,
     /// Collectives ever granted a slot.
     issued: u64,
     /// Live gauge: slots currently [`Slot::Held`]. Tracked
@@ -59,9 +86,11 @@ impl TagSpace {
             "seq_bits {seq_bits} outside 1..={}",
             pipmcoll_fabric::tag::SVC_SEQ_BITS
         );
+        let n = 1u32 << seq_bits;
         TagSpace {
-            slots: vec![Slot::Free; 1 << seq_bits],
-            cursor: 0,
+            slots: vec![Slot::Free; n as usize],
+            ready: (0..n).rev().collect(),
+            cooling: VecDeque::with_capacity(COOL + 1),
             issued: 0,
             held: 0,
             quarantined: 0,
@@ -76,21 +105,15 @@ impl TagSpace {
     /// Claim a free slot, or `None` when all are held or quarantined
     /// (caller defers the collective until a release).
     pub fn acquire(&mut self) -> Option<u32> {
-        let n = self.slots.len();
-        for probe in 0..n {
-            let i = (self.cursor + probe) % n;
-            if self.slots[i] == Slot::Free {
-                self.slots[i] = Slot::Held;
-                self.cursor = (i + 1) % n;
-                self.issued += 1;
-                self.held += 1;
-                return Some(i as u32);
-            }
-        }
-        None
+        let slot = self.ready.pop().or_else(|| self.cooling.pop_front())?;
+        self.slots[slot as usize] = Slot::Held;
+        self.issued += 1;
+        self.held += 1;
+        Some(slot)
     }
 
-    /// Return a completed collective's slot to the pool.
+    /// Return a completed collective's slot to the pool, behind the
+    /// cooling window.
     ///
     /// # Panics
     /// Panics if the slot is not currently held — releasing a free or
@@ -103,6 +126,11 @@ impl TagSpace {
         );
         self.slots[slot as usize] = Slot::Free;
         self.held -= 1;
+        self.cooling.push_back(slot);
+        if self.cooling.len() > COOL {
+            let cooled = self.cooling.pop_front().expect("window is non-empty");
+            self.ready.push(cooled);
+        }
     }
 
     /// Retire a failed collective's slot permanently: frames bearing
@@ -122,15 +150,9 @@ impl TagSpace {
         self.quarantined += 1;
     }
 
-    /// Collectives ever granted a slot (so `issued / size` counts how
-    /// many times the space has wrapped).
+    /// Collectives ever granted a slot.
     pub fn issued(&self) -> u64 {
         self.issued
-    }
-
-    /// How many times the slot space has been fully cycled.
-    pub fn wraps(&self) -> u64 {
-        self.issued / self.size() as u64
     }
 
     /// Slots permanently retired by failures.
@@ -143,17 +165,37 @@ impl TagSpace {
         self.held
     }
 
-    /// Slots currently reusable. The conservation invariant
-    /// `held + free + quarantined == size` holds at all times; a
-    /// drained scheduler must show `held == 0`. O(1).
+    /// Slots currently reusable: the ready stack plus the cooling FIFO.
+    /// The conservation invariant `held + free + quarantined == size`
+    /// holds at all times; a drained scheduler must show `held == 0`.
+    /// O(1).
     pub fn free(&self) -> usize {
-        self.slots.len() - self.held - self.quarantined
+        self.ready.len() + self.cooling.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+
+    /// SplitMix64: a seeded, std-only stream for the randomized tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
 
     #[test]
     fn acquire_release_cycles_past_the_space_size() {
@@ -165,9 +207,13 @@ mod tests {
             ts.release(s);
         }
         assert_eq!(ts.issued(), 50);
-        assert!(ts.wraps() >= 6, "50 acquisitions over 8 slots must wrap");
-        // Round-robin: consecutive acquisitions never reuse the slot
-        // just released.
+        let distinct: HashSet<u32> = seen.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            8,
+            "50 acquisitions over 8 slots use them all"
+        );
+        // Consecutive acquisitions never reuse the slot just released.
         for w in seen.windows(2) {
             assert_ne!(w[0], w[1], "back-to-back slot reuse");
         }
@@ -217,14 +263,17 @@ mod tests {
         let dead = ts.acquire().unwrap();
         ts.quarantine(dead);
         let cap = ts.size();
+        let mut seen = HashSet::new();
         // 4 × 2^seq_bits subsequent collectives — well past one wrap.
         for i in 0..(4 << seq_bits) {
             let s = ts.acquire().unwrap_or_else(|| panic!("exhausted at {i}"));
             assert_ne!(s, dead, "quarantined slot reissued at collective {i}");
+            seen.insert(s);
             assert_eq!(ts.held() + ts.free() + ts.quarantined(), cap);
             ts.release(s);
         }
-        assert!(ts.wraps() >= 2, "the space must have wrapped");
+        assert_eq!(ts.issued(), 1 + (4 << seq_bits));
+        assert_eq!(seen.len(), cap - 1, "every live slot was reissued");
         assert_eq!(ts.quarantined(), 1);
         assert_eq!(ts.held(), 0);
         assert_eq!(ts.free(), cap - 1);
@@ -233,9 +282,150 @@ mod tests {
     #[test]
     fn distinct_slots_while_held() {
         let mut ts = TagSpace::new(3);
-        let mut held = std::collections::HashSet::new();
+        let mut held = HashSet::new();
         for _ in 0..8 {
             assert!(held.insert(ts.acquire().unwrap()), "duplicate live slot");
+        }
+    }
+
+    /// A job keeping `depth` collectives in flight touches at most
+    /// `depth + COOL` slots, however many it runs.
+    #[test]
+    fn working_set_stays_within_depth_plus_cooling_window() {
+        let depth = 4;
+        let mut ts = TagSpace::new(12);
+        let mut rng = Rng(0x5107);
+        let mut live: Vec<u32> = (0..depth).map(|_| ts.acquire().unwrap()).collect();
+        let mut touched: HashSet<u32> = live.iter().copied().collect();
+        for _ in 0..100_000 {
+            // Completions arrive in any order.
+            let done = live.swap_remove(rng.below(live.len()));
+            ts.release(done);
+            let s = ts.acquire().unwrap();
+            touched.insert(s);
+            live.push(s);
+        }
+        assert_eq!(ts.issued(), 100_000 + depth as u64);
+        assert!(
+            touched.len() <= depth + COOL,
+            "{} distinct slots touched, bound {}",
+            touched.len(),
+            depth + COOL
+        );
+    }
+
+    /// With one collective in flight, a slot waits out `COOL` other
+    /// releases: no slot repeats within `COOL + 1` consecutive
+    /// acquisitions.
+    #[test]
+    fn released_slot_cools_for_the_whole_window() {
+        let mut ts = TagSpace::new(12);
+        let mut seen = Vec::new();
+        for _ in 0..10_000 {
+            let s = ts.acquire().unwrap();
+            seen.push(s);
+            ts.release(s);
+        }
+        for (i, w) in seen.windows(COOL + 1).enumerate() {
+            let distinct: HashSet<u32> = w.iter().copied().collect();
+            assert_eq!(
+                distinct.len(),
+                w.len(),
+                "slot reissued within the window at {i}"
+            );
+        }
+    }
+
+    /// Spaces smaller than the window fall back to the oldest release:
+    /// `None` only when every slot is held or quarantined, and the slot
+    /// just released is never reissued while another slot is free.
+    #[test]
+    fn small_spaces_exhaust_only_when_nothing_is_free() {
+        for seq_bits in 1..=3 {
+            let mut ts = TagSpace::new(seq_bits);
+            let mut rng = Rng(0xA110C ^ u64::from(seq_bits));
+            let mut live: Vec<u32> = Vec::new();
+            let mut dead = 0;
+            let mut last_released = None;
+            for step in 0..20_000 {
+                let roll = rng.below(8);
+                if roll < 4 || live.is_empty() {
+                    let free_before = ts.size() - live.len() - dead;
+                    match ts.acquire() {
+                        None => assert_eq!(
+                            free_before, 0,
+                            "seq_bits {seq_bits} step {step}: None with a slot free"
+                        ),
+                        Some(s) => {
+                            if free_before > 1 {
+                                assert_ne!(
+                                    Some(s),
+                                    last_released,
+                                    "seq_bits {seq_bits} step {step}: just-released slot \
+                                     reissued while another was free"
+                                );
+                            }
+                            live.push(s);
+                        }
+                    }
+                    last_released = None;
+                } else if roll < 7 || dead + 1 >= ts.size() {
+                    let s = live.swap_remove(rng.below(live.len()));
+                    ts.release(s);
+                    last_released = Some(s);
+                } else {
+                    let s = live.swap_remove(rng.below(live.len()));
+                    ts.quarantine(s);
+                    dead += 1;
+                    last_released = None;
+                }
+            }
+        }
+    }
+
+    /// A seeded random run of acquire/release/quarantine conserves the
+    /// slot count and never issues a held or quarantined slot.
+    #[test]
+    fn random_sequence_conserves_slots() {
+        for seed in 0..8u64 {
+            let mut ts = TagSpace::new(7);
+            let cap = ts.size();
+            let mut rng = Rng(seed);
+            // Vecs, not hash sets: the picks below must replay from
+            // the seed.
+            let mut live: Vec<u32> = Vec::new();
+            let mut dead: Vec<u32> = Vec::new();
+            for step in 0..50_000 {
+                match rng.below(16) {
+                    0..=7 => {
+                        if let Some(s) = ts.acquire() {
+                            assert!(
+                                !dead.contains(&s),
+                                "seed {seed} step {step}: quarantined {s}"
+                            );
+                            assert!(
+                                !live.contains(&s),
+                                "seed {seed} step {step}: {s} already held"
+                            );
+                            live.push(s);
+                        } else {
+                            assert_eq!(live.len() + dead.len(), cap);
+                        }
+                    }
+                    8..=14 if !live.is_empty() => {
+                        ts.release(live.swap_remove(rng.below(live.len())));
+                    }
+                    15 if !live.is_empty() && dead.len() < cap / 2 => {
+                        let s = live.swap_remove(rng.below(live.len()));
+                        ts.quarantine(s);
+                        dead.push(s);
+                    }
+                    _ => {}
+                }
+                assert_eq!(ts.held(), live.len());
+                assert_eq!(ts.quarantined(), dead.len());
+                assert_eq!(ts.held() + ts.free() + ts.quarantined(), cap);
+            }
         }
     }
 }

@@ -1,11 +1,14 @@
 //! End-to-end service tests: many jobs running many non-blocking
 //! collectives concurrently over one shared in-process fabric, plus the
-//! tag-space exhaustion/recycling scenario under chaos delay.
+//! tag-space exhaustion/recycling scenario under chaos delay and the
+//! bound on how many fabric channels a long-running job touches.
 
-use std::sync::Arc;
+use std::collections::{HashSet, VecDeque};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use pipmcoll_fabric::chaos::{ChaosConfig, ChaosFabric};
-use pipmcoll_fabric::{Fabric, InProcFabric};
+use pipmcoll_fabric::{ChanKey, Fabric, FabricDiag, FabricResult, FabricStats, InProcFabric};
 use pipmcoll_model::{Datatype, ReduceOp};
 use pipmcoll_svc::{Request, Svc, SvcConfig, SvcError};
 
@@ -331,4 +334,112 @@ fn dropping_the_service_fails_unadmitted_requests_with_shutdown() {
     let req = job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
     drop(svc);
     assert_eq!(req.wait().unwrap_err(), SvcError::Shutdown);
+}
+
+/// Forwards to an [`InProcFabric`] and records every distinct channel
+/// a message is sent on.
+struct ChannelRecorder {
+    inner: InProcFabric,
+    sent_on: Mutex<HashSet<ChanKey>>,
+}
+
+impl ChannelRecorder {
+    fn channels(&self) -> usize {
+        self.sent_on.lock().unwrap().len()
+    }
+}
+
+impl Fabric for ChannelRecorder {
+    fn name(&self) -> &'static str {
+        "channel-recorder"
+    }
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+
+    fn send(&self, key: ChanKey, payload: Vec<u8>) -> FabricResult<()> {
+        self.sent_on.lock().unwrap().insert(key);
+        self.inner.send(key, payload)
+    }
+
+    fn recv_within(&self, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>> {
+        self.inner.recv_within(key, timeout)
+    }
+
+    fn try_recv(&self, key: ChanKey) -> FabricResult<Option<Vec<u8>>> {
+        self.inner.try_recv(key)
+    }
+
+    fn reset(&self) {
+        self.inner.reset()
+    }
+
+    fn stats(&self) -> FabricStats {
+        self.inner.stats()
+    }
+
+    fn diag(&self) -> FabricDiag {
+        self.inner.diag()
+    }
+}
+
+/// A job that keeps `DEPTH` collectives in flight reuses a bounded set
+/// of sequence slots — at most `DEPTH` plus the allocator's cooling
+/// window — so it touches a bounded set of fabric channels, even after
+/// more collectives than the space has slots.
+#[test]
+fn closed_loop_job_touches_a_bounded_channel_set() {
+    const DEPTH: usize = 4;
+    const COLLS: i32 = 5_000;
+    let world = 4;
+    let rec = Arc::new(ChannelRecorder {
+        inner: InProcFabric::new(),
+        sent_on: Mutex::new(HashSet::new()),
+    });
+    let cfg = SvcConfig::new(world);
+    assert!(
+        COLLS as usize > 1 << cfg.seq_bits,
+        "the run must outlast one pass over the slot space"
+    );
+    let svc = Svc::new(rec.clone(), cfg).unwrap();
+    let job = svc.job().unwrap();
+
+    // One collective alone gives the channels each one uses.
+    let (inputs, want) = allreduce_inputs(world, -1);
+    let out = job
+        .iallreduce(Datatype::Int32, ReduceOp::Sum, inputs)
+        .wait()
+        .unwrap();
+    assert!(out.iter().all(|o| from_ints(o) == want));
+    let per_coll = rec.channels();
+    assert!(per_coll > 0);
+
+    let mut inflight = VecDeque::new();
+    for k in 0..COLLS {
+        if inflight.len() == DEPTH {
+            let (req, want): (Request, Vec<i32>) = inflight.pop_front().unwrap();
+            for rank_out in req.wait().expect("collective completes") {
+                assert_eq!(from_ints(&rank_out), want);
+            }
+        }
+        let (inputs, want) = allreduce_inputs(world, k);
+        inflight.push_back((job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs), want));
+    }
+    for (req, want) in inflight {
+        for rank_out in req.wait().expect("collective completes") {
+            assert_eq!(from_ints(&rank_out), want);
+        }
+    }
+
+    let j = &svc.stats().jobs[0];
+    assert_eq!(j.completed, COLLS as u64 + 1);
+    assert_eq!(j.failed, 0);
+    let bound = (DEPTH + pipmcoll_svc::tagspace::COOL) * per_coll;
+    assert!(
+        rec.channels() <= bound,
+        "{} distinct channels after {} collectives, bound {bound} ({per_coll} per collective)",
+        rec.channels(),
+        COLLS + 1
+    );
 }
