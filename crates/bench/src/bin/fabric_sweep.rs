@@ -3,10 +3,14 @@
 //! lanes k ∈ {1..8} × message size — the socket-backed analogue of the
 //! paper's Fig. 1 (message rate / throughput vs. concurrent objects).
 //!
+//! Every point runs the fabric's default lane mapping: messages below
+//! `stripe_min` (8 KiB) ride their sender's nominal lane whole, larger
+//! ones split into one segment per lane — so the 64B series probes the
+//! message-rate floor and the 128KiB series the striped bandwidth.
+//!
 //! Writes `results/fabric_sweep.csv` (throughput table) and
-//! `results/fabric_sweep.json` (full series incl. message rates, plus a
-//! `policy_series` comparing the modulo and stripe lane policies at the
-//! message-rate and bandwidth extremes). Scale knobs:
+//! `results/fabric_sweep.json` (full series incl. message rates and
+//! ack-RTT percentiles). Scale knobs:
 //! `PIPMCOLL_FABRIC_MSGS` (max messages per pair, default 20000),
 //! `PIPMCOLL_FABRIC_TRIALS` (best-of trials per point, default 3).
 
@@ -15,7 +19,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use pipmcoll_bench::{results_dir, write_bench_fabric_section, Figure, Series};
-use pipmcoll_fabric::{Fabric, LanePolicy, LatencySnapshot, TcpConfig, TcpFabric};
+use pipmcoll_fabric::{Fabric, LatencySnapshot, TcpConfig, TcpFabric};
 use pipmcoll_model::Topology;
 
 const PAIRS: usize = 8;
@@ -34,14 +38,13 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// messages of `size` bytes to their partner on node 1. Returns elapsed
 /// seconds from the start barrier until the last receiver has its last
 /// message — fabric setup and thread spawn are outside the window.
-fn trial(lanes: usize, policy: LanePolicy, size: usize, n_msgs: usize) -> (f64, LatencySnapshot) {
+fn trial(lanes: usize, size: usize, n_msgs: usize) -> (f64, LatencySnapshot) {
     let topo = Topology::new(2, PAIRS);
     let fabric = Arc::new(
         TcpFabric::connect(
             topo,
             TcpConfig {
                 lanes,
-                lane_policy: policy,
                 ..TcpConfig::default()
             },
         )
@@ -84,17 +87,11 @@ fn trial(lanes: usize, policy: LanePolicy, size: usize, n_msgs: usize) -> (f64, 
 
 /// Best-of-`trials` measurement, returning (Mmsg/s, MB/s) plus the
 /// ack-RTT percentile snapshot of the fastest trial.
-fn measure(
-    lanes: usize,
-    policy: LanePolicy,
-    size: usize,
-    n_msgs: usize,
-    trials: usize,
-) -> (f64, f64, LatencySnapshot) {
+fn measure(lanes: usize, size: usize, n_msgs: usize, trials: usize) -> (f64, f64, LatencySnapshot) {
     let mut best = f64::INFINITY;
     let mut lat = LatencySnapshot::default();
     for _ in 0..trials {
-        let (t, l) = trial(lanes, policy, size, n_msgs);
+        let (t, l) = trial(lanes, size, n_msgs);
         if t < best {
             best = t;
             lat = l;
@@ -129,10 +126,7 @@ fn main() {
         let mut mmsgs = Vec::new();
         let mut lats = Vec::new();
         for &k in &lanes_grid {
-            // The headline series keeps the environment's lane policy
-            // (modulo unless PIPMCOLL_LANE_POLICY overrides), so its
-            // schema and meaning are unchanged from earlier revisions.
-            let (mm, mb, lat) = measure(k, TcpConfig::default().lane_policy, size, n_msgs, trials);
+            let (mm, mb, lat) = measure(k, size, n_msgs, trials);
             mbs.push(mb);
             mmsgs.push(mm);
             lats.push(lat);
@@ -154,35 +148,6 @@ fn main() {
         });
     }
 
-    // Policy comparison at the two extremes of the size grid: 64 B
-    // probes the message-rate floor striping must not sink (small
-    // frames stay on the modulo fast path below stripe_min), 128 KiB
-    // the bandwidth ceiling striping exists to raise (per-lane
-    // segments that also duck under the eager threshold).
-    let mut policy_rows: Vec<PolicyRow> = Vec::new();
-    for &(size, label) in &[sizes[0], sizes[3]] {
-        let n_msgs = (budget / size).clamp(64, max_msgs);
-        for (policy, pname) in [
-            (LanePolicy::Modulo, "modulo"),
-            (LanePolicy::Stripe, "stripe"),
-        ] {
-            eprintln!("  policy sweep {label} / {pname} ...");
-            let mut mbs = Vec::new();
-            let mut mmsgs = Vec::new();
-            for &k in &lanes_grid {
-                let (mm, mb, _) = measure(k, policy, size, n_msgs, trials);
-                mbs.push(mb);
-                mmsgs.push(mm);
-            }
-            policy_rows.push(PolicyRow {
-                label: format!("{label}-{pname}"),
-                mbs,
-                mmsgs,
-                n_msgs,
-            });
-        }
-    }
-
     let fig = Figure {
         id: "fabric_sweep".into(),
         title: "TCP fabric loopback sweep: throughput vs striped lanes (paper Fig. 1 analogue)"
@@ -193,18 +158,10 @@ fn main() {
     };
     println!("{}", fig.table());
     let dir = results_dir();
-    let json = sweep_json(&lanes_grid, &rates, &policy_rows, trials);
+    let json = sweep_json(&lanes_grid, &rates, trials);
     std::fs::write(dir.join("fabric_sweep.csv"), fig.csv()).expect("write csv");
     std::fs::write(dir.join("fabric_sweep.json"), &json).expect("write json");
     write_bench_fabric_section("sweep", &json);
-}
-
-/// One (size, lane policy) line of the policy comparison.
-struct PolicyRow {
-    label: String,
-    mbs: Vec<f64>,
-    mmsgs: Vec<f64>,
-    n_msgs: usize,
 }
 
 /// One message size's results across the lane grid.
@@ -219,12 +176,7 @@ struct SweepRow {
 /// Hand-rolled JSON (the workspace carries no serialization dependency):
 /// the full sweep, message rates and ack-RTT percentiles included, for
 /// EXPERIMENTS.md tooling and the `BENCH_fabric.json` perf trajectory.
-fn sweep_json(
-    lanes: &[usize],
-    rates: &[SweepRow],
-    policy_rows: &[PolicyRow],
-    trials: usize,
-) -> String {
+fn sweep_json(lanes: &[usize], rates: &[SweepRow], trials: usize) -> String {
     let fmt = |v: &[f64]| {
         v.iter()
             .map(|x| format!("{x:.3}"))
@@ -265,20 +217,6 @@ fn sweep_json(
         let _ = writeln!(out, "      \"ack_rtt_p50_us\": [{}],", fmt_opt(&p50));
         let _ = writeln!(out, "      \"ack_rtt_p99_us\": [{}]", fmt_opt(&p99));
         let _ = writeln!(out, "    }}{}", if i + 1 < rates.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"policy_series\": [");
-    for (i, row) in policy_rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"label\": \"{}\",", row.label);
-        let _ = writeln!(out, "      \"msgs_per_pair\": {},", row.n_msgs);
-        let _ = writeln!(out, "      \"mb_per_s\": [{}],", fmt(&row.mbs));
-        let _ = writeln!(out, "      \"mmsg_per_s\": [{}]", fmt(&row.mmsgs));
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < policy_rows.len() { "," } else { "" }
-        );
     }
     let _ = writeln!(out, "  ]");
     out.push('}');

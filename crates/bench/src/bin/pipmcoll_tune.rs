@@ -1,23 +1,20 @@
 //! Self-tuning sweep: measure both PiP-MColl algorithm families for
-//! allreduce and allgather on the real TCP loopback fabric across a
-//! size × lane-count × lane-policy grid, and emit the measured
-//! crossover points as `results/tune_table.json` — a
+//! allreduce and allgather on the real TCP loopback fabric (k = 4
+//! lanes, the fabric's default) across a size grid, and emit the
+//! measured crossover points as `results/tune_table.json` — a
 //! [`SelectionTable`] the runtime loads via `PIPMCOLL_TUNE_TABLE` to
 //! override the paper's static switch constants.
 //!
 //! Methodology (MPI Advance-style measured selection): for every size
 //! on the grid, run the *small* and the *large* algorithm explicitly —
-//! the dispatch switch is bypassed, each family is forced — under each
-//! configured `(lanes, lane policy)` combination, best-of-`TRIALS`
-//! with `ITERS` collective iterations per timed run. A size's winner
-//! is the family with the lower best time across combinations; the
-//! table rows are exactly the measured grid, so the runtime's
+//! the dispatch switch is bypassed, each family is forced —
+//! best-of-`TRIALS` with `ITERS` collective iterations per timed run.
+//! A size's winner is the family with the lower best time; the table
+//! rows are exactly the measured grid, so the runtime's
 //! nearest-size lookup never extrapolates beyond a measurement.
 //!
 //! Knobs: `PIPMCOLL_TUNE_ITERS` (default 5), `PIPMCOLL_TUNE_TRIALS`
-//! (default 3), `PIPMCOLL_TUNE_LANES` (comma list, default `4`),
-//! `PIPMCOLL_TUNE_POLICIES` (comma list of `modulo`/`stripe`, default
-//! `modulo,stripe`). With `PIPMCOLL_TUNE_GATE=1` the bin additionally
+//! (default 3). With `PIPMCOLL_TUNE_GATE=1` the bin additionally
 //! asserts, on the measured data, that the tuned pick is never slower
 //! than the static-constant pick at the allreduce gate counts
 //! {2048, 4096, 8192, 16384} and exits non-zero on a violation.
@@ -36,7 +33,7 @@ use pipmcoll_core::mcoll::{
 };
 use pipmcoll_core::tuning::{self, Algo, SelectionTable};
 use pipmcoll_core::{AllgatherParams, AllreduceParams};
-use pipmcoll_fabric::{Fabric, LanePolicy, TcpConfig, TcpFabric};
+use pipmcoll_fabric::{Fabric, TcpConfig, TcpFabric};
 use pipmcoll_model::Topology;
 use pipmcoll_rt::run_cluster_on;
 use pipmcoll_sched::verify::pattern;
@@ -46,6 +43,8 @@ use pipmcoll_sched::BufSizes;
 /// small enough for the 1-CPU CI container.
 const NODES: usize = 2;
 const PPN: usize = 2;
+/// Lanes per node pair, the fabric's default.
+const LANES: usize = 4;
 
 /// Allreduce sizes (element counts) bracketing the paper's 8 k switch.
 const ALLREDUCE_COUNTS: [usize; 6] = [512, 2048, 4096, 8192, 16384, 32768];
@@ -62,23 +61,6 @@ fn env_usize(name: &str, default: usize) -> usize {
             .parse()
             .unwrap_or_else(|_| panic!("{name} must be a positive integer, got {v:?}")),
     }
-}
-
-fn env_list(name: &str, default: &str) -> Vec<String> {
-    std::env::var(name)
-        .unwrap_or_else(|_| default.to_string())
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-/// One fabric configuration on the measurement grid.
-#[derive(Clone)]
-struct Combo {
-    lanes: usize,
-    policy: LanePolicy,
-    label: String,
 }
 
 /// Which collective + forced family one measurement runs.
@@ -114,10 +96,10 @@ impl Forced {
     }
 }
 
-/// Best-of-`trials` time for one (collective family, combo) point, in
+/// Best-of-`trials` time for one collective family at one size, in
 /// microseconds per collective iteration. Fabric setup and rank-thread
 /// spawn are identical across families, so they cancel in comparisons.
-fn measure_us(forced: Forced, combo: &Combo, iters: usize, trials: usize) -> f64 {
+fn measure_us(forced: Forced, iters: usize, trials: usize) -> f64 {
     let topo = Topology::new(NODES, PPN);
     let sizes = forced.sizes(topo);
     let sizes = &sizes;
@@ -127,8 +109,7 @@ fn measure_us(forced: Forced, combo: &Combo, iters: usize, trials: usize) -> f64
             TcpFabric::connect(
                 topo,
                 TcpConfig {
-                    lanes: combo.lanes,
-                    lane_policy: combo.policy,
+                    lanes: LANES,
                     ..TcpConfig::default()
                 },
             )
@@ -146,8 +127,7 @@ fn measure_us(forced: Forced, combo: &Combo, iters: usize, trials: usize) -> f64
         let t = t0.elapsed().as_secs_f64();
         assert!(
             res.failures.is_empty(),
-            "tune run failed ({}): {:?}",
-            combo.label,
+            "tune run failed: {:?}",
             res.failures
         );
         best = best.min(t);
@@ -155,8 +135,7 @@ fn measure_us(forced: Forced, combo: &Combo, iters: usize, trials: usize) -> f64
     best * 1e6 / iters as f64
 }
 
-/// All measurements for one collective: per size, per combo, both
-/// families.
+/// All measurements for one collective: per size, both families.
 struct CollRows {
     /// `"allreduce"` / `"allgather"`.
     name: &'static str,
@@ -167,23 +146,13 @@ struct CollRows {
 
 struct SizeRow {
     size: usize,
-    /// Per-combo (small µs, large µs), combo order.
-    times: Vec<(f64, f64)>,
+    small_us: f64,
+    large_us: f64,
 }
 
 impl SizeRow {
-    /// Best time for each family across combos.
-    fn best(&self) -> (f64, f64) {
-        self.times
-            .iter()
-            .fold((f64::INFINITY, f64::INFINITY), |(s, l), &(cs, cl)| {
-                (s.min(cs), l.min(cl))
-            })
-    }
-
     fn winner(&self) -> Algo {
-        let (s, l) = self.best();
-        if l < s {
+        if self.large_us < self.small_us {
             Algo::Large
         } else {
             Algo::Small
@@ -195,24 +164,20 @@ fn sweep_collective(
     name: &'static str,
     unit: &'static str,
     sizes: &[usize],
-    combos: &[Combo],
     iters: usize,
     trials: usize,
     forced_of: impl Fn(usize, bool) -> Forced,
 ) -> CollRows {
     let mut rows = Vec::new();
     for &size in sizes {
-        let mut times = Vec::new();
-        for combo in combos {
-            let small = measure_us(forced_of(size, false), combo, iters, trials);
-            let large = measure_us(forced_of(size, true), combo, iters, trials);
-            eprintln!(
-                "  {name} {size} {unit} [{}]: small {small:.1}us large {large:.1}us",
-                combo.label
-            );
-            times.push((small, large));
-        }
-        rows.push(SizeRow { size, times });
+        let small_us = measure_us(forced_of(size, false), iters, trials);
+        let large_us = measure_us(forced_of(size, true), iters, trials);
+        eprintln!("  {name} {size} {unit}: small {small_us:.1}us large {large_us:.1}us");
+        rows.push(SizeRow {
+            size,
+            small_us,
+            large_us,
+        });
     }
     CollRows { name, unit, rows }
 }
@@ -234,40 +199,12 @@ fn static_pick(name: &str, size: usize) -> Algo {
 fn main() {
     let iters = env_usize("PIPMCOLL_TUNE_ITERS", 5);
     let trials = env_usize("PIPMCOLL_TUNE_TRIALS", 3);
-    let lanes: Vec<usize> = env_list("PIPMCOLL_TUNE_LANES", "4")
-        .iter()
-        .map(|s| s.parse().unwrap_or_else(|_| panic!("bad lane count {s:?}")))
-        .collect();
-    let policies: Vec<LanePolicy> = env_list("PIPMCOLL_TUNE_POLICIES", "modulo,stripe")
-        .iter()
-        .map(|s| LanePolicy::parse(s).unwrap_or_else(|| panic!("bad lane policy {s:?}")))
-        .collect();
-    let combos: Vec<Combo> = policies
-        .iter()
-        .flat_map(|&policy| {
-            lanes.iter().map(move |&k| Combo {
-                lanes: k,
-                policy,
-                label: format!(
-                    "{}-k{k}",
-                    match policy {
-                        LanePolicy::Modulo => "modulo",
-                        LanePolicy::Stripe => "stripe",
-                    }
-                ),
-            })
-        })
-        .collect();
-    eprintln!(
-        "tuning on {NODES}x{PPN} loopback TCP, {} combos, {iters} iters, best of {trials}",
-        combos.len()
-    );
+    eprintln!("tuning on {NODES}x{PPN} loopback TCP, k={LANES}, {iters} iters, best of {trials}");
 
     let allreduce = sweep_collective(
         "allreduce",
         "count",
         &ALLREDUCE_COUNTS,
-        &combos,
         iters,
         trials,
         |count, large| {
@@ -283,7 +220,6 @@ fn main() {
         "allgather",
         "bytes",
         &ALLGATHER_BYTES,
-        &combos,
         iters,
         trials,
         |cb, large| {
@@ -317,18 +253,19 @@ fn main() {
     for coll in [&allreduce, &allgather] {
         println!("\n{} ({}):", coll.name, coll.unit);
         for row in &coll.rows {
-            let (s, l) = row.best();
             println!(
-                "  {:>8} {:>6}  small {s:>10.1}us  large {l:>10.1}us  -> {}  (static: {})",
+                "  {:>8} {:>6}  small {:>10.1}us  large {:>10.1}us  -> {}  (static: {})",
                 row.size,
                 coll.unit,
+                row.small_us,
+                row.large_us,
                 row.winner().name(),
                 static_pick(coll.name, row.size).name(),
             );
         }
     }
 
-    let body = tune_json(&combos, iters, trials, &[&allreduce, &allgather]);
+    let body = tune_json(iters, trials, &[&allreduce, &allgather]);
     atomic_write(&dir.join("pipmcoll_tune.json"), &body);
     write_bench_fabric_section("tune", &body);
 
@@ -342,7 +279,7 @@ fn main() {
             let Some(row) = allreduce.rows.iter().find(|r| r.size == count) else {
                 continue;
             };
-            let (s, l) = row.best();
+            let (s, l) = (row.small_us, row.large_us);
             let tuned = match table
                 .allreduce_uses_large(count)
                 .expect("gate count is on the measured grid")
@@ -371,7 +308,7 @@ fn main() {
 }
 
 /// Hand-rolled JSON body for the `"tune"` BENCH_fabric section.
-fn tune_json(combos: &[Combo], iters: usize, trials: usize, colls: &[&CollRows]) -> String {
+fn tune_json(iters: usize, trials: usize, colls: &[&CollRows]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"id\": \"pipmcoll_tune\",");
     let _ = writeln!(out, "  \"backend\": \"tcp-loopback\",");
@@ -379,8 +316,7 @@ fn tune_json(combos: &[Combo], iters: usize, trials: usize, colls: &[&CollRows])
     let _ = writeln!(out, "  \"ppn\": {PPN},");
     let _ = writeln!(out, "  \"iters\": {iters},");
     let _ = writeln!(out, "  \"trials\": {trials},");
-    let labels: Vec<String> = combos.iter().map(|c| format!("\"{}\"", c.label)).collect();
-    let _ = writeln!(out, "  \"combos\": [{}],", labels.join(", "));
+    let _ = writeln!(out, "  \"lanes\": {LANES},");
     let _ = writeln!(out, "  \"collectives\": [");
     for (i, coll) in colls.iter().enumerate() {
         let _ = writeln!(out, "    {{");
@@ -388,14 +324,12 @@ fn tune_json(combos: &[Combo], iters: usize, trials: usize, colls: &[&CollRows])
         let _ = writeln!(out, "      \"unit\": \"{}\",", coll.unit);
         let _ = writeln!(out, "      \"rows\": [");
         for (j, row) in coll.rows.iter().enumerate() {
-            let small: Vec<String> = row.times.iter().map(|t| format!("{:.1}", t.0)).collect();
-            let large: Vec<String> = row.times.iter().map(|t| format!("{:.1}", t.1)).collect();
             let _ = writeln!(
                 out,
-                "        {{\"size\": {}, \"small_us\": [{}], \"large_us\": [{}], \"algo\": \"{}\"}}{}",
+                "        {{\"size\": {}, \"small_us\": {:.1}, \"large_us\": {:.1}, \"algo\": \"{}\"}}{}",
                 row.size,
-                small.join(", "),
-                large.join(", "),
+                row.small_us,
+                row.large_us,
                 row.winner().name(),
                 if j + 1 < coll.rows.len() { "," } else { "" }
             );

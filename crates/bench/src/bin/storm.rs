@@ -10,10 +10,9 @@
 //! invariant: with every job submitting the same load, no job's p99 may
 //! exceed 3× the median job's p99.
 //!
-//! Knobs: `PIPMCOLL_SVC_JOBS` (default 16), `PIPMCOLL_STORM_COLLS`
-//! (collectives per job, default 16), `PIPMCOLL_STORM_WORLD` (ranks,
-//! default 8), `PIPMCOLL_STORM_ELEMS` (i32 elements per rank, default
-//! 16). With `PIPMCOLL_STORM_GATE=1` the process exits nonzero unless
+//! Every collective is an allreduce of [`ELEMS`] i32 per rank over a
+//! [`WORLD`]-rank world (2 nodes). Knobs: `PIPMCOLL_SVC_JOBS` (default
+//! 16), `PIPMCOLL_STORM_COLLS` (collectives per job, default 16). With `PIPMCOLL_STORM_GATE=1` the process exits nonzero unless
 //! concurrent p99 ≤ serialized p99 and the fairness bound holds (zero
 //! failed requests is enforced unconditionally).
 //!
@@ -40,11 +39,14 @@ fn env_usize(name: &str, default: usize) -> usize {
     }
 }
 
+/// Ranks per job's world, split evenly over 2 nodes.
+const WORLD: usize = 8;
+/// i32 elements per rank in each allreduce.
+const ELEMS: usize = 16;
+
 struct StormLoad {
     jobs: usize,
     colls_per_job: usize,
-    world: usize,
-    elems: usize,
 }
 
 struct JobOutcome {
@@ -91,16 +93,12 @@ impl RunResult {
 /// concurrent service, `Some(1)` the serialized baseline.
 fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
     // Two "nodes" over loopback so half the rank pairs cross real TCP.
-    assert!(
-        load.world >= 2 && load.world.is_multiple_of(2),
-        "world must be even"
-    );
-    let topo = Topology::new(2, load.world / 2);
+    let topo = Topology::new(2, WORLD / 2);
     let fabric: Arc<dyn Fabric> =
         Arc::new(TcpFabric::connect(topo, TcpConfig::default()).expect("loopback fabric"));
     let cfg = SvcConfig {
         max_inflight,
-        ..SvcConfig::new(load.world)
+        ..SvcConfig::new(WORLD)
     };
     let svc = Svc::new(fabric, cfg).expect("service starts");
     let jobs: Vec<_> = (0..load.jobs).map(|_| svc.job().expect("job")).collect();
@@ -112,14 +110,14 @@ fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
             // Rank r contributes seed + r per element; the reduced value
             // is the same for every element and every rank.
             let seed = (ji * 1000 + k) as i32;
-            let inputs: Vec<Vec<u8>> = (0..load.world)
+            let inputs: Vec<Vec<u8>> = (0..WORLD)
                 .map(|r| {
-                    std::iter::repeat_n(seed + r as i32, load.elems)
+                    std::iter::repeat_n(seed + r as i32, ELEMS)
                         .flat_map(|v| v.to_le_bytes())
                         .collect()
                 })
                 .collect();
-            let want: i64 = (0..load.world as i64).map(|r| seed as i64 + r).sum();
+            let want: i64 = (0..WORLD as i64).map(|r| seed as i64 + r).sum();
             launched.push((job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs), want));
         }
     }
@@ -132,7 +130,7 @@ fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
                     let ok = rank_out
                         .chunks_exact(4)
                         .all(|c| i64::from(i32::from_le_bytes(c.try_into().unwrap())) == want);
-                    if !ok || rank_out.len() != load.elems * 4 {
+                    if !ok || rank_out.len() != ELEMS * 4 {
                         wrong += 1;
                     }
                 }
@@ -189,13 +187,11 @@ fn main() {
     let load = StormLoad {
         jobs: env_usize("PIPMCOLL_SVC_JOBS", 16),
         colls_per_job: env_usize("PIPMCOLL_STORM_COLLS", 16),
-        world: env_usize("PIPMCOLL_STORM_WORLD", 8),
-        elems: env_usize("PIPMCOLL_STORM_ELEMS", 16),
     };
     let total = load.jobs * load.colls_per_job;
     println!(
         "# storm — {} jobs × {} iallreduce(world={}, {} i32/rank) = {} collectives",
-        load.jobs, load.colls_per_job, load.world, load.elems, total
+        load.jobs, load.colls_per_job, WORLD, ELEMS, total
     );
 
     eprintln!("  running concurrent ...");
@@ -233,8 +229,8 @@ fn main() {
     let _ = writeln!(out, "  \"backend\": \"tcp-loopback\",");
     let _ = writeln!(out, "  \"jobs\": {},", load.jobs);
     let _ = writeln!(out, "  \"colls_per_job\": {},", load.colls_per_job);
-    let _ = writeln!(out, "  \"world\": {},", load.world);
-    let _ = writeln!(out, "  \"elems_per_rank\": {},", load.elems);
+    let _ = writeln!(out, "  \"world\": {},", WORLD);
+    let _ = writeln!(out, "  \"elems_per_rank\": {},", ELEMS);
     out.push_str(&mode_json("concurrent", &conc));
     out.push_str(",\n");
     out.push_str(&mode_json("serialized", &ser));

@@ -16,12 +16,12 @@
 //!   one logical lane; the default for unit tests and verified runs.
 //! * [`TcpFabric`] — a real socket transport over `std::net` loopback:
 //!   per node-pair connection pools with **k striped lanes** (a lane is
-//!   the paper's "object"), a length-prefixed eager/rendezvous wire
-//!   protocol with `(src, dst, tag)` matching and per-channel FIFO,
-//!   a fixed progress pool (`min(4, cores)` workers, `PIPMCOLL_PROGRESS_THREADS`
-//!   to override) driving every nonblocking endpoint, bounded per-lane
-//!   send queues for backpressure, ack-based retransmit with sequence
-//!   dedup, lane failover, and per-lane traffic counters.
+//!   the paper's "object"; a large message splits into one segment per
+//!   lane), a length-prefixed eager/rendezvous wire protocol with
+//!   `(src, dst, tag)` matching and per-channel FIFO, a fixed progress
+//!   pool (`min(4, cores)` workers) driving every nonblocking endpoint,
+//!   bounded per-lane send queues for backpressure, ack-based retransmit
+//!   with sequence dedup, lane failover, and per-lane traffic counters.
 //! * [`ChaosFabric`] — a deterministic, seeded fault injector wrapping
 //!   any backend (`PIPMCOLL_CHAOS=drop:0.05,dup:0.02,delay:5ms`), used
 //!   to prove the collectives stay byte-correct under frame loss,
@@ -70,7 +70,7 @@ pub use error::{
 pub use inproc::InProcFabric;
 pub use pool::{FrameBuf, FramePool, PoolStats};
 pub use stats::{FabricStats, LaneStats, LatencyHist, LatencySnapshot};
-pub use tcp::{LanePolicy, TcpConfig, TcpFabric};
+pub use tcp::{TcpConfig, TcpFabric};
 pub use timeout::sync_timeout;
 pub use wait::Waiters;
 pub use wire::{WireError, WIRE_VERSION};

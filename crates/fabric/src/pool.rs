@@ -19,13 +19,13 @@
 //! skips one recycle; the buffer is freed normally. Correctness never
 //! depends on recycling happening.
 //!
-//! Tuning: `PIPMCOLL_POOL_CAP` bounds the free-list (default 256
-//! buffers per pool). Buffers above 256 KiB capacity are never retained
+//! Bounds: the free-list holds at most [`POOL_CAP`] (256) buffers per
+//! pool. Buffers above 256 KiB capacity are never retained
 //! — rendezvous payloads would otherwise pin large allocations forever.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
 use crate::wire::Frame;
 
@@ -33,13 +33,8 @@ use crate::wire::Frame;
 /// recycled, so one big rendezvous frame can't pin memory in the pool.
 const MAX_RETAIN_CAP: usize = 256 * 1024;
 
-/// Free-list bound. Parsed once; override with `PIPMCOLL_POOL_CAP`.
-/// Malformed values fall back to the default — [`crate::env::validate`]
-/// rejects them loudly at fabric construction.
-pub fn pool_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| crate::env::read_usize_or("PIPMCOLL_POOL_CAP", 256))
-}
+/// Free-list bound of a [`FramePool::new`] pool, in buffers.
+pub const POOL_CAP: usize = 256;
 
 struct BufInner {
     data: Vec<u8>,
@@ -100,12 +95,12 @@ pub struct FramePool {
 
 impl Default for FramePool {
     fn default() -> Self {
-        FramePool::with_cap(pool_cap())
+        FramePool::with_cap(POOL_CAP)
     }
 }
 
 impl FramePool {
-    /// A pool bounded by [`pool_cap`] (`PIPMCOLL_POOL_CAP`).
+    /// A pool bounded by [`POOL_CAP`].
     pub fn new() -> FramePool {
         FramePool::default()
     }
@@ -436,8 +431,13 @@ mod tests {
     }
 
     #[test]
-    fn default_cap_comes_from_env_or_256() {
-        assert_eq!(pool_cap(), 256);
+    fn default_pool_retains_up_to_256_buffers() {
+        let pool = FramePool::new();
+        let bufs: Vec<_> = (0..POOL_CAP + 8)
+            .map(|_| pool.encode(&frame(vec![1; 8])))
+            .collect();
+        drop(bufs);
+        assert_eq!(pool.stats().free, 256);
     }
 
     #[test]

@@ -135,9 +135,9 @@ pub struct FabricStats {
     /// retransmit exactly like a dropped frame — a non-zero count with
     /// correct results is the integrity layer working.
     pub corrupt_frames: u64,
-    /// Messages the stripe lane policy split into per-lane segments
-    /// (each still counts once in `lanes[..].msgs`); always 0 under the
-    /// modulo policy.
+    /// Messages split into per-lane segments (each still counts once in
+    /// `lanes[..].msgs`); 0 when every message is below the backend's
+    /// stripe threshold or only one lane is routable.
     pub striped_msgs: u64,
     /// Round-trip time from first transmission of an eager frame to the
     /// cumulative ack that covered it (never from retransmissions —

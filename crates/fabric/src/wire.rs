@@ -74,8 +74,8 @@
 //! re-raises the watermark — so a lost ack costs one duplicate frame,
 //! never a duplicate message, and never a stuck sender.
 //!
-//! Under the stripe lane policy (`tcp::LanePolicy::Stripe`) one large
-//! message is split into up to k segments, each an ordinary sequenced
+//! A message at or above `tcp::TcpConfig::stripe_min` is split into up
+//! to k segments, each an ordinary sequenced
 //! frame on its own lane. `seg_idx`/`seg_count` tell the receive side
 //! how to reassemble: segments of one message occupy *consecutive*
 //! channel sequence numbers, so the existing hold-back/dedup machinery
@@ -427,8 +427,8 @@ pub struct Frame {
     /// cumulative ack for the reverse channel (EAGER): `watermark + 1`,
     /// with 0 meaning no ack aboard.
     pub aux: u64,
-    /// Segment index within a striped message (EAGER/DATA under the
-    /// stripe lane policy); 0 otherwise.
+    /// Segment index within a striped message (EAGER/DATA at or above
+    /// the stripe threshold); 0 otherwise.
     pub seg_idx: u16,
     /// Total segments of the striped message this frame belongs to.
     /// 0 or 1 means the frame carries a whole, unsegmented message.

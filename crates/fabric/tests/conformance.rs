@@ -11,19 +11,19 @@
 //! on eager frames) holds the semantics even while the ack/retransmit
 //! and sequence-dedup recovery machinery is doing real work.
 //!
-//! The whole TCP grid runs once per lane *policy*: modulo (each
-//! channel pinned to one lane) and stripe (messages scattered over
-//! every live lane as per-lane segments and reassembled in order).
-//! The stripe configurations set `stripe_min` to 4 bytes so the
-//! suite's 4–28-byte payloads genuinely split — under the default
-//! 8 KiB floor every message here would ride the modulo fast path and
-//! the striped reassembly/FIFO machinery would go untested.
+//! Every TCP configuration sets `stripe_min` to 4 bytes, so with 2+
+//! lanes the suite's 4–28-byte payloads genuinely split into per-lane
+//! segments that are scattered and reassembled in order; under the
+//! default 8 KiB floor every message here would ride its sender's
+//! nominal lane whole and the striped reassembly/FIFO machinery would
+//! go untested. The k = 1 configuration and the sub-4-byte payloads
+//! keep the whole-message path covered.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use pipmcoll_fabric::{
-    ChanKey, ChaosConfig, ChaosFabric, Fabric, InProcFabric, LanePolicy, TcpConfig, TcpFabric,
+    ChanKey, ChaosConfig, ChaosFabric, Fabric, InProcFabric, TcpConfig, TcpFabric,
 };
 use pipmcoll_model::Topology;
 
@@ -32,12 +32,11 @@ fn topo() -> Topology {
     Topology::new(2, 4)
 }
 
-/// A TCP config under `policy`, with `stripe_min` small enough that
-/// this suite's payloads actually stripe.
-fn tcp_config(lanes: usize, policy: LanePolicy) -> TcpConfig {
+/// A TCP config with `stripe_min` small enough that this suite's
+/// payloads actually stripe.
+fn tcp_config(lanes: usize) -> TcpConfig {
     TcpConfig {
         lanes,
-        lane_policy: policy,
         stripe_min: 4,
         ..TcpConfig::default()
     }
@@ -47,45 +46,42 @@ fn tcp_config(lanes: usize, policy: LanePolicy) -> TcpConfig {
 fn conformance(check: impl Fn(&dyn Fabric)) {
     let inproc = InProcFabric::new();
     check(&inproc);
-    for policy in [LanePolicy::Modulo, LanePolicy::Stripe] {
-        for lanes in [1, 2, 4] {
-            let tcp =
-                TcpFabric::connect(topo(), tcp_config(lanes, policy)).expect("loopback fabric");
-            check(&tcp);
-        }
-        // Force every payload above 8 bytes through the rendezvous
-        // path (under stripe: striped DATA segments).
-        let rdv = TcpFabric::connect(
+    for lanes in [1, 2, 4] {
+        let tcp = TcpFabric::connect(topo(), tcp_config(lanes)).expect("loopback fabric");
+        check(&tcp);
+    }
+    // A tiny eager threshold: any segment above 8 bytes goes through
+    // the rendezvous path, whose DATA phase stripes too.
+    let rdv = TcpFabric::connect(
+        topo(),
+        TcpConfig {
+            eager_max: 8,
+            ..tcp_config(2)
+        },
+    )
+    .expect("loopback fabric");
+    check(&rdv);
+    // Deterministic chaos over TCP: 5% of eager frames dropped, 2%
+    // duplicated, fixed seed. A fast retransmit clock keeps
+    // recovery inside test time; the semantics must be
+    // indistinguishable — segment retransmit and dedup included.
+    let chaotic = ChaosFabric::new(
+        TcpFabric::connect(
             topo(),
             TcpConfig {
-                eager_max: 8,
-                ..tcp_config(2, policy)
+                rto: Duration::from_millis(5),
+                ..tcp_config(2)
             },
         )
-        .expect("loopback fabric");
-        check(&rdv);
-        // Deterministic chaos over TCP: 5% of eager frames dropped, 2%
-        // duplicated, fixed seed. A fast retransmit clock keeps
-        // recovery inside test time; the semantics must be
-        // indistinguishable — segment retransmit and dedup included.
-        let chaotic = ChaosFabric::new(
-            TcpFabric::connect(
-                topo(),
-                TcpConfig {
-                    rto: Duration::from_millis(5),
-                    ..tcp_config(2, policy)
-                },
-            )
-            .expect("loopback fabric"),
-            ChaosConfig {
-                drop: 0.05,
-                dup: 0.02,
-                seed: 42,
-                ..ChaosConfig::default()
-            },
-        );
-        check(&chaotic);
-    }
+        .expect("loopback fabric"),
+        ChaosConfig {
+            drop: 0.05,
+            dup: 0.02,
+            seed: 42,
+            ..ChaosConfig::default()
+        },
+    );
+    check(&chaotic);
 }
 
 /// Deterministic payload for message `i` on a channel: identifies both
@@ -382,10 +378,10 @@ fn cumulative_acks_survive_reordered_and_duplicated_frames() {
 
 #[test]
 fn stripe_configs_actually_stripe() {
-    // Guard against the whole stripe half of the grid running vacuously
-    // on the modulo fast path: with stripe_min = 4 and 2+ lanes, the
-    // suite's multi-byte payloads must register as striped messages.
-    let f = TcpFabric::connect(topo(), tcp_config(4, LanePolicy::Stripe)).unwrap();
+    // Guard against the grid running vacuously on the whole-message
+    // path: with stripe_min = 4 and 2+ lanes, the suite's multi-byte
+    // payloads must register as striped messages.
+    let f = TcpFabric::connect(topo(), tcp_config(4)).unwrap();
     let key: ChanKey = (0, 5, 2);
     for i in 0..20 {
         f.send(key, payload(key, i)).unwrap();
@@ -396,7 +392,7 @@ fn stripe_configs_actually_stripe() {
     let s = f.stats();
     assert!(
         s.striped_msgs > 0,
-        "no message striped under LanePolicy::Stripe with stripe_min 4: {s:?}"
+        "no message striped with stripe_min 4: {s:?}"
     );
     // Stats still book each striped message exactly once (on its
     // primary lane) — the invariant the accounting tests rely on.

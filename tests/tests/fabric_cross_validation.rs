@@ -15,7 +15,7 @@ use std::time::Duration;
 use pipmcoll_core::{
     build_schedule, AllgatherParams, AllreduceParams, CollectiveSpec, LibraryProfile, ScatterParams,
 };
-use pipmcoll_fabric::{ChaosConfig, ChaosFabric, InProcFabric, LanePolicy, TcpConfig, TcpFabric};
+use pipmcoll_fabric::{ChaosConfig, ChaosFabric, InProcFabric, TcpConfig, TcpFabric};
 use pipmcoll_model::Topology;
 use pipmcoll_rt::{run_cluster_on, run_cluster_verified_on, Algo};
 use pipmcoll_sched::verify::pattern;
@@ -188,7 +188,9 @@ fn chaos_cross_validate(
 }
 
 /// The dirty-wire grid: seeded bit-flip corruption on top of drops and
-/// duplicates, for each lane policy and each lane count. Every injected
+/// duplicates, for each lane count. `stripe_min` is 64 bytes, below
+/// every payload here, so with 2+ lanes each message splits into
+/// per-lane segments and the faults land on segments. Every injected
 /// flip is confined to the CRC field + payload, so it must surface as a
 /// receiver-side checksum mismatch (`corrupt_frames`) and be healed by
 /// the same retransmit path that absorbs drops — the run must stay
@@ -200,7 +202,6 @@ fn dirty_cross_validate(
     nodes: usize,
     ppn: usize,
     spec: CollectiveSpec,
-    policy: LanePolicy,
 ) -> u64 {
     let topo = Topology::new(nodes, ppn);
     let algo = LibAlgo { lib, spec };
@@ -224,7 +225,7 @@ fn dirty_cross_validate(
             topo,
             TcpConfig {
                 lanes,
-                lane_policy: policy,
+                stripe_min: 64,
                 rto: Duration::from_millis(5),
                 ..TcpConfig::default()
             },
@@ -254,14 +255,14 @@ fn dirty_cross_validate(
         );
         assert!(
             res.failures.is_empty(),
-            "{} {nodes}x{ppn} k={lanes} {policy:?} {spec:?}: dirty run recorded failures: {:?}",
+            "{} {nodes}x{ppn} k={lanes} {spec:?}: dirty run recorded failures: {:?}",
             lib.name(),
             res.failures
         );
         assert_eq!(
             res.recv,
             reference.recv,
-            "{} {nodes}x{ppn} {spec:?}: dirty tcp fabric (k={lanes}, {policy:?}) diverges from inproc",
+            "{} {nodes}x{ppn} {spec:?}: dirty tcp fabric (k={lanes}) diverges from inproc",
             lib.name()
         );
         // Every injected flip is an odd number of bit flips inside the
@@ -269,7 +270,7 @@ fn dirty_cross_validate(
         // caught and counted — never silently accepted.
         assert!(
             res.fabric_stats.corrupt_frames >= cf.wire().corrupted(),
-            "{} {nodes}x{ppn} k={lanes} {policy:?}: {} injected flips but only {} \
+            "{} {nodes}x{ppn} k={lanes}: {} injected flips but only {} \
              checksum rejections — corrupt frames are being accepted",
             lib.name(),
             cf.wire().corrupted(),
@@ -279,12 +280,21 @@ fn dirty_cross_validate(
         // must have re-sent at least one frame per drop *and* per flip.
         assert!(
             res.fabric_stats.retransmits >= cf.wire().dropped() + cf.wire().corrupted(),
-            "{} {nodes}x{ppn} k={lanes} {policy:?}: {} drops + {} flips but only {} retransmits",
+            "{} {nodes}x{ppn} k={lanes}: {} drops + {} flips but only {} retransmits",
             lib.name(),
             cf.wire().dropped(),
             cf.wire().corrupted(),
             res.fabric_stats.retransmits
         );
+        // The faults must land on segments, not only on whole messages.
+        if lanes >= 2 {
+            assert!(
+                res.fabric_stats.striped_msgs > 0,
+                "{} {nodes}x{ppn} k={lanes}: no message striped — the grid ran \
+                 on the whole-message path only",
+                lib.name()
+            );
+        }
         injected += cf.wire().corrupted();
     }
     injected
@@ -292,34 +302,28 @@ fn dirty_cross_validate(
 
 #[test]
 fn collective_grid_survives_dirty_wire() {
-    // One spec per collective family × both lane policies, each over
-    // k ∈ {1, 2, 4} lanes with seeded corrupt:0.02,drop:0.05,dup:0.02.
-    // Injected corruptions are summed across the grid: the test is
-    // vacuous unless some frame was actually flipped on the wire.
-    let mut injected = 0;
-    for policy in [LanePolicy::Modulo, LanePolicy::Stripe] {
-        injected += dirty_cross_validate(
-            LibraryProfile::PipMColl,
-            2,
-            3,
-            CollectiveSpec::Scatter(ScatterParams { cb: 256, root: 0 }),
-            policy,
-        );
-        injected += dirty_cross_validate(
-            LibraryProfile::PipMColl,
-            3,
-            2,
-            CollectiveSpec::Allgather(AllgatherParams { cb: 128 }),
-            policy,
-        );
-        injected += dirty_cross_validate(
-            LibraryProfile::IntelMpi,
-            2,
-            3,
-            CollectiveSpec::Allreduce(AllreduceParams::sum_doubles(100)),
-            policy,
-        );
-    }
+    // One spec per collective family, each over k ∈ {1, 2, 4} lanes
+    // with seeded corrupt:0.02,drop:0.05,dup:0.02. Injected corruptions
+    // are summed across the grid: the test is vacuous unless some frame
+    // was actually flipped on the wire.
+    let mut injected = dirty_cross_validate(
+        LibraryProfile::PipMColl,
+        2,
+        3,
+        CollectiveSpec::Scatter(ScatterParams { cb: 256, root: 0 }),
+    );
+    injected += dirty_cross_validate(
+        LibraryProfile::PipMColl,
+        3,
+        2,
+        CollectiveSpec::Allgather(AllgatherParams { cb: 128 }),
+    );
+    injected += dirty_cross_validate(
+        LibraryProfile::IntelMpi,
+        2,
+        3,
+        CollectiveSpec::Allreduce(AllreduceParams::sum_doubles(100)),
+    );
     assert!(
         injected > 0,
         "seeded 2% corruption over the whole grid flipped no frames — \
