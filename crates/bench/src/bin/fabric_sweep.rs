@@ -8,9 +8,10 @@
 //! ones split into one segment per lane — so the 64B series probes the
 //! message-rate floor and the 128KiB series the striped bandwidth.
 //!
-//! Writes `results/fabric_sweep.csv` (throughput table) and
-//! `results/fabric_sweep.json` (full series incl. message rates and
-//! ack-RTT percentiles). Scale knobs:
+//! Writes `results/fabric_sweep.csv` (throughput table) and merges the
+//! full series (incl. message rates and ack-RTT percentiles) into the
+//! `sweep` section of `BENCH_fabric.json` at the repo root, kept as
+//! `results/BENCH_fragment_sweep.json`. Scale knobs:
 //! `PIPMCOLL_FABRIC_MSGS` (max messages per pair, default 20000),
 //! `PIPMCOLL_FABRIC_TRIALS` (best-of trials per point, default 3).
 
@@ -160,7 +161,6 @@ fn main() {
     let dir = results_dir();
     let json = sweep_json(&lanes_grid, &rates, trials);
     std::fs::write(dir.join("fabric_sweep.csv"), fig.csv()).expect("write csv");
-    std::fs::write(dir.join("fabric_sweep.json"), &json).expect("write json");
     write_bench_fabric_section("sweep", &json);
 }
 

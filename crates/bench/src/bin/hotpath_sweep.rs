@@ -7,15 +7,15 @@
 //! in the zero-allocation eager path show up as a falling hit ratio long
 //! before they show up in throughput.
 //!
-//! Writes `results/hotpath_sweep.json` and merges the `hotpath` section
-//! of `BENCH_fabric.json` at the repo root. Scale knob:
+//! Merges the `hotpath` section of `BENCH_fabric.json` at the repo root,
+//! kept as `results/BENCH_fragment_hotpath.json`. Scale knob:
 //! `PIPMCOLL_HOTPATH_MSGS` (round trips per pair, default 2000).
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use pipmcoll_bench::{results_dir, write_bench_fabric_section};
+use pipmcoll_bench::write_bench_fabric_section;
 use pipmcoll_fabric::{Fabric, LatencyHist, LatencySnapshot, TcpConfig, TcpFabric};
 use pipmcoll_model::Topology;
 
@@ -159,6 +159,5 @@ fn main() {
     let _ = writeln!(out, "  ]");
     out.push('}');
 
-    std::fs::write(results_dir().join("hotpath_sweep.json"), &out).expect("write json");
     write_bench_fabric_section("hotpath", &out);
 }

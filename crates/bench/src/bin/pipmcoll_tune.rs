@@ -19,9 +19,8 @@
 //! than the static-constant pick at the allreduce gate counts
 //! {2048, 4096, 8192, 16384} and exits non-zero on a violation.
 //!
-//! Also writes `results/pipmcoll_tune.json` (the full measurement
-//! body) and merges it into `BENCH_fabric.json` as the `"tune"`
-//! section.
+//! Also merges the full measurement body into `BENCH_fabric.json` as
+//! the `"tune"` section, kept as `results/BENCH_fragment_tune.json`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -266,7 +265,6 @@ fn main() {
     }
 
     let body = tune_json(iters, trials, &[&allreduce, &allgather]);
-    atomic_write(&dir.join("pipmcoll_tune.json"), &body);
     write_bench_fabric_section("tune", &body);
 
     // Gate: on the measured grid the tuned pick (argmin of the two

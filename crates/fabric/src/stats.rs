@@ -139,6 +139,13 @@ pub struct FabricStats {
     /// `lanes[..].msgs`); 0 when every message is below the backend's
     /// stripe threshold or only one lane is routable.
     pub striped_msgs: u64,
+    /// Eager frames the sending thread wrote onto the socket itself
+    /// instead of queueing them for a progress worker; 0 for backends
+    /// without sockets.
+    pub inline_sends: u64,
+    /// Frames a rank waiting in a receive decoded from the socket itself
+    /// instead of a progress worker; 0 for backends without sockets.
+    pub rank_reads: u64,
     /// Round-trip time from first transmission of an eager frame to the
     /// cumulative ack that covered it (never from retransmissions —
     /// their acks are ambiguous).

@@ -286,12 +286,20 @@ fn dirty_cross_validate(
             cf.wire().corrupted(),
             res.fabric_stats.retransmits
         );
-        // The faults must land on segments, not only on whole messages.
+        // The faults must land on segments, not only on whole messages,
+        // and on frames the ranks wrote themselves, not only on the
+        // workers' queue.
         if lanes >= 2 {
             assert!(
                 res.fabric_stats.striped_msgs > 0,
                 "{} {nodes}x{ppn} k={lanes}: no message striped — the grid ran \
                  on the whole-message path only",
+                lib.name()
+            );
+            assert!(
+                res.fabric_stats.inline_sends > 0,
+                "{} {nodes}x{ppn} k={lanes}: no frame went inline — the grid ran \
+                 on the queued path only",
                 lib.name()
             );
         }
