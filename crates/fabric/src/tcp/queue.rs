@@ -47,7 +47,12 @@ pub(super) struct SendQueue {
 impl SendQueue {
     pub(super) fn new(cap: usize) -> Self {
         SendQueue {
-            inner: Mutex::new(QueueInner::default()),
+            // The user queue is bounded: reserve it whole, so a push
+            // never allocates, however rarely the queue fills.
+            inner: Mutex::new(QueueInner {
+                user: VecDeque::with_capacity(cap),
+                ..QueueInner::default()
+            }),
             cap,
             ctrl_hwm: AtomicU64::new(0),
             can_push: Waiters::new(),
@@ -94,19 +99,22 @@ impl SendQueue {
 
     /// Nonblocking drain into a write cursor (control frames first)
     /// until the cursor stages at least `target` bytes or the queue is
-    /// empty. Returns the bytes moved, and collects the identity of
-    /// every staged payload frame into `staged` (for the wire-time RTT
-    /// stamp). Frees user-queue capacity, waking blocked senders.
+    /// empty. Returns the bytes moved and whether any staged frame was
+    /// not a payload frame, and collects the identity of every staged
+    /// payload frame into `staged` (for the wire-time RTT stamp and the
+    /// arrival notice). Frees user-queue capacity, waking blocked
+    /// senders.
     pub(super) fn pop_into(
         &self,
         cursor: &mut WriteCursor,
         target: usize,
         staged: &mut Vec<(ChanKey, u64)>,
-    ) -> usize {
+    ) -> (usize, bool) {
         let Ok(mut g) = self.inner.lock() else {
-            return 0;
+            return (0, false);
         };
         let mut moved = 0usize;
+        let mut ctrl = false;
         let mut popped_user = false;
         while cursor.remaining_bytes() < target {
             let next = g.ctrl.pop_front().or_else(|| {
@@ -118,8 +126,9 @@ impl SendQueue {
                 // The queue's refcount moves into the cursor; the pending
                 // table (if any) keeps the bytes alive for retransmit.
                 Some(f) => {
-                    if let Some(id) = Frame::peek_payload_id(&f) {
-                        staged.push(id);
+                    match Frame::peek_payload_id(&f) {
+                        Some(id) => staged.push(id),
+                        None => ctrl = true,
                     }
                     moved += f.len();
                     cursor.push(f);
@@ -130,7 +139,7 @@ impl SendQueue {
         if popped_user {
             self.can_push.notify(&g);
         }
-        moved
+        (moved, ctrl)
     }
 
     /// Frames queued and not yet staged for the wire.
