@@ -270,6 +270,16 @@ pub fn try_from_env(topo: Topology) -> FabricResult<Arc<dyn Fabric>> {
     }
 }
 
+/// Held by the stress tests that count wake-up latencies, so they do not
+/// compete with each other for the CPUs: on a two-CPU host two
+/// concurrent 20k-round ping-pongs delay each other's wake-ups by
+/// milliseconds.
+#[cfg(test)]
+pub(crate) fn wake_stress() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
