@@ -16,6 +16,10 @@
 //! concurrent p99 ≤ serialized p99 and the fairness bound holds (zero
 //! failed requests is enforced unconditionally).
 //!
+//! Each mode also reports the engine's node-local steps run in place
+//! (`SvcStats::in_place`) and the payload frames it wrote or read on
+//! the wire itself (`FabricStats::driver_frames`).
+//!
 //! Writes `results/storm.json` and `BENCH_svc.json` at the repo root
 //! (override with `PIPMCOLL_BENCH_ROOT`), both atomically.
 
@@ -61,6 +65,11 @@ struct RunResult {
     wall_ms: f64,
     wrong_results: u64,
     jobs: Vec<JobOutcome>,
+    /// Node-local steps the engine ran in place (`SvcStats::in_place`).
+    in_place: u64,
+    /// Payload frames the engine wrote or read on the wire itself
+    /// (`FabricStats::driver_frames`).
+    driver_frames: u64,
 }
 
 impl RunResult {
@@ -94,13 +103,12 @@ impl RunResult {
 fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
     // Two "nodes" over loopback so half the rank pairs cross real TCP.
     let topo = Topology::new(2, WORLD / 2);
-    let fabric: Arc<dyn Fabric> =
-        Arc::new(TcpFabric::connect(topo, TcpConfig::default()).expect("loopback fabric"));
+    let fabric = Arc::new(TcpFabric::connect(topo, TcpConfig::default()).expect("loopback fabric"));
     let cfg = SvcConfig {
         max_inflight,
         ..SvcConfig::new(WORLD)
     };
-    let svc = Svc::new(fabric, cfg).expect("service starts");
+    let svc = Svc::new(Arc::clone(&fabric) as Arc<dyn Fabric>, cfg).expect("service starts");
     let jobs: Vec<_> = (0..load.jobs).map(|_| svc.job().expect("job")).collect();
 
     let t0 = Instant::now();
@@ -143,6 +151,8 @@ fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
     RunResult {
         wall_ms,
         wrong_results: wrong,
+        in_place: stats.in_place,
+        driver_frames: fabric.stats().driver_frames,
         jobs: stats
             .jobs
             .iter()
@@ -170,6 +180,8 @@ fn mode_json(name: &str, r: &RunResult) -> String {
         "    \"deferred\": {},",
         r.jobs.iter().map(|j| j.deferred).sum::<u64>()
     );
+    let _ = writeln!(out, "    \"in_place\": {},", r.in_place);
+    let _ = writeln!(out, "    \"driver_frames\": {},", r.driver_frames);
     let p99s: Vec<String> = r
         .jobs
         .iter()
@@ -200,17 +212,19 @@ fn main() {
     let ser = run_storm(&load, Some(1));
 
     println!(
-        "{:>14} {:>10} {:>10} {:>12} {:>8}",
-        "mode", "p50_us", "p99_us", "wall_ms", "failed"
+        "{:>14} {:>10} {:>10} {:>12} {:>8} {:>10} {:>14}",
+        "mode", "p50_us", "p99_us", "wall_ms", "failed", "in_place", "driver_frames"
     );
     for (name, r) in [("concurrent", &conc), ("serialized", &ser)] {
         println!(
-            "{:>14} {:>10} {:>10} {:>12.1} {:>8}",
+            "{:>14} {:>10} {:>10} {:>12.1} {:>8} {:>10} {:>14}",
             name,
             r.p50_us(),
             r.p99_us(),
             r.wall_ms,
-            r.failed()
+            r.failed(),
+            r.in_place,
+            r.driver_frames
         );
     }
     let fairness_ok = conc

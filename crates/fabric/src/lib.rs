@@ -167,6 +167,24 @@ pub trait Fabric: Send + Sync {
     fn health(&self) -> FabricHealth {
         FabricHealth::default()
     }
+
+    /// The node `rank` lives on, if the backend knows its topology. Two
+    /// ranks on one node share an address space, so a caller that acts
+    /// for both may hand a message over in place instead of sending it.
+    /// Backends without a topology answer `None`.
+    fn node_of(&self, _rank: usize) -> Option<usize> {
+        None
+    }
+
+    /// Progress the transport from the calling thread, as a progress
+    /// thread would: write what is queued and read what arrived.
+    /// `stay` says the caller will call again soon. Until it calls
+    /// with `stay` false, the sends and acks it queues wake no progress
+    /// thread, because its next call writes them. A caller about to
+    /// stop calling (to park, sleep or exit) makes one last call with
+    /// `stay` false, which hands whatever it left queued back to the
+    /// progress threads. Backends without a wire do nothing.
+    fn drive(&self, _stay: bool) {}
 }
 
 /// Delegating impl so trait objects can be wrapped (e.g.
@@ -210,6 +228,12 @@ impl<T: Fabric + ?Sized> Fabric for Arc<T> {
     }
     fn health(&self) -> FabricHealth {
         (**self).health()
+    }
+    fn node_of(&self, rank: usize) -> Option<usize> {
+        (**self).node_of(rank)
+    }
+    fn drive(&self, stay: bool) {
+        (**self).drive(stay)
     }
 }
 

@@ -146,6 +146,12 @@ pub struct FabricStats {
     /// Frames a rank waiting in a receive decoded from the socket itself
     /// instead of a progress worker; 0 for backends without sockets.
     pub rank_reads: u64,
+    /// Payload frames a thread driving the fabric ([`Fabric::drive`])
+    /// wrote onto or decoded from a socket itself instead of a progress
+    /// worker; 0 for backends without sockets.
+    ///
+    /// [`Fabric::drive`]: crate::Fabric::drive
+    pub driver_frames: u64,
     /// Round-trip time from first transmission of an eager frame to the
     /// cumulative ack that covered it (never from retransmissions —
     /// their acks are ambiguous).

@@ -1,15 +1,17 @@
-//! The paths on which a rank drives the sockets itself: `send` writes an
-//! eager frame straight onto its lane, and `recv_within` drains the
-//! sockets from the sending node before it parks. Both run the same
-//! `write_step` and `read_step` as the progress pool; only the caller
-//! differs.
+//! The paths on which a caller drives the sockets itself: `send` writes
+//! an eager frame straight onto its lane, `recv_within` drains the
+//! sockets from the sending node before it parks, and [`drive`] runs a
+//! progress worker's pass over every endpoint from a polling thread.
+//! All of them run the same `write_step` and `read_step` as the
+//! progress pool; only the caller differs.
 
-use std::cell::RefCell;
-use std::sync::atomic::Ordering;
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use super::endpoint::write_step;
 use super::mesh::Mesh;
+use super::worker::stage_share;
 use super::LaneKey;
 use crate::error::FabricResult;
 use crate::pool::FrameBuf;
@@ -40,6 +42,9 @@ const MAX_UNACKED: usize = 2 * INLINE_MAX_UNACKED;
 /// half-written ahead of it, and the write half is free. A torn write
 /// leaves the rest in the cursor for the owner to finish.
 ///
+/// A driving caller ([`drive`]) queues instead: its next pass writes
+/// the frame, batched with the rest.
+///
 /// Past [`MAX_UNACKED`], a sender whose lane is idle — nothing queued,
 /// its worker parked — is exchanging with a receiver that reads the
 /// wire itself, and the acks wait for a worker a loaded host may not
@@ -54,6 +59,9 @@ pub(super) fn send_inline(
     unacked: usize,
     buf: FrameBuf,
 ) -> Result<(), FrameBuf> {
+    if driving(mesh) {
+        return Err(buf);
+    }
     let owner = mesh.owner_signal(key);
     if unacked > INLINE_MAX_UNACKED {
         let reader = (key.1, key.0, key.2);
@@ -98,17 +106,22 @@ pub(super) fn send_inline(
 }
 
 thread_local! {
-    /// A rank's socket read buffer, reused across its receives.
+    /// A rank's or a driver's socket read buffer, reused across its
+    /// reads.
     static SCRATCH: RefCell<Vec<u8>> = RefCell::new(vec![0; 64 * 1024]);
+    /// The id of the mesh this thread drives ([`drive`] with `stay`),
+    /// 0 for none. Ids are never reused, so a mark outliving its fabric
+    /// matches no other.
+    static DRIVING: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Drain every lane's socket carrying node `peer`'s traffic into node
-/// `here`. Every lane, because a striped message spreads its segments
-/// over all of them. A lane whose worker is running is left to it, as
-/// on the send side: the worker batches the read with the rest of its
-/// cycle, and a poke makes sure that cycle comes. Returns whether any
-/// bytes arrived.
-fn drain_inbound(mesh: &Mesh, here: usize, peer: usize) -> bool {
+/// `here`, as a rank (`by_rank`) or as a worker would. Every lane,
+/// because a striped message spreads its segments over all of them. A
+/// lane whose worker is running is left to it, as on the send side: the
+/// worker batches the read with the rest of its cycle, and a poke makes
+/// sure that cycle comes. Returns whether any bytes arrived.
+fn drain_inbound(mesh: &Mesh, here: usize, peer: usize, by_rank: bool) -> bool {
     let mut read = false;
     for lane in 0..mesh.cfg.lanes {
         let key = (here, peer, lane);
@@ -116,7 +129,7 @@ fn drain_inbound(mesh: &Mesh, here: usize, peer: usize) -> bool {
         let owner = &mesh.progress.signals[slot.owner];
         if owner.is_parked() {
             read |= SCRATCH
-                .with_borrow_mut(|scratch| slot.read.read(mesh, key, true, scratch))
+                .with_borrow_mut(|scratch| slot.read.read(mesh, key, by_rank, scratch))
                 .unwrap_or(false);
         } else {
             owner.notify();
@@ -143,7 +156,7 @@ pub(super) fn recv_driving(mesh: &Mesh, key: ChanKey, timeout: Duration) -> Fabr
             Ok(m) => return Ok(m),
             Err(seen) => seen,
         };
-        if drain_inbound(mesh, here, peer) {
+        if drain_inbound(mesh, here, peer, true) {
             if let Ok(m) = store.pop_driving(key)? {
                 return Ok(m);
             }
@@ -157,4 +170,56 @@ pub(super) fn recv_driving(mesh: &Mesh, key: ChanKey, timeout: Duration) -> Fabr
             return Err(store.timed_out(key, timeout));
         }
     }
+}
+
+/// A fresh mesh id for [`driving`]; never 0.
+pub(super) fn next_mesh_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Whether the calling thread drives `mesh` right now. Its wake-ups of
+/// workers wait until it stops (see [`Mesh::notify_owner`]).
+pub(super) fn driving(mesh: &Mesh) -> bool {
+    DRIVING.get() == mesh.id
+}
+
+/// One progress pass over every endpoint of `mesh` from the calling
+/// thread: drain each inbound socket and decode what arrived as a
+/// worker does, flush the acks owed, then write each send queue. An
+/// endpoint whose worker is running is left to it and poked instead,
+/// as in [`drain_inbound`]. With `stay` the thread keeps driving after
+/// the pass: its sends queue without an inline write and, like its ack
+/// pushes, wake no worker, because its next pass writes them. Without
+/// `stay` it stops driving ([`stop_driving`]) once the pass is done.
+pub(super) fn drive(mesh: &Mesh, stay: bool) {
+    DRIVING.set(mesh.id);
+    let nodes = mesh.topo.nodes();
+    for here in 0..nodes {
+        for peer in (0..nodes).filter(|&p| p != here) {
+            drain_inbound(mesh, here, peer, false);
+        }
+    }
+    mesh.flush_owed_acks();
+    let stage = stage_share(mesh.queues.len());
+    for &key in mesh.queues.keys() {
+        let slot = mesh.slot(key);
+        // A running owner was poked by the drain above.
+        if mesh.progress.signals[slot.owner].is_parked() {
+            slot.write.write(mesh, key, stage);
+        }
+    }
+    if !stay {
+        stop_driving(mesh);
+    }
+}
+
+/// Stop driving `mesh`: clear the thread's mark and wake every worker
+/// whose wake-up it deferred, so no frame it left queued and no byte it
+/// left unread waits out a worker's bounded park.
+pub(super) fn stop_driving(mesh: &Mesh) {
+    if driving(mesh) {
+        DRIVING.set(0);
+    }
+    mesh.hand_back();
 }

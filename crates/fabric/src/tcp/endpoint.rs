@@ -8,6 +8,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
+use super::drive::driving;
 use super::mesh::Mesh;
 use super::queue::SendQueue;
 use super::repair::RepairReq;
@@ -204,7 +205,7 @@ impl Half<ReadHalf> {
 }
 
 impl Half<WriteHalf> {
-    /// The owning worker's write pass over endpoint `key`
+    /// A worker's or a driving caller's write pass over endpoint `key`
     /// ([`write_step`]). Losing the lock to a sending rank flags it (see
     /// [`Half::send_with`]). Returns whether anything moved, or `None`
     /// if the half was busy, absent or retired.
@@ -283,9 +284,14 @@ pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Optio
     let (here, peer, lane) = wh.key;
     let mut progressed = false;
     if wh.cursor.remaining_bytes() < stage {
+        let before = wh.staged.len();
         let (moved, ctrl) = wh.queue.pop_into(&mut wh.cursor, stage, &mut wh.staged);
         progressed = moved > 0;
         wh.staged_ctrl |= ctrl;
+        if driving(mesh) {
+            let payload = (wh.staged.len() - before) as u64;
+            mesh.driver_frames.fetch_add(payload, Ordering::Relaxed);
+        }
     }
     if wh.stamped < wh.staged.len() {
         // The RTT clock starts here — when the frame leaves its queue
@@ -347,11 +353,11 @@ pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Optio
 
 /// One nonblocking read pass over a read half: drain the socket through
 /// `scratch` (a worker's pass is bounded, for fairness) into the decoder
-/// and dispatch every complete frame. A worker (`by_rank` false) flushes
-/// owed acks as it goes. A rank writes no acks: they ride its next frame
-/// back to the peer, or a worker flushes them — asked every 32 payload
-/// frames, and otherwise on the owner's next pass over the quiet
-/// socket. Returns whether any bytes arrived, or `None` if the socket
+/// and dispatch every complete frame. A worker or a driving caller
+/// (`by_rank` false) flushes owed acks as it goes. A rank writes no
+/// acks: they ride its next frame back to the peer, or a worker flushes
+/// them — asked every 32 payload frames, and otherwise on the owner's
+/// next pass over the quiet socket. Returns whether any bytes arrived, or `None` if the socket
 /// broke or the stream is garbled.
 pub(super) fn read_step(
     mesh: &Mesh,
@@ -362,6 +368,7 @@ pub(super) fn read_step(
     let (here, peer, lane) = rh.key;
     let mut reads = 0usize;
     let mut frames = 0u64;
+    let mut payload = 0u64;
     // Receiver wake-ups owed by this read's deliveries, paid once the
     // read's frames are all in.
     let mut wakes = Wakes::default();
@@ -389,6 +396,7 @@ pub(super) fn read_step(
                             frames += 1;
                             if owes_ack {
                                 rh.since_flush += 1;
+                                payload += 1;
                             }
                             // Batch acks: every 32 payload frames under
                             // sustained load (the quiet-socket flush is
@@ -448,6 +456,9 @@ pub(super) fn read_step(
             Err(_) => break None,
         }
     };
+    if payload > 0 && driving(mesh) {
+        mesh.driver_frames.fetch_add(payload, Ordering::Relaxed);
+    }
     if by_rank && frames > 0 {
         // A rank hands the ack flush to a worker every 32 frames the
         // ranks decode between them: one flush covers every channel, so

@@ -10,6 +10,7 @@ use std::time::Instant;
 
 use pipmcoll_model::Topology;
 
+use super::drive::driving;
 use super::endpoint::EndpointSlot;
 use super::queue::SendQueue;
 use super::repair::RepairReq;
@@ -99,6 +100,8 @@ pub(super) struct ProgressShared {
 /// Everything shared between `send`/`recv` callers and the progress
 /// pool.
 pub(super) struct Mesh {
+    /// Unique per fabric: names the mesh in a driving thread's mark.
+    pub(super) id: u64,
     pub(super) topo: Topology,
     pub(super) cfg: TcpConfig,
     pub(super) progress: ProgressShared,
@@ -176,6 +179,11 @@ pub(super) struct Mesh {
     pub(super) inline_sends: AtomicU64,
     /// Frames a waiting rank decoded from the socket itself.
     pub(super) rank_reads: AtomicU64,
+    /// Payload frames a driving caller wrote or decoded itself.
+    pub(super) driver_frames: AtomicU64,
+    /// Per worker: a driving caller skipped waking it (see
+    /// [`Mesh::notify_owner`]); [`Mesh::hand_back`] pays the wake-up.
+    pub(super) driver_owed: Vec<AtomicBool>,
     pub(super) lane_ctrs: Vec<LaneCounters>,
     pub(super) local_msgs: AtomicU64,
     pub(super) local_bytes: AtomicU64,
@@ -239,9 +247,25 @@ impl Mesh {
     }
 
     /// Wake the worker that owns endpoint `(from, to, lane)` — its send
-    /// queue or its socket just gained work.
+    /// queue or its socket just gained work. A thread driving this mesh
+    /// writes and reads that endpoint at its next pass, so it only
+    /// notes the wake-up as owed until it stops driving.
     pub(super) fn notify_owner(&self, from: usize, to: usize, lane: usize) {
-        self.owner_signal((from, to, lane)).notify();
+        let owner = self.slot((from, to, lane)).owner;
+        if driving(self) {
+            self.driver_owed[owner].store(true, Ordering::Release);
+        } else {
+            self.progress.signals[owner].notify();
+        }
+    }
+
+    /// Wake every worker a driving caller owes a wake-up.
+    pub(super) fn hand_back(&self) {
+        for (owed, signal) in self.driver_owed.iter().zip(&self.progress.signals) {
+            if owed.swap(false, Ordering::AcqRel) {
+                signal.notify();
+            }
+        }
     }
 
     /// The wakeup signal of the worker owning internode endpoint `key`.

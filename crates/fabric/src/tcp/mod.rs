@@ -27,6 +27,15 @@
 //!   frame (deliver, ack, answer the rendezvous handshake), before it
 //!   parks on the store. A frame written while it waits is announced to
 //!   it: a parked waiter is woken to read the socket itself.
+//! * **the poller first**: a thread that polls with `try_recv` instead
+//!   of waiting (the service engine) calls [`Fabric::drive`] once per
+//!   pass, which runs a worker's pass over every endpoint whose worker
+//!   is parked — read and decode each inbound socket, flush the acks
+//!   owed, write each send queue — and pokes a running worker instead.
+//!   While it drives, its sends are queued, and its sends and ack
+//!   pushes only note the owner's wake-up as owed, because its next
+//!   pass does the work; every way out of driving (its last call, a
+//!   send about to block on a full queue) pays the owed wake-ups first.
 //! * **the progress pool as backstop**: a small fixed pool of progress
 //!   threads (default `min(4, cores)`, override
 //!   [`TcpConfig::progress_threads`]), *not* a thread pair per
@@ -50,7 +59,8 @@
 //! a missed edge costs milliseconds, not liveness. A thread that loses
 //! a half's lock is owed a re-read (read half) or a re-notify of the
 //! worker (write half) by the holder, so a rank holding a half never
-//! costs the worker its bounded park.
+//! costs the worker its bounded park, and a wake-up a driving thread
+//! defers is paid when it stops driving.
 //!
 //! The former repair, retransmit and heartbeat threads fold into worker
 //! 0 as deadline-ordered timer duties: a retransmit scan every `rto/4`,
@@ -102,7 +112,9 @@
 //!
 //! Node-local messages never touch a socket: one "node" here is a set of
 //! ranks sharing an address space, so a self-send is delivered straight
-//! into the node's store (counted separately in [`FabricStats`]).
+//! into the node's store (counted separately in [`FabricStats`]). A
+//! caller that acts for both ranks can skip even that: [`Fabric::node_of`]
+//! answers from the topology.
 //!
 //! [`WriteCursor`]: crate::pool::WriteCursor
 //! [`FrameDecoder`]: crate::wire::FrameDecoder
@@ -125,7 +137,7 @@ use crate::store::MsgStore;
 use crate::wait::{Waiters, WorkSignal};
 use crate::wire::{Frame, FrameKind};
 use crate::{ChanKey, Fabric};
-use drive::{recv_driving, send_inline};
+use drive::{driving, next_mesh_id, recv_driving, send_inline};
 use endpoint::{EndpointSlot, Half};
 use mesh::{ConnEntry, LaneCounters, Mesh, ProgressShared, RdvMsg};
 use queue::{PushError, SendQueue};
@@ -314,6 +326,7 @@ impl TcpFabric {
             })
             .collect();
         let mesh = Arc::new(Mesh {
+            id: next_mesh_id(),
             topo,
             cfg,
             progress: ProgressShared {
@@ -353,6 +366,8 @@ impl TcpFabric {
             striped_msgs: AtomicU64::new(0),
             inline_sends: AtomicU64::new(0),
             rank_reads: AtomicU64::new(0),
+            driver_frames: AtomicU64::new(0),
+            driver_owed: (0..pool_size).map(|_| AtomicBool::new(false)).collect(),
             lane_ctrs,
             local_msgs: AtomicU64::new(0),
             local_bytes: AtomicU64::new(0),
@@ -549,8 +564,16 @@ impl Fabric for TcpFabric {
         };
         let eager = seg_len <= mesh.cfg.eager_max;
         let chaos = mesh.chaos();
+        // A driving caller about to block on a full queue first hands
+        // back the wake-ups it deferred: the lane's worker must drain it.
         let push_to = |q: &SendQueue, lane: usize, buf: FrameBuf| {
-            q.push_user(buf).map_err(|e| match e {
+            let hand_back = || {
+                if driving(mesh) {
+                    mesh.hand_back();
+                    mesh.owner_signal((node_s, node_d, lane)).notify();
+                }
+            };
+            q.push_user(buf, hand_back).map_err(|e| match e {
                 PushError::Timeout(waited) => FabricError::PeerHung {
                     chan: key,
                     attempts: 0,
@@ -781,6 +804,7 @@ impl Fabric for TcpFabric {
             striped_msgs: mesh.striped_msgs.load(Ordering::Relaxed),
             inline_sends: mesh.inline_sends.load(Ordering::Relaxed),
             rank_reads: mesh.rank_reads.load(Ordering::Relaxed),
+            driver_frames: mesh.driver_frames.load(Ordering::Relaxed),
             dups_dropped: mesh.stores.iter().map(|s| s.dups_dropped()).sum(),
             corrupt_frames: mesh.corrupt_frames.load(Ordering::Relaxed),
             ack_rtt: mesh.ack_rtt.snapshot(),
@@ -868,6 +892,15 @@ impl Fabric for TcpFabric {
             }
             Err(_) => false,
         }
+    }
+
+    fn node_of(&self, rank: usize) -> Option<usize> {
+        let topo = &self.mesh.topo;
+        (rank < topo.world_size()).then(|| topo.node_of(rank))
+    }
+
+    fn drive(&self, stay: bool) {
+        drive::drive(&self.mesh, stay)
     }
 
     fn health(&self) -> FabricHealth {

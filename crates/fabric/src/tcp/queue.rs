@@ -61,16 +61,28 @@ impl SendQueue {
     }
 
     /// Enqueue a user frame, blocking while the queue is at capacity.
-    /// Returns whether the caller stalled waiting for space.
-    pub(super) fn push_user(&self, frame: FrameBuf) -> Result<bool, PushError> {
+    /// `before_park` runs once, under the queue lock, if the caller is
+    /// about to block. Returns whether the caller stalled waiting for
+    /// space.
+    pub(super) fn push_user(
+        &self,
+        frame: FrameBuf,
+        before_park: impl FnOnce(),
+    ) -> Result<bool, PushError> {
         let timeout = sync_timeout();
         let mut stalled = false;
+        let mut before_park = Some(before_park);
         let g = self.inner.lock().map_err(|_| PushError::Poisoned)?;
         let (mut g, room) = self
             .can_push
             .wait_for(g, timeout, |q| {
                 let room = q.user.len() < self.cap || q.closed;
-                stalled |= !room;
+                if !room {
+                    stalled = true;
+                    if let Some(f) = before_park.take() {
+                        f();
+                    }
+                }
                 room.then_some(())
             })
             .map_err(|_| PushError::Poisoned)?;

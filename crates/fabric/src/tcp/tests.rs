@@ -841,3 +841,116 @@ fn chaos_on_inline_sends_is_accounted_like_the_queue() {
     );
     assert!(f.drain_errors().is_empty(), "recovery is not an error");
 }
+
+/// A round slower than this waited for a worker's bounded park.
+const SLOW: Duration = Duration::from_millis(2);
+
+#[test]
+fn lost_wakeup_driver_handoff() {
+    // A thread driving the fabric queues its sends without waking a
+    // worker: its next pass writes them. Each round here queues one
+    // frame while driving and then stops driving — by a last pass that
+    // writes it (odd rounds) or with no pass at all (even rounds), so
+    // only the wake-ups handed back on the way out can move it. The
+    // peer waits as a rank and answers. A hand-off that skipped its
+    // wake-up leaves the frame to a worker's bounded park (worker 0's
+    // ends every `rto / 4`, others' every 10 ms): a round takes
+    // milliseconds, not the tens of microseconds of a woken worker:
+    // without the hand-off about half the rounds are slow. A loaded
+    // host makes a few percent slow by itself; more than 5% is a lost
+    // wake-up.
+    let _stress = crate::wake_stress();
+    const ROUNDS: usize = 10_000;
+    const T: Duration = Duration::from_secs(5);
+    let f = TcpFabric::connect(
+        Topology::new(2, 1),
+        TcpConfig {
+            lanes: 2,
+            ..TcpConfig::default()
+        },
+    )
+    .unwrap();
+    let slow = std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 0..ROUNDS {
+                let got = f.recv_within((0, 1, 5), T).unwrap();
+                assert_eq!(got, vec![round as u8; 64], "round {round}");
+                f.send((1, 0, 6), got).unwrap();
+            }
+        });
+        (0..ROUNDS)
+            .filter(|&round| {
+                let t0 = Instant::now();
+                drive::drive(&f.mesh, true);
+                f.send((0, 1, 5), vec![round as u8; 64]).unwrap();
+                if round % 2 == 1 {
+                    drive::drive(&f.mesh, false);
+                } else {
+                    drive::stop_driving(&f.mesh);
+                }
+                assert!(!drive::driving(&f.mesh));
+                assert_eq!(f.recv_within((1, 0, 6), T).unwrap(), vec![round as u8; 64]);
+                let took = t0.elapsed();
+                assert!(took < T, "round {round} waited out the timeout");
+                took >= SLOW
+            })
+            .count()
+    });
+    let s = f.stats();
+    assert!(s.driver_frames > 0, "no pass wrote a frame: {s:?}");
+    assert!(
+        slow <= ROUNDS / 20,
+        "{slow} rounds took ≥ {SLOW:?}: a hand-off lost its wake-up"
+    );
+    assert!(f.drain_errors().is_empty());
+}
+
+#[test]
+fn lost_wakeup_driving_send_into_a_full_queue() {
+    // A one-slot queue: a driving thread's second send finds the first
+    // still queued, with its owner's wake-up deferred. Before it blocks
+    // it must hand that wake-up back, or it waits out a worker's
+    // bounded park for the slot (most sends do, without the hand-back;
+    // a loaded host slows a few percent by itself).
+    let _stress = crate::wake_stress();
+    const ROUNDS: usize = 2_000;
+    const T: Duration = Duration::from_secs(5);
+    let f = TcpFabric::connect(
+        Topology::new(2, 1),
+        TcpConfig {
+            lanes: 1,
+            queue_cap: 1,
+            ..TcpConfig::default()
+        },
+    )
+    .unwrap();
+    let slow = std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 0..ROUNDS {
+                for k in 0..2u8 {
+                    let got = f.recv_within((0, 1, 7), T).unwrap();
+                    assert_eq!(got, vec![round as u8, k], "round {round}");
+                }
+                f.send((1, 0, 8), vec![round as u8]).unwrap();
+            }
+        });
+        (0..ROUNDS)
+            .filter(|&round| {
+                drive::drive(&f.mesh, true);
+                f.send((0, 1, 7), vec![round as u8, 0]).unwrap();
+                let t0 = Instant::now();
+                f.send((0, 1, 7), vec![round as u8, 1]).unwrap();
+                let took = t0.elapsed();
+                drive::stop_driving(&f.mesh);
+                assert_eq!(f.recv_within((1, 0, 8), T).unwrap(), vec![round as u8]);
+                took >= SLOW
+            })
+            .count()
+    });
+    assert!(f.stats().lanes[0].stalls > 0, "the queue never filled");
+    assert!(
+        slow <= ROUNDS / 20,
+        "{slow} driving sends took ≥ {SLOW:?}: a full queue lost its wake-up"
+    );
+    assert!(f.drain_errors().is_empty());
+}

@@ -62,10 +62,7 @@ pub(super) fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
         .filter(|&key| mesh.slot(key).owner == widx)
         .collect();
     owned.sort_unstable();
-    // This worker's per-endpoint staging share: the cycle budget split
-    // across its endpoints, so cycle time (and ack RTT) stays flat-ish
-    // as lanes multiply.
-    let stage = (BATCH_MAX / owned.len().max(1)).max(STAGE_MIN);
+    let stage = stage_share(owned.len());
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
         // Epoch read precedes the work scan: anything enqueued after
@@ -125,6 +122,13 @@ pub(super) fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
         };
         mesh.progress.signals[widx].wait(seen, cap);
     }
+}
+
+/// The per-endpoint staging share of a cycle over `endpoints`
+/// endpoints: the cycle budget split across them, so cycle time (and
+/// ack RTT) stays flat-ish as lanes multiply.
+pub(super) fn stage_share(endpoints: usize) -> usize {
+    (BATCH_MAX / endpoints.max(1)).max(STAGE_MIN)
 }
 
 /// Resolve the progress-pool size for this fabric: the configured (or

@@ -9,11 +9,18 @@
 //! planning the collective's [`CollSpec`] against the *current survivor
 //! group*, paying its exact NIC-byte cost into the shared token bucket
 //! and claiming a sequence slot from the job's [`TagSpace`] — and (5)
-//! polls every in-flight collective's outstanding channels with the
+//! drives the fabric once ([`Fabric::drive`]: it writes what the pass
+//! sent and reads what arrived, as a progress worker would), then polls
+//! every in-flight collective's outstanding channels with the
 //! non-blocking [`Fabric::try_recv`], feeding arrivals to the
-//! [`NbColl`] state machines. No thread ever parks on a receive: a
-//! hundred concurrent collectives cost one polling thread, not a
-//! hundred blocked ones.
+//! [`NbColl`] state machines. A message between two ranks of one node
+//! never reaches the fabric: the ranks share an address space, so the
+//! engine hands it to the destination's state machine in place. No
+//! thread ever parks on a receive: a hundred concurrent collectives
+//! cost one polling thread, not a hundred blocked ones. Before the
+//! engine parks, sleeps or exits, it drives once more with `stay`
+//! false, which hands the wire back to the fabric's progress workers;
+//! it takes the wire back as soon as it wakes.
 //!
 //! ## Failure state machine (survive-and-complete)
 //!
@@ -46,6 +53,7 @@
 //!
 //! [`Fabric::health`]: pipmcoll_fabric::Fabric::health
 //! [`Fabric::try_recv`]: pipmcoll_fabric::Fabric::try_recv
+//! [`Fabric::drive`]: pipmcoll_fabric::Fabric::drive
 //! [`CollSpec`]: pipmcoll_core::nb::CollSpec
 //! [`NbColl`]: pipmcoll_core::nb::NbColl
 //! [`AgreeCore`]: pipmcoll_rt::AgreeCore
@@ -57,7 +65,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pipmcoll_core::nb::{CollSpec, Msg, NbColl, PlanError};
-use pipmcoll_fabric::{sync_timeout, tag, ChanKey, Fabric, FabricError};
+use pipmcoll_fabric::{sync_timeout, tag, ChanKey, FabricError};
 use pipmcoll_rt::{AgreeCore, AgreeOutcome, AgreeStep, KillSpec, OpClass, RankSet};
 
 use crate::admission::{DrrLane, TokenBucket};
@@ -144,10 +152,11 @@ struct Engine {
     members: Vec<usize>,
     /// All ranks ever committed failed.
     failed: RankSet,
-    /// Ranks killed by the fault DSL (`@submit` / `@poll` triggers):
-    /// the engine stops acting on their behalf — skips their sends and
-    /// their receive polls — and lets detection discover the silence.
-    killed: RankSet,
+    /// The fault DSL's op counts and the ranks it killed.
+    faults: Faults,
+    /// The node of each world rank, where the fabric knows it: two
+    /// ranks on one node exchange messages in place (see [`send_all`]).
+    nodes: Vec<Option<usize>>,
     /// Local suspicion accumulated since the last agreement.
     evidence: RankSet,
     /// Monotone counter naming each agreement's tag epoch.
@@ -168,22 +177,58 @@ struct Engine {
     /// xorshift64* state for backoff jitter (fixed seed: runs are
     /// deterministic modulo scheduling).
     rng: u64,
-    /// Per-rank `submit` / `poll` op counts for the fault DSL.
-    submit_counts: Vec<u64>,
-    poll_counts: Vec<u64>,
-    fault_kills: Vec<KillSpec>,
     stall_after: Duration,
+}
+
+/// The fault DSL's state: per-rank `submit` / `poll` op counts, the
+/// kills they trigger, and the ranks killed so far.
+struct Faults {
+    kills: Vec<KillSpec>,
+    submits: Vec<u64>,
+    polls: Vec<u64>,
+    /// Ranks killed by `@submit` / `@poll` triggers: the engine stops
+    /// acting on their behalf — skips their sends and their receives —
+    /// and lets detection discover the silence.
+    killed: RankSet,
+}
+
+impl Faults {
+    /// Count one `op` of `rank`; a matching trigger kills it. Returns
+    /// whether `rank` is dead. A dead rank performs no more ops.
+    fn tick(&mut self, rank: usize, op: OpClass) -> bool {
+        if self.killed.contains(rank) {
+            return true;
+        }
+        let counts = if op == OpClass::Submit {
+            &mut self.submits
+        } else {
+            &mut self.polls
+        };
+        if self.kills.is_empty() || rank >= counts.len() {
+            return false;
+        }
+        counts[rank] += 1;
+        let n = counts[rank];
+        if self
+            .kills
+            .iter()
+            .any(|k| k.rank == rank && k.op == op && k.at == n)
+        {
+            self.killed.insert(rank);
+        }
+        self.killed.contains(rank)
+    }
 }
 
 impl Engine {
     fn new(shared: Arc<Shared>) -> Engine {
         let world = shared.cfg.world;
         let bucket = TokenBucket::new(shared.cfg.nic_budget, shared.cfg.burst);
-        let mut fault_kills = Vec::new();
+        let mut kills = Vec::new();
         for r in 0..world {
             for k in shared.cfg.fault.triggers_for(r) {
                 if matches!(k.op, OpClass::Submit | OpClass::Poll) {
-                    fault_kills.push(k);
+                    kills.push(k);
                 }
             }
         }
@@ -195,7 +240,13 @@ impl Engine {
             rotation: Vec::new(),
             members: (0..world).collect(),
             failed: RankSet::new(),
-            killed: RankSet::new(),
+            faults: Faults {
+                kills,
+                submits: vec![0; world],
+                polls: vec![0; world],
+                killed: RankSet::new(),
+            },
+            nodes: (0..world).map(|r| shared.fabric.node_of(r)).collect(),
             evidence: RankSet::new(),
             agree_seq: 0,
             agree: None,
@@ -203,9 +254,6 @@ impl Engine {
             no_detect_until: now,
             next_reap: now,
             rng: 0x9E37_79B9_7F4A_7C15,
-            submit_counts: vec![0; world],
-            poll_counts: vec![0; world],
-            fault_kills,
             stall_after: sync_timeout(),
             shared,
         }
@@ -218,6 +266,7 @@ impl Engine {
             self.drain_inbox();
             if stopping {
                 self.shutdown();
+                self.shared.fabric.drive(false);
                 return;
             }
             let now = Instant::now();
@@ -234,6 +283,9 @@ impl Engine {
             if self.agree.is_none() && !self.frozen {
                 self.admit(now);
             }
+            // Write what admission sent and read what arrived, so the
+            // poll below finds it (a no-op on fabrics without a wire).
+            self.shared.fabric.drive(true);
             let progressed = self.poll(now);
             self.shared
                 .inflight
@@ -244,14 +296,23 @@ impl Engine {
                 // Agreement sweeps pad on wall-clock deadlines; a short
                 // sleep beats a hot spin without costing precision.
                 if !progressed {
-                    std::thread::sleep(Duration::from_micros(200));
+                    self.off_wire(|| std::thread::sleep(Duration::from_micros(200)));
                 }
             } else if self.active.is_empty() && queued == 0 {
-                self.shared.sig.wait(epoch, Duration::from_millis(50));
+                self.off_wire(|| self.shared.sig.wait(epoch, Duration::from_millis(50)));
             } else if !progressed {
                 std::thread::yield_now();
             }
         }
+    }
+
+    /// Park or sleep through `pause` with the wire handed back to the
+    /// fabric's progress workers, then drive it again at once: the
+    /// first admission after a pause must not wake a worker per send.
+    fn off_wire(&self, pause: impl FnOnce()) {
+        self.shared.fabric.drive(false);
+        pause();
+        self.shared.fabric.drive(true);
     }
 
     /// Drain submissions into per-job FIFOs, resolving per-request
@@ -381,7 +442,7 @@ impl Engine {
         }
         // DSL kills: the engine stopped simulating these ranks, which
         // is this process's local death verdict about them.
-        self.evidence.union(self.killed);
+        self.evidence.union(self.faults.killed);
         // A collective silent past the suspicion window: suspect every
         // rank it spans. Refutable — agreement receipts are proof of
         // life, so live members are cleared by sweep 0. Gray-failure
@@ -413,7 +474,7 @@ impl Engine {
         let fabric = Arc::clone(&self.shared.fabric);
         let mut cores = Vec::new();
         for &m in &self.members {
-            if self.killed.contains(m) {
+            if self.faults.killed.contains(m) {
                 continue;
             }
             let mut core = AgreeCore::new(m, self.members.clone(), self.evidence, true, delta);
@@ -578,7 +639,7 @@ impl Engine {
                 a.wounded
                     || a.map
                         .iter()
-                        .any(|r| committed.contains(*r) || self.killed.contains(*r))
+                        .any(|r| committed.contains(*r) || self.faults.killed.contains(*r))
             };
             if !troubled {
                 i += 1;
@@ -647,7 +708,6 @@ impl Engine {
         let mbits = rank_bits(&members);
         let world = self.shared.cfg.world;
         let quantum = self.shared.cfg.quantum;
-        let fabric = Arc::clone(&self.shared.fabric);
         for ji in 0..self.rotation.len() {
             let comm = self.rotation[ji];
             let Some(sched) = self.jobs.get_mut(&comm) else {
@@ -748,13 +808,7 @@ impl Engine {
                 // Every participating rank performs a `submit` op — a
                 // DSL trigger here kills the rank *before* its sends.
                 for &r in &members {
-                    tick_kill(
-                        &mut self.submit_counts,
-                        &self.fault_kills,
-                        &mut self.killed,
-                        r,
-                        OpClass::Submit,
-                    );
+                    self.faults.tick(r, OpClass::Submit);
                 }
                 let mut act = Active {
                     comm,
@@ -776,8 +830,9 @@ impl Engine {
                 let first = act.coll.start();
                 match send_all(
                     &mut act,
-                    fabric.as_ref(),
-                    &self.killed,
+                    &self.shared,
+                    &self.nodes,
+                    &mut self.faults,
                     &mut self.evidence,
                     first,
                 ) {
@@ -818,22 +873,9 @@ impl Engine {
                 let (chan, phase, dsrc, ddst) = act.outstanding[j];
                 // A dead destination never polls; its frames rot under
                 // a tag headed for quarantine.
-                if self.killed.contains(chan.1) {
+                if self.faults.tick(chan.1, OpClass::Poll) {
                     j += 1;
                     continue;
-                }
-                if !self.fault_kills.is_empty() {
-                    tick_kill(
-                        &mut self.poll_counts,
-                        &self.fault_kills,
-                        &mut self.killed,
-                        chan.1,
-                        OpClass::Poll,
-                    );
-                    if self.killed.contains(chan.1) {
-                        j += 1;
-                        continue;
-                    }
                 }
                 match fabric.try_recv(chan) {
                     Ok(None) => j += 1,
@@ -844,8 +886,9 @@ impl Engine {
                         let emitted = act.coll.deliver(dsrc, ddst, phase, payload);
                         if let Err(e) = send_all(
                             act,
-                            fabric.as_ref(),
-                            &self.killed,
+                            &self.shared,
+                            &self.nodes,
+                            &mut self.faults,
                             &mut self.evidence,
                             emitted,
                         ) {
@@ -948,26 +991,42 @@ fn finish(act: Active, sched: &mut JobSched, world: usize) {
 }
 
 /// Send `msgs`, registering the receive side of each for polling. A
-/// DSL-killed source "sends" nothing — the receive still registers, so
-/// the stall is observable. Recoverable transport errors wound the
-/// collective instead of failing it (the retry path owns it from
-/// there); only structural errors are returned.
+/// message between two ranks of one node (`nodes`) never reaches the
+/// fabric: they share an address space, so the engine delivers it in
+/// place, as the destination's receive (a `poll` op of the fault DSL),
+/// and works off whatever that delivery emits the same way. A
+/// DSL-killed source "sends" nothing, and a DSL-killed destination
+/// receives nothing — the receive still registers, so the stall is
+/// observable. Recoverable transport errors wound the collective
+/// instead of failing it (the retry path owns it from there); only
+/// structural errors are returned.
 fn send_all(
     act: &mut Active,
-    fabric: &dyn Fabric,
-    killed: &RankSet,
+    shared: &Shared,
+    nodes: &[Option<usize>],
+    faults: &mut Faults,
     evidence: &mut RankSet,
     msgs: Vec<Msg>,
 ) -> Result<(), SvcError> {
-    for m in msgs {
+    let mut work = VecDeque::from(msgs);
+    while let Some(m) = work.pop_front() {
         let (os, od) = (act.map[m.src], act.map[m.dst]);
         let chan: ChanKey = (os, od, tag::svc(act.comm, act.slot, m.phase));
-        if killed.contains(os) {
+        if faults.killed.contains(os) {
             act.outstanding.push((chan, m.phase, m.src, m.dst));
             continue;
         }
         act.sent_bytes += m.payload.len() as u64;
-        match fabric.send(chan, m.payload) {
+        if nodes[os].is_some() && nodes[os] == nodes[od] {
+            if faults.tick(od, OpClass::Poll) {
+                act.outstanding.push((chan, m.phase, m.src, m.dst));
+            } else {
+                shared.in_place.fetch_add(1, Ordering::Relaxed);
+                work.extend(act.coll.deliver(m.src, m.dst, m.phase, m.payload));
+            }
+            continue;
+        }
+        match shared.fabric.send(chan, m.payload) {
             Ok(()) => {}
             Err(e) if recoverable(&e) => {
                 act.wounded = true;
@@ -1003,26 +1062,6 @@ fn note_suspects(e: &FabricError, evidence: &mut RankSet) {
             }
         }
         _ => {}
-    }
-}
-
-/// Count one fault-DSL op for `rank`; a matching trigger kills it.
-fn tick_kill(
-    counts: &mut [u64],
-    kills: &[KillSpec],
-    killed: &mut RankSet,
-    rank: usize,
-    op: OpClass,
-) {
-    if kills.is_empty() || rank >= counts.len() {
-        return;
-    }
-    counts[rank] += 1;
-    let n = counts[rank];
-    for k in kills {
-        if k.rank == rank && k.op == op && k.at == n {
-            killed.insert(rank);
-        }
     }
 }
 

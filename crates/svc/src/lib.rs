@@ -350,6 +350,10 @@ pub struct SvcStats {
     /// only reach a minority of its members). Clears automatically
     /// when a later agreement commits — i.e. quorum is regained.
     pub admission_frozen: bool,
+    /// Messages between two ranks of one node that the engine handed
+    /// to the destination in place, with no fabric call. 0 on fabrics
+    /// that do not report where ranks live.
+    pub in_place: u64,
 }
 
 /// What a request is waiting on.
@@ -503,6 +507,8 @@ pub(crate) struct Shared {
     pub failed_bits: AtomicU64,
     /// Admission frozen by a quorum-lost agreement (engine-maintained).
     pub frozen: std::sync::atomic::AtomicBool,
+    /// Messages the engine delivered in place (engine-maintained).
+    pub in_place: AtomicU64,
 }
 
 /// The service: one engine thread driving every job's collectives over
@@ -532,6 +538,7 @@ impl Svc {
             epoch: AtomicU64::new(0),
             failed_bits: AtomicU64::new(0),
             frozen: std::sync::atomic::AtomicBool::new(false),
+            in_place: AtomicU64::new(0),
         });
         let eng = Arc::clone(&shared);
         let engine = std::thread::Builder::new()
@@ -603,6 +610,7 @@ impl Svc {
             )
             .ranks(),
             admission_frozen: self.shared.frozen.load(Ordering::Relaxed),
+            in_place: self.shared.in_place.load(Ordering::Relaxed),
         }
     }
 }
