@@ -4,6 +4,8 @@
 
 use pipmcoll_sched::{BufId, Comm, Region};
 
+use crate::baseline::bcast::bcast_tree;
+use crate::baseline::reduce_binomial;
 use crate::params::tags;
 use crate::util::pof2_floor;
 use crate::AllreduceParams;
@@ -66,6 +68,17 @@ fn real_of_new(newrank: usize, rem: usize) -> usize {
     } else {
         newrank + rem
     }
+}
+
+/// Binomial reduce to rank 0, then binomial broadcast of the result
+/// from rank 0's `Recv`: `2·⌈log₂ size⌉` rounds of whole-vector
+/// messages, `2·(size−1)` messages in all — fewer than recursive
+/// doubling's `size·log₂ size`, at twice its depth. The latency choice
+/// for small vectors when messages, not rounds, are the scarce
+/// resource.
+pub fn allreduce_reduce_bcast<C: Comm>(c: &mut C, p: &AllreduceParams) {
+    reduce_binomial(c, p, 0);
+    bcast_tree(c, p.cb(), 0);
 }
 
 /// Recursive-doubling allreduce: `⌈log₂ size⌉` exchanges of the full
@@ -219,6 +232,14 @@ mod tests {
         let p = AllreduceParams::sum_doubles(count);
         let sched = record_with_sizes(topo, p.buf_sizes(), |c| algo(c, &p));
         check_allreduce_sum(&sched, count).unwrap();
+    }
+
+    #[test]
+    fn reduce_bcast_shapes() {
+        run(allreduce_reduce_bcast, 1, 1, 5);
+        run(allreduce_reduce_bcast, 4, 1, 16);
+        run(allreduce_reduce_bcast, 3, 2, 7);
+        run(allreduce_reduce_bcast, 7, 1, 3);
     }
 
     #[test]

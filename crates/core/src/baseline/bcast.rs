@@ -10,14 +10,21 @@ use crate::params::tags;
 /// Buffer convention: the root's payload is its `Send` buffer; every rank
 /// (including the root) ends with the payload in its `Recv` buffer.
 pub fn bcast_binomial<C: Comm>(c: &mut C, cb: usize, root: usize) {
-    let size = c.topo().world_size();
-    let vr = vrank(c, root);
-    if vr == 0 {
+    if vrank(c, root) == 0 {
         c.local_copy(
             Region::new(BufId::Send, 0, cb),
             Region::new(BufId::Recv, 0, cb),
         );
     }
+    bcast_tree(c, cb, root);
+}
+
+/// The tree of [`bcast_binomial`] without its root copy: the root's
+/// payload is already in its `Recv`, and every other rank receives into
+/// `Recv` from its parent and forwards from there.
+pub(crate) fn bcast_tree<C: Comm>(c: &mut C, cb: usize, root: usize) {
+    let size = c.topo().world_size();
+    let vr = vrank(c, root);
     // Receive from the parent (the rank that differs in my lowest set bit).
     let mut mask = 1usize;
     while mask < size {

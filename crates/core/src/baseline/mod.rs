@@ -16,7 +16,7 @@ pub mod reduce;
 pub mod scatter;
 
 pub use allgather::{allgather_bruck, allgather_recursive_doubling, allgather_ring};
-pub use allreduce::{allreduce_rabenseifner, allreduce_recursive_doubling};
+pub use allreduce::{allreduce_rabenseifner, allreduce_recursive_doubling, allreduce_reduce_bcast};
 pub use barrier::barrier_dissemination;
 pub use bcast::bcast_binomial;
 pub use gather::gather_binomial;

@@ -1,51 +1,53 @@
-//! Non-blocking collectives as pure data-level state machines.
+//! Non-blocking collectives: recorded [`crate::baseline`] schedules,
+//! run one message at a time on the resumable executor.
 //!
 //! The service layer (`pipmcoll-svc`) interleaves the phases of many
-//! concurrent collectives over one shared fabric, so the algorithms
-//! here are *schedules to be driven*, not functions that block: a
-//! [`NbColl`] holds one rank-local machine per world member, each a
-//! precomputed script of sends and receives. [`NbColl::start`] emits
-//! every message sendable before the first receive; each
-//! [`NbColl::deliver`] of an arrived payload advances the receiving
-//! rank's script and returns the messages it can now send. The caller
-//! owns the transport — nothing here touches a fabric, which keeps the
-//! machines unit-testable with a loopback pump and lets the service
-//! route the same [`Msg`]s over any [`Fabric`] backend with its own tag
-//! packing.
+//! concurrent collectives over one shared fabric, so it cannot run an
+//! algorithm as a function that blocks. It runs the algorithm's recorded
+//! *schedule* instead. [`CollSpec::plan_on`] records the chosen
+//! algorithm on a one-rank-per-node topology of the member group,
+//! validates it, proves it race-free with [`hb::check`], and caches the
+//! result by shape; an [`NbColl`] is that cached schedule on an
+//! [`Exec`] holding one collective's buffers. [`NbColl::start`] runs
+//! every rank until it blocks and returns the messages they sent; each
+//! [`NbColl::deliver`] hands one arrived payload to its channel and runs
+//! the destination on. The caller owns the transport — nothing here
+//! touches a fabric, which keeps collectives unit-testable with a
+//! loopback pump and lets the service route the same [`Msg`]s over any
+//! [`Fabric`] backend with its own tag packing.
 //!
-//! Algorithms (the message-size pairings mirror the blocking library's
-//! small/large split, restructured phase-by-phase):
+//! Every algorithm comes from [`crate::baseline`], picked with the
+//! blocking library's [`crate::tuning`] switch-points (a measured
+//! `PIPMCOLL_TUNE_TABLE` included):
 //!
-//! * `iallreduce` — binomial-tree reduce to rank 0, then binomial
-//!   broadcast back out: `2·⌈log₂ n⌉` phases. The latency algorithm.
-//! * `iallreduce_rsag` — Rabenseifner: recursive-halving
-//!   reduce-scatter then recursive-doubling allgather, `2·log₂ n`
-//!   phases moving `2·(n−1)/n` of the buffer per rank instead of the
-//!   binomial tree's full-buffer hops. The bandwidth algorithm;
-//!   requires a power-of-two world and a buffer divisible into `n`
-//!   whole-element blocks.
-//! * `iallgather` — ring: `n − 1` phases, each rank forwarding the
-//!   block it received the previous phase. The bandwidth algorithm.
-//! * `iallgather_rd` — recursive doubling: `log₂ n` phases with
-//!   doubling block runs. The latency algorithm; power-of-two worlds.
-//! * `iscatter` — linear from the root: 1 phase.
-//! * `ibcast` — binomial tree from the root: `⌈log₂ n⌉` phases.
+//! * allreduce — [`baseline::allreduce_reduce_bcast`] below the switch,
+//!   [`baseline::allreduce_rabenseifner`] at or above it;
+//! * allgather — [`baseline::allgather_recursive_doubling`] (Bruck on a
+//!   non-power-of-two group) for small blocks, [`baseline::allgather_ring`]
+//!   for large ones;
+//! * bcast — [`baseline::bcast_binomial`]; scatter —
+//!   [`baseline::scatter_binomial`].
 //!
-//! [`CollSpec::plan_on`] picks within each pair using the same
-//! [`crate::tuning`] switch-points as the blocking dispatch — including
-//! a measured `PIPMCOLL_TUNE_TABLE` override when one is loaded — and
-//! falls back to the unconditional algorithm when a structural gate
-//! (power-of-two world, block divisibility) rules the specialist out.
+//! Each algorithm handles every group size and buffer length itself, so
+//! the choice needs no structural gate.
 //!
-//! A phase number is carried in every [`Msg`] and must reach the
-//! receiver's matching `deliver`; the service encodes it (with the
-//! communicator id and collective sequence slot) into the wire tag, so
-//! two phases of one collective — or two collectives of one job — can
-//! never match each other's frames.
+//! A message's [`Msg::phase`] is the rank of its schedule tag among the
+//! schedule's distinct tags. It must reach the receiver's matching
+//! `deliver`; the service encodes it, with the communicator id and the
+//! collective's sequence slot, into the wire tag, so two collectives of
+//! one job can never match each other's frames.
 //!
 //! [`Fabric`]: ../../pipmcoll_fabric/trait.Fabric.html
 
-use pipmcoll_model::{reduce_into, Datatype, ReduceOp};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use pipmcoll_model::{Datatype, ReduceOp, Topology};
+use pipmcoll_sched::{hb, record_with_sizes, BufId, BufSizes, Exec, HbReport, Schedule};
+
+use crate::baseline;
+use crate::tuning::{tuned_allgather_uses_large, tuned_allreduce_uses_large};
+use crate::{AllgatherParams, AllreduceParams, ScatterParams};
 
 /// Why a collective cannot be planned on a given member sub-group.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,6 +59,12 @@ pub enum PlanError {
         /// The missing root, as an original world rank.
         root: usize,
     },
+    /// The spec describes no collective: ragged inputs or chunks, a
+    /// partial element, a root outside the world, or no ranks at all.
+    Malformed {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for PlanError {
@@ -65,6 +73,7 @@ impl std::fmt::Display for PlanError {
             PlanError::RootFailed { root } => {
                 write!(f, "root rank {root} is not among the surviving members")
             }
+            PlanError::Malformed { reason } => write!(f, "malformed collective: {reason}"),
         }
     }
 }
@@ -74,14 +83,13 @@ impl std::error::Error for PlanError {}
 /// A collective described at the *data* level, independent of the
 /// member set it will run on — the unit of shrink-and-retry.
 ///
-/// [`NbColl`] bakes the world size into its scripts at construction, so
-/// a collective that must re-run on a survivor sub-group after a rank
-/// death needs its inputs kept in this pre-planned form. `plan()`
-/// builds the full-group machine; [`CollSpec::plan_on`] builds the same
-/// collective on a densely re-ranked sub-group, taking each survivor's
-/// original contribution (allreduce/allgather inputs, the root's
-/// chunks/data) so the sub-group result is byte-identical to a fresh
-/// run on that member set.
+/// A planned [`NbColl`] is bound to one member group, so a collective
+/// that must re-run on a survivor sub-group after a rank death keeps its
+/// inputs in this form. `plan()` plans on the full group;
+/// [`CollSpec::plan_on`] plans the same collective on a densely
+/// re-ranked sub-group, taking each survivor's original contribution
+/// (allreduce/allgather inputs, the root's chunks/data) so the sub-group
+/// result is byte-identical to a fresh run on that member set.
 #[derive(Clone, Debug)]
 pub enum CollSpec {
     /// Elementwise reduction of `inputs[r]` across all ranks.
@@ -146,22 +154,91 @@ impl CollSpec {
         }
     }
 
+    /// Whether the spec describes a collective: at least one rank,
+    /// inputs (or scatter chunks) of one length, whole allreduce
+    /// elements, and a root inside the world.
+    pub fn check(&self) -> Result<(), PlanError> {
+        let fail = |reason: String| Err(PlanError::Malformed { reason });
+        let world = self.world();
+        if world == 0 {
+            return fail(format!("{:?} over zero ranks", self.kind()));
+        }
+        if let Some(root) = self.root().filter(|&r| r >= world) {
+            return fail(format!("root {root} outside a world of {world}"));
+        }
+        let (what, bufs) = match self {
+            CollSpec::Allreduce { inputs, .. } => ("allreduce input", inputs),
+            CollSpec::Allgather { inputs } => ("allgather input", inputs),
+            CollSpec::Scatter { chunks, .. } => ("scatter chunk", chunks),
+            CollSpec::Bcast { .. } => return Ok(()),
+        };
+        let len = bufs[0].len();
+        if let Some(r) = bufs.iter().position(|b| b.len() != len) {
+            return fail(format!(
+                "{what} of rank {r} is {} bytes, rank 0's is {len}",
+                bufs[r].len()
+            ));
+        }
+        match self {
+            CollSpec::Allreduce { dt, .. } if !len.is_multiple_of(dt.size()) => fail(format!(
+                "allreduce inputs of {len} bytes hold a partial {dt:?}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Plan on the full member set.
+    ///
+    /// # Panics
+    /// Panics if the spec fails [`CollSpec::check`].
     pub fn plan(&self) -> NbColl {
         let all: Vec<usize> = (0..self.world()).collect();
         self.plan_on(&all)
-            .expect("full-group plan cannot lose its root")
+            .unwrap_or_else(|e| panic!("cannot plan on the full group: {e}"))
     }
 
     /// Plan on the sub-group `members` (sorted, unique original ranks),
-    /// densely re-ranked: machine rank `j` is original rank
-    /// `members[j]`. Rooted collectives whose root is not a member fail
-    /// with [`PlanError::RootFailed`] — nobody holds the source data.
+    /// densely re-ranked: plan rank `j` is original rank `members[j]`.
+    /// Rooted collectives whose root is not a member fail with
+    /// [`PlanError::RootFailed`] — nobody holds the source data — and a
+    /// spec that fails [`CollSpec::check`] with [`PlanError::Malformed`].
     ///
     /// # Panics
     /// Panics if `members` is empty, unsorted, or names a rank outside
     /// the original world.
     pub fn plan_on(&self, members: &[usize]) -> Result<NbColl, PlanError> {
+        let plan = self.shape_on(members)?.plan();
+        let mut exec = Exec::new(Arc::clone(&plan.sched));
+        let root = plan.shape.root;
+        match self {
+            CollSpec::Allreduce { inputs, .. } | CollSpec::Allgather { inputs } => {
+                for (j, &r) in members.iter().enumerate() {
+                    exec.buffer_mut(j, BufId::Send).copy_from_slice(&inputs[r]);
+                }
+            }
+            CollSpec::Scatter { chunks, .. } => {
+                let send = exec.buffer_mut(root, BufId::Send);
+                let cb = chunks[0].len();
+                for (j, &r) in members.iter().enumerate() {
+                    send[j * cb..(j + 1) * cb].copy_from_slice(&chunks[r]);
+                }
+            }
+            CollSpec::Bcast { data, .. } => {
+                exec.buffer_mut(root, BufId::Send).copy_from_slice(data)
+            }
+        }
+        Ok(NbColl { plan, exec })
+    }
+
+    /// The phases its plan on `members` uses — the schedule's distinct
+    /// tags, so [`Msg::phase`] stays below this — without allocating
+    /// the collective's buffers.
+    pub fn phases_on(&self, members: &[usize]) -> Result<u32, PlanError> {
+        Ok(self.shape_on(members)?.plan().phases)
+    }
+
+    /// The cache key of this collective on `members`.
+    fn shape_on(&self, members: &[usize]) -> Result<Shape, PlanError> {
         assert!(!members.is_empty(), "cannot plan on an empty member set");
         assert!(
             members.windows(2).all(|w| w[0] < w[1]),
@@ -171,54 +248,28 @@ impl CollSpec {
             *members.last().unwrap() < self.world(),
             "member rank outside the original world"
         );
-        let pick = |inputs: &[Vec<u8>]| -> Vec<Vec<u8>> {
-            members.iter().map(|&r| inputs[r].clone()).collect()
+        self.check()?;
+        let root = match self.root() {
+            Some(root) => members
+                .iter()
+                .position(|&r| r == root)
+                .ok_or(PlanError::RootFailed { root })?,
+            None => 0,
         };
-        match self {
-            CollSpec::Allreduce { dt, op, inputs } => {
-                // Same switch-point as the blocking dispatch (measured
-                // table override included): large counts take the
-                // bandwidth-optimal Rabenseifner schedule when the
-                // member set admits it.
-                let picked = pick(inputs);
-                let n = members.len();
-                let count = picked[0].len() / dt.size();
-                let rsag_fits =
-                    n > 1 && n.is_power_of_two() && picked[0].len().is_multiple_of(n * dt.size());
-                if rsag_fits && crate::tuning::tuned_allreduce_uses_large(count) {
-                    Ok(NbColl::iallreduce_rsag(*dt, *op, picked))
-                } else {
-                    Ok(NbColl::iallreduce(*dt, *op, picked))
-                }
-            }
-            CollSpec::Allgather { inputs } => {
-                // Small blocks favor recursive doubling's log₂ n phases;
-                // large blocks (or non-power-of-two survivor groups)
-                // keep the bandwidth-friendly ring.
-                let picked = pick(inputs);
-                let n = members.len();
-                let cb = picked[0].len();
-                if n > 1 && n.is_power_of_two() && !crate::tuning::tuned_allgather_uses_large(cb) {
-                    Ok(NbColl::iallgather_rd(picked))
-                } else {
-                    Ok(NbColl::iallgather(picked))
-                }
-            }
-            CollSpec::Scatter { root, chunks } => {
-                let dense_root = members
-                    .iter()
-                    .position(|&r| r == *root)
-                    .ok_or(PlanError::RootFailed { root: *root })?;
-                Ok(NbColl::iscatter(dense_root, pick(chunks)))
-            }
-            CollSpec::Bcast { root, data, .. } => {
-                let dense_root = members
-                    .iter()
-                    .position(|&r| r == *root)
-                    .ok_or(PlanError::RootFailed { root: *root })?;
-                Ok(NbColl::ibcast(members.len(), dense_root, data.clone()))
-            }
-        }
+        let (bytes, dt, op) = match self {
+            CollSpec::Allreduce { dt, op, inputs } => (inputs[0].len(), *dt, *op),
+            CollSpec::Allgather { inputs } => (inputs[0].len(), Datatype::Byte, ReduceOp::Sum),
+            CollSpec::Scatter { chunks, .. } => (chunks[0].len(), Datatype::Byte, ReduceOp::Sum),
+            CollSpec::Bcast { data, .. } => (data.len(), Datatype::Byte, ReduceOp::Sum),
+        };
+        Ok(Shape {
+            kind: self.kind(),
+            world: members.len(),
+            bytes,
+            dt,
+            op,
+            root,
+        })
     }
 }
 
@@ -237,672 +288,307 @@ pub struct Msg {
     pub payload: Vec<u8>,
 }
 
-/// What a rank sends at one script step (payloads are computed when the
-/// step runs, so a reduce result reflects every receive before it).
-#[derive(Clone, Copy, Debug)]
-enum SendData {
-    /// The rank's accumulator / working buffer.
-    Acc,
-    /// `acc[off .. off + len]` (Rabenseifner segment exchange).
-    AccRange(usize, usize),
-    /// Block `i` of the rank's assembled allgather result.
-    Block(usize),
-    /// Blocks `start .. start + count` of the assembled result,
-    /// concatenated (recursive-doubling allgather sends runs).
-    Blocks(usize, usize),
-    /// The root's scatter chunk destined for rank `i`.
-    Chunk(usize),
-}
-
-/// What a rank does with one received payload.
-#[derive(Clone, Copy, Debug)]
-enum RecvAction {
-    /// `acc = op(acc, payload)` elementwise.
-    ReduceInto,
-    /// `acc[off ..][.. payload.len()] = op(acc[..], payload)`.
-    ReduceRange(usize),
-    /// `acc = payload`.
-    Replace,
-    /// `acc[off ..][.. payload.len()] = payload`.
-    ReplaceRange(usize),
-    /// Store the payload as block `i` of the assembled result.
-    StoreBlock(usize),
-    /// Split the payload into `count` equal blocks stored at
-    /// `start .. start + count`.
-    StoreBlocks(usize, usize),
-}
-
-/// One step of a rank's precomputed schedule.
-#[derive(Clone, Debug)]
-enum Step {
-    Send {
-        dst: usize,
-        phase: u32,
-        data: SendData,
-    },
-    Recv {
-        src: usize,
-        phase: u32,
-        action: RecvAction,
-    },
-}
-
-/// One rank's machine: a script, a cursor, working state, and a stash
-/// for payloads that arrive before the script reaches their step (a
-/// fast peer may race a phase ahead; tags keep the channels distinct,
-/// so early arrival is legal).
-struct RankMachine {
-    script: Vec<Step>,
-    /// Next unexecuted script step.
-    cursor: usize,
-    /// Working buffer (allreduce accumulator, bcast/scatter payload).
-    acc: Vec<u8>,
-    /// Assembled blocks (allgather only; empty otherwise).
-    blocks: Vec<Vec<u8>>,
-    /// Early arrivals keyed by `(src, phase)`.
-    early: Vec<((usize, u32), Vec<u8>)>,
-}
-
-impl RankMachine {
-    /// Run the script forward: execute every send at the cursor, apply
-    /// any stashed early arrival that matches the receive now expected,
-    /// and stop at the first receive still outstanding.
-    fn run(&mut self, me: usize, dt: Datatype, op: ReduceOp, out: &mut Vec<Msg>) {
-        while self.cursor < self.script.len() {
-            match self.script[self.cursor].clone() {
-                Step::Send { dst, phase, data } => {
-                    let payload = match data {
-                        SendData::Acc => self.acc.clone(),
-                        SendData::AccRange(off, len) => self.acc[off..off + len].to_vec(),
-                        SendData::Block(i) => self.blocks[i].clone(),
-                        SendData::Blocks(start, count) => {
-                            self.blocks[start..start + count].concat()
-                        }
-                        SendData::Chunk(i) => self.blocks[i].clone(),
-                    };
-                    out.push(Msg {
-                        src: me,
-                        dst,
-                        phase,
-                        payload,
-                    });
-                    self.cursor += 1;
-                }
-                Step::Recv { src, phase, action } => {
-                    let Some(at) = self.early.iter().position(|(k, _)| *k == (src, phase)) else {
-                        return;
-                    };
-                    let (_, payload) = self.early.swap_remove(at);
-                    self.apply(action, payload, dt, op);
-                    self.cursor += 1;
-                }
-            }
-        }
-    }
-
-    fn apply(&mut self, action: RecvAction, payload: Vec<u8>, dt: Datatype, op: ReduceOp) {
-        match action {
-            RecvAction::ReduceInto => reduce_into(op, dt, &mut self.acc, &payload),
-            RecvAction::ReduceRange(off) => {
-                reduce_into(op, dt, &mut self.acc[off..off + payload.len()], &payload)
-            }
-            RecvAction::Replace => self.acc = payload,
-            RecvAction::ReplaceRange(off) => {
-                self.acc[off..off + payload.len()].copy_from_slice(&payload)
-            }
-            RecvAction::StoreBlock(i) => self.blocks[i] = payload,
-            RecvAction::StoreBlocks(start, count) => {
-                let each = payload.len() / count;
-                for (i, chunk) in payload.chunks_exact(each.max(1)).take(count).enumerate() {
-                    self.blocks[start + i] = chunk.to_vec();
-                }
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.cursor == self.script.len()
-    }
-}
-
-/// Which collective a machine set runs (for stats and debugging).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Which collective a plan runs (for stats and debugging).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NbKind {
-    /// Binomial reduce + binomial broadcast.
+    /// Reduce + broadcast, or Rabenseifner at large counts.
     Allreduce,
-    /// Ring allgather.
+    /// Recursive doubling / Bruck, or ring for large blocks.
     Allgather,
-    /// Linear scatter from a root.
+    /// Binomial scatter from a root.
     Scatter,
     /// Binomial broadcast from a root.
     Bcast,
 }
 
-/// A whole collective as a set of rank machines, driven by the caller.
-///
-/// The constructor takes every member's input because the service owns
-/// all ranks of its world in one process (exactly like the thread
-/// runtime); correctness still depends on the transport, since a rank's
-/// machine only ever reads payloads the caller delivered to it.
-pub struct NbColl {
+/// What a schedule depends on: everything but the bytes themselves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Shape {
     kind: NbKind,
-    ranks: Vec<RankMachine>,
+    /// Member-group size; the plan's ranks are dense.
+    world: usize,
+    /// Bytes per rank: an allreduce/allgather input, a scatter chunk,
+    /// the bcast payload.
+    bytes: usize,
     dt: Datatype,
     op: ReduceOp,
-    /// Total payload bytes the schedule will put on the fabric.
-    nic_bytes: u64,
-    /// Exclusive upper bound on phase numbers used.
-    phases: u32,
+    /// Dense root (0 for unrooted kinds).
+    root: usize,
 }
 
-/// `⌈log₂ n⌉` (0 for n ≤ 1): binomial tree depth.
-fn tree_depth(n: usize) -> u32 {
-    usize::BITS - n.saturating_sub(1).leading_zeros()
+impl Shape {
+    /// Record the algorithm the switch-points pick for this shape, one
+    /// rank per node.
+    fn record(&self) -> Schedule {
+        let topo = Topology::new(self.world, 1);
+        let (cb, root) = (self.bytes, self.root);
+        match self.kind {
+            NbKind::Allreduce => {
+                let p = AllreduceParams {
+                    count: cb / self.dt.size(),
+                    dt: self.dt,
+                    op: self.op,
+                };
+                if tuned_allreduce_uses_large(p.count) {
+                    record_with_sizes(topo, p.buf_sizes(), |c| {
+                        baseline::allreduce_rabenseifner(c, &p)
+                    })
+                } else {
+                    record_with_sizes(topo, p.buf_sizes(), |c| {
+                        baseline::allreduce_reduce_bcast(c, &p)
+                    })
+                }
+            }
+            NbKind::Allgather => {
+                let p = AllgatherParams { cb };
+                if tuned_allgather_uses_large(cb) {
+                    record_with_sizes(topo, p.buf_sizes(topo), |c| baseline::allgather_ring(c, &p))
+                } else {
+                    record_with_sizes(topo, p.buf_sizes(topo), |c| {
+                        baseline::allgather_recursive_doubling(c, &p)
+                    })
+                }
+            }
+            NbKind::Scatter => {
+                let p = ScatterParams { cb, root };
+                record_with_sizes(topo, p.buf_sizes(topo), |c| {
+                    baseline::scatter_binomial(c, &p)
+                })
+            }
+            NbKind::Bcast => record_with_sizes(
+                topo,
+                |r| BufSizes::new(if r == root { cb } else { 0 }, cb),
+                |c| baseline::bcast_binomial(c, cb, root),
+            ),
+        }
+    }
+
+    /// This shape's plan, from the cache or recorded and checked now.
+    fn plan(self) -> Arc<Plan> {
+        let mut cache = plan_cache().lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(plan) = cache.plans.get(&self) {
+            let plan = Arc::clone(plan);
+            cache.stats.hits += 1;
+            return plan;
+        }
+        // Recorded and checked under the lock, so a shape first asked
+        // for by several threads at once is still checked once.
+        let plan = Arc::new(Plan::new(self, &mut cache.stats));
+        if cache.order.len() >= PLAN_CACHE_SHAPES {
+            let oldest = cache.order.pop_front().expect("a full cache");
+            cache.plans.remove(&oldest);
+            cache.stats.evicted += 1;
+        }
+        cache.order.push_back(self);
+        cache.plans.insert(self, Arc::clone(&plan));
+        plan
+    }
+}
+
+/// One shape's recorded, validated and happens-before-checked schedule,
+/// with what the executor and the service need to run it.
+struct Plan {
+    shape: Shape,
+    sched: Arc<Schedule>,
+    /// Per channel id: its [`Msg::phase`], the rank of its tag among the
+    /// schedule's distinct tags.
+    phase: Vec<u32>,
+    /// Per destination rank: `(src, phase, channel)` of every channel
+    /// into it.
+    inbound: Vec<Vec<(usize, u32, usize)>>,
+    /// Distinct tags, so phases run `0..phases`.
+    phases: u32,
+    /// Payload bytes of every `ISend`.
+    nic_bytes: u64,
+    /// The happens-before analysis that admitted this schedule.
+    proof: HbReport,
+}
+
+impl Plan {
+    /// Record `shape`, validate it and prove it race-free.
+    ///
+    /// # Panics
+    /// Panics if a baseline algorithm fails either check: a bug in the
+    /// algorithm, not in any input.
+    fn new(shape: Shape, stats: &mut PlanCacheStats) -> Plan {
+        let sched = shape.record();
+        stats.recorded += 1;
+        if let Err(e) = sched.validate() {
+            panic!("{shape:?} records an invalid schedule: {e}");
+        }
+        let proof = hb::check(&sched)
+            .unwrap_or_else(|e| panic!("{shape:?} fails happens-before analysis: {e}"));
+        stats.hb_checked += 1;
+        let channels = sched.wiring().channels();
+        let mut tags: Vec<u32> = channels.iter().map(|c| c.tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        let phase: Vec<u32> = channels
+            .iter()
+            .map(|c| tags.binary_search(&c.tag).expect("every tag is listed") as u32)
+            .collect();
+        let mut inbound = vec![Vec::new(); shape.world];
+        for (id, c) in channels.iter().enumerate() {
+            inbound[c.dst].push((c.src, phase[id], id));
+        }
+        Plan {
+            shape,
+            nic_bytes: sched.total_net_bytes(),
+            sched: Arc::new(sched),
+            phase,
+            inbound,
+            phases: tags.len() as u32,
+            proof,
+        }
+    }
+}
+
+/// Shapes the plan cache holds; past this it evicts the oldest.
+const PLAN_CACHE_SHAPES: usize = 256;
+
+/// The process-wide plan cache's counters since start-up.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Schedules recorded (cache misses).
+    pub recorded: u64,
+    /// Schedules that passed validation and [`hb::check`].
+    pub hb_checked: u64,
+    /// Plans served from the cache.
+    pub hits: u64,
+    /// Shapes evicted to keep the cache bounded.
+    pub evicted: u64,
+}
+
+#[derive(Default)]
+struct PlanCache {
+    plans: HashMap<Shape, Arc<Plan>>,
+    /// Insertion order, for eviction.
+    order: VecDeque<Shape>,
+    stats: PlanCacheStats,
+}
+
+fn plan_cache() -> &'static Mutex<PlanCache> {
+    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
+    CACHE.get_or_init(Mutex::default)
+}
+
+/// A snapshot of the plan cache's counters.
+pub fn plan_cache_stats() -> PlanCacheStats {
+    plan_cache().lock().unwrap_or_else(|p| p.into_inner()).stats
+}
+
+/// A whole collective — every member rank's buffers on one cached
+/// schedule — driven by the caller.
+///
+/// Planning takes every member's input because the service owns all
+/// ranks of its world in one process (exactly like the thread runtime);
+/// correctness still depends on the transport, since a rank only ever
+/// reads payloads the caller delivered to it.
+pub struct NbColl {
+    plan: Arc<Plan>,
+    exec: Exec<Arc<Schedule>>,
 }
 
 impl NbColl {
-    /// Non-blocking allreduce over `inputs[r]` for rank `r`; every
-    /// rank's output is the elementwise reduction of all inputs.
-    ///
-    /// # Panics
-    /// Panics if inputs are empty, unequal lengths, or partial elements.
-    pub fn iallreduce(dt: Datatype, op: ReduceOp, inputs: Vec<Vec<u8>>) -> NbColl {
-        let n = inputs.len();
-        assert!(n >= 1, "allreduce needs at least one rank");
-        let len = inputs[0].len();
-        assert!(
-            inputs.iter().all(|b| b.len() == len),
-            "allreduce inputs must agree on length"
-        );
-        assert_eq!(len % dt.size(), 0, "partial element in allreduce input");
-        let depth = tree_depth(n);
-        let mut ranks = Vec::with_capacity(n);
-        for (r, input) in inputs.into_iter().enumerate() {
-            let mut script = Vec::new();
-            // Binomial reduce towards rank 0: in round k a rank aligned
-            // to 2^k either absorbs from its partner above or sends its
-            // accumulator below and falls silent.
-            for k in 0..depth {
-                let mask = 1usize << k;
-                if r & (mask - 1) != 0 {
-                    continue;
-                }
-                if r & mask != 0 {
-                    script.push(Step::Send {
-                        dst: r - mask,
-                        phase: k,
-                        data: SendData::Acc,
-                    });
-                    break;
-                } else if r + mask < n {
-                    script.push(Step::Recv {
-                        src: r + mask,
-                        phase: k,
-                        action: RecvAction::ReduceInto,
-                    });
-                }
-            }
-            // Binomial broadcast back out, mirroring the reduce tree.
-            for j in 0..depth {
-                let mask = 1usize << (depth - 1 - j);
-                let phase = depth + j;
-                if r % (2 * mask) == 0 {
-                    if r + mask < n {
-                        script.push(Step::Send {
-                            dst: r + mask,
-                            phase,
-                            data: SendData::Acc,
-                        });
-                    }
-                } else if r % (2 * mask) == mask {
-                    script.push(Step::Recv {
-                        src: r - mask,
-                        phase,
-                        action: RecvAction::Replace,
-                    });
-                }
-            }
-            // Sort by phase so a rank's bcast sends come after its bcast
-            // receive (scripts are per-rank sequential).
-            script.sort_by_key(|s| match s {
-                Step::Send { phase, .. } | Step::Recv { phase, .. } => *phase,
-            });
-            ranks.push(RankMachine {
-                script,
-                cursor: 0,
-                acc: input,
-                blocks: Vec::new(),
-                early: Vec::new(),
-            });
-        }
-        NbColl::finish(NbKind::Allreduce, ranks, dt, op, 2 * depth)
-    }
-
-    /// Non-blocking Rabenseifner allreduce: recursive-halving
-    /// reduce-scatter (phases `0..d`), then recursive-doubling
-    /// allgather over the reduced blocks (phases `d..2d`), with
-    /// `d = log₂ n`. Each rank moves `2·(n−1)/n` of the buffer total —
-    /// the bandwidth-optimal large-message schedule — instead of the
-    /// binomial tree's whole-buffer hops.
-    ///
-    /// # Panics
-    /// Panics if inputs are empty, unequal lengths or partial elements
-    /// (like [`NbColl::iallreduce`]); additionally if the world is not
-    /// a power of two or the buffer does not divide into `n`
-    /// whole-element blocks. [`CollSpec::plan_on`] checks these gates
-    /// and falls back to the binomial schedule.
-    pub fn iallreduce_rsag(dt: Datatype, op: ReduceOp, inputs: Vec<Vec<u8>>) -> NbColl {
-        let n = inputs.len();
-        assert!(n >= 1, "allreduce needs at least one rank");
-        assert!(n.is_power_of_two(), "rsag needs a power-of-two world");
-        let len = inputs[0].len();
-        assert!(
-            inputs.iter().all(|b| b.len() == len),
-            "allreduce inputs must agree on length"
-        );
-        assert_eq!(len % dt.size(), 0, "partial element in allreduce input");
-        assert_eq!(
-            len % (n * dt.size()),
-            0,
-            "rsag needs the buffer to divide into {n} whole-element blocks"
-        );
-        let d = tree_depth(n);
-        let block = len / n;
-        let mut ranks = Vec::with_capacity(n);
-        for (r, input) in inputs.into_iter().enumerate() {
-            let mut script = Vec::new();
-            // Recursive halving: step k pairs ranks across bit
-            // (d−1−k). The partner keeping the low half receives the
-            // other's low-half contribution; offsets accumulate the
-            // bits of r MSB-first, so rank r ends owning fully-reduced
-            // block r at byte offset r·block.
-            let mut off = 0usize;
-            let mut seg = len;
-            for k in 0..d {
-                let mask = 1usize << (d - 1 - k);
-                let partner = r ^ mask;
-                let half = seg / 2;
-                if r & mask == 0 {
-                    script.push(Step::Send {
-                        dst: partner,
-                        phase: k,
-                        data: SendData::AccRange(off + half, half),
-                    });
-                    script.push(Step::Recv {
-                        src: partner,
-                        phase: k,
-                        action: RecvAction::ReduceRange(off),
-                    });
-                } else {
-                    script.push(Step::Send {
-                        dst: partner,
-                        phase: k,
-                        data: SendData::AccRange(off, half),
-                    });
-                    script.push(Step::Recv {
-                        src: partner,
-                        phase: k,
-                        action: RecvAction::ReduceRange(off + half),
-                    });
-                    off += half;
-                }
-                seg = half;
-            }
-            // Recursive doubling allgather: step j exchanges the run of
-            // 2^j reduced blocks each side owns, doubling the run.
-            for j in 0..d {
-                let mask = 1usize << j;
-                let partner = r ^ mask;
-                let own = (r & !(mask - 1)) * block;
-                let partner_run = ((r & !(mask - 1)) ^ mask) * block;
-                script.push(Step::Send {
-                    dst: partner,
-                    phase: d + j,
-                    data: SendData::AccRange(own, mask * block),
-                });
-                script.push(Step::Recv {
-                    src: partner,
-                    phase: d + j,
-                    action: RecvAction::ReplaceRange(partner_run),
-                });
-            }
-            ranks.push(RankMachine {
-                script,
-                cursor: 0,
-                acc: input,
-                blocks: Vec::new(),
-                early: Vec::new(),
-            });
-        }
-        NbColl::finish(NbKind::Allreduce, ranks, dt, op, 2 * d)
-    }
-
-    /// Non-blocking ring allgather: every rank ends with the
-    /// concatenation of all inputs in rank order.
-    ///
-    /// # Panics
-    /// Panics if inputs are empty or unequal lengths.
-    pub fn iallgather(inputs: Vec<Vec<u8>>) -> NbColl {
-        let n = inputs.len();
-        assert!(n >= 1, "allgather needs at least one rank");
-        let len = inputs[0].len();
-        assert!(
-            inputs.iter().all(|b| b.len() == len),
-            "allgather inputs must agree on length"
-        );
-        let mut ranks = Vec::with_capacity(n);
-        for (r, input) in inputs.into_iter().enumerate() {
-            let mut blocks = vec![Vec::new(); n];
-            blocks[r] = input;
-            let mut script = Vec::new();
-            for t in 0..n.saturating_sub(1) {
-                // Round t: pass block (r − t) to the right, take block
-                // (r − t − 1) from the left.
-                script.push(Step::Send {
-                    dst: (r + 1) % n,
-                    phase: t as u32,
-                    data: SendData::Block((r + n - t % n) % n),
-                });
-                script.push(Step::Recv {
-                    src: (r + n - 1) % n,
-                    phase: t as u32,
-                    action: RecvAction::StoreBlock((r + n - (t % n) - 1) % n),
-                });
-            }
-            ranks.push(RankMachine {
-                script,
-                cursor: 0,
-                acc: Vec::new(),
-                blocks,
-                early: Vec::new(),
-            });
-        }
-        let phases = (n - 1) as u32;
-        NbColl::finish(
-            NbKind::Allgather,
-            ranks,
-            Datatype::Byte,
-            ReduceOp::Sum,
-            phases,
-        )
-    }
-
-    /// Non-blocking recursive-doubling allgather: `log₂ n` phases, each
-    /// exchanging the doubling run of blocks a rank has assembled so
-    /// far. Latency-optimal for small blocks (the ring's `n − 1` phases
-    /// collapse to `log₂ n`), at the cost of requiring a power-of-two
-    /// world.
-    ///
-    /// # Panics
-    /// Panics if inputs are empty or unequal lengths (like
-    /// [`NbColl::iallgather`]); additionally if the world is not a
-    /// power of two. [`CollSpec::plan_on`] checks the gate and falls
-    /// back to the ring.
-    pub fn iallgather_rd(inputs: Vec<Vec<u8>>) -> NbColl {
-        let n = inputs.len();
-        assert!(n >= 1, "allgather needs at least one rank");
-        assert!(
-            n.is_power_of_two(),
-            "recursive-doubling allgather needs a power-of-two world"
-        );
-        let len = inputs[0].len();
-        assert!(
-            inputs.iter().all(|b| b.len() == len),
-            "allgather inputs must agree on length"
-        );
-        let mut ranks = Vec::with_capacity(n);
-        for (r, input) in inputs.into_iter().enumerate() {
-            let mut blocks = vec![Vec::new(); n];
-            blocks[r] = input;
-            let mut script = Vec::new();
-            // Step j: exchange the 2^j-block run each side owns; a
-            // rank's run starts at its rank with the low j bits (and
-            // the exchanged bit, for the partner) cleared.
-            for j in 0..tree_depth(n) {
-                let mask = 1usize << j;
-                let partner = r ^ mask;
-                let own = r & !(mask - 1);
-                script.push(Step::Send {
-                    dst: partner,
-                    phase: j,
-                    data: SendData::Blocks(own, mask),
-                });
-                script.push(Step::Recv {
-                    src: partner,
-                    phase: j,
-                    action: RecvAction::StoreBlocks(own ^ mask, mask),
-                });
-            }
-            ranks.push(RankMachine {
-                script,
-                cursor: 0,
-                acc: Vec::new(),
-                blocks,
-                early: Vec::new(),
-            });
-        }
-        let phases = tree_depth(n);
-        NbColl::finish(
-            NbKind::Allgather,
-            ranks,
-            Datatype::Byte,
-            ReduceOp::Sum,
-            phases,
-        )
-    }
-
-    /// Non-blocking linear scatter: rank `r` ends with `chunks[r]`.
-    ///
-    /// # Panics
-    /// Panics if chunks are empty or `root` is out of range.
-    pub fn iscatter(root: usize, chunks: Vec<Vec<u8>>) -> NbColl {
-        let n = chunks.len();
-        assert!(root < n, "scatter root {root} out of range for {n} ranks");
-        let mut ranks = Vec::with_capacity(n);
-        for r in 0..n {
-            let (script, acc, blocks) = if r == root {
-                let script = (0..n)
-                    .filter(|&i| i != root)
-                    .map(|i| Step::Send {
-                        dst: i,
-                        phase: 0,
-                        data: SendData::Chunk(i),
-                    })
-                    .collect();
-                (script, chunks[root].clone(), chunks.clone())
-            } else {
-                let script = vec![Step::Recv {
-                    src: root,
-                    phase: 0,
-                    action: RecvAction::Replace,
-                }];
-                (script, Vec::new(), Vec::new())
-            };
-            ranks.push(RankMachine {
-                script,
-                cursor: 0,
-                acc,
-                blocks,
-                early: Vec::new(),
-            });
-        }
-        NbColl::finish(NbKind::Scatter, ranks, Datatype::Byte, ReduceOp::Sum, 1)
-    }
-
-    /// Non-blocking binomial broadcast: every rank ends with `data`.
-    ///
-    /// # Panics
-    /// Panics if `root >= world` or `world == 0`.
-    pub fn ibcast(world: usize, root: usize, data: Vec<u8>) -> NbColl {
-        assert!(world >= 1, "bcast needs at least one rank");
-        assert!(root < world, "bcast root {root} out of range");
-        let depth = tree_depth(world);
-        let mut ranks = Vec::with_capacity(world);
-        for r in 0..world {
-            // Relabel so the root is virtual rank 0.
-            let v = (r + world - root) % world;
-            let mut script = Vec::new();
-            for j in 0..depth {
-                let mask = 1usize << (depth - 1 - j);
-                if v.is_multiple_of(2 * mask) {
-                    if v + mask < world {
-                        script.push(Step::Send {
-                            dst: (v + mask + root) % world,
-                            phase: j,
-                            data: SendData::Acc,
-                        });
-                    }
-                } else if v % (2 * mask) == mask {
-                    script.push(Step::Recv {
-                        src: (v - mask + root) % world,
-                        phase: j,
-                        action: RecvAction::Replace,
-                    });
-                }
-            }
-            ranks.push(RankMachine {
-                script,
-                cursor: 0,
-                acc: if r == root { data.clone() } else { Vec::new() },
-                blocks: Vec::new(),
-                early: Vec::new(),
-            });
-        }
-        NbColl::finish(NbKind::Bcast, ranks, Datatype::Byte, ReduceOp::Sum, depth)
-    }
-
-    fn finish(
-        kind: NbKind,
-        ranks: Vec<RankMachine>,
-        dt: Datatype,
-        op: ReduceOp,
-        phases: u32,
-    ) -> NbColl {
-        let mut coll = NbColl {
-            kind,
-            ranks,
-            dt,
-            op,
-            nic_bytes: 0,
-            phases: phases.max(1),
-        };
-        coll.nic_bytes = coll.estimate_nic_bytes();
-        coll
-    }
-
-    /// Sum of every payload the schedule will send — known up front
-    /// because all buffer sizes are fixed at construction. The service's
-    /// admission control charges this against the NIC budget before the
-    /// first frame moves.
-    fn estimate_nic_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for m in &self.ranks {
-            for s in &m.script {
-                if let Step::Send { data, .. } = s {
-                    total += match data {
-                        SendData::Acc => match self.kind {
-                            // Every accumulator in these trees has the
-                            // full input length.
-                            NbKind::Allreduce | NbKind::Bcast => {
-                                self.ranks.iter().map(|r| r.acc.len()).max().unwrap_or(0)
-                            }
-                            _ => m.acc.len(),
-                        },
-                        // The exact range length is baked into the step.
-                        SendData::AccRange(_, len) => *len,
-                        SendData::Block(i) | SendData::Chunk(i) => self
-                            .ranks
-                            .iter()
-                            .map(|r| r.blocks.get(*i).map_or(0, Vec::len))
-                            .max()
-                            .unwrap_or(0),
-                        // At construction only the contributing rank has
-                        // each block filled, so size every block in the
-                        // run by its max across ranks.
-                        SendData::Blocks(start, count) => (*start..*start + *count)
-                            .map(|i| {
-                                self.ranks
-                                    .iter()
-                                    .map(|r| r.blocks.get(i).map_or(0, Vec::len))
-                                    .max()
-                                    .unwrap_or(0)
-                            })
-                            .sum(),
-                    } as u64;
-                }
-            }
-        }
-        total
-    }
-
     /// Which collective this is.
     pub fn kind(&self) -> NbKind {
-        self.kind
+        self.plan.shape.kind
     }
 
     /// World size.
     pub fn world(&self) -> usize {
-        self.ranks.len()
+        self.plan.shape.world
     }
 
     /// Exclusive upper bound on the phase numbers this schedule uses.
     pub fn phases(&self) -> u32 {
-        self.phases
+        self.plan.phases
     }
 
     /// Total payload bytes the whole schedule puts on the transport.
     pub fn nic_bytes(&self) -> u64 {
-        self.nic_bytes
+        self.plan.nic_bytes
+    }
+
+    /// The cached schedule this collective runs.
+    pub fn schedule(&self) -> &Schedule {
+        &self.plan.sched
+    }
+
+    /// The happens-before analysis the schedule passed when its shape
+    /// was first planned.
+    pub fn proof(&self) -> &HbReport {
+        &self.plan.proof
     }
 
     /// Kick every rank off: returns all messages sendable before any
     /// receive completes. Transport them, then feed arrivals back
     /// through [`NbColl::deliver`].
     pub fn start(&mut self) -> Vec<Msg> {
-        let mut out = Vec::new();
-        for r in 0..self.ranks.len() {
-            let (dt, op) = (self.dt, self.op);
-            self.ranks[r].run(r, dt, op, &mut out);
+        for r in 0..self.world() {
+            self.run(r);
         }
-        out
+        self.sent()
     }
 
     /// Deliver one transported message to rank `dst` and return the
-    /// messages its script can now send. Delivery is order-tolerant: a
-    /// payload for a phase the rank has not reached is stashed and
-    /// applied when the script gets there.
+    /// messages it can now send. Delivery is order-tolerant across
+    /// channels: a payload that arrives before its receive is posted
+    /// waits in its channel. Messages of one `(src, dst, phase)` must
+    /// be delivered in the order they were sent.
     ///
     /// # Panics
-    /// Panics if `dst` is out of range — the transport delivered a
-    /// message this collective never addressed.
+    /// Panics if the schedule has no such channel, or if it already
+    /// received every message sent on it — the transport delivered a
+    /// message this collective never sent.
     pub fn deliver(&mut self, src: usize, dst: usize, phase: u32, payload: Vec<u8>) -> Vec<Msg> {
-        let mut out = Vec::new();
-        let (dt, op) = (self.dt, self.op);
-        let m = &mut self.ranks[dst];
-        m.early.push(((src, phase), payload));
-        m.run(dst, dt, op, &mut out);
-        out
+        let chan = self.plan.inbound[dst]
+            .iter()
+            .find(|&&(s, p, _)| s == src && p == phase)
+            .unwrap_or_else(|| panic!("no channel {src} -> {dst} in phase {phase}"))
+            .2;
+        self.exec.deliver(chan, payload);
+        self.run(dst);
+        self.sent()
     }
 
-    /// Whether every rank has finished its script.
+    fn run(&mut self, rank: usize) {
+        if let Err(e) = self.exec.run(rank) {
+            panic!("a checked one-rank-per-node schedule failed: {e}");
+        }
+    }
+
+    /// The messages sent since the last call.
+    fn sent(&mut self) -> Vec<Msg> {
+        let plan = &self.plan;
+        let channels = plan.sched.wiring().channels();
+        self.exec
+            .drain_sent()
+            .map(|(chan, payload)| Msg {
+                src: channels[chan].src,
+                dst: channels[chan].dst,
+                phase: plan.phase[chan],
+                payload,
+            })
+            .collect()
+    }
+
+    /// Whether every rank has finished its program.
     pub fn done(&self) -> bool {
-        self.ranks.iter().all(RankMachine::done)
+        self.exec.done()
     }
 
-    /// Per-rank results, valid once [`NbColl::done`]: the reduced vector
-    /// (allreduce), the concatenated blocks (allgather), the rank's
-    /// chunk (scatter), or the broadcast payload (bcast).
+    /// Per-rank results, valid once [`NbColl::done`]: each rank's
+    /// receive buffer — the reduced vector (allreduce), the
+    /// concatenated blocks (allgather), the rank's chunk (scatter), or
+    /// the broadcast payload (bcast).
     ///
     /// # Panics
     /// Panics if the collective is not done.
     pub fn outputs(&self) -> Vec<Vec<u8>> {
         assert!(self.done(), "outputs read before completion");
-        self.ranks
-            .iter()
-            .map(|m| match self.kind {
-                NbKind::Allgather => m.blocks.concat(),
-                _ => m.acc.clone(),
-            })
+        (0..self.world())
+            .map(|r| self.exec.buffer(r, BufId::Recv).to_vec())
             .collect()
     }
 }
@@ -910,31 +596,88 @@ impl NbColl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipmcoll_model::reduce_into;
+    use pipmcoll_sched::dataflow::execute_race_checked;
 
     /// Drive a collective to completion over a lossless in-order loop:
     /// what the service does with a real fabric, minus the fabric.
-    fn pump(coll: &mut NbColl) -> usize {
-        let mut queue = std::collections::VecDeque::from(coll.start());
-        let mut delivered = 0;
-        while let Some(m) = queue.pop_front() {
+    /// Returns the messages moved and their payload bytes.
+    fn pump(coll: &mut NbColl) -> (usize, u64) {
+        drive(coll, Order::Fifo)
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Order {
+        Fifo,
+        Lifo,
+        Random(u64),
+    }
+
+    /// Deliver every message in `order` until the collective drains.
+    fn drive(coll: &mut NbColl, order: Order) -> (usize, u64) {
+        let mut pending = coll.start();
+        let (mut delivered, mut bytes) = (0, 0u64);
+        let mut rng = match order {
+            Order::Random(seed) => seed | 1,
+            _ => 1,
+        };
+        while !pending.is_empty() {
+            let at = match order {
+                Order::Fifo => 0,
+                Order::Lifo => pending.len() - 1,
+                Order::Random(_) => {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    (rng % pending.len() as u64) as usize
+                }
+            };
+            // Messages of one channel keep their order: take the
+            // earliest pending one on the chosen message's channel.
+            let m = &pending[at];
+            let first = pending
+                .iter()
+                .position(|p| (p.src, p.dst, p.phase) == (m.src, m.dst, m.phase))
+                .expect("the chosen message is pending");
+            let m = pending.remove(first);
             delivered += 1;
+            bytes += m.payload.len() as u64;
             assert!(delivered < 100_000, "collective does not converge");
-            queue.extend(coll.deliver(m.src, m.dst, m.phase, m.payload));
+            pending.extend(coll.deliver(m.src, m.dst, m.phase, m.payload));
         }
         assert!(coll.done(), "queue drained but ranks not done");
-        delivered
+        (delivered, bytes)
     }
 
     fn ints(vals: &[i32]) -> Vec<u8> {
         vals.iter().flat_map(|v| v.to_le_bytes()).collect()
     }
 
+    fn allreduce(op: ReduceOp, inputs: Vec<Vec<u8>>) -> CollSpec {
+        CollSpec::Allreduce {
+            dt: Datatype::Int32,
+            op,
+            inputs,
+        }
+    }
+
+    /// `⌈log₂ n⌉`: binomial tree depth.
+    fn tree_depth(n: usize) -> u32 {
+        usize::BITS - n.saturating_sub(1).leading_zeros()
+    }
+
+    /// Elements per rank at which allreduce switches to Rabenseifner.
+    const LARGE_COUNT: usize = crate::tuning::MCOLL_ALLREDUCE_SWITCH_COUNT;
+    /// Bytes per block at which allgather switches to the ring.
+    const LARGE_BLOCK: usize = crate::tuning::MCOLL_ALLGATHER_SWITCH_BYTES;
+
     #[test]
     fn allreduce_sums_across_worlds() {
         for n in [1, 2, 3, 4, 7, 8, 13, 16] {
             let inputs: Vec<Vec<u8>> = (0..n).map(|r| ints(&[r, 1])).collect();
-            let mut coll = NbColl::iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
-            let msgs = pump(&mut coll);
+            let mut coll = allreduce(ReduceOp::Sum, inputs).plan();
+            let (msgs, _) = pump(&mut coll);
+            assert_eq!(msgs, 2 * (n as usize - 1), "reduce + bcast tree");
             let want = ints(&[(0..n).sum(), n]);
             for (r, out) in coll.outputs().iter().enumerate() {
                 assert_eq!(*out, want, "rank {r} of {n} (after {msgs} msgs)");
@@ -945,10 +688,10 @@ mod tests {
     #[test]
     fn allreduce_max_and_min() {
         let inputs: Vec<Vec<u8>> = [3, -7, 20, 5].iter().map(|&v| ints(&[v])).collect();
-        let mut mx = NbColl::iallreduce(Datatype::Int32, ReduceOp::Max, inputs.clone());
+        let mut mx = allreduce(ReduceOp::Max, inputs.clone()).plan();
         pump(&mut mx);
         assert!(mx.outputs().iter().all(|o| *o == ints(&[20])));
-        let mut mn = NbColl::iallreduce(Datatype::Int32, ReduceOp::Min, inputs);
+        let mut mn = allreduce(ReduceOp::Min, inputs).plan();
         pump(&mut mn);
         assert!(mn.outputs().iter().all(|o| *o == ints(&[-7])));
     }
@@ -956,12 +699,14 @@ mod tests {
     #[test]
     fn allgather_assembles_rank_order() {
         for n in [1, 2, 3, 5, 8] {
-            let inputs: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; 3]).collect();
-            let want: Vec<u8> = inputs.concat();
-            let mut coll = NbColl::iallgather(inputs);
-            pump(&mut coll);
-            for (r, out) in coll.outputs().iter().enumerate() {
-                assert_eq!(*out, want, "rank {r} of {n}");
+            for cb in [3, LARGE_BLOCK] {
+                let inputs: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; cb]).collect();
+                let want: Vec<u8> = inputs.concat();
+                let mut coll = CollSpec::Allgather { inputs }.plan();
+                pump(&mut coll);
+                for (r, out) in coll.outputs().iter().enumerate() {
+                    assert!(*out == want, "rank {r} of {n}, {cb} B blocks");
+                }
             }
         }
     }
@@ -970,7 +715,11 @@ mod tests {
     fn scatter_delivers_each_chunk() {
         for root in [0, 2] {
             let chunks: Vec<Vec<u8>> = (0..5u8).map(|r| vec![r; 4]).collect();
-            let mut coll = NbColl::iscatter(root, chunks.clone());
+            let mut coll = CollSpec::Scatter {
+                root,
+                chunks: chunks.clone(),
+            }
+            .plan();
             pump(&mut coll);
             for (r, out) in coll.outputs().iter().enumerate() {
                 assert_eq!(*out, chunks[r], "rank {r}, root {root}");
@@ -982,7 +731,12 @@ mod tests {
     fn bcast_reaches_every_rank() {
         for n in [1, 2, 3, 6, 8] {
             for root in [0, n - 1] {
-                let mut coll = NbColl::ibcast(n, root, vec![0xAB; 16]);
+                let mut coll = CollSpec::Bcast {
+                    world: n,
+                    root,
+                    data: vec![0xAB; 16],
+                }
+                .plan();
                 pump(&mut coll);
                 for (r, out) in coll.outputs().iter().enumerate() {
                     assert_eq!(*out, vec![0xAB; 16], "rank {r} of {n}, root {root}");
@@ -993,55 +747,63 @@ mod tests {
 
     #[test]
     fn out_of_order_delivery_is_tolerated() {
-        // Deliver in reverse: every message stashes early, the scripts
-        // must still converge to the right answer.
+        // Deliver in reverse: payloads wait in their channels until the
+        // receive is posted, and the result must still be right.
         let inputs: Vec<Vec<u8>> = (0..8).map(|r| ints(&[r])).collect();
-        let mut coll = NbColl::iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
-        let mut pending = coll.start();
-        while let Some(m) = pending.pop() {
-            // LIFO: worst-case order
-            pending.extend(coll.deliver(m.src, m.dst, m.phase, m.payload));
-        }
-        assert!(coll.done());
+        let mut coll = allreduce(ReduceOp::Sum, inputs).plan();
+        drive(&mut coll, Order::Lifo);
         assert!(coll.outputs().iter().all(|o| *o == ints(&[28])));
     }
 
     #[test]
     fn rsag_allreduce_matches_binomial() {
-        for n in [2usize, 4, 8, 16] {
-            // n elements per rank so the buffer divides into n blocks.
+        for n in [2usize, 3, 4, 8, 16] {
+            // Past the switch: Rabenseifner, folding non-powers of two.
             let inputs: Vec<Vec<u8>> = (0..n)
-                .map(|r| ints(&(0..n as i32).map(|i| r as i32 + i).collect::<Vec<_>>()))
+                .map(|r| {
+                    ints(
+                        &(0..LARGE_COUNT as i32)
+                            .map(|i| r as i32 + i)
+                            .collect::<Vec<_>>(),
+                    )
+                })
                 .collect();
-            let mut rsag = NbColl::iallreduce_rsag(Datatype::Int32, ReduceOp::Sum, inputs.clone());
-            let msgs = pump(&mut rsag);
-            let mut binomial = NbColl::iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
+            let mut rsag = allreduce(ReduceOp::Sum, inputs.clone()).plan();
+            let (msgs, _) = pump(&mut rsag);
+            // The same sums, element-wise, through the small path.
+            let small: Vec<Vec<u8>> = inputs.iter().map(|b| b[..64].to_vec()).collect();
+            let mut binomial = allreduce(ReduceOp::Sum, small).plan();
             pump(&mut binomial);
-            assert_eq!(
-                rsag.outputs(),
-                binomial.outputs(),
-                "world {n} ({msgs} msgs)"
-            );
-            assert_eq!(rsag.phases(), 2 * tree_depth(n));
+            for (big, small) in rsag.outputs().iter().zip(binomial.outputs()) {
+                assert_eq!(big[..64], small[..], "world {n} ({msgs} msgs)");
+            }
+            if n.is_power_of_two() {
+                assert_eq!(rsag.phases(), 2 * tree_depth(n), "world {n}");
+            }
         }
     }
 
     #[test]
     fn rsag_allreduce_max_under_lifo_delivery() {
-        // Worst-case delivery order over a non-commutative-looking op
-        // mix: range reduces must land on the right segments.
+        // Worst-case delivery order: range reduces must land on the
+        // right segments.
+        let count = LARGE_COUNT;
         let inputs: Vec<Vec<u8>> = (0..8)
-            .map(|r| ints(&[r, -r, r * 3, 7 - r, r, r, -2 * r, r % 3]))
+            .map(|r| {
+                ints(
+                    &(0..count as i32)
+                        .map(|i| (i * 7 + r * 13) % 101)
+                        .collect::<Vec<_>>(),
+                )
+            })
             .collect();
-        let mut coll = NbColl::iallreduce_rsag(Datatype::Int32, ReduceOp::Max, inputs.clone());
-        let mut pending = coll.start();
-        while let Some(m) = pending.pop() {
-            pending.extend(coll.deliver(m.src, m.dst, m.phase, m.payload));
+        let mut coll = allreduce(ReduceOp::Max, inputs.clone()).plan();
+        drive(&mut coll, Order::Lifo);
+        let mut want = inputs[0].clone();
+        for b in &inputs[1..] {
+            reduce_into(ReduceOp::Max, Datatype::Int32, &mut want, b);
         }
-        assert!(coll.done());
-        let mut want = NbColl::iallreduce(Datatype::Int32, ReduceOp::Max, inputs);
-        pump(&mut want);
-        assert_eq!(coll.outputs(), want.outputs());
+        assert!(coll.outputs().iter().all(|o| *o == want));
     }
 
     #[test]
@@ -1049,68 +811,55 @@ mod tests {
         for n in [1usize, 2, 4, 8, 16] {
             let inputs: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; 3]).collect();
             let want: Vec<u8> = inputs.concat();
-            let mut coll = NbColl::iallgather_rd(inputs);
+            let mut coll = CollSpec::Allgather { inputs }.plan();
             pump(&mut coll);
             for (r, out) in coll.outputs().iter().enumerate() {
                 assert_eq!(*out, want, "rank {r} of {n}");
             }
-            // The whole point: log₂ n phases, not the ring's n − 1.
-            assert_eq!(coll.phases(), tree_depth(n).max(1), "world {n}");
+            // The whole point: log₂ n phases, not the ring's n − 1 steps.
+            assert_eq!(coll.phases(), tree_depth(n), "world {n}");
         }
     }
 
     #[test]
     fn rd_allgather_handles_empty_blocks() {
-        let mut coll = NbColl::iallgather_rd(vec![Vec::new(); 4]);
+        let mut coll = CollSpec::Allgather {
+            inputs: vec![Vec::new(); 4],
+        }
+        .plan();
         pump(&mut coll);
         assert!(coll.outputs().iter().all(Vec::is_empty));
     }
 
     #[test]
     fn nic_bytes_matches_actual_traffic() {
-        let drive = |coll: &mut NbColl| -> u64 {
-            let mut actual = 0u64;
-            let mut queue = std::collections::VecDeque::from(coll.start());
-            while let Some(m) = queue.pop_front() {
-                actual += m.payload.len() as u64;
-                queue.extend(coll.deliver(m.src, m.dst, m.phase, m.payload));
-            }
-            actual
-        };
-        for n in [2, 3, 8] {
-            let inputs: Vec<Vec<u8>> = (0..n).map(|r| ints(&[r])).collect();
-            let mut coll = NbColl::iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
-            let est = coll.nic_bytes();
-            assert_eq!(est, drive(&mut coll), "binomial world {n}");
+        let mut specs = Vec::new();
+        for n in [2usize, 3, 8] {
+            specs.push(allreduce(
+                ReduceOp::Sum,
+                (0..n).map(|r| ints(&[r as i32])).collect(),
+            ));
+            specs.push(allreduce(
+                ReduceOp::Sum,
+                (0..n)
+                    .map(|r| ints(&vec![r as i32; LARGE_COUNT + 3]))
+                    .collect(),
+            ));
+            specs.push(CollSpec::Allgather {
+                inputs: (0..n).map(|r| vec![r as u8; 5]).collect(),
+            });
         }
-        for n in [2usize, 8] {
-            let inputs: Vec<Vec<u8>> = (0..n).map(|r| ints(&vec![r as i32; 2 * n])).collect();
-            let mut coll = NbColl::iallreduce_rsag(Datatype::Int32, ReduceOp::Sum, inputs);
+        for spec in specs {
+            let mut coll = spec.plan();
             let est = coll.nic_bytes();
-            assert_eq!(est, drive(&mut coll), "rsag world {n}");
-            let inputs: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; 5]).collect();
-            let mut coll = NbColl::iallgather_rd(inputs);
-            let est = coll.nic_bytes();
-            assert_eq!(est, drive(&mut coll), "rd allgather world {n}");
+            assert_eq!(
+                est,
+                pump(&mut coll).1,
+                "{:?} world {}",
+                spec.kind(),
+                spec.world()
+            );
         }
-    }
-
-    #[test]
-    fn phases_fit_the_svc_tag_field() {
-        // RankSet caps the world at 64; the deepest schedule (ring
-        // allgather) uses world − 1 phases, which must fit 6 bits.
-        let inputs: Vec<Vec<u8>> = (0..64).map(|r| vec![r as u8]).collect();
-        let coll = NbColl::iallgather(inputs);
-        assert!(coll.phases() <= 64);
-        let inputs: Vec<Vec<u8>> = (0..64).map(|r| ints(&[r])).collect();
-        let coll = NbColl::iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
-        assert!(coll.phases() <= 64);
-        let inputs: Vec<Vec<u8>> = (0..64).map(|r| ints(&vec![r; 64])).collect();
-        let coll = NbColl::iallreduce_rsag(Datatype::Int32, ReduceOp::Sum, inputs);
-        assert!(coll.phases() <= 64, "rsag at the 64-rank cap");
-        let inputs: Vec<Vec<u8>> = (0..64).map(|r| vec![r as u8]).collect();
-        let coll = NbColl::iallgather_rd(inputs);
-        assert!(coll.phases() <= 64, "rd allgather at the 64-rank cap");
     }
 
     #[test]
@@ -1118,34 +867,33 @@ mod tests {
         // No PIPMCOLL_TUNE_TABLE in the test environment, so the static
         // constants decide. Small allgather blocks on a power-of-two
         // world take recursive doubling (log₂ n phases); at or past the
-        // 64 KiB switch the ring (n − 1 phases) comes back.
+        // 64 KiB switch the ring comes back, on one tag for all n − 1
+        // steps.
         let small = CollSpec::Allgather {
             inputs: vec![vec![1u8; 16]; 8],
         };
         assert_eq!(small.plan().phases(), 3, "recursive doubling");
+        assert_eq!(pump(&mut small.plan()).0, 8 * 3);
         let large = CollSpec::Allgather {
-            inputs: vec![vec![1u8; crate::tuning::MCOLL_ALLGATHER_SWITCH_BYTES]; 8],
+            inputs: vec![vec![1u8; LARGE_BLOCK]; 8],
         };
-        assert_eq!(large.plan().phases(), 7, "ring");
-        // Non-power-of-two survivor groups always fall back to the ring.
-        let sub = small.plan_on(&[0, 1, 2, 4, 5, 6, 7]).unwrap();
-        assert_eq!(sub.phases(), 6, "7 survivors ring");
+        assert_eq!(large.plan().phases(), 1, "ring");
+        assert_eq!(pump(&mut large.plan()).0, 8 * 7);
+        // A non-power-of-two survivor group takes Bruck: ⌈log₂ 7⌉ rounds.
+        let mut sub = small.plan_on(&[0, 1, 2, 4, 5, 6, 7]).unwrap();
+        assert_eq!(sub.phases(), 3, "7 survivors Bruck");
+        assert_eq!(pump(&mut sub).0, 7 * 3);
 
-        // Allreduce past the 8 k-count switch plans Rabenseifner when
-        // the gates hold; both plans must agree on the answer.
-        let count = crate::tuning::MCOLL_ALLREDUCE_SWITCH_COUNT + 8;
-        let inputs: Vec<Vec<u8>> = (0..4).map(|r| ints(&vec![r; count])).collect();
-        let spec = CollSpec::Allreduce {
-            dt: Datatype::Int32,
-            op: ReduceOp::Sum,
-            inputs,
-        };
+        // Allreduce past the 8 k-count switch plans Rabenseifner; both
+        // plans must agree on the answer.
+        let count = LARGE_COUNT + 8;
+        let spec = allreduce(
+            ReduceOp::Sum,
+            (0..4).map(|r| ints(&vec![r; count])).collect(),
+        );
         let mut planned = spec.plan();
-        let mut queue = std::collections::VecDeque::from(planned.start());
-        while let Some(m) = queue.pop_front() {
-            queue.extend(planned.deliver(m.src, m.dst, m.phase, m.payload));
-        }
-        assert!(planned.done());
+        assert_eq!(planned.phases(), 4, "2 halving + 2 doubling steps");
+        pump(&mut planned);
         assert!(planned
             .outputs()
             .iter()
@@ -1154,7 +902,7 @@ mod tests {
 
     #[test]
     fn single_rank_worlds_complete_instantly() {
-        let mut coll = NbColl::iallreduce(Datatype::Int32, ReduceOp::Sum, vec![ints(&[5])]);
+        let mut coll = allreduce(ReduceOp::Sum, vec![ints(&[5])]).plan();
         assert!(coll.start().is_empty());
         assert!(coll.done());
         assert_eq!(coll.outputs(), vec![ints(&[5])]);
@@ -1164,14 +912,12 @@ mod tests {
     #[test]
     fn spec_full_plan_matches_direct_construction() {
         let inputs: Vec<Vec<u8>> = (0..5).map(|r| ints(&[r, 10])).collect();
-        let spec = CollSpec::Allreduce {
-            dt: Datatype::Int32,
-            op: ReduceOp::Sum,
-            inputs,
-        };
+        let spec = allreduce(ReduceOp::Sum, inputs);
         assert_eq!(spec.world(), 5);
         assert_eq!(spec.kind(), NbKind::Allreduce);
         let mut coll = spec.plan();
+        assert_eq!(coll.kind(), NbKind::Allreduce);
+        assert_eq!(coll.world(), 5);
         pump(&mut coll);
         let want = ints(&[10, 50]);
         assert!(coll.outputs().iter().all(|o| *o == want));
@@ -1183,11 +929,7 @@ mod tests {
         // on exactly the survivors' inputs.
         let inputs: Vec<Vec<u8>> = (0..5).map(|r| ints(&[r])).collect();
         let survivors = [0usize, 1, 3, 4];
-        let spec = CollSpec::Allreduce {
-            dt: Datatype::Int32,
-            op: ReduceOp::Sum,
-            inputs: inputs.clone(),
-        };
+        let spec = allreduce(ReduceOp::Sum, inputs.clone());
         let mut coll = spec.plan_on(&survivors).unwrap();
         assert_eq!(coll.world(), 4);
         pump(&mut coll);
@@ -1243,5 +985,153 @@ mod tests {
             spec.plan_on(&[1, 2]).err(),
             Some(PlanError::RootFailed { root: 0 })
         );
+    }
+
+    #[test]
+    fn malformed_specs_are_refused_typed() {
+        let malformed = |spec: CollSpec| {
+            let err = spec.check().unwrap_err();
+            assert!(matches!(err, PlanError::Malformed { .. }), "{err}");
+            assert_eq!(spec.plan_on(&[0]).err(), Some(err));
+        };
+        malformed(allreduce(ReduceOp::Sum, vec![vec![0; 8], vec![0; 4]]));
+        malformed(allreduce(ReduceOp::Sum, vec![vec![0; 6]; 2]));
+        malformed(CollSpec::Allgather {
+            inputs: vec![vec![0; 2], vec![0; 3]],
+        });
+        malformed(CollSpec::Scatter {
+            root: 0,
+            chunks: vec![vec![0; 2], vec![0; 1]],
+        });
+        malformed(CollSpec::Scatter {
+            root: 2,
+            chunks: vec![vec![0; 2]; 2],
+        });
+        malformed(CollSpec::Bcast {
+            world: 2,
+            root: 5,
+            data: vec![1],
+        });
+        let err = allreduce(ReduceOp::Sum, Vec::new()).check().unwrap_err();
+        assert!(matches!(err, PlanError::Malformed { .. }));
+    }
+
+    #[test]
+    fn plans_are_recorded_once_per_shape() {
+        // A shape no other test plans: 27 bytes a rank over 6 ranks.
+        let spec = CollSpec::Allgather {
+            inputs: vec![vec![7u8; 27]; 6],
+        };
+        let a = spec.plan();
+        let b = spec.plan_on(&[0, 1, 2, 3, 4, 5]).unwrap();
+        assert!(
+            std::ptr::eq(a.schedule(), b.schedule()),
+            "one cached schedule"
+        );
+        assert!(a.proof().events > 0);
+        let other = spec.plan_on(&[0, 1, 2, 3, 4]).unwrap();
+        assert!(
+            !std::ptr::eq(a.schedule(), other.schedule()),
+            "5 ranks differ"
+        );
+        let s = plan_cache_stats();
+        assert!(s.hits >= 1 && s.hb_checked == s.recorded, "{s:?}");
+    }
+
+    /// The expected per-rank outputs of `spec`, computed without any
+    /// schedule.
+    fn reference(spec: &CollSpec) -> Vec<Vec<u8>> {
+        match spec {
+            CollSpec::Allreduce { dt, op, inputs } => {
+                let mut acc = inputs[0].clone();
+                for b in &inputs[1..] {
+                    reduce_into(*op, *dt, &mut acc, b);
+                }
+                vec![acc; inputs.len()]
+            }
+            CollSpec::Allgather { inputs } => vec![inputs.concat(); inputs.len()],
+            CollSpec::Scatter { chunks, .. } => chunks.clone(),
+            CollSpec::Bcast { world, data, .. } => vec![data.clone(); *world],
+        }
+    }
+
+    /// Every rank's send buffer for `spec` on its full group, as the
+    /// planner fills it.
+    fn send_buffers(spec: &CollSpec) -> Vec<Vec<u8>> {
+        match spec {
+            CollSpec::Allreduce { inputs, .. } | CollSpec::Allgather { inputs } => inputs.clone(),
+            CollSpec::Scatter { root, chunks } => (0..chunks.len())
+                .map(|r| {
+                    if r == *root {
+                        chunks.concat()
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect(),
+            CollSpec::Bcast { world, root, data } => (0..*world)
+                .map(|r| if r == *root { data.clone() } else { Vec::new() })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn every_kind_matches_dataflow_and_reference() {
+        let mut cases = Vec::new();
+        for n in 1..=9usize {
+            let pattern = |r: usize, len: usize| -> Vec<u8> {
+                (0..len).map(|i| (r * 31 + i * 7 + len) as u8).collect()
+            };
+            for count in [3, LARGE_COUNT + 5] {
+                for op in [ReduceOp::Sum, ReduceOp::Max] {
+                    let int_pattern = |r: usize| -> Vec<u8> {
+                        ints(
+                            &(0..count)
+                                .map(|i| ((r * 31 + i * 7) % 1000) as i32)
+                                .collect::<Vec<_>>(),
+                        )
+                    };
+                    cases.push(allreduce(op, (0..n).map(int_pattern).collect()));
+                }
+            }
+            for cb in [5, LARGE_BLOCK] {
+                cases.push(CollSpec::Allgather {
+                    inputs: (0..n).map(|r| pattern(r, cb)).collect(),
+                });
+            }
+            for root in [0, n / 2, n - 1] {
+                cases.push(CollSpec::Scatter {
+                    root,
+                    chunks: (0..n).map(|r| pattern(r + root, 6)).collect(),
+                });
+                cases.push(CollSpec::Bcast {
+                    world: n,
+                    root,
+                    data: pattern(root, 11),
+                });
+            }
+        }
+        for spec in &cases {
+            let what = format!(
+                "{:?} world {} root {:?}",
+                spec.kind(),
+                spec.world(),
+                spec.root()
+            );
+            let want = reference(spec);
+            let send = send_buffers(spec);
+            let mut emitted = None;
+            for order in [Order::Fifo, Order::Lifo, Order::Random(0x5EED)] {
+                let mut coll = spec.plan();
+                let (_, bytes) = drive(&mut coll, order);
+                assert_eq!(coll.nic_bytes(), bytes, "{what}: nic_bytes under {order:?}");
+                assert!(coll.outputs() == want, "{what}: {order:?} delivery");
+                emitted.get_or_insert_with(|| {
+                    let flow = execute_race_checked(coll.schedule(), |r| send[r].clone())
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert!(flow.recv == want, "{what}: dataflow");
+                });
+            }
+        }
     }
 }

@@ -17,11 +17,14 @@
 //!
 //! The service layout gives each communicator 2^10 = 1024 ids, each
 //! in-flight collective one of 2^12 = 4096 sequence slots (the
-//! [`TagSpace`] allocator in `pipmcoll-svc` recycles slots as
-//! collectives complete), and each collective 2^6 = 64 internal phases —
-//! enough for a binomial tree (≤ `log2(world)` rounds) or a ring
-//! (`world - 1` rounds) at the world sizes the runtime supports
-//! (`RankSet` caps the world at 64 ranks).
+//! `TagSpace` allocator in `pipmcoll-svc` recycles slots as
+//! collectives complete), and each collective 2^6 = 64 internal phases.
+//! A phase is the rank of a message's schedule tag among the distinct
+//! tags of the recorded schedule the service runs, not a round number:
+//! the ring allgather tags every step alike and takes one phase at any
+//! world, and no schedule the service plans uses more than 14 at world
+//! 128 (`pipmcoll-svc` tests every plannable shape, worlds 1–66 and
+//! 128).
 
 /// Namespace prefix for failed-set agreement sweeps.
 pub const AGREE_NS: u32 = 0xFF00_0000;

@@ -252,7 +252,8 @@ pub struct TcpFabric {
 impl TcpFabric {
     /// Build the full lane mesh for `topo` on loopback: `cfg.lanes`
     /// connections per node pair, every socket nonblocking, all driven
-    /// by [`resolve_pool_size`] progress threads.
+    /// by a pool of progress threads: `cfg.progress_threads` (0 = the
+    /// host's CPUs, at most 4), capped at the endpoint count.
     pub fn connect(topo: Topology, cfg: TcpConfig) -> io::Result<TcpFabric> {
         // Reject malformed PIPMCOLL_* variables here, before any worker
         // thread reads them through a silently-defaulting cache.

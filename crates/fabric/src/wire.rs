@@ -33,7 +33,7 @@
 //! **Integrity.** The trailing CRC-32C (Castagnoli polynomial; the x86
 //! `crc32` instruction when the CPU has SSE4.2, a slicing-by-8 table
 //! fallback otherwise — std-only either way, and large payloads use a
-//! tri-stream digest, see [`frame_crc`]) covers the header prefix and
+//! tri-stream digest, see `frame_crc`) covers the header prefix and
 //! the payload. Receivers
 //! verify it *before* trusting any field: a checksum mismatch makes the
 //! whole frame untrustworthy, so the decoder consumes and discards it

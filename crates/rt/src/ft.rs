@@ -8,11 +8,11 @@
 //!    every blocking wait bounded by `op_timeout = sync_timeout() / 4`
 //!    so one detect → agree → retry cycle fits the `3 × sync_timeout`
 //!    completion budget. A rank scheduled to die by the
-//!    [`FaultPlan`](crate::fault::FaultPlan) panics with a
-//!    [`RankKilled`](crate::fault::RankKilled) payload mid-stream and
+//!    [`FaultPlan`] panics with a
+//!    [`RankKilled`] payload mid-stream and
 //!    its thread exits without another word — exactly the silence a
 //!    crashed process leaves behind.
-//! 2. **Agreement** — every live member runs [`agree`]: an
+//! 2. **Agreement** — every live member runs `agree`: an
 //!    all-to-all sweep gossip over suspicion bitmaps. Suspicion seeds
 //!    come from the attempt (receive timeouts name the starved
 //!    channel's sender; the fabric's [`health`](pipmcoll_fabric::Fabric::health)
@@ -23,10 +23,10 @@
 //!    clears while a genuinely dead rank times out sweep after sweep.
 //!    Members commit once nobody's set changed for two sweeps — a
 //!    one-sweep lag that makes the commit sweep the same on every
-//!    survivor (see the convergence note on [`agree`]).
+//!    survivor (see the convergence note on `agree`).
 //! 3. **Shrink + retry** — survivors re-rank densely into
 //!    `Topology::new(survivors, 1)` and re-execute the algorithm on a
-//!    [`ShrunkComm`], whose wire tags carry the epoch
+//!    `ShrunkComm`, whose wire tags carry the epoch
 //!    (`0xFE00_0000 | epoch << 16 | tag`) so stale frames from the
 //!    failed attempt can never satisfy a retry receive. Send buffers
 //!    are the prefix of each survivor's original contribution, matching
@@ -198,7 +198,7 @@ pub enum AgreeStep {
 
 /// The sans-io core of crash-tolerant failed-set agreement: all-to-all
 /// sweep gossip over suspicion bitmaps, factored out of the blocking
-/// [`agree`] so the service engine can drive the identical protocol
+/// `agree` so the service engine can drive the identical protocol
 /// from a non-blocking poll loop (one core per rank it owns) without
 /// parking its scheduler thread.
 ///

@@ -8,16 +8,13 @@
 //! schedules whose result depends on scheduling (i.e. data races that the
 //! algorithm's flags/barriers fail to order).
 //!
-//! The interpreter is strictly sequential and deterministic for a given
+//! It is a loop over the crate's one executor, [`Exec`]: every send is
+//! delivered to its channel right after the step that issued it, so a
+//! run is strictly sequential and deterministic for a given
 //! [`SchedulingPolicy`].
 
-use std::collections::HashMap;
-
-use pipmcoll_model::dtype::reduce_into;
-use pipmcoll_model::Topology;
-
-use crate::ids::{BufId, Region, RemoteRegion};
-use crate::op::Op;
+use crate::exec::Exec;
+use crate::ids::BufId;
 use crate::schedule::Schedule;
 
 /// Rank-interleaving policy for the interpreter's outer loop.
@@ -72,298 +69,11 @@ pub struct DataflowResult {
     pub ops_executed: usize,
 }
 
-struct RankState {
-    bufs: HashMap<BufId, Vec<u8>>,
-    pc: usize,
-    flags: HashMap<u16, u32>,
-    posted: HashMap<u16, Region>,
-    barriers_entered: usize,
-    in_barrier: bool,
-}
-
-/// (rank, region, program op index) of one posted receive.
-type RecvPost = (usize, Region, usize);
-/// Channel key (src, dst, tag) and the matching position of a request.
-type ChanPos = ((usize, usize, u32), usize);
-
-#[derive(Default)]
-struct Channel {
-    sent: Vec<Vec<u8>>,
-    // Posted receives, in issue order.
-    recv_posts: Vec<RecvPost>,
-    delivered: usize,
-}
-
-/// Interpreter for one schedule execution.
-struct Interp<'a> {
-    sched: &'a Schedule,
-    topo: Topology,
-    ranks: Vec<RankState>,
-    channels: HashMap<(usize, usize, u32), Channel>,
-    // position of each (rank, op index) irecv within its channel.
-    recv_pos: HashMap<(usize, usize), ChanPos>,
-    ops_executed: usize,
-}
-
-impl<'a> Interp<'a> {
-    fn new(
-        sched: &'a Schedule,
-        send_init: &mut dyn FnMut(usize) -> Vec<u8>,
-        recv_init: &mut dyn FnMut(usize) -> Vec<u8>,
-    ) -> Result<Self, DataflowError> {
-        let topo = sched.topo();
-        let mut ranks = Vec::with_capacity(topo.world_size());
-        for (rank, prog) in sched.programs().iter().enumerate() {
-            let mut bufs = HashMap::new();
-            let send = send_init(rank);
-            if send.len() != prog.sizes.send {
-                return Err(DataflowError {
-                    message: format!(
-                        "rank {rank}: send init produced {} bytes, program declares {}",
-                        send.len(),
-                        prog.sizes.send
-                    ),
-                });
-            }
-            let recv = recv_init(rank);
-            if recv.len() != prog.sizes.recv {
-                return Err(DataflowError {
-                    message: format!(
-                        "rank {rank}: recv init produced {} bytes, program declares {}",
-                        recv.len(),
-                        prog.sizes.recv
-                    ),
-                });
-            }
-            bufs.insert(BufId::Send, send);
-            bufs.insert(BufId::Recv, recv);
-            for (i, &sz) in prog.temps.iter().enumerate() {
-                bufs.insert(BufId::Temp(i as u16), vec![0u8; sz]);
-            }
-            ranks.push(RankState {
-                bufs,
-                pc: 0,
-                flags: HashMap::new(),
-                posted: HashMap::new(),
-                barriers_entered: 0,
-                in_barrier: false,
-            });
-        }
-        Ok(Interp {
-            sched,
-            topo,
-            ranks,
-            channels: HashMap::new(),
-            recv_pos: HashMap::new(),
-            ops_executed: 0,
-        })
-    }
-
-    fn rank_done(&self, rank: usize) -> bool {
-        self.ranks[rank].pc >= self.sched.programs()[rank].ops.len()
-    }
-
-    fn all_done(&self) -> bool {
-        (0..self.ranks.len()).all(|r| self.rank_done(r))
-    }
-
-    fn read_region(&self, rank: usize, region: &Region) -> Vec<u8> {
-        let buf = &self.ranks[rank].bufs[&region.buf];
-        buf[region.offset..region.end()].to_vec()
-    }
-
-    fn write_region(&mut self, rank: usize, region: &Region, data: &[u8]) {
-        debug_assert_eq!(region.len, data.len());
-        let buf = self.ranks[rank].bufs.get_mut(&region.buf).unwrap();
-        buf[region.offset..region.end()].copy_from_slice(data);
-    }
-
-    /// Resolve a remote region against the current post board.
-    /// Returns `None` (not an error) when the slot has not been posted yet —
-    /// the accessing op blocks.
-    fn resolve_remote(&self, rr: &RemoteRegion) -> Result<Option<(usize, Region)>, DataflowError> {
-        let Some(base) = self.ranks[rr.rank].posted.get(&rr.slot) else {
-            return Ok(None);
-        };
-        if rr.offset + rr.len > base.len {
-            return Err(DataflowError {
-                message: format!(
-                    "remote access {rr} exceeds posted region {base} of rank {}",
-                    rr.rank
-                ),
-            });
-        }
-        Ok(Some((rr.rank, base.sub(rr.offset, rr.len))))
-    }
-
-    fn try_deliver(&mut self, chan_key: (usize, usize, u32)) {
-        // Deliver as many in-order (send, recv) pairs as are both present.
-        loop {
-            let chan = self.channels.entry(chan_key).or_default();
-            let d = chan.delivered;
-            if d >= chan.sent.len() || d >= chan.recv_posts.len() {
-                break;
-            }
-            let payload = std::mem::take(&mut chan.sent[d]);
-            let (rank, region, _op) = chan.recv_posts[d];
-            chan.delivered += 1;
-            assert_eq!(
-                payload.len(),
-                region.len,
-                "validated schedules cannot mismatch here"
-            );
-            self.write_region(rank, &region, &payload);
-        }
-    }
-
-    /// Attempt to execute the next op of `rank`. Returns true on progress.
-    fn step(&mut self, rank: usize) -> Result<bool, DataflowError> {
-        if self.rank_done(rank) {
-            return Ok(false);
-        }
-        let pc = self.ranks[rank].pc;
-        let op = self.sched.programs()[rank].ops[pc];
-        match op {
-            Op::ISend { dst, tag, src } => {
-                let payload = self.read_region(rank, &src);
-                let key = (rank, dst, tag);
-                self.channels.entry(key).or_default().sent.push(payload);
-                self.try_deliver(key);
-            }
-            Op::IRecv { src, tag, dst } => {
-                let key = (src, rank, tag);
-                let chan = self.channels.entry(key).or_default();
-                let pos = chan.recv_posts.len();
-                chan.recv_posts.push((rank, dst, pc));
-                self.recv_pos.insert((rank, pc), (key, pos));
-                self.try_deliver(key);
-            }
-            Op::ISendShared { dst, tag, src } => {
-                let Some((owner, region)) = self.resolve_remote(&src)? else {
-                    return Ok(false);
-                };
-                let payload = self.read_region(owner, &region);
-                let key = (rank, dst, tag);
-                self.channels.entry(key).or_default().sent.push(payload);
-                self.try_deliver(key);
-            }
-            Op::IRecvShared { src, tag, dst } => {
-                let Some((owner, region)) = self.resolve_remote(&dst)? else {
-                    return Ok(false);
-                };
-                let key = (src, rank, tag);
-                let chan = self.channels.entry(key).or_default();
-                let pos = chan.recv_posts.len();
-                chan.recv_posts.push((owner, region, pc));
-                self.recv_pos.insert((rank, pc), (key, pos));
-                self.try_deliver(key);
-            }
-            Op::Wait { req } => {
-                let issuing = self.sched.programs()[rank].ops[req.0];
-                match issuing {
-                    Op::ISend { .. } | Op::ISendShared { .. } => {
-                        // Sends are buffered: complete immediately.
-                    }
-                    Op::IRecv { .. } | Op::IRecvShared { .. } => {
-                        let (key, pos) = self.recv_pos[&(rank, req.0)];
-                        let delivered = self.channels.get(&key).map_or(0, |c| c.delivered);
-                        if delivered <= pos {
-                            return Ok(false); // blocked
-                        }
-                    }
-                    _ => unreachable!("trace recorder validates wait targets"),
-                }
-            }
-            Op::PostAddr { slot, region } => {
-                self.ranks[rank].posted.insert(slot, region);
-            }
-            Op::CopyIn { from, to } => {
-                let Some((peer, src)) = self.resolve_remote(&from)? else {
-                    return Ok(false);
-                };
-                let data = self.read_region(peer, &src);
-                self.write_region(rank, &to, &data);
-            }
-            Op::CopyOut { from, to } => {
-                let Some((peer, dst)) = self.resolve_remote(&to)? else {
-                    return Ok(false);
-                };
-                let data = self.read_region(rank, &from);
-                self.write_region(peer, &dst, &data);
-            }
-            Op::ReduceIn {
-                from,
-                to,
-                op: rop,
-                dt,
-            } => {
-                let Some((peer, src)) = self.resolve_remote(&from)? else {
-                    return Ok(false);
-                };
-                let data = self.read_region(peer, &src);
-                let buf = self.ranks[rank].bufs.get_mut(&to.buf).unwrap();
-                reduce_into(rop, dt, &mut buf[to.offset..to.end()], &data);
-            }
-            Op::LocalCopy { from, to } => {
-                let data = self.read_region(rank, &from);
-                self.write_region(rank, &to, &data);
-            }
-            Op::LocalReduce {
-                from,
-                to,
-                op: rop,
-                dt,
-            } => {
-                let data = self.read_region(rank, &from);
-                let buf = self.ranks[rank].bufs.get_mut(&to.buf).unwrap();
-                reduce_into(rop, dt, &mut buf[to.offset..to.end()], &data);
-            }
-            Op::Signal { rank: peer, flag } => {
-                *self.ranks[peer].flags.entry(flag).or_default() += 1;
-            }
-            Op::WaitFlag { flag, count } => {
-                let have = self.ranks[rank].flags.get(&flag).copied().unwrap_or(0);
-                if have < count {
-                    return Ok(false);
-                }
-            }
-            Op::NodeBarrier => {
-                if !self.ranks[rank].in_barrier {
-                    self.ranks[rank].barriers_entered += 1;
-                    self.ranks[rank].in_barrier = true;
-                }
-                let my_gen = self.ranks[rank].barriers_entered;
-                let node = self.topo.node_of(rank);
-                let all_arrived = self
-                    .topo
-                    .ranks_on_node(node)
-                    .all(|r| self.ranks[r].barriers_entered >= my_gen);
-                if !all_arrived {
-                    return Ok(false);
-                }
-                self.ranks[rank].in_barrier = false;
-            }
-            Op::Compute { .. } => {}
-        }
-        self.ranks[rank].pc += 1;
-        self.ops_executed += 1;
-        Ok(true)
-    }
-
-    fn deadlock_report(&self) -> String {
-        let mut lines = vec!["deadlock; stuck ranks:".to_string()];
-        for (rank, st) in self.ranks.iter().enumerate() {
-            if !self.rank_done(rank) {
-                let op = &self.sched.programs()[rank].ops[st.pc];
-                lines.push(format!(
-                    "  rank {rank} blocked at op {} ({})",
-                    st.pc,
-                    op.mnemonic()
-                ));
-            }
-        }
-        lines.join("\n")
-    }
+/// One op of rank `r`, its send (if any) delivered at once.
+fn step(exec: &mut Exec<&Schedule>, r: usize) -> Result<bool, DataflowError> {
+    let progressed = exec.step(r)?;
+    exec.loop_back();
+    Ok(progressed)
 }
 
 /// Simple xorshift-style generator so `Random` policies need no crates.
@@ -394,17 +104,32 @@ pub fn execute_with(
     recv_init: &mut dyn FnMut(usize) -> Vec<u8>,
     policy: SchedulingPolicy,
 ) -> Result<DataflowResult, DataflowError> {
-    let mut interp = Interp::new(sched, send_init, recv_init)?;
     let world = sched.topo().world_size();
+    let mut exec = Exec::new(sched);
+    for rank in 0..world {
+        for (what, buf, init) in [
+            ("send", BufId::Send, send_init(rank)),
+            ("recv", BufId::Recv, recv_init(rank)),
+        ] {
+            let dst = exec.buffer_mut(rank, buf);
+            if init.len() != dst.len() {
+                return Err(DataflowError {
+                    message: format!(
+                        "rank {rank}: {what} init produced {} bytes, program declares {}",
+                        init.len(),
+                        dst.len()
+                    ),
+                });
+            }
+            dst.copy_from_slice(&init);
+        }
+    }
     let mut order: Vec<usize> = (0..world).collect();
     let mut rng_state: u64 = match policy {
         SchedulingPolicy::Random(seed) => seed | 1,
         _ => 1,
     };
-    loop {
-        if interp.all_done() {
-            break;
-        }
+    while !exec.done() {
         match policy {
             SchedulingPolicy::RoundRobin | SchedulingPolicy::Greedy => {}
             SchedulingPolicy::ReverseRoundRobin => order.reverse(),
@@ -420,12 +145,12 @@ pub fn execute_with(
         for &r in &order {
             match policy {
                 SchedulingPolicy::Greedy => {
-                    while interp.step(r)? {
+                    while step(&mut exec, r)? {
                         progressed = true;
                     }
                 }
                 _ => {
-                    if interp.step(r)? {
+                    if step(&mut exec, r)? {
                         progressed = true;
                     }
                 }
@@ -436,20 +161,15 @@ pub fn execute_with(
         }
         if !progressed {
             return Err(DataflowError {
-                message: interp.deadlock_report(),
+                message: exec.deadlock_report(),
             });
         }
     }
-    let mut recv = Vec::with_capacity(world);
-    let mut send = Vec::with_capacity(world);
-    for st in interp.ranks.iter_mut() {
-        recv.push(st.bufs.remove(&BufId::Recv).unwrap());
-        send.push(st.bufs.remove(&BufId::Send).unwrap());
-    }
+    let buffers = |buf| (0..world).map(|r| exec.buffer(r, buf).to_vec()).collect();
     Ok(DataflowResult {
-        recv,
-        send,
-        ops_executed: interp.ops_executed,
+        recv: buffers(BufId::Recv),
+        send: buffers(BufId::Send),
+        ops_executed: exec.ops_executed(),
     })
 }
 

@@ -535,50 +535,30 @@ impl<'a> Analyzer<'a> {
     /// Send→delivery, receive-post→delivery, and per-channel FIFO edges;
     /// assigns each delivery its channel chain and tick.
     fn build_channels(&mut self) {
-        type Chan = (usize, usize, u32);
-        let mut sends: HashMap<Chan, Vec<usize>> = HashMap::new();
-        let mut recvs: HashMap<Chan, Vec<(usize, usize)>> = HashMap::new();
-        for (rank, prog) in self.sched.programs().iter().enumerate() {
-            for (i, op) in prog.ops.iter().enumerate() {
-                match op {
-                    Op::ISend { dst, tag, .. } | Op::ISendShared { dst, tag, .. } => {
-                        sends
-                            .entry((rank, *dst, *tag))
-                            .or_default()
-                            .push(self.main[rank][i]);
-                    }
-                    Op::IRecv { src, tag, .. } | Op::IRecvShared { src, tag, .. } => {
-                        recvs.entry((*src, rank, *tag)).or_default().push((rank, i));
-                    }
-                    _ => {}
-                }
+        for ch in self.sched.wiring().channels() {
+            if ch.recvs.is_empty() {
+                continue;
             }
-        }
-        let mut keys: Vec<Chan> = recvs.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
             let chain = self.world + self.channels;
             self.channels += 1;
-            let posts = &recvs[&key];
-            let matched = sends.get(&key).map_or(&[][..], Vec::as_slice);
             let mut prev_d: Option<usize> = None;
-            for (k, &(rank, i)) in posts.iter().enumerate() {
-                let d = self.deliver[&(rank, i)];
+            for (k, &i) in ch.recvs.iter().enumerate() {
+                let d = self.deliver[&(ch.dst, i)];
                 self.events[d].chain = chain;
                 self.events[d].tick = (k + 1) as u32;
-                self.edge(self.main[rank][i], d);
+                self.edge(self.main[ch.dst][i], d);
                 if let Some(p) = prev_d {
                     self.edge(p, d);
                 }
                 prev_d = Some(d);
-                if let Some(&s) = matched.get(k) {
-                    self.edge(s, d);
+                if let Some(&s) = ch.sends.get(k) {
+                    self.edge(self.main[ch.src][s], d);
                 } else {
                     self.violations.push(Violation::UnmatchedRecv {
-                        rank,
+                        rank: ch.dst,
                         op: i,
-                        src: key.0,
-                        tag: key.2,
+                        src: ch.src,
+                        tag: ch.tag,
                     });
                 }
             }

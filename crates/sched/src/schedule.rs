@@ -2,10 +2,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use pipmcoll_model::Topology;
 
 use crate::comm::BufSizes;
+use crate::exec::Wiring;
 use crate::ids::{BufId, Region};
 use crate::op::Op;
 
@@ -62,6 +64,8 @@ impl RankProgram {
 pub struct Schedule {
     topo: Topology,
     programs: Vec<RankProgram>,
+    /// Built on first use by the executor, shared by every run after.
+    wiring: OnceLock<Wiring>,
 }
 
 /// A static validation failure, with the offending rank and op index.
@@ -97,7 +101,11 @@ impl Schedule {
             topo.world_size(),
             "one program per rank required"
         );
-        Schedule { topo, programs }
+        Schedule {
+            topo,
+            programs,
+            wiring: OnceLock::new(),
+        }
     }
 
     /// The topology this schedule was recorded for.
@@ -115,7 +123,14 @@ impl Schedule {
     /// schedules. Replace ops in place rather than removing them:
     /// [`crate::ids::Req`] values index into the issuing rank's op list.
     pub fn programs_mut(&mut self) -> &mut [RankProgram] {
+        self.wiring = OnceLock::new();
         &mut self.programs
+    }
+
+    /// The send→receive matching the executor runs on: every channel
+    /// and every message op's position on it, computed once.
+    pub fn wiring(&self) -> &Wiring {
+        self.wiring.get_or_init(|| Wiring::new(self))
     }
 
     /// Total network messages across all ranks.
@@ -182,51 +197,32 @@ impl Schedule {
     }
 
     fn check_sendrecv_matching(&self) -> Result<(), ValidationError> {
-        // For each directed (src, dst, tag) channel, the sequences of send
+        // On each directed (src, dst, tag) channel the sequences of send
         // sizes and recv sizes must be identical (MPI non-overtaking order).
-        type Chan = (usize, usize, u32);
-        let mut sends: HashMap<Chan, Vec<usize>> = HashMap::new();
-        let mut recvs: HashMap<Chan, Vec<usize>> = HashMap::new();
-        for (rank, prog) in self.programs.iter().enumerate() {
-            for op in &prog.ops {
-                match op {
-                    Op::ISend { dst, tag, src } => {
-                        sends.entry((rank, *dst, *tag)).or_default().push(src.len);
-                    }
-                    Op::ISendShared { dst, tag, src } => {
-                        sends.entry((rank, *dst, *tag)).or_default().push(src.len);
-                    }
-                    Op::IRecv { src, tag, dst } => {
-                        recvs.entry((*src, rank, *tag)).or_default().push(dst.len);
-                    }
-                    Op::IRecvShared { src, tag, dst } => {
-                        recvs.entry((*src, rank, *tag)).or_default().push(dst.len);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (chan, s) in &sends {
-            let r = recvs.get(chan).cloned().unwrap_or_default();
-            if *s != r {
+        for ch in self.wiring().channels() {
+            let sizes = |rank: usize, ops: &[usize]| -> Vec<u64> {
+                ops.iter()
+                    .map(|&i| self.programs[rank].ops[i].bytes())
+                    .collect()
+            };
+            let (s, r) = (sizes(ch.src, &ch.sends), sizes(ch.dst, &ch.recvs));
+            if s.is_empty() {
                 return Err(Self::err(
-                    chan.0,
-                    None,
-                    format!(
-                        "unmatched channel {}->{} tag {}: sends {:?} vs recvs {:?}",
-                        chan.0, chan.1, chan.2, s, r
-                    ),
-                ));
-            }
-        }
-        for (chan, r) in &recvs {
-            if !sends.contains_key(chan) && !r.is_empty() {
-                return Err(Self::err(
-                    chan.1,
+                    ch.dst,
                     None,
                     format!(
                         "recv without sender on channel {}->{} tag {}",
-                        chan.0, chan.1, chan.2
+                        ch.src, ch.dst, ch.tag
+                    ),
+                ));
+            }
+            if s != r {
+                return Err(Self::err(
+                    ch.src,
+                    None,
+                    format!(
+                        "unmatched channel {}->{} tag {}: sends {s:?} vs recvs {r:?}",
+                        ch.src, ch.dst, ch.tag
                     ),
                 ));
             }

@@ -1,9 +1,10 @@
 //! Admission control: a token-bucket NIC-byte budget shared by every
 //! job, plus per-job deficit round robin so no tenant's queue starves.
 //!
-//! A collective's cost is its [`nic_bytes`] estimate — the exact
-//! payload byte count its schedule will put on the fabric, known at
-//! submission. Admission is all-or-nothing at collective granularity:
+//! A collective's cost is its [`nic_bytes`] — the sum of its recorded
+//! schedule's `ISend` payloads, exactly the bytes it will put on the
+//! fabric (node-local steps included, since the engine charges those
+//! as sent too), computed once per cached shape. Admission is all-or-nothing at collective granularity:
 //! phases of an admitted collective are never throttled mid-flight
 //! (they hold tag state and peer ranks are waiting), so the budget
 //! gates *starts*, which is where a storm of tenants actually contends.

@@ -13,9 +13,16 @@
 //! sent and reads what arrived, as a progress worker would), then polls
 //! every in-flight collective's outstanding channels with the
 //! non-blocking [`Fabric::try_recv`], feeding arrivals to the
-//! [`NbColl`] state machines. A message between two ranks of one node
-//! never reaches the fabric: the ranks share an address space, so the
-//! engine hands it to the destination's state machine in place. No
+//! collectives' executors.
+//!
+//! Every collective the engine runs is an [`NbColl`]: a recorded
+//! `core::baseline` schedule, validated and `hb`-checked once per shape
+//! and cached, on a resumable executor holding this collective's
+//! buffers. Planning an admission is a cache hit; the engine never runs
+//! a schedule that failed the happens-before analysis. A message
+//! between two ranks of one node never reaches the fabric: the ranks
+//! share an address space, so the engine delivers it to the
+//! destination's executor in place. No
 //! thread ever parks on a receive: a hundred concurrent collectives
 //! cost one polling thread, not a hundred blocked ones. Before the
 //! engine parks, sleeps or exits, it drives once more with `stay`
@@ -759,11 +766,16 @@ impl Engine {
                                 head.plan = Some(c);
                                 head.plan_members = mbits;
                             }
-                            Err(PlanError::RootFailed { root }) => {
+                            Err(e) => {
                                 let p = sched.fifo.pop_front().expect("head");
                                 sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
                                 sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                                p.req.complete(Err(SvcError::Unsatisfiable { rank: root }));
+                                p.req.complete(Err(match e {
+                                    PlanError::RootFailed { root } => {
+                                        SvcError::Unsatisfiable { rank: root }
+                                    }
+                                    e => SvcError::Invalid(e),
+                                }));
                                 continue;
                             }
                         }

@@ -15,9 +15,10 @@
 //! * [`Job::iallreduce`] / [`Job::iallgather`] / [`Job::iscatter`] /
 //!   [`Job::ibcast`] return immediately with a [`Request`]; the
 //!   engine's single scheduler thread drives every admitted
-//!   collective's [`NbColl`] state machine, polling the fabric with
-//!   the non-blocking [`Fabric::try_recv`] and interleaving phases of
-//!   all in-flight collectives.
+//!   collective — an [`NbColl`]: a cached, `hb`-checked recording of a
+//!   `core::baseline` algorithm on a resumable executor — polling the
+//!   fabric with the non-blocking [`Fabric::try_recv`] and interleaving
+//!   phases of all in-flight collectives.
 //! * Admission control shares the NIC fairly: a token-bucket byte
 //!   budget across jobs ([`SvcConfig::nic_budget`],
 //!   `PIPMCOLL_SVC_NIC_BUDGET`) plus per-job deficit round robin, so a
@@ -124,6 +125,10 @@ pub enum SvcError {
         /// Size of the full member group the agreement ran over.
         members: usize,
     },
+    /// The spec describes no collective the service can run (ragged
+    /// inputs, a partial element, a root or world that does not fit):
+    /// refused at submission, before it reaches the engine.
+    Invalid(PlanError),
 }
 
 impl fmt::Display for SvcError {
@@ -154,6 +159,7 @@ impl fmt::Display for SvcError {
                 "quorum lost: only {survivors:?} of {members} members reachable — \
                  refusing to commit a minority failed set; admission frozen"
             ),
+            SvcError::Invalid(e) => write!(f, "invalid collective: {e}"),
         }
     }
 }
@@ -643,13 +649,23 @@ impl Job {
     /// Submit any collective spec with per-request options. The spec is
     /// planned by the engine at admission against the current survivor
     /// group, and re-planned if a failure epoch shrinks it mid-flight.
+    /// A spec that fails [`CollSpec::check`], or spans another world
+    /// than the service's, resolves at once with [`SvcError::Invalid`].
     pub fn submit_with(&self, spec: CollSpec, opts: SubmitOpts) -> Request {
-        assert_eq!(
-            spec.world(),
-            self.shared.cfg.world,
-            "collective world must match the service world"
-        );
         let req = ReqShared::new();
+        let world = self.shared.cfg.world;
+        let checked = if spec.world() != world {
+            Err(PlanError::Malformed {
+                reason: format!("a world of {} in a service of {world}", spec.world()),
+            })
+        } else {
+            spec.check()
+        };
+        if let Err(e) = checked {
+            self.counters.failed.fetch_add(1, Ordering::Relaxed);
+            req.complete(Err(SvcError::Invalid(e)));
+            return Request { shared: req };
+        }
         self.counters.queued.fetch_add(1, Ordering::Relaxed);
         self.shared
             .inbox
@@ -708,6 +724,50 @@ mod tests {
             },
             shared,
         )
+    }
+
+    /// Every shape the engine can plan keeps its phases inside the wire
+    /// tag's phase field: each kind, on both sides of each switch-point,
+    /// rooted kinds at both ends of the world, worlds 1..=66 and 128.
+    #[test]
+    fn recorded_shapes_fit_the_phase_field() {
+        use pipmcoll_core::tuning::{MCOLL_ALLGATHER_SWITCH_BYTES, MCOLL_ALLREDUCE_SWITCH_COUNT};
+        use pipmcoll_fabric::tag::SVC_MAX_PHASE;
+        for world in (1..=66).chain([128]) {
+            let all: Vec<usize> = (0..world).collect();
+            let mut specs = Vec::new();
+            for count in [2, MCOLL_ALLREDUCE_SWITCH_COUNT] {
+                specs.push(CollSpec::Allreduce {
+                    dt: Datatype::Int32,
+                    op: ReduceOp::Sum,
+                    inputs: vec![vec![0; 4 * count]; world],
+                });
+            }
+            for cb in [4, MCOLL_ALLGATHER_SWITCH_BYTES] {
+                specs.push(CollSpec::Allgather {
+                    inputs: vec![vec![0; cb]; world],
+                });
+            }
+            for root in [0, world - 1] {
+                specs.push(CollSpec::Scatter {
+                    root,
+                    chunks: vec![vec![0; 4]; world],
+                });
+                specs.push(CollSpec::Bcast {
+                    world,
+                    root,
+                    data: vec![0; 4],
+                });
+            }
+            for spec in specs {
+                let phases = spec.phases_on(&all).unwrap();
+                assert!(
+                    phases < SVC_MAX_PHASE,
+                    "{:?} at world {world} uses {phases} phases",
+                    spec.kind()
+                );
+            }
+        }
     }
 
     #[test]

@@ -443,3 +443,59 @@ fn closed_loop_job_touches_a_bounded_channel_set() {
         COLLS + 1
     );
 }
+
+/// A malformed spec resolves at once, typed, on the caller's thread, and
+/// never reaches the engine: another job's collective still completes.
+#[test]
+fn malformed_spec_is_refused_and_the_engine_keeps_running() {
+    let world = 4;
+    let svc = Svc::new(inproc(), SvcConfig::new(world)).unwrap();
+    let bad_job = svc.job().unwrap();
+    let good_job = svc.job().unwrap();
+    let ragged: Vec<Vec<u8>> = [8, 4, 8, 8].iter().map(|&n| vec![1u8; n]).collect();
+    let bad = bad_job.iallreduce(Datatype::Int32, ReduceOp::Sum, ragged);
+    match bad.test() {
+        Some(Err(SvcError::Invalid(pipmcoll_svc::PlanError::Malformed { reason }))) => {
+            assert!(reason.contains("rank 1"), "{reason}")
+        }
+        other => panic!("a ragged allreduce must resolve Invalid at submission: {other:?}"),
+    }
+    let partial = bad_job.iallreduce(Datatype::Int32, ReduceOp::Sum, vec![vec![0u8; 6]; world]);
+    assert!(matches!(partial.wait(), Err(SvcError::Invalid(_))));
+    let no_root = bad_job.ibcast(world, ints(&[1]));
+    assert!(matches!(no_root.wait(), Err(SvcError::Invalid(_))));
+
+    let (inputs, want) = allreduce_inputs(world, 5);
+    let out = good_job
+        .iallreduce(Datatype::Int32, ReduceOp::Sum, inputs)
+        .wait()
+        .expect("the engine survives a malformed spec");
+    assert!(out.iter().all(|o| from_ints(o) == want));
+    let stats = svc.stats();
+    assert_eq!((stats.jobs[0].failed, stats.jobs[0].admitted), (3, 0));
+    assert_eq!((stats.jobs[1].completed, stats.jobs[1].failed), (1, 0));
+}
+
+/// World 66 with small concurrent allgathers: recursive doubling falls
+/// back to Bruck (7 rounds, 7 phases). The former hand-written ring
+/// used one phase per step — 65 here — and overflowed the 6-bit phase
+/// field: a panicking engine in debug builds, wrong bytes in release.
+#[test]
+fn allgathers_past_world_64_keep_their_phases_in_the_tag_field() {
+    let world = 66;
+    let svc = Svc::new(inproc(), SvcConfig::new(world)).unwrap();
+    let job = svc.job().unwrap();
+    let reqs: Vec<(Request, Vec<u8>)> = (0..3)
+        .map(|k| {
+            let inputs: Vec<Vec<u8>> = (0..world).map(|r| ints(&[k * 1000 + r as i32])).collect();
+            let want = inputs.concat();
+            (job.iallgather(inputs), want)
+        })
+        .collect();
+    for (i, (req, want)) in reqs.into_iter().enumerate() {
+        let out = req.wait().expect("allgather completes");
+        assert_eq!(out.len(), world);
+        assert!(out.iter().all(|o| *o == want), "collective {i} of 3");
+    }
+    assert_eq!(svc.stats().jobs[0].failed, 0);
+}
