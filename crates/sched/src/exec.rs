@@ -9,7 +9,7 @@
 //! non-overtaking order. Two consumers drive it:
 //!
 //! * [`crate::dataflow`] delivers each send the moment it is issued
-//!   ([`Exec::loop_back`]) and sweeps the ranks under a
+//!   (`Exec::loop_back`) and sweeps the ranks under a
 //!   [`crate::dataflow::SchedulingPolicy`] — the sequential ground truth.
 //! * The service's non-blocking collectives (`pipmcoll_core::nb`) run
 //!   every rank until it blocks, carry each sent payload over a real

@@ -64,7 +64,7 @@ impl RankProgram {
 pub struct Schedule {
     topo: Topology,
     programs: Vec<RankProgram>,
-    /// Built on first use by the executor, shared by every run after.
+    /// Built on first use; reset by `programs_mut`.
     wiring: OnceLock<Wiring>,
 }
 
@@ -127,8 +127,9 @@ impl Schedule {
         &mut self.programs
     }
 
-    /// The send→receive matching the executor runs on: every channel
-    /// and every message op's position on it, computed once.
+    /// The send→receive matching — every channel and each message op's
+    /// position on it — and the buffer layout, computed once and shared
+    /// by the executor, validation and the happens-before analysis.
     pub fn wiring(&self) -> &Wiring {
         self.wiring.get_or_init(|| Wiring::new(self))
     }
