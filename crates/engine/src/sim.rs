@@ -13,8 +13,8 @@ use std::collections::BinaryHeap;
 use crate::fxhash::{FastMap, FastSet};
 
 use pipmcoll_model::hockney::ceil_log;
-use pipmcoll_model::{Mechanism, SimTime};
-use pipmcoll_sched::{BufId, Op, Region, RemoteRegion, Schedule};
+use pipmcoll_model::SimTime;
+use pipmcoll_sched::{Op, Region, RemoteRegion, Schedule};
 
 use crate::config::EngineConfig;
 use crate::report::{Breakdown, OpCategory, SimReport};
@@ -359,7 +359,7 @@ impl<'a> Sim<'a> {
                 self.ranks[rank].req_info.insert(pc, (chan, pos, true));
                 self.try_match(chan, queue, seq);
             }
-            Op::IRecv { src, tag, dst } => {
+            Op::IRecv { src, tag, .. } => {
                 let chan = (src, rank, tag);
                 let st = self.chans.entry(chan).or_default();
                 let pos = st.recvs.len();
@@ -367,7 +367,6 @@ impl<'a> Sim<'a> {
                     post: self.ranks[rank].clock,
                     done: None,
                 });
-                let _ = dst;
                 self.ranks[rank].req_info.insert(pc, (chan, pos, false));
                 self.try_match(chan, queue, seq);
             }
@@ -447,12 +446,11 @@ impl<'a> Sim<'a> {
                 self.ranks[rank].posted.insert(slot, (region, t));
                 self.wake(WaitKey::Post { rank, slot }, queue, seq);
             }
-            Op::CopyIn { from, to } => {
+            Op::CopyIn { from, .. } => {
                 let post = match self.remote_post_time(&from) {
                     Ok(t) => t,
                     Err(k) => return Ok(StepOutcome::Blocked(k)),
                 };
-                let _ = to;
                 let end = self.shared_access(rank, from.len as u64, false, from.rank, post);
                 self.ranks[rank].clock = end;
             }
@@ -464,12 +462,11 @@ impl<'a> Sim<'a> {
                 let end = self.shared_access(rank, from.len as u64, false, to.rank, post);
                 self.ranks[rank].clock = end;
             }
-            Op::ReduceIn { from, to, .. } => {
+            Op::ReduceIn { from, .. } => {
                 let post = match self.remote_post_time(&from) {
                     Ok(t) => t,
                     Err(k) => return Ok(StepOutcome::Blocked(k)),
                 };
-                let _ = to;
                 let end = self.shared_access(rank, from.len as u64, true, from.rank, post);
                 self.ranks[rank].clock = end;
             }
@@ -652,24 +649,10 @@ pub fn simulate_checked(cfg: &EngineConfig, sched: &Schedule) -> Result<SimRepor
     simulate(cfg, sched)
 }
 
-/// Suppress an unused-import warning while keeping the symbol available for
-/// the intranode pt2pt documentation above.
-#[allow(dead_code)]
-fn _mech_doc_anchor(m: Mechanism) -> &'static str {
-    m.name()
-}
-
-/// Region/BufId are re-exported through the schedule; keep the types alive
-/// for doc examples.
-#[allow(dead_code)]
-fn _ids_doc_anchor(r: Region) -> BufId {
-    r.buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipmcoll_model::presets;
+    use pipmcoll_model::{presets, Mechanism};
     use pipmcoll_sched::BufId as B;
     use pipmcoll_sched::{record, BufSizes, Comm, Region};
 

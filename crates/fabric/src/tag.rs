@@ -8,7 +8,7 @@
 //! 0x0000_0000 .. 0x0000_FFFF   plain collective tags (schedule Tag ids)
 //! 0xC000_0000 .. 0xCFFF_FFFF   service collectives (pipmcoll-svc):
 //!                              1100 | comm_id:10 | seq_slot:12 | phase:6
-//! 0xFE00_0000 .. 0xFEFF_FFFF   retry epochs (rt::ft::ShrunkComm):
+//! 0xFE00_0000 .. 0xFEFF_FFFF   retry epochs (rt::ft retries on RtComm):
 //!                              0xFE | epoch:8 | tag:16
 //! 0xFF00_0000 .. 0xFFFF_FFFF   failed-set agreement sweeps:
 //!                              0xFF | domain:8 | epoch:8 | sweep:8

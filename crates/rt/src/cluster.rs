@@ -27,9 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pipmcoll_fabric::{sync_timeout, Fabric, FabricDiag, FabricStats};
+use pipmcoll_fabric::{sync_timeout, ChanKey, Fabric, FabricDiag, FabricStats};
 use pipmcoll_model::Topology;
-use pipmcoll_sched::{record_with_sizes, BufSizes, Comm};
+use pipmcoll_sched::{record_with_sizes, BufSizes, Comm, Tag};
 
 use crate::barrier::TimedBarrier;
 use crate::comm::RtComm;
@@ -39,6 +39,14 @@ use crate::shared::{Board, BufKey, FlagSet, SharedBuf};
 pub struct ClusterShared {
     /// Cluster shape.
     pub topo: Topology,
+    /// Rank `r` of this run is fabric rank `ranks[r]`: the identity,
+    /// except on a fault-tolerant retry, which re-ranks the survivors
+    /// densely while the fabric keeps their original ids.
+    ranks: Vec<usize>,
+    /// Fault-tolerant attempt number. From 1 on, wire tags carry it
+    /// (`fabric::tag::retry`) so a stale frame from a failed attempt
+    /// can never satisfy a retry receive.
+    epoch: u32,
     /// Per-rank user send buffers.
     send_arc: Vec<Arc<SharedBuf>>,
     /// Per-rank user receive buffers.
@@ -64,13 +72,18 @@ pub struct ClusterShared {
 }
 
 impl ClusterShared {
+    /// Shared state for one run of `topo` whose rank `r` is fabric
+    /// rank `ranks[r]`, tagging its messages for attempt `epoch`.
     pub(crate) fn new(
         topo: Topology,
         fabric: Arc<dyn Fabric>,
         sizes: &dyn Fn(usize) -> BufSizes,
         init: &dyn Fn(usize) -> Vec<u8>,
+        ranks: Vec<usize>,
+        epoch: u32,
     ) -> Self {
         let world = topo.world_size();
+        assert_eq!(ranks.len(), world, "one fabric rank per rank");
         let mut send_arc = Vec::with_capacity(world);
         let mut recv_arc = Vec::with_capacity(world);
         for r in 0..world {
@@ -91,8 +104,10 @@ impl ClusterShared {
             send_arc,
             recv_arc,
             temps: (0..world).map(|_| Mutex::new(Vec::new())).collect(),
-            boards: (0..world).map(Board::for_rank).collect(),
-            flags: (0..world).map(FlagSet::for_rank).collect(),
+            boards: ranks.iter().map(|&r| Board::for_rank(r)).collect(),
+            flags: ranks.iter().map(|&r| FlagSet::for_rank(r)).collect(),
+            ranks,
+            epoch,
             fabric,
             node_barriers: (0..topo.nodes())
                 .map(|_| TimedBarrier::new(topo.ppn()))
@@ -101,6 +116,23 @@ impl ClusterShared {
             failures: Mutex::new(Vec::new()),
             progress: AtomicU64::new(0),
         }
+    }
+
+    /// The fabric rank of rank `r`.
+    pub(crate) fn fabric_rank(&self, r: usize) -> usize {
+        self.ranks[r]
+    }
+
+    /// The wire channel of a message from rank `src` to rank `dst`
+    /// under collective tag `tag`.
+    pub(crate) fn chan(&self, src: usize, dst: usize, tag: Tag) -> ChanKey {
+        let tag = if self.epoch == 0 {
+            tag
+        } else {
+            debug_assert!(tag <= 0xFFFF, "collective tags must fit 16 bits");
+            pipmcoll_fabric::tag::retry(self.epoch, tag)
+        };
+        (self.ranks[src], self.ranks[dst], tag)
     }
 
     /// Record a failure (`rank: None` for run-level failures such as
@@ -261,7 +293,7 @@ pub fn watchdog_report(stalled_for: Duration, diag: &FabricDiag) -> String {
 /// and queue depths are deliberately excluded — they drift every poll
 /// even when the run is stuck in exactly the same place, and the
 /// watchdog must not re-report a stall whose shape has not changed.
-fn stall_signature(diag: &FabricDiag) -> (Vec<pipmcoll_fabric::ChanKey>, Vec<usize>) {
+fn stall_signature(diag: &FabricDiag) -> (Vec<ChanKey>, Vec<usize>) {
     let mut chans: Vec<_> = diag.blocked.iter().map(|b| b.chan).collect();
     chans.sort_unstable();
     chans.dedup();
@@ -287,7 +319,7 @@ impl Watchdog {
                     .clamp(Duration::from_millis(5), Duration::from_millis(250));
                 let mut last_count = shared.progress.load(Ordering::Relaxed);
                 let mut last_change = Instant::now();
-                let mut reported: Option<(Vec<pipmcoll_fabric::ChanKey>, Vec<usize>)> = None;
+                let mut reported: Option<(Vec<ChanKey>, Vec<usize>)> = None;
                 let (lock, cv) = &*stop2;
                 let Ok(mut done) = lock.lock() else { return };
                 loop {
@@ -473,9 +505,16 @@ where
     F: Fn(&mut RtComm) + Sync,
 {
     assert!(iters >= 1);
-    let shared = Arc::new(ClusterShared::new(topo, Arc::clone(&fabric), &sizes, &init));
-    let elapsed = Mutex::new(Duration::ZERO);
     let world = topo.world_size();
+    let shared = Arc::new(ClusterShared::new(
+        topo,
+        Arc::clone(&fabric),
+        &sizes,
+        &init,
+        (0..world).collect(),
+        0,
+    ));
+    let elapsed = Mutex::new(Duration::ZERO);
     // Iteration framing must absorb a fail-stop cascade: a rank stuck in
     // a receive times out after one sync_timeout, then a node peer stuck
     // at a node barrier times out after another — so the world barrier

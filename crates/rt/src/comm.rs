@@ -56,9 +56,9 @@ pub struct RtComm {
     /// fault-tolerant runner shortens it so a whole
     /// detect → agree → retry cycle fits inside the acceptance budget.
     wait_timeout: Duration,
-    /// Ranks this communicator's own failures implicate: the senders of
-    /// timed-out receives and any peers the fabric declared dead. Seed
-    /// evidence for the failed-set agreement.
+    /// Fabric ranks this communicator's own failures implicate: the
+    /// senders of timed-out receives and any peers the fabric declared
+    /// dead. Seed evidence for the failed-set agreement.
     suspected: Vec<usize>,
 }
 
@@ -82,7 +82,8 @@ impl RtComm {
         self.wait_timeout = t;
     }
 
-    /// Ranks implicated by this rank's failures so far (sorted, deduped).
+    /// Fabric ranks implicated by this rank's failures so far (sorted,
+    /// deduped).
     pub(crate) fn suspected(&self) -> Vec<usize> {
         let mut s = self.suspected.clone();
         s.sort_unstable();
@@ -90,10 +91,11 @@ impl RtComm {
         s
     }
 
-    /// Note local evidence that `ranks` may be dead.
+    /// Note local evidence that fabric ranks `ranks` may be dead.
     fn suspect(&mut self, ranks: impl IntoIterator<Item = usize>) {
+        let me = self.shared.fabric_rank(self.rank);
         for r in ranks {
-            if r != self.rank {
+            if r != me {
                 self.suspected.push(r);
             }
         }
@@ -122,9 +124,11 @@ impl RtComm {
         self.temp_next = 0;
     }
 
-    /// Record `detail` as this rank's failure and enter fail-stop mode.
+    /// Record `detail` as this rank's failure, under its fabric rank,
+    /// and enter fail-stop mode.
     pub(crate) fn mark_failed(&mut self, detail: String) {
-        self.shared.record_failure(Some(self.rank), detail);
+        let me = self.shared.fabric_rank(self.rank);
+        self.shared.record_failure(Some(me), detail);
         self.failed = true;
     }
 
@@ -239,7 +243,8 @@ impl Comm for RtComm {
     fn isend(&mut self, dst: usize, tag: Tag, src: Region) -> Req {
         if !self.failed {
             let payload = self.own_buf(src.buf).read_vec(src.offset, src.len);
-            match self.shared.fabric.send((self.rank, dst, tag), payload) {
+            let chan = self.shared.chan(self.rank, dst, tag);
+            match self.shared.fabric.send(chan, payload) {
                 Ok(()) => self.bump(),
                 Err(e) => {
                     self.suspect_from(&e);
@@ -257,7 +262,7 @@ impl Comm for RtComm {
             self.reqs.push(ReqState::RecvDone);
             return Req(id);
         }
-        let chan = (src, self.rank, tag);
+        let chan = self.shared.chan(src, self.rank, tag);
         self.reqs.push(ReqState::RecvPending {
             chan,
             target: RecvTarget::Own(dst),
@@ -271,7 +276,8 @@ impl Comm for RtComm {
             match self.resolve(&src) {
                 Ok((buf, off)) => {
                     let payload = buf.read_vec(off, src.len);
-                    match self.shared.fabric.send((self.rank, dst, tag), payload) {
+                    let chan = self.shared.chan(self.rank, dst, tag);
+                    match self.shared.fabric.send(chan, payload) {
                         Ok(()) => self.bump(),
                         Err(e) => {
                             self.suspect_from(&e);
@@ -300,7 +306,7 @@ impl Comm for RtComm {
                 return Req(id);
             }
         };
-        let chan = (src, self.rank, tag);
+        let chan = self.shared.chan(src, self.rank, tag);
         self.reqs.push(ReqState::RecvPending {
             chan,
             target: RecvTarget::Shared(buf, off, dst.len),

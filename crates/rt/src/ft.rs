@@ -25,9 +25,11 @@
 //!    one-sweep lag that makes the commit sweep the same on every
 //!    survivor (see the convergence note on `agree`).
 //! 3. **Shrink + retry** — survivors re-rank densely into
-//!    `Topology::new(survivors, 1)` and re-execute the algorithm on a
-//!    `ShrunkComm`, whose wire tags carry the epoch
-//!    (`0xFE00_0000 | epoch << 16 | tag`) so stale frames from the
+//!    `Topology::new(survivors, 1)` and re-execute the algorithm on the
+//!    same [`RtComm`] as the first attempt. The attempt's
+//!    `ClusterShared` maps each dense rank to its original fabric rank
+//!    and wraps wire tags with the epoch
+//!    (`0xFE00_0000 | epoch << 16 | tag`), so stale frames from the
 //!    failed attempt can never satisfy a retry receive. Send buffers
 //!    are the prefix of each survivor's original contribution, matching
 //!    what an in-process run on the survivor topology would use.
@@ -37,19 +39,17 @@
 //! if it was merely slow — and world size is capped at 64 ranks by the
 //! `u64` suspicion bitmaps.
 
-use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pipmcoll_fabric::{sync_timeout, ChanKey, Fabric, FabricError, FabricStats};
-use pipmcoll_model::{Datatype, ReduceOp, Topology};
-use pipmcoll_sched::{BufId, BufSizes, Comm, FlagId, Region, RemoteRegion, Req, Slot, Tag};
+use pipmcoll_fabric::{sync_timeout, Fabric, FabricStats};
+use pipmcoll_model::Topology;
+use pipmcoll_sched::BufSizes;
 
 use crate::cluster::{panic_detail, Algo, ClusterShared, RankFailure};
 use crate::comm::RtComm;
 use crate::fault::{FaultComm, FaultPlan, OpCounters, RankKilled};
-use crate::shared::SharedBuf;
 
 /// Bail-out bound on agreement sweeps (pathology guard; a converging
 /// run commits in 1–3 sweeps).
@@ -211,9 +211,9 @@ pub enum AgreeStep {
 /// suspect set even if gossip named it — while a member silent past the
 /// deadline is suspected. A member that sees any fault signal pads each
 /// sweep to the full deadline, keeping members' sweeps in lockstep, and
-/// keeps sweeping until its set is stable **and** no peer reported a
-/// change for the previous sweep — so every survivor commits the same
-/// set on the same sweep. A fault-free run short-circuits: all-zero
+/// keeps sweeping until its set is stable **and** nobody, itself
+/// included, changed in the previous sweep — so every survivor commits
+/// the same set on the same sweep. A fault-free run short-circuits: all-zero
 /// payloads from everyone commits the empty set after sweep 0 with no
 /// padding.
 ///
@@ -357,7 +357,10 @@ impl AgreeCore {
                 });
                 return AgreeStep::Done;
             }
-            if (self.sweep >= 1 && !changed && !self.peer_changed_prev)
+            // Commit only if nobody, this member included, changed in
+            // the previous sweep: every member that heard from everyone
+            // then reads the same flags and stops on the same sweep.
+            if (self.sweep >= 1 && !changed && !self.changed_prev && !self.peer_changed_prev)
                 || self.sweep + 1 >= MAX_SWEEPS
             {
                 let retry = self.want_retry || !self.suspects.is_empty();
@@ -577,7 +580,7 @@ where
         .map(|_| Arc::new(OpCounters::default()))
         .collect();
     let killed_log: Mutex<Vec<RankKilled>> = Mutex::new(Vec::new());
-    let outputs: Mutex<Vec<Option<Vec<u8>>>> = Mutex::new(vec![None; world]);
+    let mut outputs: Vec<Option<Vec<u8>>> = vec![None; world];
     let mut committed: Vec<Option<RankSet>> = vec![None; world];
     let mut failures: Vec<RankFailure> = Vec::new();
     let mut failed_total = RankSet::new();
@@ -587,132 +590,86 @@ where
 
     loop {
         let verdicts: Mutex<Vec<Option<Verdict>>> = Mutex::new((0..world).map(|_| None).collect());
-        if epoch == 0 {
-            // First attempt: the full topology, real intranode shared
-            // ops, one RtComm per rank over the shared node state.
-            let sizes0 = |r: usize| sizes(topo, r);
-            let shared = Arc::new(ClusterShared::new(
-                topo,
-                Arc::clone(&fabric),
-                &sizes0,
-                &init,
-            ));
-            std::thread::scope(|scope| {
-                for rank in 0..world {
-                    let shared = Arc::clone(&shared);
-                    let counters = Arc::clone(&counters[rank]);
-                    let (verdicts, killed_log, fabric, sizes, plan) =
-                        (&verdicts, &killed_log, &fabric, &sizes, plan);
-                    let members = &members;
-                    scope.spawn(move || {
-                        let mut comm = RtComm::new(Arc::clone(&shared), rank, sizes(topo, rank));
-                        comm.set_wait_timeout(op_timeout);
-                        if let Err(e) = shared.world_barrier.wait_within(sync_timeout() * 3) {
-                            shared.record_failure(Some(rank), format!("start framing: {e}"));
+        // The first attempt runs on the full topology. A retry re-ranks
+        // the survivors densely, one per node, so its intranode phases
+        // involve only the rank itself; its send buffers are prefixes
+        // of the original contributions.
+        let attempt_topo = if epoch == 0 {
+            topo
+        } else {
+            Topology::new(members.len(), 1)
+        };
+        let attempt_sizes: Vec<BufSizes> =
+            (0..members.len()).map(|j| sizes(attempt_topo, j)).collect();
+        let attempt_init = |j: usize| {
+            let mut send = init(members[j]);
+            if epoch > 0 {
+                let want = attempt_sizes[j].send;
+                assert!(
+                    send.len() >= want,
+                    "rank {}: original contribution ({} bytes) shorter than \
+                     the shrunken send size ({want})",
+                    members[j],
+                    send.len(),
+                );
+                send.truncate(want);
+            }
+            send
+        };
+        let shared = Arc::new(ClusterShared::new(
+            attempt_topo,
+            Arc::clone(&fabric),
+            &|j| attempt_sizes[j],
+            &attempt_init,
+            members.clone(),
+            epoch,
+        ));
+        std::thread::scope(|scope| {
+            for (j, &rank) in members.iter().enumerate() {
+                let shared = Arc::clone(&shared);
+                let counters = Arc::clone(&counters[rank]);
+                let sz = attempt_sizes[j];
+                let (verdicts, killed_log, fabric, plan, members) =
+                    (&verdicts, &killed_log, &fabric, plan, &members);
+                scope.spawn(move || {
+                    let mut comm = RtComm::new(Arc::clone(&shared), j, sz);
+                    comm.set_wait_timeout(op_timeout);
+                    if let Err(e) = shared.world_barrier.wait_within(sync_timeout() * 3) {
+                        shared.record_failure(Some(rank), format!("start framing: {e}"));
+                        return;
+                    }
+                    let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let mut fc = FaultComm::new(&mut comm, rank, plan, counters);
+                        algo.run(&mut fc);
+                    }));
+                    if let Err(payload) = attempt {
+                        if let Some(k) = payload.downcast_ref::<RankKilled>() {
+                            // Injected death: fall silent immediately —
+                            // no failure record, no agreement. Peers
+                            // must discover this the hard way.
+                            killed_log.lock().unwrap().push(*k);
                             return;
                         }
-                        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let mut fc = FaultComm::new(&mut comm, rank, plan, counters);
-                            algo.run(&mut fc);
-                        }));
-                        if let Err(payload) = attempt {
-                            if let Some(k) = payload.downcast_ref::<RankKilled>() {
-                                // Injected death: fall silent immediately —
-                                // no failure record, no agreement. Peers
-                                // must discover this the hard way.
-                                killed_log.lock().unwrap().push(*k);
-                                return;
-                            }
-                            comm.mark_failed(panic_detail(payload));
-                        }
-                        let seed = gather_suspects(&comm.suspected(), fabric, topo, rank, members);
-                        let want_retry = comm.failed() || !seed.is_empty();
-                        let outcome = agree(fabric, rank, members, seed, want_retry, 0, op_timeout);
-                        verdicts.lock().unwrap()[rank] = Some(verdict_of(outcome));
-                    });
-                }
-            });
-            let shared = Arc::try_unwrap(shared)
-                .ok()
-                .expect("all epoch-0 threads have exited");
-            let (recv, fails) = shared.into_parts();
-            failures.extend(fails);
-            let mut out = outputs.lock().unwrap();
-            for (r, bytes) in recv.into_iter().enumerate() {
-                out[r] = Some(bytes);
+                        comm.mark_failed(panic_detail(payload));
+                    }
+                    // Suspects and health evidence name original ranks
+                    // and nodes, so they map through the original
+                    // topology on every attempt.
+                    let seed = gather_suspects(&comm.suspected(), fabric, topo, rank, members);
+                    let want_retry = comm.failed() || !seed.is_empty();
+                    let outcome = agree(fabric, rank, members, seed, want_retry, epoch, op_timeout);
+                    verdicts.lock().unwrap()[rank] = Some(verdict_of(outcome));
+                });
             }
-        } else {
-            // Retry: survivors only, densely re-ranked, ppn = 1 — the
-            // intranode phases degenerate to self-ops and everything
-            // else is point-to-point over epoch-tagged fabric channels.
-            let survivors = members.clone();
-            let sub_topo = Topology::new(survivors.len(), 1);
-            let failures_mx: Mutex<Vec<RankFailure>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for (j, &old) in survivors.iter().enumerate() {
-                    let counters = Arc::clone(&counters[old]);
-                    let (verdicts, killed_log, outputs, failures_mx, fabric, sizes, init, plan) = (
-                        &verdicts,
-                        &killed_log,
-                        &outputs,
-                        &failures_mx,
-                        &fabric,
-                        &sizes,
-                        &init,
-                        plan,
-                    );
-                    let survivors = &survivors;
-                    let members = &members;
-                    scope.spawn(move || {
-                        let sz = sizes(sub_topo, j);
-                        let full = init(old);
-                        assert!(
-                            full.len() >= sz.send,
-                            "rank {old}: original contribution ({} bytes) shorter than \
-                             the shrunken send size ({})",
-                            full.len(),
-                            sz.send
-                        );
-                        let mut comm = ShrunkComm::new(
-                            Arc::clone(fabric),
-                            sub_topo,
-                            survivors.clone(),
-                            j,
-                            sz,
-                            full[..sz.send].to_vec(),
-                            epoch,
-                            op_timeout,
-                        );
-                        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            let mut fc = FaultComm::new(&mut comm, old, plan, counters);
-                            algo.run(&mut fc);
-                        }));
-                        if let Err(payload) = attempt {
-                            if let Some(k) = payload.downcast_ref::<RankKilled>() {
-                                killed_log.lock().unwrap().push(*k);
-                                return;
-                            }
-                            comm.mark_failed(panic_detail(payload));
-                        }
-                        // Health evidence is phrased in original-topology
-                        // node pairs and rank ids, so map it with the
-                        // original topology even on a shrunken attempt.
-                        let seed = gather_suspects(&comm.suspected(), fabric, topo, old, members);
-                        let want_retry = comm.failed.is_some() || !seed.is_empty();
-                        let outcome =
-                            agree(fabric, old, members, seed, want_retry, epoch, op_timeout);
-                        verdicts.lock().unwrap()[old] = Some(verdict_of(outcome));
-                        if let Some(detail) = comm.failed.take() {
-                            failures_mx.lock().unwrap().push(RankFailure {
-                                rank: Some(old),
-                                detail,
-                            });
-                        }
-                        outputs.lock().unwrap()[old] = Some(comm.into_recv());
-                    });
-                }
-            });
-            failures.extend(failures_mx.into_inner().unwrap_or_else(|e| e.into_inner()));
+        });
+        let shared = Arc::try_unwrap(shared)
+            .ok()
+            .expect("all attempt threads have exited");
+        // Failures are recorded under original ranks already.
+        let (recv, fails) = shared.into_parts();
+        failures.extend(fails);
+        for (j, bytes) in recv.into_iter().enumerate() {
+            outputs[members[j]] = Some(bytes);
         }
         epoch += 1;
 
@@ -814,7 +771,7 @@ where
         rank: None,
         detail: format!("fabric: {e}"),
     }));
-    let mut recv = outputs.into_inner().unwrap_or_else(|e| e.into_inner());
+    let mut recv = outputs;
     for (r, slot) in recv.iter_mut().enumerate() {
         if !members.contains(&r) {
             *slot = None;
@@ -888,360 +845,12 @@ fn gather_suspects(
     out
 }
 
-/// Per-request state of a [`ShrunkComm`] (sends complete at issue).
-enum SReq {
-    SendDone,
-    RecvPending { chan: ChanKey, to: Region },
-    RecvDone,
-}
-
-/// The survivors' communicator for retry epochs: a dense re-ranking of
-/// the survivor set as `Topology::new(n, 1)`.
-///
-/// Fabric channels keep using *original* rank ids (the mesh was built
-/// for the original topology), while tags are remapped to
-/// `fabric::tag::retry(epoch, tag)` so a stale frame from a failed
-/// attempt can never match a retry receive. With ppn = 1 every
-/// intranode op (boards, flags, copies, node barriers) involves only
-/// the rank itself, so the whole node state lives inside this struct.
-pub(crate) struct ShrunkComm {
-    fabric: Arc<dyn Fabric>,
-    topo: Topology,
-    /// New rank → original rank.
-    old: Vec<usize>,
-    me: usize,
-    sizes: BufSizes,
-    send: Arc<SharedBuf>,
-    recv: Arc<SharedBuf>,
-    temps: Vec<Arc<SharedBuf>>,
-    /// Own address board: slot → (buffer, offset, posted length).
-    board: HashMap<Slot, (BufId, usize, usize)>,
-    /// Own flag counters.
-    flags: HashMap<FlagId, u32>,
-    reqs: Vec<SReq>,
-    chan_pending: HashMap<ChanKey, VecDeque<usize>>,
-    epoch: u32,
-    wait_timeout: Duration,
-    failed: Option<String>,
-    /// Original ranks implicated by this rank's failures.
-    suspected: Vec<usize>,
-}
-
-impl ShrunkComm {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        fabric: Arc<dyn Fabric>,
-        topo: Topology,
-        old: Vec<usize>,
-        me: usize,
-        sizes: BufSizes,
-        send: Vec<u8>,
-        epoch: u32,
-        wait_timeout: Duration,
-    ) -> Self {
-        debug_assert_eq!(send.len(), sizes.send);
-        ShrunkComm {
-            fabric,
-            topo,
-            old,
-            me,
-            sizes,
-            send: Arc::new(SharedBuf::from_vec(send)),
-            recv: Arc::new(SharedBuf::new(sizes.recv)),
-            temps: Vec::new(),
-            board: HashMap::new(),
-            flags: HashMap::new(),
-            reqs: Vec::new(),
-            chan_pending: HashMap::new(),
-            epoch,
-            wait_timeout,
-            failed: None,
-            suspected: Vec::new(),
-        }
-    }
-
-    fn into_recv(self) -> Vec<u8> {
-        Arc::try_unwrap(self.recv)
-            .ok()
-            .expect("no outstanding recv references")
-            .into_vec()
-    }
-
-    fn suspected(&self) -> Vec<usize> {
-        let mut s = self.suspected.clone();
-        s.sort_unstable();
-        s.dedup();
-        s
-    }
-
-    fn mark_failed(&mut self, detail: String) {
-        if self.failed.is_none() {
-            self.failed = Some(detail);
-        }
-    }
-
-    fn suspect_from(&mut self, e: &FabricError) {
-        let old_me = self.old[self.me];
-        let mut add = |r: usize| {
-            if r != old_me {
-                self.suspected.push(r);
-            }
-        };
-        match e {
-            FabricError::Timeout(d) => {
-                for &r in &d.suspected {
-                    add(r);
-                }
-                add(d.chan.0);
-            }
-            FabricError::PeerDead { peer, .. } => add(*peer),
-            FabricError::PeerHung { chan, .. } => add(chan.1),
-            _ => {}
-        }
-    }
-
-    /// Remap a collective tag into this epoch's retry namespace.
-    fn wire_tag(&self, tag: Tag) -> u32 {
-        debug_assert!(tag <= 0xFFFF, "collective tags must fit 16 bits");
-        pipmcoll_fabric::tag::retry(self.epoch, tag)
-    }
-
-    fn buf(&self, b: BufId) -> Arc<SharedBuf> {
-        match b {
-            BufId::Send => Arc::clone(&self.send),
-            BufId::Recv => Arc::clone(&self.recv),
-            BufId::Temp(i) => Arc::clone(&self.temps[i as usize]),
-        }
-    }
-
-    /// Resolve a posted slot on *this* rank (ppn = 1: every remote
-    /// region is self-referential).
-    fn resolve(&self, rr: &RemoteRegion) -> Result<Region, String> {
-        assert_eq!(
-            rr.rank, self.me,
-            "ppn = 1 shrink: remote regions can only reference the rank itself"
-        );
-        let Some(&(buf, offset, len)) = self.board.get(&rr.slot) else {
-            return Err(format!(
-                "slot {} not posted on shrunken rank {}",
-                rr.slot, self.me
-            ));
-        };
-        assert!(
-            rr.offset + rr.len <= len,
-            "remote access [{}, {}) exceeds posted window of {len}",
-            rr.offset,
-            rr.offset + rr.len,
-        );
-        Ok(Region::new(buf, offset + rr.offset, rr.len))
-    }
-
-    fn drain_until(&mut self, req: usize) {
-        let chan = match &self.reqs[req] {
-            SReq::RecvPending { chan, .. } => *chan,
-            _ => return,
-        };
-        loop {
-            if self.failed.is_some() {
-                return;
-            }
-            match &self.reqs[req] {
-                SReq::RecvDone | SReq::SendDone => return,
-                SReq::RecvPending { .. } => {}
-            }
-            let next = self
-                .chan_pending
-                .get_mut(&chan)
-                .and_then(|q| q.pop_front())
-                .expect("pending receive must be queued on its channel");
-            let payload = match self.fabric.recv_within(chan, self.wait_timeout) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.suspect_from(&e);
-                    self.mark_failed(e.to_string());
-                    return;
-                }
-            };
-            let state = std::mem::replace(&mut self.reqs[next], SReq::RecvDone);
-            match state {
-                SReq::RecvPending { to, .. } => {
-                    assert_eq!(payload.len(), to.len, "message size mismatch");
-                    self.buf(to.buf).write(to.offset, &payload);
-                }
-                _ => unreachable!("queued request is pending by construction"),
-            }
-        }
-    }
-}
-
-impl Comm for ShrunkComm {
-    fn topo(&self) -> Topology {
-        self.topo
-    }
-
-    fn rank(&self) -> usize {
-        self.me
-    }
-
-    fn buf_sizes(&self) -> BufSizes {
-        self.sizes
-    }
-
-    fn alloc_temp(&mut self, bytes: usize) -> BufId {
-        self.temps.push(Arc::new(SharedBuf::new(bytes)));
-        BufId::Temp((self.temps.len() - 1) as u16)
-    }
-
-    fn isend(&mut self, dst: usize, tag: Tag, src: Region) -> Req {
-        if self.failed.is_none() {
-            let payload = self.buf(src.buf).read_vec(src.offset, src.len);
-            let chan = (self.old[self.me], self.old[dst], self.wire_tag(tag));
-            if let Err(e) = self.fabric.send(chan, payload) {
-                self.suspect_from(&e);
-                self.mark_failed(e.to_string());
-            }
-        }
-        self.reqs.push(SReq::SendDone);
-        Req(self.reqs.len() - 1)
-    }
-
-    fn irecv(&mut self, src: usize, tag: Tag, dst: Region) -> Req {
-        let id = self.reqs.len();
-        if self.failed.is_some() {
-            self.reqs.push(SReq::RecvDone);
-            return Req(id);
-        }
-        let chan = (self.old[src], self.old[self.me], self.wire_tag(tag));
-        self.reqs.push(SReq::RecvPending { chan, to: dst });
-        self.chan_pending.entry(chan).or_default().push_back(id);
-        Req(id)
-    }
-
-    fn isend_shared(&mut self, dst: usize, tag: Tag, src: RemoteRegion) -> Req {
-        match self.resolve(&src) {
-            Ok(region) => self.isend(dst, tag, region),
-            Err(e) => {
-                self.mark_failed(e);
-                self.reqs.push(SReq::SendDone);
-                Req(self.reqs.len() - 1)
-            }
-        }
-    }
-
-    fn irecv_shared(&mut self, src: usize, tag: Tag, dst: RemoteRegion) -> Req {
-        match self.resolve(&dst) {
-            Ok(region) => self.irecv(src, tag, region),
-            Err(e) => {
-                self.mark_failed(e);
-                self.reqs.push(SReq::RecvDone);
-                Req(self.reqs.len() - 1)
-            }
-        }
-    }
-
-    fn wait(&mut self, req: Req) {
-        if self.failed.is_some() {
-            return;
-        }
-        self.drain_until(req.0);
-    }
-
-    fn post_addr(&mut self, slot: Slot, region: Region) {
-        self.board
-            .insert(slot, (region.buf, region.offset, region.len));
-    }
-
-    fn copy_in(&mut self, from: RemoteRegion, to: Region) {
-        if self.failed.is_some() {
-            return;
-        }
-        match self.resolve(&from) {
-            Ok(src) => {
-                let s = self.buf(src.buf);
-                let d = self.buf(to.buf);
-                SharedBuf::copy_between(&s, src.offset, &d, to.offset, to.len);
-            }
-            Err(e) => self.mark_failed(e),
-        }
-    }
-
-    fn copy_out(&mut self, from: Region, to: RemoteRegion) {
-        if self.failed.is_some() {
-            return;
-        }
-        match self.resolve(&to) {
-            Ok(dst) => {
-                let s = self.buf(from.buf);
-                let d = self.buf(dst.buf);
-                SharedBuf::copy_between(&s, from.offset, &d, dst.offset, from.len);
-            }
-            Err(e) => self.mark_failed(e),
-        }
-    }
-
-    fn reduce_in(&mut self, from: RemoteRegion, to: Region, op: ReduceOp, dt: Datatype) {
-        if self.failed.is_some() {
-            return;
-        }
-        match self.resolve(&from) {
-            Ok(src) => {
-                let s = self.buf(src.buf);
-                let acc = self.buf(to.buf);
-                acc.reduce_from(to.offset, &s, src.offset, to.len, op, dt);
-            }
-            Err(e) => self.mark_failed(e),
-        }
-    }
-
-    fn local_copy(&mut self, from: Region, to: Region) {
-        let s = self.buf(from.buf);
-        let d = self.buf(to.buf);
-        SharedBuf::copy_between(&s, from.offset, &d, to.offset, from.len);
-    }
-
-    fn local_reduce(&mut self, from: Region, to: Region, op: ReduceOp, dt: Datatype) {
-        let s = self.buf(from.buf);
-        let acc = self.buf(to.buf);
-        acc.reduce_from(to.offset, &s, from.offset, to.len, op, dt);
-    }
-
-    fn signal(&mut self, rank: usize, flag: FlagId) {
-        assert_eq!(rank, self.me, "ppn = 1 shrink: flags are self-only");
-        *self.flags.entry(flag).or_insert(0) += 1;
-    }
-
-    fn wait_flag(&mut self, flag: FlagId, count: u32) {
-        if self.failed.is_some() {
-            return;
-        }
-        let have = self.flags.get(&flag).copied().unwrap_or(0);
-        if have < count {
-            // Single-threaded node: a wait no signal can ever satisfy
-            // is a deadlock, not a delay.
-            self.mark_failed(format!(
-                "wait_flag({flag}, {count}) with only {have} signals on a ppn=1 node"
-            ));
-        }
-    }
-
-    fn node_barrier(&mut self) {
-        // ppn = 1: a barrier with myself.
-    }
-
-    fn compute(&mut self, bytes: u64) {
-        let mut acc = 0u64;
-        for i in 0..bytes / 8 {
-            acc = acc.wrapping_add(std::hint::black_box(i).wrapping_mul(0x9E37_79B9));
-        }
-        std::hint::black_box(acc);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pipmcoll_fabric::InProcFabric;
     use pipmcoll_sched::verify::pattern;
+    use pipmcoll_sched::{Comm, Region};
 
     #[test]
     fn rankset_basics() {
@@ -1331,6 +940,40 @@ mod tests {
         });
         for (me, set, retry) in results {
             assert_eq!(set.ranks(), vec![dead], "rank {me} committed {set:?}");
+            assert!(retry, "rank {me} must want a retry");
+        }
+    }
+
+    /// A lone changer: of members {0, 2, 3}, rank 3 is silent, rank 0
+    /// enters suspecting it and rank 2 enters suspecting rank 0 (a
+    /// cascade timeout). Only rank 2's set changes in sweep 0, so rank 0
+    /// hears of a change in sweep 1 while rank 2 hears of none; both
+    /// must still stop on the same sweep and commit {3}.
+    #[test]
+    fn agreement_waits_out_its_own_last_change() {
+        let fabric: Arc<dyn Fabric> = Arc::new(InProcFabric::new());
+        let members = [0usize, 2, 3];
+        let op_timeout = Duration::from_millis(80);
+        let results: Vec<(usize, AgreeOutcome)> = std::thread::scope(|s| {
+            let handles: Vec<_> = [(0usize, 3usize), (2, 0)]
+                .into_iter()
+                .map(|(me, suspect)| {
+                    let fabric = &fabric;
+                    let members = &members[..];
+                    s.spawn(move || {
+                        let mut seed = RankSet::new();
+                        seed.insert(suspect);
+                        (me, agree(fabric, me, members, seed, true, 1, op_timeout))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (me, outcome) in results {
+            let AgreeOutcome::Commit { failed, retry } = outcome else {
+                panic!("rank {me}: 2 of 3 is a majority, got {outcome:?}");
+            };
+            assert_eq!(failed.ranks(), vec![3], "rank {me}");
             assert!(retry, "rank {me} must want a retry");
         }
     }

@@ -51,7 +51,9 @@
 //! and the fabric's health view — are agreed on by the survivors
 //! through a crash-tolerant gossip, and the collective is re-executed
 //! on a densely re-ranked survivor topology with epoch-tagged messages
-//! until it completes.
+//! until it completes. Every attempt runs the same [`RtComm`]: a
+//! retry's cluster state maps each dense rank to its original fabric
+//! rank, so channels, suspicion and failure reports keep original ids.
 
 pub mod barrier;
 pub mod cluster;

@@ -90,10 +90,10 @@ struct Pending {
     retries: u32,
     /// Backoff gate: not admitted before this instant.
     not_before: Option<Instant>,
-    /// The schedule planned at admission time, and the member bitmap it
-    /// was planned against (a failure epoch invalidates it).
+    /// The schedule planned at admission time, and the failure epoch
+    /// it was planned in (a later epoch changed the members under it).
     plan: Option<NbColl>,
-    plan_members: u64,
+    plan_epoch: u64,
     cost: u64,
     /// Whether a deferral has been counted against stats yet.
     deferral_counted: bool,
@@ -313,6 +313,17 @@ impl Engine {
         }
     }
 
+    /// Remove active `i`, updating the in-flight gauge before its
+    /// request resolves: a caller woken by the resolution must not
+    /// read a count that still includes it.
+    fn take_active(&mut self, i: usize) -> Active {
+        let act = self.active.swap_remove(i);
+        self.shared
+            .inflight
+            .store(self.active.len(), Ordering::Relaxed);
+        act
+    }
+
     /// Park or sleep through `pause` with the wire handed back to the
     /// fabric's progress workers, then drive it again at once: the
     /// first admission after a pause must not wake a worker per send.
@@ -360,7 +371,7 @@ impl Engine {
                 retries: 0,
                 not_before: None,
                 plan: None,
-                plan_members: 0,
+                plan_epoch: 0,
                 cost: 0,
                 deferral_counted: false,
             });
@@ -375,27 +386,14 @@ impl Engine {
         let mut i = 0;
         while i < self.active.len() {
             let act = &self.active[i];
-            let verdict = if act.req.is_cancelled() {
-                Some(SvcError::Cancelled)
-            } else if act.deadline.is_some_and(|d| now >= d) {
-                Some(SvcError::DeadlineExpired {
-                    waited: now.saturating_duration_since(act.submitted),
-                })
-            } else {
-                None
-            };
-            let Some(e) = verdict else {
+            let Some(e) = expired(&act.req, act.deadline, act.submitted, now) else {
                 i += 1;
                 continue;
             };
-            let act = self.active.swap_remove(i);
+            let act = self.take_active(i);
             self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
             let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-            let ctr = match e {
-                SvcError::Cancelled => &sched.counters.cancelled,
-                _ => &sched.counters.deadline_expired,
-            };
-            ctr.fetch_add(1, Ordering::Relaxed);
+            count_expired(&e, &sched.counters);
             act.resolve(e, sched);
         }
         if now < self.next_reap {
@@ -404,27 +402,17 @@ impl Engine {
         self.next_reap = now + Duration::from_millis(1);
         for sched in self.jobs.values_mut() {
             let counters = &sched.counters;
-            sched.fifo.retain(|p| {
-                let verdict = if p.req.is_cancelled() {
-                    counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                    Some(SvcError::Cancelled)
-                } else if p.deadline.is_some_and(|d| now >= d) {
-                    counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    Some(SvcError::DeadlineExpired {
-                        waited: now.saturating_duration_since(p.submitted),
-                    })
-                } else {
-                    None
-                };
-                match verdict {
+            sched
+                .fifo
+                .retain(|p| match expired(&p.req, p.deadline, p.submitted, now) {
                     None => true,
                     Some(e) => {
+                        count_expired(&e, counters);
                         counters.queued.fetch_sub(1, Ordering::Relaxed);
                         p.req.complete(Err(e));
                         false
                     }
-                }
-            });
+                });
         }
     }
 
@@ -591,17 +579,9 @@ impl Engine {
                 .failed_bits
                 .store(self.failed.bits(), Ordering::Relaxed);
         }
-        self.requeue_troubled(committed, now);
         // A shrunk group invalidates every plan made against the old
-        // one; they are re-planned lazily at their next admission.
-        let mbits = rank_bits(&self.members);
-        for sched in self.jobs.values_mut() {
-            for p in sched.fifo.iter_mut() {
-                if p.plan.is_some() && p.plan_members != mbits {
-                    p.plan = None;
-                }
-            }
-        }
+        // one (the epoch moved); they are re-planned at admission.
+        self.requeue_troubled(committed, now);
     }
 
     /// Quorum lost: resolve every affected active with the typed
@@ -626,7 +606,7 @@ impl Engine {
                 i += 1;
                 continue;
             }
-            let act = self.active.swap_remove(i);
+            let act = self.take_active(i);
             self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
             let sched = self.jobs.get_mut(&act.comm).expect("job exists");
             sched.counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -652,7 +632,7 @@ impl Engine {
                 i += 1;
                 continue;
             }
-            let act = self.active.swap_remove(i);
+            let act = self.take_active(i);
             self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
             let backoff = self.backoff(act.retries);
             let sched = self.jobs.get_mut(&act.comm).expect("job exists");
@@ -680,7 +660,7 @@ impl Engine {
                 retries: act.retries + 1,
                 not_before: Some(now + backoff),
                 plan: None,
-                plan_members: 0,
+                plan_epoch: 0,
                 cost: 0,
                 deferral_counted: true,
             });
@@ -712,7 +692,7 @@ impl Engine {
             .unwrap_or(usize::MAX)
             .saturating_sub(self.active.len());
         let members = self.members.clone();
-        let mbits = rank_bits(&members);
+        let epoch = self.shared.epoch.load(Ordering::Relaxed);
         let world = self.shared.cfg.world;
         let quantum = self.shared.cfg.quantum;
         for ji in 0..self.rotation.len() {
@@ -728,23 +708,11 @@ impl Engine {
                     let Some(head) = sched.fifo.front_mut() else {
                         break None;
                     };
-                    if head.req.is_cancelled() {
-                        let p = sched.fifo.pop_front().expect("head");
-                        sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
-                        sched.counters.cancelled.fetch_add(1, Ordering::Relaxed);
-                        p.req.complete(Err(SvcError::Cancelled));
-                        continue;
-                    }
-                    if head.deadline.is_some_and(|d| now >= d) {
-                        let p = sched.fifo.pop_front().expect("head");
-                        sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
-                        sched
-                            .counters
-                            .deadline_expired
-                            .fetch_add(1, Ordering::Relaxed);
-                        p.req.complete(Err(SvcError::DeadlineExpired {
-                            waited: now.saturating_duration_since(p.submitted),
-                        }));
+                    if let Some(e) = expired(&head.req, head.deadline, head.submitted, now) {
+                        let counters = &sched.counters;
+                        count_expired(&e, counters);
+                        counters.queued.fetch_sub(1, Ordering::Relaxed);
+                        sched.fifo.pop_front().expect("head").req.complete(Err(e));
                         continue;
                     }
                     if head.not_before.is_some_and(|t| now < t) {
@@ -752,7 +720,7 @@ impl Engine {
                         // order is preserved across retries).
                         break None;
                     }
-                    if head.plan.is_none() || head.plan_members != mbits {
+                    if head.plan.is_none() || head.plan_epoch != epoch {
                         let planned = if members.is_empty() {
                             Err(PlanError::RootFailed {
                                 root: head.spec.root().unwrap_or(0),
@@ -764,7 +732,7 @@ impl Engine {
                             Ok(c) => {
                                 head.cost = c.nic_bytes();
                                 head.plan = Some(c);
-                                head.plan_members = mbits;
+                                head.plan_epoch = epoch;
                             }
                             Err(e) => {
                                 let p = sched.fifo.pop_front().expect("head");
@@ -933,14 +901,14 @@ impl Engine {
             }
             let done = act.coll.done();
             if let Some(e) = verdict {
-                let act = self.active.swap_remove(i);
+                let act = self.take_active(i);
                 self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
                 let sched = self.jobs.get_mut(&act.comm).expect("job exists");
                 sched.counters.failed.fetch_add(1, Ordering::Relaxed);
                 act.resolve(e, sched);
             } else if done {
                 progressed = true;
-                let act = self.active.swap_remove(i);
+                let act = self.take_active(i);
                 let sched = self.jobs.get_mut(&act.comm).expect("job exists");
                 finish(act, sched, world);
             } else {
@@ -952,6 +920,7 @@ impl Engine {
 
     /// Fail everything still queued or in flight with `Shutdown`.
     fn shutdown(&mut self) {
+        self.shared.inflight.store(0, Ordering::Relaxed);
         for act in self.active.drain(..) {
             let sched = self.jobs.get_mut(&act.comm).expect("job exists");
             sched.counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -964,7 +933,6 @@ impl Engine {
                 p.req.complete(Err(SvcError::Shutdown));
             }
         }
-        self.shared.inflight.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1075,6 +1043,33 @@ fn note_suspects(e: &FabricError, evidence: &mut RankSet) {
         }
         _ => {}
     }
+}
+
+/// The cancel/deadline verdict on a queued or active request at `now`.
+fn expired(
+    req: &crate::ReqShared,
+    deadline: Option<Instant>,
+    submitted: Instant,
+    now: Instant,
+) -> Option<SvcError> {
+    if req.is_cancelled() {
+        Some(SvcError::Cancelled)
+    } else if deadline.is_some_and(|d| now >= d) {
+        Some(SvcError::DeadlineExpired {
+            waited: now.saturating_duration_since(submitted),
+        })
+    } else {
+        None
+    }
+}
+
+/// Count an [`expired`] verdict against its job.
+fn count_expired(e: &SvcError, counters: &JobCounters) {
+    let counter = match e {
+        SvcError::Cancelled => &counters.cancelled,
+        _ => &counters.deadline_expired,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The member list as a `RankSet` bitmap.

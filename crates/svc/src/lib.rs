@@ -129,6 +129,13 @@ pub enum SvcError {
     /// inputs, a partial element, a root or world that does not fit):
     /// refused at submission, before it reaches the engine.
     Invalid(PlanError),
+    /// The [`SvcConfig`] asks for something the service cannot do
+    /// (fault tolerance on a world past the agreement's 64-rank
+    /// bitmap): refused by [`Svc::new`] before the engine starts.
+    Config {
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SvcError {
@@ -160,6 +167,7 @@ impl fmt::Display for SvcError {
                  refusing to commit a minority failed set; admission frozen"
             ),
             SvcError::Invalid(e) => write!(f, "invalid collective: {e}"),
+            SvcError::Config { reason } => write!(f, "bad service configuration: {reason}"),
         }
     }
 }
@@ -199,7 +207,8 @@ pub struct SvcConfig {
     /// Survive-and-complete fault tolerance: detect rank death, agree
     /// on the failed set, re-plan affected collectives on the survivor
     /// group. On by default when the world fits the agreement
-    /// protocol's 64-rank bitmap.
+    /// protocol's 64-rank bitmap; [`Svc::new`] refuses it on a larger
+    /// world with [`SvcError::Config`].
     pub ft: bool,
     /// How long a collective may sit without a delivery before its
     /// member ranks are *suspected* (refutable by the agreement
@@ -529,10 +538,19 @@ pub struct Svc {
 impl Svc {
     /// Start a service over `fabric`. Validates the `PIPMCOLL_*`
     /// environment so a malformed variable fails here, typed, instead
-    /// of inside the engine thread.
+    /// of inside the engine thread, and refuses `ft` on a world over 64
+    /// ranks with [`SvcError::Config`].
     pub fn new(fabric: Arc<dyn Fabric>, cfg: SvcConfig) -> SvcResult<Svc> {
         pipmcoll_fabric::env::validate().map_err(FabricError::from)?;
         assert!(cfg.world >= 1, "a service needs at least one rank");
+        if cfg.ft && cfg.world > 64 {
+            return Err(SvcError::Config {
+                reason: format!(
+                    "ft needs a world of at most 64 ranks (the agreement's rank bitmap), got {}",
+                    cfg.world
+                ),
+            });
+        }
         let shared = Arc::new(Shared {
             fabric,
             cfg,

@@ -129,6 +129,24 @@ fn run_kill_grid(world: usize, jobs_n: usize, colls: usize, fault: &str, victims
     }
 }
 
+/// Fault tolerance tracks ranks in a 64-bit set: a larger world with
+/// `ft` on is refused, typed, before the engine starts.
+#[test]
+fn ft_past_world_64_is_refused_at_construction() {
+    let cfg = SvcConfig {
+        ft: true,
+        ..SvcConfig::new(65)
+    };
+    match Svc::new(inproc(), cfg) {
+        Err(SvcError::Config { reason }) => assert!(reason.contains("65"), "{reason}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("ft on a world of 65 must be refused"),
+    }
+    // The default leaves ft off past 64, and such a service starts.
+    assert!(!SvcConfig::new(65).ft);
+    assert!(Svc::new(inproc(), SvcConfig::new(65)).is_ok());
+}
+
 #[test]
 fn kill_grid_one_victim_at_submit() {
     run_kill_grid(8, 1, 8, "kill:rank=3@submit=1", &[3]);

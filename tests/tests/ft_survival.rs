@@ -381,3 +381,72 @@ fn symmetric_partition_commits_one_side_and_minority_resolves_quorum_lost() {
         "partitioned run took {elapsed:?}, budget {budget:?}"
     );
 }
+
+/// Calls the fault DSL's `any` class counts in `rank`'s program of
+/// `spec` on `topo`: every op a `FaultComm` ticks. Algorithms issue the
+/// same calls whatever their peers do, and a failed rank keeps walking
+/// its program, so this is exactly the count one attempt adds.
+fn counted_ops(lib: LibraryProfile, topo: Topology, spec: &CollectiveSpec, rank: usize) -> u64 {
+    use pipmcoll_sched::Op;
+    build_schedule(lib, topo, spec).programs()[rank]
+        .ops
+        .iter()
+        .filter(|op| {
+            matches!(
+                op,
+                Op::ISend { .. }
+                    | Op::IRecv { .. }
+                    | Op::ISendShared { .. }
+                    | Op::IRecvShared { .. }
+                    | Op::CopyIn { .. }
+                    | Op::CopyOut { .. }
+                    | Op::ReduceIn { .. }
+                    | Op::Signal { .. }
+                    | Op::NodeBarrier
+            )
+        })
+        .count() as u64
+}
+
+/// Two shrinks where dense and original ids differ: rank 1 dies at its
+/// first op, so the retry re-ranks {0, 2, 3} as {0, 1, 2}; rank 3 then
+/// dies inside that retry, and a third attempt runs on {0, 2}. Every
+/// attempt must wire, suspect and report in original ids.
+#[test]
+fn retries_keep_original_rank_ids_when_dense_ids_differ() {
+    init();
+    let lib = LibraryProfile::PipMColl;
+    let topo = Topology::new(2, 2);
+    let spec = CollectiveSpec::Allreduce(AllreduceParams::sum_doubles(8));
+    // Rank 3 is dense rank 2 of the first retry; the op counters persist
+    // across attempts, so its trigger lands midway through that retry.
+    let first = counted_ops(lib, topo, &spec, 3);
+    let retry = counted_ops(lib, Topology::new(3, 1), &spec, 2);
+    assert!(retry >= 1, "rank 3 must act in the retry");
+    let at = first + retry.div_ceil(2);
+    let plan =
+        FaultPlan::parse(&format!("kill:rank=1@any=1;kill:rank=3@any={at}")).expect("plan parses");
+
+    let res = survive_and_check(lib, topo, 2, spec, &plan);
+    assert_eq!(res.killed, vec![1, 3], "{:?}", res.failures);
+    assert_eq!(res.failed, vec![1, 3], "{:?}", res.failures);
+    assert!(res.epochs >= 3, "two shrinks need three attempts");
+    let reference = reference_on_survivors(lib, spec, &[0, 2]);
+    assert_eq!(res.recv[0].as_deref(), Some(&reference[0][..]));
+    assert_eq!(res.recv[2].as_deref(), Some(&reference[1][..]));
+    // The live members of each attempt, in original ids. Rank 1 dies
+    // before its first op, so it never records a failure of its own:
+    // one naming it is dense rank 1 (original rank 2) leaking out of a
+    // retry.
+    let live: [&[usize]; 3] = [&[0, 2, 3], &[0, 2, 3], &[0, 2]];
+    for f in &res.failures {
+        let Some(r) = f.rank else { continue };
+        if f.detail.starts_with("killed by fault plan") {
+            continue;
+        }
+        assert!(
+            live.iter().any(|m| m.contains(&r)),
+            "failure names rank {r}, a member of no attempt: {f}"
+        );
+    }
+}
