@@ -183,8 +183,7 @@ fn sweep_json(lanes: &[usize], rates: &[SweepRow], trials: usize) -> String {
             .collect::<Vec<_>>()
             .join(", ")
     };
-    // "No samples" is `null`, observably different from a measured 0 —
-    // rendezvous-dominated series used to emit placeholder 0 rows here.
+    // "No samples" is `null`, observably different from a measured 0.
     let fmt_opt = |v: &[Option<u64>]| {
         v.iter()
             .map(|x| x.map_or_else(|| "null".to_string(), |u| u.to_string()))

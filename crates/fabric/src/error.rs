@@ -137,8 +137,8 @@ pub enum FabricError {
         what: &'static str,
     },
     /// A frame (or byte stream) the receiver could not make sense of: a
-    /// control frame naming no in-flight transfer, a garbled stream, or
-    /// a peer speaking a different wire-format version.
+    /// garbled stream, an unknown or retired frame kind, or a peer
+    /// speaking a different wire-format version.
     MalformedFrame {
         /// Lane the frame arrived on.
         lane: usize,
@@ -433,7 +433,7 @@ mod tests {
         }
         let plain = FabricError::MalformedFrame {
             lane: 0,
-            detail: "CTS names unknown transfer 9".into(),
+            detail: "unknown frame kind byte 9".into(),
             expected_version: None,
             got: None,
         }

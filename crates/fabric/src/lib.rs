@@ -17,7 +17,7 @@
 //! * [`TcpFabric`] — a real socket transport over `std::net` loopback:
 //!   per node-pair connection pools with **k striped lanes** (a lane is
 //!   the paper's "object"; a large message splits into one segment per
-//!   lane), a length-prefixed eager/rendezvous wire protocol with
+//!   lane), a length-prefixed, checksummed wire protocol with
 //!   `(src, dst, tag)` matching and per-channel FIFO, a fixed progress
 //!   pool (`min(4, cores)` workers) driving every nonblocking endpoint,
 //!   bounded per-lane send queues for backpressure, ack-based retransmit
@@ -34,7 +34,7 @@
 //!    delivered to a receive on the same `(src, dst, tag)` channel.
 //! 2. **Non-overtaking** — messages on one channel are delivered in send
 //!    order (MPI's non-overtaking rule), even when the wire reorders,
-//!    drops or duplicates eager and rendezvous traffic.
+//!    drops or duplicates frames, or splits a message over lanes.
 //! 3. **Zero-length messages** are real messages: they match and are
 //!    delivered like any other.
 //!

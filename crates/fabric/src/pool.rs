@@ -20,8 +20,8 @@
 //! depends on recycling happening.
 //!
 //! Bounds: the free-list holds at most [`POOL_CAP`] (256) buffers per
-//! pool. Buffers above 256 KiB capacity are never retained
-//! — rendezvous payloads would otherwise pin large allocations forever.
+//! pool. Buffers above 256 KiB capacity are never retained — large
+//! frames would otherwise pin large allocations forever.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,11 +30,11 @@ use std::sync::{Arc, Mutex, Weak};
 use crate::wire::Frame;
 
 /// Buffers with more capacity than this are dropped rather than
-/// recycled, so one big rendezvous frame can't pin memory in the pool.
+/// recycled, so one big frame can't pin memory in the pool.
 const MAX_RETAIN_CAP: usize = 256 * 1024;
 
 /// Smallest capacity a fresh buffer gets. Control frames (acks,
-/// handshakes) and small eager frames share the free list, so a buffer
+/// heartbeats) and small eager frames share the free list, so a buffer
 /// first used for a bare header must take a small payload later without
 /// growing — a regrow on the eager path is an allocation.
 const MIN_CAP: usize = 256;

@@ -101,8 +101,8 @@ impl LatencyHist {
 /// Percentile summary of a [`LatencyHist`] (integer µs so stats stay
 /// `Eq`-comparable). Percentiles are `None` when no samples were
 /// recorded — previously an empty histogram snapshotted as `0`, which
-/// made "the rendezvous path never measured anything" look like "the
-/// ack RTT is zero" in `BENCH_fabric.json`.
+/// made "nothing was measured" look like "the ack RTT is zero" in
+/// `BENCH_fabric.json`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencySnapshot {
     /// Samples recorded.
@@ -156,8 +156,8 @@ pub struct FabricStats {
     /// cumulative ack that covered it (never from retransmissions —
     /// their acks are ambiguous).
     pub ack_rtt: LatencySnapshot,
-    /// Deepest any control queue (the unbounded ack/rendezvous reply
-    /// side of a lane's send queue) ever got — visibility into the one
+    /// Deepest any control queue (the unbounded ack, retransmit and
+    /// heartbeat side of a lane's send queue) ever got — visibility into the one
     /// queue backpressure cannot bound.
     pub ctrl_queue_hwm: u64,
 }

@@ -5,12 +5,14 @@
 //!
 //! MPI's non-overtaking rule is per `(src, dst, tag)` channel. The
 //! in-process backend delivers in send order by construction and uses
-//! [`MsgStore::push`]; the TCP backend's rendezvous handshake lets a
-//! later eager message physically arrive before an earlier rendezvous
-//! payload, and its ack-based retransmit can re-deliver a frame whose
-//! ack was lost — so wire deliveries carry a per-channel sequence number
-//! and go through [`MsgStore::deliver_seq`], which holds out-of-order
-//! arrivals until the gap fills and silently drops re-deliveries of
+//! [`MsgStore::push`]. The TCP backend stripes a large message's
+//! segments over several lanes, so a later frame of a channel can
+//! arrive before an earlier one, and its ack-based retransmit re-sends
+//! a lost frame after later ones landed, or re-delivers one whose ack
+//! was lost — so wire deliveries carry a per-channel sequence number
+//! and go through [`MsgStore::deliver_seg_watermark`], which holds
+//! out-of-order arrivals until the gap fills, glues a striped message's
+//! segments back together, and silently drops re-deliveries of
 //! already-consumed or already-held sequence numbers (counted in
 //! [`MsgStore::dups_dropped`]).
 
@@ -160,33 +162,25 @@ impl MsgStore {
         }
     }
 
-    /// Deliver a wire message carrying per-channel sequence `seq`;
+    /// Deliver a wire frame carrying per-channel sequence `seq`;
     /// reorders so receivers always observe send order. Returns whether
     /// the frame was fresh — a re-delivery of a consumed or held
     /// sequence number (a retransmit whose original won the race, or an
-    /// injected duplicate) is dropped and counted, never delivered twice.
-    pub fn deliver_seq(&self, key: ChanKey, seq: u64, payload: Vec<u8>) -> bool {
-        self.deliver_seq_watermark(key, seq, payload).0
-    }
-
-    /// [`MsgStore::deliver_seq`], additionally returning the channel's
-    /// cumulative-ack watermark (the next-expected sequence — everything
-    /// below it has been delivered in order). The TCP backend acks this
-    /// watermark instead of individual frames; duplicates also report
-    /// it, so a re-delivery whose original ack was lost re-raises the
-    /// ack and unsticks the sender.
-    pub fn deliver_seq_watermark(&self, key: ChanKey, seq: u64, payload: Vec<u8>) -> (bool, u64) {
-        self.deliver_seg_watermark(key, seq, 0, 0, payload)
-    }
-
-    /// [`MsgStore::deliver_seq_watermark`] for a frame that may be one
-    /// segment of a striped message (`seg_count > 1`). Segments of one
-    /// message occupy consecutive sequence numbers, so the ordinary
-    /// hold-back/dedup machinery orders and de-duplicates them; in-order
-    /// segments accumulate in a per-channel reassembly buffer and the
-    /// complete message is released to receivers in one piece. The
-    /// watermark still advances per *frame* — the cumulative-ack loop
-    /// never learns about message boundaries.
+    /// injected duplicate) is dropped and counted, never delivered twice
+    /// — and the channel's cumulative-ack watermark (the next-expected
+    /// sequence: everything below it has been delivered in order). The
+    /// TCP backend acks this watermark instead of individual frames;
+    /// duplicates also report it, so a re-delivery whose original ack
+    /// was lost re-raises the ack and unsticks the sender.
+    ///
+    /// The frame may be one segment of a striped message (`seg_count >
+    /// 1`; 0 or 1 is a whole message). Segments of one message occupy
+    /// consecutive sequence numbers, so the ordinary hold-back/dedup
+    /// machinery orders and de-duplicates them; in-order segments
+    /// accumulate in a per-channel reassembly buffer and the complete
+    /// message is released to receivers in one piece. The watermark
+    /// still advances per *frame* — the cumulative-ack loop never learns
+    /// about message boundaries.
     pub fn deliver_seg_watermark(
         &self,
         key: ChanKey,
@@ -504,9 +498,9 @@ mod tests {
     #[test]
     fn out_of_order_wire_arrivals_are_reassembled() {
         let s = MsgStore::new("test");
-        s.deliver_seq(K, 2, vec![2]);
-        s.deliver_seq(K, 0, vec![0]);
-        s.deliver_seq(K, 1, vec![1]);
+        s.deliver_seg_watermark(K, 2, 0, 0, vec![2]);
+        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
+        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
         for want in 0u8..3 {
             assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![want]);
         }
@@ -515,35 +509,38 @@ mod tests {
     #[test]
     fn pop_blocks_until_gap_fills() {
         let s = std::sync::Arc::new(MsgStore::new("test"));
-        s.deliver_seq(K, 1, vec![1]);
+        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
         let s2 = std::sync::Arc::clone(&s);
         let t = std::thread::spawn(move || s2.pop_within(K, Duration::from_secs(2)));
         std::thread::sleep(Duration::from_millis(10));
-        s.deliver_seq(K, 0, vec![0]);
+        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
         assert_eq!(t.join().unwrap().unwrap(), vec![0]);
     }
 
     #[test]
     fn consumed_duplicates_are_dropped_and_counted() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seq(K, 0, vec![0]));
+        assert!(s.deliver_seg_watermark(K, 0, 0, 0, vec![0]).0);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![0]);
         // A retransmit of seq 0 arrives after the original was consumed.
-        assert!(!s.deliver_seq(K, 0, vec![0]));
+        assert!(!s.deliver_seg_watermark(K, 0, 0, 0, vec![0]).0);
         assert_eq!(s.dups_dropped(), 1);
         // The cursor is unharmed: seq 1 still delivers next.
-        assert!(s.deliver_seq(K, 1, vec![1]));
+        assert!(s.deliver_seg_watermark(K, 1, 0, 0, vec![1]).0);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
     }
 
     #[test]
     fn held_duplicates_are_dropped_and_counted() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seq(K, 2, vec![2]));
-        assert!(!s.deliver_seq(K, 2, vec![99]), "duplicate of a held frame");
+        assert!(s.deliver_seg_watermark(K, 2, 0, 0, vec![2]).0);
+        assert!(
+            !s.deliver_seg_watermark(K, 2, 0, 0, vec![99]).0,
+            "duplicate of a held frame"
+        );
         assert_eq!(s.dups_dropped(), 1);
-        s.deliver_seq(K, 0, vec![0]);
-        s.deliver_seq(K, 1, vec![1]);
+        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
+        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
         for want in 0u8..3 {
             assert_eq!(
                 s.pop_within(K, Duration::from_secs(1)).unwrap(),
@@ -563,7 +560,7 @@ mod tests {
         assert_eq!(s.try_pop(K).unwrap(), Some(vec![2]));
         assert_eq!(s.try_pop(K).unwrap(), None, "drained");
         // A held out-of-order frame is not ready.
-        s.deliver_seq(K, 5, vec![5]);
+        s.deliver_seg_watermark(K, 5, 0, 0, vec![5]);
         assert_eq!(s.try_pop(K).unwrap(), None);
     }
 
@@ -572,7 +569,7 @@ mod tests {
         let s = MsgStore::new("test");
         // Traffic elsewhere and a held frame show up in the diagnostic.
         s.push((4, 5, 0), vec![9]);
-        s.deliver_seq(K, 3, vec![3]);
+        s.deliver_seg_watermark(K, 3, 0, 0, vec![3]);
         let err = s.pop_within(K, Duration::from_millis(20)).unwrap_err();
         match err {
             FabricError::Timeout(d) => {
@@ -605,13 +602,13 @@ mod tests {
     #[test]
     fn watermark_tracks_the_contiguous_prefix() {
         let s = MsgStore::new("test");
-        assert_eq!(s.deliver_seq_watermark(K, 0, vec![0]), (true, 1));
+        assert_eq!(s.deliver_seg_watermark(K, 0, 0, 0, vec![0]), (true, 1));
         // A gap: seq 2 is held, watermark stays at 1.
-        assert_eq!(s.deliver_seq_watermark(K, 2, vec![2]), (true, 1));
+        assert_eq!(s.deliver_seg_watermark(K, 2, 0, 0, vec![2]), (true, 1));
         // Gap fills: watermark jumps over the held frame.
-        assert_eq!(s.deliver_seq_watermark(K, 1, vec![1]), (true, 3));
+        assert_eq!(s.deliver_seg_watermark(K, 1, 0, 0, vec![1]), (true, 3));
         // A duplicate still reports the watermark (lost-ack recovery).
-        assert_eq!(s.deliver_seq_watermark(K, 0, vec![0]), (false, 3));
+        assert_eq!(s.deliver_seg_watermark(K, 0, 0, 0, vec![0]), (false, 3));
     }
 
     #[test]
@@ -659,9 +656,9 @@ mod tests {
     #[test]
     fn clear_ready_keeps_sequence_cursor() {
         let s = MsgStore::new("test");
-        s.deliver_seq(K, 0, vec![0]);
+        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
         s.clear_ready();
-        s.deliver_seq(K, 1, vec![1]);
+        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
     }
 
@@ -720,7 +717,7 @@ mod tests {
             "parked past an arrival"
         );
         // A delivery still ends the receive; a poller stops the driving.
-        s.deliver_seq(K, 0, vec![7]);
+        s.deliver_seg_watermark(K, 0, 0, 0, vec![7]);
         let seen = s.pop_driving(K).unwrap().unwrap();
         assert_eq!(seen, vec![7]);
         assert_eq!(s.try_pop(K).unwrap(), None);

@@ -13,11 +13,10 @@ use super::mesh::Mesh;
 use super::queue::SendQueue;
 use super::repair::RepairReq;
 use super::LaneKey;
-use crate::error::FabricError;
 use crate::pool::{FrameBuf, WriteCursor};
 use crate::store::Wakes;
 use crate::wait::WorkSignal;
-use crate::wire::{Frame, FrameDecoder, FrameKind, WireError};
+use crate::wire::{Frame, FrameDecoder, FrameKind};
 use crate::ChanKey;
 
 /// Frames per `write_vectored` call (conservative portable IOV cap).
@@ -49,8 +48,8 @@ pub(super) struct WriteHalf {
     pub(super) staged: Vec<(ChanKey, u64)>,
     /// How many of `staged` carry their wire-time RTT stamp.
     stamped: usize,
-    /// The cursor holds a frame that is not a payload frame (an ack, a
-    /// rendezvous handshake, a heartbeat), which no receiver waits on.
+    /// The cursor holds a frame that is not a payload frame (an ack or a
+    /// heartbeat), which no receiver waits on.
     staged_ctrl: bool,
 }
 
@@ -391,8 +390,8 @@ pub(super) fn read_step(
                             mesh.touch_at(nanos);
                             mesh.note_heard_at(here, peer, nanos);
                             mesh.note_lane_heard_at(lane, nanos);
-                            let owes_ack = matches!(frame.kind, FrameKind::Eager | FrameKind::Data);
-                            mesh.handle_frame(here, peer, lane, frame, &mut wakes);
+                            let owes_ack = frame.kind == FrameKind::Eager;
+                            mesh.handle_frame(here, frame, &mut wakes);
                             frames += 1;
                             if owes_ack {
                                 rh.since_flush += 1;
@@ -424,16 +423,7 @@ pub(super) fn read_step(
                     if !mesh.shutdown.load(Ordering::Relaxed)
                         && !mesh.killed[lane].load(Ordering::Relaxed)
                     {
-                        let (expected_version, got) = match e {
-                            WireError::Version { expected, got } => (Some(expected), Some(got)),
-                            _ => (None, None),
-                        };
-                        mesh.record(FabricError::MalformedFrame {
-                            lane,
-                            detail: format!("unreadable frame from node {peer}: {e}"),
-                            expected_version,
-                            got,
-                        });
+                        mesh.record(e.malformed(lane, peer));
                     }
                     break None;
                 }

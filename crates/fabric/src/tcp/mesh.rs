@@ -30,19 +30,7 @@ pub(super) struct LaneCounters {
     pub(super) stalls: AtomicU64,
 }
 
-/// A stashed rendezvous payload waiting for the receiver's CTS.
-pub(super) struct RdvMsg {
-    pub(super) chan: ChanKey,
-    pub(super) seq: u64,
-    /// Segments the DATA phase will split into (fixed — and the
-    /// sequence range reserved — at `send` time, so the stripe decision
-    /// cannot drift between RTS and CTS as lanes die).
-    pub(super) segs: usize,
-    pub(super) payload: Vec<u8>,
-}
-
-/// A payload frame awaiting the receiver's cumulative-ack watermark
-/// (eager frames and rendezvous DATA frames alike).
+/// A payload frame awaiting the receiver's cumulative-ack watermark.
 pub(super) struct PendingFrame {
     /// This frame's channel sequence number.
     pub(super) seq: u64,
@@ -169,9 +157,6 @@ pub(super) struct Mesh {
     pub(super) chaos_installed: AtomicBool,
     /// Next send sequence per channel.
     pub(super) seqs: Mutex<HashMap<ChanKey, u64>>,
-    /// Rendezvous payloads stashed until the receiver grants CTS.
-    pub(super) rdv_stash: Mutex<HashMap<u64, RdvMsg>>,
-    pub(super) next_rdv: AtomicU64,
     pub(super) retransmits: AtomicU64,
     /// Messages split into per-lane segments.
     pub(super) striped_msgs: AtomicU64,
@@ -277,7 +262,7 @@ impl Mesh {
     /// owning worker. Returns `false` if the queue is missing/poisoned.
     ///
     /// This is the single choke point every control path funnels
-    /// through — acks, CTS/DATA replies, retransmits, heartbeats — so a
+    /// through — acks, retransmits, heartbeats — so a
     /// chaos link fault or partition is consulted *here*: a partition
     /// that spared retransmits or heartbeats would not be a partition.
     /// A cut frame is swallowed (counted, not errored), exactly like a
@@ -543,14 +528,14 @@ impl Mesh {
         self.notify_owner(reader.0, reader.1, reader.2);
     }
 
-    /// Register a payload frame (eager or rendezvous DATA) for
-    /// retransmit protection and ack round-trip measurement. The deque
-    /// stays sequence-sorted: eager frames append (the common case hits
-    /// the `rposition` fast path on the last element), while a
-    /// rendezvous DATA frame — whose CTS returns after later eager
-    /// sequences were already registered — inserts at its ordered slot,
-    /// keeping `apply_ack`'s prefix-pop and the head-of-queue retransmit
-    /// scan correct. Returns how many frames of `chan` now await an ack.
+    /// Register a payload frame for retransmit protection and ack
+    /// round-trip measurement. The deque stays sequence-sorted: a frame
+    /// normally appends (the `rposition` fast path on the last element),
+    /// but two threads sending on one channel take their sequence
+    /// numbers before they register, and may register in either order —
+    /// so a frame inserts at its ordered slot, keeping `apply_ack`'s
+    /// prefix-pop and the head-of-queue retransmit scan correct. Returns
+    /// how many frames of `chan` now await an ack.
     pub(super) fn register_pending(
         &self,
         chan: ChanKey,
@@ -679,26 +664,13 @@ impl Mesh {
         }
     }
 
-    /// Process one decoded frame arriving at node `here` from `peer` on
-    /// `lane`. Never panics: anything unexpected is recorded and the
-    /// worker keeps going.
-    pub(super) fn handle_frame(
-        &self,
-        here: usize,
-        peer: usize,
-        lane: usize,
-        frame: Frame,
-        wakes: &mut Wakes,
-    ) {
+    /// Process one decoded frame arriving at node `here`.
+    pub(super) fn handle_frame(&self, here: usize, frame: Frame, wakes: &mut Wakes) {
         match frame.kind {
-            // Rendezvous DATA participates in the cumulative-ack protocol
-            // exactly like an eager frame: the raised watermark retires
-            // the sender's pending entry and feeds the ack-RTT histogram.
-            FrameKind::Eager | FrameKind::Data => {
+            FrameKind::Eager => {
                 // A piggybacked cumulative ack for the reverse channel
-                // rides in an eager frame's `aux` (watermark + 1; 0 =
-                // none aboard); a DATA frame's `aux` is its rendezvous id.
-                if frame.kind == FrameKind::Eager && frame.aux > 0 {
+                // rides in `aux` (watermark + 1; 0 = none aboard).
+                if frame.aux > 0 {
                     let rev = (frame.dst as usize, frame.src as usize, frame.tag);
                     self.apply_ack(rev, frame.aux - 1);
                 }
@@ -715,77 +687,6 @@ impl Mesh {
                     wakes,
                 );
                 self.note_owed(chan, watermark);
-            }
-            FrameKind::Rts => {
-                // Grant immediately: the store reorders, so there is
-                // nothing to reserve here.
-                let cts = Frame {
-                    kind: FrameKind::Cts,
-                    payload: Vec::new(),
-                    ..frame
-                };
-                self.push_ctrl_to(here, peer, lane, self.pool.encode(&cts));
-            }
-            FrameKind::Cts => {
-                let msg = match self.rdv_stash.lock() {
-                    Ok(mut g) => g.remove(&frame.aux),
-                    Err(_) => {
-                        self.record(FabricError::QueuePoisoned {
-                            what: "rendezvous stash",
-                        });
-                        return;
-                    }
-                };
-                // One bad control frame must not kill the lane: record
-                // it and keep decoding.
-                let Some(msg) = msg else {
-                    self.record(FabricError::MalformedFrame {
-                        lane,
-                        detail: format!(
-                            "CTS from node {peer} names unknown rendezvous transfer {}",
-                            frame.aux
-                        ),
-                        expected_version: None,
-                        got: None,
-                    });
-                    return;
-                };
-                // The DATA phase honours the segment plan fixed at send
-                // time: `segs` frames on consecutive sequences, each an
-                // ordinary acked/retransmittable frame. Explicit ranges
-                // (not `chunks`) so even a degenerate plan still emits
-                // exactly `segs` frames.
-                let total = msg.payload.len();
-                let segs = msg.segs.max(1);
-                let seg_len = total.div_ceil(segs).max(1);
-                for i in 0..segs {
-                    let lo = (i * seg_len).min(total);
-                    let hi = ((i + 1) * seg_len).min(total);
-                    let data = Frame {
-                        kind: FrameKind::Data,
-                        src: msg.chan.0 as u32,
-                        dst: msg.chan.1 as u32,
-                        tag: msg.chan.2,
-                        seq: msg.seq + i as u64,
-                        aux: frame.aux,
-                        seg_idx: i as u16,
-                        seg_count: if segs > 1 { segs as u16 } else { 0 },
-                        payload: Vec::new(),
-                    };
-                    let buf = self.pool.encode_seg(&data, &msg.payload[lo..hi]);
-                    // Striped DATA scatters like striped eager; a single
-                    // DATA keeps the CTS arrival lane.
-                    let data_lane = if segs > 1 {
-                        self.seg_lane(msg.chan.0, i).unwrap_or(lane)
-                    } else {
-                        lane
-                    };
-                    // Retransmit-protect the DATA before it can be lost
-                    // — this is what makes a rendezvous transfer ack'd,
-                    // measured, and recoverable.
-                    self.register_pending(msg.chan, msg.seq + i as u64, buf.clone(), data_lane);
-                    self.push_ctrl_to(here, peer, data_lane, buf);
-                }
             }
             FrameKind::Ack => {
                 // `seq` is the receiver's next-expected watermark.

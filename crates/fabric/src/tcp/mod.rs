@@ -17,16 +17,16 @@
 //! each behind its own lock in a per-lane slot; whoever holds a half
 //! does its work, through the same write and read steps:
 //!
-//! * **the sender first**: `send` writes an eager frame straight onto
-//!   its lane's socket when a receiver on the destination node reads
-//!   the wire itself, the lane's worker is parked, the channel is not
+//! * **the sender first**: `send` writes a frame straight onto its
+//!   lane's socket when a receiver on the destination node reads the
+//!   wire itself, the lane's worker is parked, the channel is not
 //!   streaming and nothing is queued ahead of it. A torn write leaves
 //!   the rest in the cursor for the worker.
 //! * **the waiter first**: `recv_within` drains the sockets from the
 //!   sending node whose worker is parked, decoding and dispatching every
-//!   frame (deliver, ack, answer the rendezvous handshake), before it
-//!   parks on the store. A frame written while it waits is announced to
-//!   it: a parked waiter is woken to read the socket itself.
+//!   frame (deliver, apply piggybacked acks), before it parks on the
+//!   store. A frame written while it waits is announced to it: a parked
+//!   waiter is woken to read the socket itself.
 //! * **the poller first**: a thread that polls with `try_recv` instead
 //!   of waiting (the service engine) calls [`Fabric::drive`] once per
 //!   pass, which runs a worker's pass over every endpoint whose worker
@@ -71,13 +71,17 @@
 //! Fig. 1 premise requires.
 //!
 //! Backpressure: each lane's user send queue is bounded; `send` blocks
-//! (and counts a stall) while it is full. Protocol replies (CTS, DATA,
-//! ACK) travel on an unbounded control queue drained first — frame
+//! (and counts a stall) while it is full. Acks, retransmits and
+//! heartbeats travel on an unbounded control queue drained first — frame
 //! handling inside a worker never blocks on a full queue, so workers
 //! always drain the wire and TCP flow control always eventually
 //! releases any blocked sender.
 //!
-//! Hot-path economics: an eager frame is encoded exactly once into a
+//! Every internode message goes as eager frames, whatever its size, and
+//! each is retransmit-protected from the moment it is encoded: no
+//! handshake, and no message a break or a lane kill can lose.
+//!
+//! Hot-path economics: a frame is encoded exactly once into a
 //! pooled, refcounted buffer ([`crate::pool::FrameBuf`]) — the send
 //! queue, the write cursor, the retransmit pending queue, and any
 //! retransmit in flight share refcounts on the same bytes, and the
@@ -88,15 +92,15 @@
 //!
 //! Robustness (loss recovery, reconnect, failover and chaos hooks):
 //!
-//! * **Cumulative ack + retransmit** — every eager frame (and every
-//!   rendezvous DATA frame) stays in its channel's pending queue until
-//!   the receiver's ack *watermark* passes it. Receivers batch acks and
-//!   piggyback them on reverse-direction eager frames in the spare
-//!   `aux` header field. Worker 0's retransmit scan re-sends unacked
-//!   frames with exponential backoff and jitter; receiver sequence
-//!   dedup makes re-deliveries idempotent, and every delivery re-raises
-//!   the watermark, so a lost ack never wedges the sender. An exhausted
-//!   budget becomes a typed [`FabricError::PeerDead`] verdict.
+//! * **Cumulative ack + retransmit** — every payload frame stays in its
+//!   channel's pending queue until the receiver's ack *watermark*
+//!   passes it. Receivers batch acks and piggyback them on
+//!   reverse-direction frames in the spare `aux` header field. Worker
+//!   0's retransmit scan re-sends unacked frames with exponential
+//!   backoff and jitter; receiver sequence dedup makes re-deliveries
+//!   idempotent, and every delivery re-raises the watermark, so a lost
+//!   ack never wedges the sender. An exhausted budget becomes a typed
+//!   [`FabricError::PeerDead`] verdict.
 //! * **Reconnect** — a broken socket is reported to worker 0's repair
 //!   duty, which re-establishes the connection and hands fresh
 //!   endpoints to their owners, deduplicating reports by generation
@@ -105,7 +109,7 @@
 //!   sends restripe over the survivors; per-channel FIFO survives
 //!   because receivers reassemble by sequence number. The last
 //!   surviving lane refuses to die.
-//! * **Chaos** — when a [`WireChaos`] stream is installed, every eager
+//! * **Chaos** — when a [`WireChaos`] stream is installed, every payload
 //!   frame's first transmission rolls a fate *below* sequence
 //!   assignment: a dropped frame looks exactly like wire loss and a
 //!   duplicate looks exactly like a spurious retransmit.
@@ -139,7 +143,7 @@ use crate::wire::{Frame, FrameKind};
 use crate::{ChanKey, Fabric};
 use drive::{driving, next_mesh_id, recv_driving, send_inline};
 use endpoint::{EndpointSlot, Half};
-use mesh::{ConnEntry, LaneCounters, Mesh, ProgressShared, RdvMsg};
+use mesh::{ConnEntry, LaneCounters, Mesh, ProgressShared};
 use queue::{PushError, SendQueue};
 use repair::install_endpoint;
 use worker::{resolve_pool_size, worker_loop};
@@ -164,9 +168,6 @@ pub struct TcpConfig {
     /// sender's nominal lane whole, so the small-message rate is
     /// untouched. Must be at least 1.
     pub stripe_min: usize,
-    /// Largest payload sent eagerly; above this the rendezvous handshake
-    /// (RTS/CTS/DATA) is used.
-    pub eager_max: usize,
     /// Bounded user send window (in messages) per directed node pair,
     /// split evenly across its lanes (each lane queue gets at least 1
     /// slot). A per-pair budget keeps the total in-flight backlog —
@@ -225,7 +226,6 @@ impl Default for TcpConfig {
         TcpConfig {
             lanes: 4,
             stripe_min: 8 * 1024,
-            eager_max: 64 * 1024,
             queue_cap: 1024,
             rto: Duration::from_millis(25),
             max_retransmits: 8,
@@ -361,8 +361,6 @@ impl TcpFabric {
             chaos: Mutex::new(None),
             chaos_installed: AtomicBool::new(false),
             seqs: Mutex::new(HashMap::new()),
-            rdv_stash: Mutex::new(HashMap::new()),
-            next_rdv: AtomicU64::new(0),
             retransmits: AtomicU64::new(0),
             striped_msgs: AtomicU64::new(0),
             inline_sends: AtomicU64::new(0),
@@ -531,10 +529,7 @@ impl Fabric for TcpFabric {
             return Ok(());
         }
         // Fix the segment plan before anything else: it decides how many
-        // sequence numbers this message consumes *and* whether it goes
-        // eager — splitting first can turn a rendezvous-sized message
-        // into eager-sized segments, skipping the RTS/CTS round trip the
-        // whole message would have paid.
+        // sequence numbers this message consumes.
         let segs = mesh.plan_segments(payload.len());
         let seq = {
             let mut g = mesh.seqs.lock().map_err(|_| FabricError::QueuePoisoned {
@@ -563,7 +558,6 @@ impl Fabric for TcpFabric {
         } else {
             payload.len()
         };
-        let eager = seg_len <= mesh.cfg.eager_max;
         let chaos = mesh.chaos();
         // A driving caller about to block on a full queue first hands
         // back the wake-ups it deferred: the lane's worker must drain it.
@@ -585,9 +579,9 @@ impl Fabric for TcpFabric {
                 PushError::Poisoned => FabricError::QueuePoisoned { what: "send queue" },
             })
         };
-        // An eager frame goes onto its socket from this thread when it
-        // can (see `send_inline`); otherwise it is queued and the
-        // lane's worker woken. Returns whether the push stalled.
+        // A frame goes onto its socket from this thread when it can (see
+        // `send_inline`); otherwise it is queued and the lane's worker
+        // woken. Returns whether the push stalled.
         let post = |q: &SendQueue, lane: usize, unacked: usize, buf: FrameBuf| match send_inline(
             mesh,
             key,
@@ -602,149 +596,87 @@ impl Fabric for TcpFabric {
                 Ok(stalled)
             }
         };
-        if eager {
-            // Piggyback any cumulative ack owed on the reverse channel
-            // in the spare `aux` field (watermark + 1; 0 = none). The
-            // `owed_len` gate keeps the common no-acks-owed case to one
-            // relaxed load. A striped message carries it on segment 0
-            // only.
-            let mut aux = 0;
-            if mesh.owed_len.load(Ordering::Relaxed) > 0 {
-                if let Ok(mut owed) = mesh.acks_owed.lock() {
-                    if let Some(wm) = owed.remove(&(dst, src, key.2)) {
-                        aux = wm + 1;
-                        mesh.owed_len.store(owed.len(), Ordering::Relaxed);
-                    }
+        // Piggyback any cumulative ack owed on the reverse channel in the
+        // spare `aux` field (watermark + 1; 0 = none). The `owed_len`
+        // gate keeps the common no-acks-owed case to one relaxed load. A
+        // striped message carries it on segment 0 only.
+        let mut aux = 0;
+        if mesh.owed_len.load(Ordering::Relaxed) > 0 {
+            if let Ok(mut owed) = mesh.acks_owed.lock() {
+                if let Some(wm) = owed.remove(&(dst, src, key.2)) {
+                    aux = wm + 1;
+                    mesh.owed_len.store(owed.len(), Ordering::Relaxed);
                 }
             }
-            if segs > 1 {
-                mesh.striped_msgs.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut stalled = false;
-            for i in 0..segs {
-                let lo = (i * seg_len).min(payload.len());
-                let hi = ((i + 1) * seg_len).min(payload.len());
-                let seg_seq = seq + i as u64;
-                let frame = Frame {
-                    kind: FrameKind::Eager,
-                    src: src as u32,
-                    dst: dst as u32,
-                    tag: key.2,
-                    seq: seg_seq,
-                    aux: if i == 0 { aux } else { 0 },
-                    seg_idx: i as u16,
-                    seg_count: if segs > 1 { segs as u16 } else { 0 },
-                    payload: Vec::new(),
-                };
-                // The one encode on the eager path: header + payload
-                // laid out into a pooled buffer; every holder below is
-                // a refcount.
-                let buf = mesh.pool.encode_seg(&frame, &payload[lo..hi]);
-                // Scatter: segment i rides lane (stripe + i) over the
-                // survivors; an unstriped message is the i == 0 case on
-                // its usual lane.
-                let seg_lane = mesh.seg_lane(src, i).unwrap_or(lane);
-                let q = mesh
-                    .queues
-                    .get(&(node_s, node_d, seg_lane))
-                    .ok_or_else(|| FabricError::LaneDead {
-                        lane: seg_lane,
-                        detail: "no send queue for this node pair".into(),
-                    })?;
-                // Register for retransmit before the frame can be lost.
-                // The pending queue holds a refcount on the same pooled
-                // bytes — sequence numbers only grow, so the cumulative
-                // ack pops a prefix and the deque keeps its allocation.
-                let unacked = mesh.register_pending(key, seg_seq, buf.clone(), seg_lane);
-                // Chaos rolls a fate per segment (cut edge, degraded
-                // lane, then the per-class streams): each is an
-                // ordinary frame to lose, duplicate, corrupt, recover.
-                let fate = chaos
-                    .as_ref()
-                    .map_or(FrameFate::Deliver, |c| c.fate_for(node_s, node_d, seg_lane));
-                let pushed = match fate {
-                    // "Lost on the wire": the retransmit duty recovers
-                    // it.
-                    FrameFate::Drop => false,
-                    FrameFate::Dup => {
-                        let a = post(q, seg_lane, unacked, buf.clone())?;
-                        let b = post(q, seg_lane, unacked, buf)?;
-                        a || b
-                    }
-                    FrameFate::Corrupt => {
-                        // Line noise: a bit-flipped *copy* goes out
-                        // while the pending table keeps the pristine
-                        // bytes for the retransmit the receiver's CRC
-                        // reject will provoke.
-                        let mut copy = mesh.pool.copy_bytes(&buf);
-                        if let (Some(c), Some(bytes)) = (chaos.as_ref(), copy.as_mut_slice()) {
-                            c.corrupt_bytes(bytes);
-                        }
-                        post(q, seg_lane, unacked, copy)?
-                    }
-                    FrameFate::Deliver => post(q, seg_lane, unacked, buf)?,
-                };
-                stalled |= pushed;
-            }
-            if stalled {
-                ctrs.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            let rdv = mesh.next_rdv.fetch_add(1, Ordering::Relaxed);
-            mesh.rdv_stash
-                .lock()
-                .map_err(|_| FabricError::QueuePoisoned {
-                    what: "rendezvous stash",
-                })?
-                .insert(
-                    rdv,
-                    RdvMsg {
-                        chan: key,
-                        seq,
-                        segs,
-                        payload,
-                    },
-                );
-            if segs > 1 {
-                mesh.striped_msgs.fetch_add(1, Ordering::Relaxed);
-            }
-            let rts = Frame {
-                kind: FrameKind::Rts,
+        }
+        if segs > 1 {
+            mesh.striped_msgs.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut stalled = false;
+        for i in 0..segs {
+            let lo = (i * seg_len).min(payload.len());
+            let hi = ((i + 1) * seg_len).min(payload.len());
+            let seg_seq = seq + i as u64;
+            let frame = Frame {
+                kind: FrameKind::Eager,
                 src: src as u32,
                 dst: dst as u32,
                 tag: key.2,
-                seq,
-                aux: rdv,
-                seg_idx: 0,
-                seg_count: 0,
+                seq: seg_seq,
+                aux: if i == 0 { aux } else { 0 },
+                seg_idx: i as u16,
+                seg_count: if segs > 1 { segs as u16 } else { 0 },
                 payload: Vec::new(),
             };
-            let buf = mesh.pool.encode(&rts);
-            let q =
-                mesh.queues
-                    .get(&(node_s, node_d, lane))
-                    .ok_or_else(|| FabricError::LaneDead {
-                        lane,
-                        detail: "no send queue for this node pair".into(),
-                    })?;
-            // A cut edge eats the RTS exactly as it would on the wire:
-            // the stash entry ages out with the fabric and the transfer
-            // surfaces as a timeout — the same observable as a lost
-            // handshake.
-            if let Some(c) = chaos.as_ref() {
-                if c.cut(node_s, node_d) {
-                    c.note_cut();
-                    return Ok(());
+            // The one encode on the send path: header + payload laid out
+            // into a pooled buffer; every holder below is a refcount.
+            let buf = mesh.pool.encode_seg(&frame, &payload[lo..hi]);
+            // Scatter: segment i rides lane (stripe + i) over the
+            // survivors; an unstriped message is the i == 0 case on its
+            // usual lane.
+            let seg_lane = mesh.seg_lane(src, i).unwrap_or(lane);
+            let q = mesh
+                .queues
+                .get(&(node_s, node_d, seg_lane))
+                .ok_or_else(|| FabricError::LaneDead {
+                    lane: seg_lane,
+                    detail: "no send queue for this node pair".into(),
+                })?;
+            // Register for retransmit before the frame can be lost. The
+            // pending queue holds a refcount on the same pooled bytes —
+            // sequence numbers only grow, so the cumulative ack pops a
+            // prefix and the deque keeps its allocation.
+            let unacked = mesh.register_pending(key, seg_seq, buf.clone(), seg_lane);
+            // Chaos rolls a fate per segment (cut edge, degraded lane,
+            // then the per-class streams): each is an ordinary frame to
+            // lose, duplicate, corrupt, recover.
+            let fate = chaos
+                .as_ref()
+                .map_or(FrameFate::Deliver, |c| c.fate_for(node_s, node_d, seg_lane));
+            let pushed = match fate {
+                // "Lost on the wire": the retransmit duty recovers it.
+                FrameFate::Drop => false,
+                FrameFate::Dup => {
+                    let a = post(q, seg_lane, unacked, buf.clone())?;
+                    let b = post(q, seg_lane, unacked, buf)?;
+                    a || b
                 }
-            }
-            // The RTS itself is not retransmitted; the DATA frames it
-            // eventually provokes are (registered at CTS time). A lost
-            // handshake surfaces as a timeout.
-            if push_to(q, lane, buf)? {
-                ctrs.stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            // The frame is queued; wake the worker that drives this lane.
-            mesh.notify_owner(node_s, node_d, lane);
+                FrameFate::Corrupt => {
+                    // Line noise: a bit-flipped *copy* goes out while the
+                    // pending table keeps the pristine bytes for the
+                    // retransmit the receiver's CRC reject will provoke.
+                    let mut copy = mesh.pool.copy_bytes(&buf);
+                    if let (Some(c), Some(bytes)) = (chaos.as_ref(), copy.as_mut_slice()) {
+                        c.corrupt_bytes(bytes);
+                    }
+                    post(q, seg_lane, unacked, copy)?
+                }
+                FrameFate::Deliver => post(q, seg_lane, unacked, buf)?,
+            };
+            stalled |= pushed;
+        }
+        if stalled {
+            ctrs.stalls.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }

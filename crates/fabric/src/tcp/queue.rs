@@ -93,7 +93,7 @@ impl SendQueue {
         Ok(stalled)
     }
 
-    /// Enqueue a protocol frame (CTS/DATA/ACK, retransmits). Never
+    /// Enqueue a protocol frame (acks, retransmits, heartbeats). Never
     /// blocks — this is what keeps the progress pool always able to
     /// drain the wire. Returns `false` only on a poisoned queue.
     pub(super) fn push_ctrl(&self, frame: FrameBuf) -> bool {

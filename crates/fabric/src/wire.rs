@@ -1,5 +1,5 @@
-//! The TCP backend's wire protocol: length-prefixed frames with an
-//! eager/rendezvous split, framed for *dirty* transports — every frame
+//! The TCP backend's wire protocol: length-prefixed frames, each
+//! carrying its payload inline, framed for *dirty* transports — every frame
 //! opens with a magic byte and a format version, and closes its header
 //! with a CRC-32C checksum covering header and payload.
 //!
@@ -8,18 +8,18 @@
 //! ```text
 //! offset  size  field
 //!      0     1  magic       0xB7 (stream-desync sentinel)
-//!      1     1  version     wire-format version (currently 1)
-//!      2     1  kind        (1=EAGER, 2=RTS, 3=CTS, 4=DATA, 5=ACK, 6=HEARTBEAT)
+//!      1     1  version     wire-format version (currently 2)
+//!      2     1  kind        (1=EAGER, 5=ACK, 6=HEARTBEAT; 2–4 retired)
 //!      3     4  src rank
 //!      7     4  dst rank
 //!     11     4  tag
-//!     15     8  seq         per-channel sequence (EAGER/RTS/DATA/ACK)
-//!     23     8  aux         rendezvous transfer id (RTS/CTS/DATA)
+//!     15     8  seq         per-channel sequence (EAGER), watermark (ACK)
+//!     23     8  aux         piggybacked ack: reverse watermark + 1 (EAGER)
 //!     31     2  seg_idx     segment index within a striped message
 //!     33     2  seg_count   total segments (0 or 1 = unsegmented)
 //!     35     8  payload len
 //!     43     4  CRC-32C     over bytes [0..43) ++ payload
-//!     47     …  payload     (EAGER and DATA only)
+//!     47     …  payload     (EAGER only)
 //! ```
 //!
 //! The PR 9 header silently grew 37→41 bytes with nothing a peer could
@@ -50,13 +50,13 @@
 //! rather than stalling the decoder waiting for bytes that will never
 //! come.
 //!
-//! Small messages travel as a single `EAGER` frame. Above the eager
-//! threshold the sender stashes the payload and sends `RTS`; the receiver
-//! answers `CTS` on the same lane's reverse direction; the sender then
-//! ships the payload in a `DATA` frame. Because a later eager message can
-//! physically arrive before an earlier rendezvous payload, every
-//! payload-bearing frame carries its channel sequence number and the
-//! receive side reassembles send order (see `store::MsgStore`).
+//! Every message travels as `EAGER` frames, whatever its size. Version
+//! 2 retired the rendezvous kinds (2 = RTS, 3 = CTS, 4 = DATA): a
+//! same-version frame carrying one is a [`WireError::BadKind`]. Frames
+//! of one channel can cross on different lanes and come back out of
+//! order from a retransmit, so every payload frame carries its channel
+//! sequence number and the receive side reassembles send order (see
+//! `store::MsgStore`).
 //!
 //! `ACK` closes the loss-recovery loop, and acks are **cumulative**: an
 //! `ACK` frame's `seq` is the receiver's next-expected sequence for the
@@ -67,7 +67,7 @@
 //! reply per frame, they flush one `ACK` per dirty channel when the
 //! inbound socket goes quiet (or every 32 frames under sustained load),
 //! and an ack owed on a channel's reverse direction piggybacks in the
-//! otherwise-unused `aux` field of the next outgoing `EAGER` frame
+//! `aux` field of the next outgoing `EAGER` frame
 //! (`aux = watermark + 1`; 0 means none, since watermark 0 carries no
 //! information). The sequence dedup in `store::MsgStore` makes
 //! retransmits idempotent, and any later delivery on the channel
@@ -84,7 +84,8 @@
 //! release. `seg_count` 0 or 1 means the frame carries a whole message.
 
 use std::fmt;
-use std::io::{self, Read};
+
+use crate::error::FabricError;
 
 /// First byte of every frame. Chosen to be unlikely in ASCII traffic
 /// and asymmetric under bit reversal, so a desynced stream trips the
@@ -93,7 +94,7 @@ pub const MAGIC: u8 = 0xB7;
 
 /// The wire-format version this build speaks. Bump on any layout
 /// change; a peer speaking another version is typed, not garbage.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Size of the fixed frame header in bytes (magic + version + fields +
 /// CRC-32C).
@@ -366,23 +367,30 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<WireError> for io::Error {
-    fn from(e: WireError) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+impl WireError {
+    /// The typed error a reader records for a stream it drops after
+    /// this failure on `lane`, from node `peer`. A version mismatch names
+    /// both versions.
+    pub(crate) fn malformed(self, lane: usize, peer: usize) -> FabricError {
+        let (expected_version, got) = match self {
+            WireError::Version { expected, got } => (Some(expected), Some(got)),
+            _ => (None, None),
+        };
+        FabricError::MalformedFrame {
+            lane,
+            detail: format!("unreadable frame from node {peer}: {self}"),
+            expected_version,
+            got,
+        }
     }
 }
 
 /// Frame discriminator (third header byte).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Payload inline; the whole message in one frame.
+    /// Payload inline: a whole message, or one segment of a striped
+    /// one.
     Eager = 1,
-    /// Rendezvous request-to-send: announces `seq` under transfer `aux`.
-    Rts = 2,
-    /// Rendezvous clear-to-send: receiver grants transfer `aux`.
-    Cts = 3,
-    /// Rendezvous payload for transfer `aux`.
-    Data = 4,
     /// Cumulative acknowledgement: `seq` is the receiver's
     /// next-expected sequence on this channel; the sender drops every
     /// pending frame below it from its retransmit queue.
@@ -399,9 +407,6 @@ impl FrameKind {
     fn from_u8(v: u8) -> Option<FrameKind> {
         match v {
             1 => Some(FrameKind::Eager),
-            2 => Some(FrameKind::Rts),
-            3 => Some(FrameKind::Cts),
-            4 => Some(FrameKind::Data),
             5 => Some(FrameKind::Ack),
             6 => Some(FrameKind::Heartbeat),
             _ => None,
@@ -420,20 +425,19 @@ pub struct Frame {
     pub dst: u32,
     /// Message tag.
     pub tag: u32,
-    /// Per-channel sequence number (EAGER/RTS/DATA), or the cumulative
+    /// Per-channel sequence number (EAGER), or the cumulative
     /// next-expected watermark (ACK).
     pub seq: u64,
-    /// Rendezvous transfer id (RTS/CTS/DATA), or a piggybacked
-    /// cumulative ack for the reverse channel (EAGER): `watermark + 1`,
-    /// with 0 meaning no ack aboard.
+    /// A piggybacked cumulative ack for the reverse channel (EAGER):
+    /// `watermark + 1`, with 0 meaning no ack aboard.
     pub aux: u64,
-    /// Segment index within a striped message (EAGER/DATA at or above
-    /// the stripe threshold); 0 otherwise.
+    /// Segment index within a striped message (EAGER at or above the
+    /// stripe threshold); 0 otherwise.
     pub seg_idx: u16,
     /// Total segments of the striped message this frame belongs to.
     /// 0 or 1 means the frame carries a whole, unsegmented message.
     pub seg_count: u16,
-    /// Inline payload (EAGER/DATA; empty otherwise).
+    /// Inline payload (EAGER; empty otherwise).
     pub payload: Vec<u8>,
 }
 
@@ -488,51 +492,6 @@ impl Frame {
         out.extend_from_slice(payload);
     }
 
-    /// Read one frame from `r` (blocking). `Err` on EOF or any framing
-    /// problem — including a checksum mismatch, which in this blocking
-    /// one-shot API has no retransmit path behind it and is therefore
-    /// an error rather than a silent drop.
-    pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        let mut h = [0u8; HEADER_LEN];
-        r.read_exact(&mut h)?;
-        if h[0] != MAGIC {
-            return Err(WireError::BadMagic { got: h[0] }.into());
-        }
-        if h[1] != WIRE_VERSION {
-            return Err(WireError::Version {
-                expected: WIRE_VERSION,
-                got: h[1],
-            }
-            .into());
-        }
-        let len = u64::from_le_bytes(h[35..43].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            return Err(WireError::Oversize { len }.into());
-        }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        let want = u32::from_le_bytes(h[43..47].try_into().unwrap());
-        if frame_crc(&h[..CRC_OFFSET], &payload) != want {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame checksum mismatch",
-            ));
-        }
-        let kind =
-            FrameKind::from_u8(h[2]).ok_or(io::Error::from(WireError::BadKind { got: h[2] }))?;
-        Ok(Frame {
-            kind,
-            src: u32::from_le_bytes(h[3..7].try_into().unwrap()),
-            dst: u32::from_le_bytes(h[7..11].try_into().unwrap()),
-            tag: u32::from_le_bytes(h[11..15].try_into().unwrap()),
-            seq: u64::from_le_bytes(h[15..23].try_into().unwrap()),
-            aux: u64::from_le_bytes(h[23..31].try_into().unwrap()),
-            seg_idx: u16::from_le_bytes(h[31..33].try_into().unwrap()),
-            seg_count: u16::from_le_bytes(h[33..35].try_into().unwrap()),
-            payload,
-        })
-    }
-
     /// The channel this frame belongs to.
     pub fn chan(&self) -> crate::ChanKey {
         (self.src as usize, self.dst as usize, self.tag)
@@ -542,12 +501,12 @@ impl Frame {
     /// from its encoded header, without touching the payload. `None`
     /// for control kinds — the kinds the retransmit table never holds.
     pub fn peek_payload_id(bytes: &[u8]) -> Option<(crate::ChanKey, u64)> {
-        if bytes.len() < HEADER_LEN || bytes[0] != MAGIC || bytes[1] != WIRE_VERSION {
+        if bytes.len() < HEADER_LEN
+            || bytes[0] != MAGIC
+            || bytes[1] != WIRE_VERSION
+            || bytes[2] != FrameKind::Eager as u8
+        {
             return None;
-        }
-        match FrameKind::from_u8(bytes[2]) {
-            Some(FrameKind::Eager | FrameKind::Data) => {}
-            _ => return None,
         }
         let src = u32::from_le_bytes(bytes[3..7].try_into().unwrap()) as usize;
         let dst = u32::from_le_bytes(bytes[7..11].try_into().unwrap()) as usize;
@@ -610,8 +569,7 @@ impl Frame {
 /// Incremental frame decoder for nonblocking sockets: feed it whatever
 /// byte chunks the kernel hands back, pull out as many complete frames
 /// as have accumulated. A frame split across reads simply waits in the
-/// buffer until its tail arrives — the nonblocking analogue of
-/// [`Frame::read_from`]'s blocking `read_exact` pair.
+/// buffer until its tail arrives.
 ///
 /// Checksum-failed frames are consumed and *silently skipped* — the
 /// wire ate them, as far as the protocol is concerned, and retransmit
@@ -689,6 +647,15 @@ impl FrameDecoder {
 mod tests {
     use super::*;
 
+    /// Decode `bytes`, which must hold exactly one intact frame.
+    fn decode_one(bytes: &[u8]) -> Frame {
+        let mut dec = FrameDecoder::new();
+        dec.feed(bytes);
+        let f = dec.next_frame().unwrap().expect("one whole frame");
+        assert_eq!(dec.pending_bytes(), 0, "bytes past the frame");
+        f
+    }
+
     #[test]
     fn crc32c_known_answer() {
         // The standard Castagnoli check value.
@@ -750,9 +717,7 @@ mod tests {
     fn roundtrip_all_kinds() {
         for (kind, payload) in [
             (FrameKind::Eager, vec![1u8, 2, 3]),
-            (FrameKind::Rts, vec![]),
-            (FrameKind::Cts, vec![]),
-            (FrameKind::Data, vec![0u8; 1000]),
+            (FrameKind::Eager, vec![0u8; 1000]),
             (FrameKind::Ack, vec![]),
             (FrameKind::Heartbeat, vec![]),
         ] {
@@ -771,9 +736,7 @@ mod tests {
             assert_eq!(bytes.len(), HEADER_LEN + f.payload.len());
             assert_eq!(bytes[0], MAGIC);
             assert_eq!(bytes[1], WIRE_VERSION);
-            let mut cursor = &bytes[..];
-            let back = Frame::read_from(&mut cursor).unwrap();
-            assert_eq!(back, f);
+            assert_eq!(decode_one(&bytes), f);
         }
     }
 
@@ -790,8 +753,7 @@ mod tests {
             seg_count: 0,
             payload: vec![],
         };
-        let mut cursor = &f.encode()[..];
-        assert_eq!(Frame::read_from(&mut cursor).unwrap(), f);
+        assert_eq!(decode_one(&f.encode()), f);
     }
 
     #[test]
@@ -815,7 +777,7 @@ mod tests {
     #[test]
     fn segment_fields_sit_at_their_documented_offsets() {
         let f = Frame {
-            kind: FrameKind::Data,
+            kind: FrameKind::Eager,
             src: 1,
             dst: 2,
             tag: 3,
@@ -829,7 +791,7 @@ mod tests {
         assert_eq!(u16::from_le_bytes(bytes[31..33].try_into().unwrap()), 3);
         assert_eq!(u16::from_le_bytes(bytes[33..35].try_into().unwrap()), 7);
         assert_eq!(u64::from_le_bytes(bytes[35..43].try_into().unwrap()), 5);
-        let back = Frame::read_from(&mut &bytes[..]).unwrap();
+        let back = decode_one(&bytes);
         assert_eq!((back.seg_idx, back.seg_count), (3, 7));
     }
 
@@ -1006,43 +968,49 @@ mod tests {
     #[test]
     fn bad_kind_byte_is_a_stream_error_only_when_checksummed() {
         // A frame re-checksummed around a bogus kind byte is a protocol
-        // disagreement, not line noise.
-        let mut bytes = Frame {
-            kind: FrameKind::Eager,
-            src: 0,
-            dst: 0,
-            tag: 0,
-            seq: 0,
-            aux: 0,
-            seg_idx: 0,
-            seg_count: 0,
-            payload: vec![],
+        // disagreement, not line noise: the reader drops the stream and
+        // records it as malformed. Kinds 2, 3 and 4 (RTS, CTS and DATA
+        // before wire version 2) are as unknown as 9.
+        for kind in [2u8, 3, 4, 9] {
+            let clean = Frame {
+                kind: FrameKind::Eager,
+                src: 0,
+                dst: 1,
+                tag: 0,
+                seq: 0,
+                aux: 0,
+                seg_idx: 0,
+                seg_count: 0,
+                payload: vec![1, 2],
+            }
+            .encode();
+            let mut bytes = clean.clone();
+            bytes[2] = kind;
+            let crc = frame_crc(&bytes[..CRC_OFFSET], &bytes[HEADER_LEN..]);
+            bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(Frame::peek_payload_id(&bytes), None, "kind {kind}");
+            let mut dec = FrameDecoder::new();
+            dec.feed(&bytes);
+            let err = dec.next_frame().unwrap_err();
+            assert_eq!(err, WireError::BadKind { got: kind });
+            match err.malformed(3, 1) {
+                FabricError::MalformedFrame {
+                    lane: 3,
+                    detail,
+                    expected_version: None,
+                    got: None,
+                } => assert!(detail.contains(&format!("kind byte {kind}")), "{detail}"),
+                other => panic!("kind {kind}: expected MalformedFrame, got {other:?}"),
+            }
+            // The same flip *without* a fixed-up checksum is just
+            // corruption.
+            let mut noisy = clean;
+            noisy[2] = kind;
+            let mut dec = FrameDecoder::new();
+            dec.feed(&noisy);
+            assert_eq!(dec.next_frame().unwrap(), None);
+            assert_eq!(dec.take_corrupt(), 1);
         }
-        .encode();
-        bytes[2] = 9;
-        let crc = frame_crc(&bytes[..CRC_OFFSET], &[]);
-        bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        assert_eq!(dec.next_frame().unwrap_err(), WireError::BadKind { got: 9 });
-        // The same flip *without* a fixed-up checksum is just corruption.
-        let mut noisy = Frame {
-            kind: FrameKind::Eager,
-            src: 0,
-            dst: 0,
-            tag: 0,
-            seq: 0,
-            aux: 0,
-            seg_idx: 0,
-            seg_count: 0,
-            payload: vec![],
-        }
-        .encode();
-        noisy[2] = 9;
-        let mut dec = FrameDecoder::new();
-        dec.feed(&noisy);
-        assert_eq!(dec.next_frame().unwrap(), None);
-        assert_eq!(dec.take_corrupt(), 1);
     }
 
     #[test]

@@ -4,10 +4,7 @@
 //! zero-length messages — regardless of how its wire behaves.
 //!
 //! Each check runs over the in-process backend and over TCP loopback
-//! with k ∈ {1, 2, 4} lanes plus a rendezvous-forcing configuration
-//! (tiny eager threshold), so the reordering machinery of the
-//! RTS/CTS/DATA path is exercised, not just the happy eager path.
-//! A final deterministic-chaos configuration (seeded 5% drop + 2% dup
+//! with k ∈ {1, 2, 4} lanes. A final deterministic-chaos configuration (seeded 5% drop + 2% dup
 //! on eager frames) holds the semantics even while the ack/retransmit
 //! and sequence-dedup recovery machinery is doing real work.
 //!
@@ -50,17 +47,6 @@ fn conformance(check: impl Fn(&dyn Fabric)) {
         let tcp = TcpFabric::connect(topo(), tcp_config(lanes)).expect("loopback fabric");
         check(&tcp);
     }
-    // A tiny eager threshold: any segment above 8 bytes goes through
-    // the rendezvous path, whose DATA phase stripes too.
-    let rdv = TcpFabric::connect(
-        topo(),
-        TcpConfig {
-            eager_max: 8,
-            ..tcp_config(2)
-        },
-    )
-    .expect("loopback fabric");
-    check(&rdv);
     // Deterministic chaos over TCP: 5% of eager frames dropped, 2%
     // duplicated, fixed seed. A fast retransmit clock keeps
     // recovery inside test time; the semantics must be
@@ -85,8 +71,8 @@ fn conformance(check: impl Fn(&dyn Fabric)) {
 }
 
 /// Deterministic payload for message `i` on a channel: identifies both
-/// the index and the channel, with size varying so eager and rendezvous
-/// frames interleave under small `eager_max`.
+/// the index and the channel, with size varying from message to message
+/// (4, 12 or 20 bytes).
 fn payload(key: ChanKey, i: u32) -> Vec<u8> {
     let len = 4 + (i as usize % 3) * 8;
     let mut v = Vec::with_capacity(len);
@@ -174,30 +160,30 @@ fn zero_length_messages_are_delivered() {
 }
 
 #[test]
-fn eager_and_rendezvous_do_not_overtake() {
-    // Dedicated check on the rendezvous-forcing config: a large
-    // (rendezvous) message followed by a small (eager) one must still
-    // arrive in send order, even though the eager frame physically wins
-    // the race while the RTS/CTS handshake is in flight.
+fn striped_and_whole_messages_do_not_overtake() {
+    // At the default stripe floor a 128 KiB message splits into two
+    // 64 KiB segments, one per lane; the small message after it rides
+    // the sender's lane whole and can physically land before the
+    // segment on the other lane. It must still be received second.
     let f = TcpFabric::connect(
         topo(),
         TcpConfig {
             lanes: 2,
-            eager_max: 64,
             ..TcpConfig::default()
         },
     )
     .unwrap();
     let key: ChanKey = (3, 7, 0);
-    let big: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 253) as u8).collect();
+    let big: Vec<u8> = (0..128 * 1024u32).map(|i| (i % 253) as u8).collect();
     for round in 0..20u8 {
         f.send(key, big.clone()).unwrap();
         f.send(key, vec![round]).unwrap();
     }
     for round in 0..20u8 {
-        assert_eq!(f.recv(key).unwrap(), big);
-        assert_eq!(f.recv(key).unwrap(), vec![round]);
+        assert_eq!(f.recv(key).unwrap(), big, "round {round}");
+        assert_eq!(f.recv(key).unwrap(), vec![round], "round {round}");
     }
+    assert_eq!(f.stats().striped_msgs, 20, "every large message striped");
 }
 
 #[test]

@@ -140,7 +140,11 @@ impl ClusterShared {
     /// not re-report a stall that is already being torn down.
     pub(crate) fn record_failure(&self, rank: Option<usize>, detail: String) {
         if let Ok(mut g) = self.failures.lock() {
-            g.push(RankFailure { rank, detail });
+            g.push(RankFailure {
+                rank,
+                epoch: self.epoch,
+                detail,
+            });
         }
         self.bump_progress();
     }
@@ -220,6 +224,9 @@ pub struct RankFailure {
     /// The rank the failure is attributed to, or `None` for run-level
     /// failures (watchdog reports, fabric-internal errors).
     pub rank: Option<usize>,
+    /// The fault-tolerant attempt that observed it (0 = the first
+    /// attempt, and every run without retries).
+    pub epoch: u32,
     /// Human-readable cause, carrying the underlying diagnostic (stuck
     /// channel, queue depths, panic message, …).
     pub detail: String,
@@ -228,8 +235,8 @@ pub struct RankFailure {
 impl std::fmt::Display for RankFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.rank {
-            Some(r) => write!(f, "rank {r}: {}", self.detail),
-            None => write!(f, "run: {}", self.detail),
+            Some(r) => write!(f, "rank {r} (epoch {}): {}", self.epoch, self.detail),
+            None => write!(f, "run (epoch {}): {}", self.epoch, self.detail),
         }
     }
 }
@@ -576,6 +583,7 @@ where
     let (recv, mut failures) = shared.into_parts();
     failures.extend(fabric.drain_errors().into_iter().map(|e| RankFailure {
         rank: None,
+        epoch: 0,
         detail: format!("fabric: {e}"),
     }));
     RtResult {

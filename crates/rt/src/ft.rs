@@ -579,7 +579,8 @@ where
     let counters: Vec<Arc<OpCounters>> = (0..world)
         .map(|_| Arc::new(OpCounters::default()))
         .collect();
-    let killed_log: Mutex<Vec<RankKilled>> = Mutex::new(Vec::new());
+    // Each kill with the epoch of the attempt its trigger fired in.
+    let killed_log: Mutex<Vec<(RankKilled, u32)>> = Mutex::new(Vec::new());
     let mut outputs: Vec<Option<Vec<u8>>> = vec![None; world];
     let mut committed: Vec<Option<RankSet>> = vec![None; world];
     let mut failures: Vec<RankFailure> = Vec::new();
@@ -647,7 +648,7 @@ where
                             // Injected death: fall silent immediately —
                             // no failure record, no agreement. Peers
                             // must discover this the hard way.
-                            killed_log.lock().unwrap().push(*k);
+                            killed_log.lock().unwrap().push((*k, epoch));
                             return;
                         }
                         comm.mark_failed(panic_detail(payload));
@@ -703,6 +704,7 @@ where
                     lost_now.insert(r);
                     failures.push(RankFailure {
                         rank: Some(r),
+                        epoch: epoch - 1,
                         detail: format!(
                             "quorum lost at epoch {}: only {:?} of {} members reachable — \
                              refusing to commit a minority failed set",
@@ -719,6 +721,7 @@ where
         if split {
             failures.push(RankFailure {
                 rank: None,
+                epoch: epoch - 1,
                 detail: format!(
                     "agreement split at epoch {}: survivors committed different failed sets",
                     epoch - 1
@@ -730,7 +733,7 @@ where
         let killed_now: RankSet = {
             let g = killed_log.lock().unwrap();
             let mut s = RankSet::new();
-            for k in g.iter() {
+            for (k, _) in g.iter() {
                 s.insert(k.rank);
             }
             s
@@ -747,6 +750,7 @@ where
         if members.is_empty() {
             failures.push(RankFailure {
                 rank: None,
+                epoch: epoch - 1,
                 detail: "no survivors left to retry with".into(),
             });
             break;
@@ -754,6 +758,7 @@ where
         if epoch >= MAX_EPOCHS {
             failures.push(RankFailure {
                 rank: None,
+                epoch: epoch - 1,
                 detail: format!("giving up after {MAX_EPOCHS} attempts with faults persisting"),
             });
             break;
@@ -761,14 +766,18 @@ where
     }
 
     let killed_log = killed_log.into_inner().unwrap_or_else(|e| e.into_inner());
-    for k in &killed_log {
+    for &(k, at_epoch) in &killed_log {
         failures.push(RankFailure {
             rank: Some(k.rank),
+            epoch: at_epoch,
             detail: format!("killed by fault plan ({} #{})", k.op, k.at),
         });
     }
+    // Drained once, after the last attempt: that attempt is the latest
+    // that could have observed them.
     failures.extend(fabric.drain_errors().into_iter().map(|e| RankFailure {
         rank: None,
+        epoch: epoch - 1,
         detail: format!("fabric: {e}"),
     }));
     let mut recv = outputs;
@@ -785,7 +794,7 @@ where
             .map(|c| c.map(|s| s.ranks()))
             .collect(),
         quorum_lost: quorum_lost_total.ranks(),
-        killed: killed_log.iter().map(|k| k.rank).collect(),
+        killed: killed_log.iter().map(|(k, _)| k.rank).collect(),
         epochs: epoch as usize,
         elapsed: t0.elapsed(),
         fabric_stats: fabric.stats(),

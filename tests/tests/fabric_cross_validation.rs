@@ -369,7 +369,8 @@ fn allgather_grid_over_tcp() {
             }
         }
     }
-    // Large-message ring path (and, over TCP, the rendezvous protocol).
+    // Large-message ring path: over TCP, its 96 KiB blocks go as one
+    // frame at k = 1 and as per-lane segments at k = 2 and 4.
     cross_validate(
         LibraryProfile::PipMColl,
         3,
@@ -403,8 +404,7 @@ fn allreduce_grid_over_tcp() {
 
 #[test]
 fn collective_grid_survives_seeded_chaos() {
-    // One spec per collective family, exercising eager traffic (small
-    // counts) and the rendezvous path (large allgather), each over
+    // One spec per collective family at a small count, each over
     // k ∈ {1, 2, 4} chaotic lanes. Retransmits are summed across the
     // whole grid: with 5% injected drop some frame must have needed the
     // ack/backoff recovery path, otherwise this test is vacuous.

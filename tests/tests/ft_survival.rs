@@ -434,19 +434,31 @@ fn retries_keep_original_rank_ids_when_dense_ids_differ() {
     let reference = reference_on_survivors(lib, spec, &[0, 2]);
     assert_eq!(res.recv[0].as_deref(), Some(&reference[0][..]));
     assert_eq!(res.recv[2].as_deref(), Some(&reference[1][..]));
-    // The live members of each attempt, in original ids. Rank 1 dies
-    // before its first op, so it never records a failure of its own:
-    // one naming it is dense rank 1 (original rank 2) leaking out of a
-    // retry.
+    // The live members of each attempt, in original ids: every failure
+    // names one of its own attempt's. Rank 1 dies before its first op,
+    // so it never records a failure of its own: one naming it is dense
+    // rank 1 (original rank 2) leaking out of a retry.
     let live: [&[usize]; 3] = [&[0, 2, 3], &[0, 2, 3], &[0, 2]];
     for f in &res.failures {
+        let members = live
+            .get(f.epoch as usize)
+            .unwrap_or_else(|| panic!("failure from attempt {}, past the third: {f}", f.epoch));
         let Some(r) = f.rank else { continue };
         if f.detail.starts_with("killed by fault plan") {
             continue;
         }
         assert!(
-            live.iter().any(|m| m.contains(&r)),
-            "failure names rank {r}, a member of no attempt: {f}"
+            members.contains(&r),
+            "failure names rank {r}, not a live member of its attempt: {f}"
         );
     }
+    // Kills carry the attempt their trigger fired in.
+    let kill_epoch = |rank: usize| {
+        res.failures
+            .iter()
+            .find(|f| f.rank == Some(rank) && f.detail.starts_with("killed by fault plan"))
+            .map(|f| f.epoch)
+    };
+    assert_eq!(kill_epoch(1), Some(0), "{:?}", res.failures);
+    assert_eq!(kill_epoch(3), Some(1), "{:?}", res.failures);
 }
