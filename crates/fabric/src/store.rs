@@ -18,11 +18,11 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::{BlockedRecv, FabricError, FabricResult, TimeoutDiag};
-use crate::wait::Waiters;
+use crate::wait::{Waiters, WakeSocket};
 use crate::ChanKey;
 
 /// One wire arrival: its segment coordinates plus payload. A whole
@@ -58,16 +58,24 @@ struct ChanState {
     /// When the current blocked receive started waiting (if any).
     waiting_since: Option<Instant>,
     /// This channel's receiver drives the wire itself (see
-    /// [`MsgStore::pop_driving`]).
+    /// `MsgStore::pop_driving`).
     driven: bool,
-    /// Its receiver is parked in [`MsgStore::pop_or_park`].
-    parked: bool,
-    /// Wire arrivals announced by [`MsgStore::note_arrival`]; a driving
-    /// receiver that saw this move re-drains instead of parking.
-    arrivals: u64,
+    /// The wake socket of its receiver while that receiver sleeps in
+    /// `poll(2)`: the next delivery rings it once and clears it.
+    poller: Option<Arc<WakeSocket>>,
 }
 
 impl ChanState {
+    /// Wake a receiver sleeping in `poll(2)` if a message is ready for
+    /// it: one byte per registration, however many deliveries follow.
+    fn ring(&mut self) {
+        if !self.ready.is_empty() {
+            if let Some(w) = self.poller.take() {
+                w.ring();
+            }
+        }
+    }
+
     /// Absorb the next in-sequence frame: whole messages go straight to
     /// `ready`; segments accumulate in `assembling` until the striped
     /// message is complete, so FIFO hold-back release only ever exposes
@@ -195,11 +203,12 @@ impl MsgStore {
         out
     }
 
-    /// [`MsgStore::deliver_seg_watermark`] without waking receivers:
-    /// the wake-up this delivery owes is added to `wakes`, to be paid by
-    /// one [`MsgStore::wake`] after a whole batch of frames. A reader
-    /// that decodes hundreds of small frames per socket read then wakes
-    /// each parked receiver once, not once per frame.
+    /// [`MsgStore::deliver_seg_watermark`] without waking parked
+    /// receivers: the wake-up this delivery owes is added to `wakes`, to
+    /// be paid by one [`MsgStore::wake`] after a whole batch of frames.
+    /// A reader that decodes hundreds of small frames per socket read
+    /// then wakes each parked receiver once, not once per frame. A
+    /// receiver sleeping in `poll(2)` is rung at once, and only once.
     pub fn deliver_deferred(
         &self,
         key: ChanKey,
@@ -230,6 +239,7 @@ impl MsgStore {
                 st.absorb(f);
                 st.next_seq += 1;
             }
+            st.ring();
             wakes.0 |= 1 << Self::shard(key);
             (true, st.next_seq)
         } else if let std::collections::btree_map::Entry::Vacant(e) = st.held.entry(seq) {
@@ -290,28 +300,45 @@ impl MsgStore {
     }
 
     /// Pop the next in-order message on `key` for a receiver that makes
-    /// wire progress itself while it waits (it drains the sockets the
-    /// message could arrive on). `Ok(Err(seen))` when nothing is ready:
-    /// `seen` is the arrival count to hand to [`MsgStore::pop_or_park`]
-    /// after draining. Marks the channel driven: from now on
-    /// [`MsgStore::note_arrival`] leaves its arrivals to its receiver,
-    /// who drains them on its next receive, until a
-    /// [`MsgStore::try_pop`] or a [`MsgStore::timed_out`] says the
-    /// receiver stopped driving.
-    pub fn pop_driving(&self, key: ChanKey) -> FabricResult<Result<Vec<u8>, u64>> {
+    /// wire progress itself while it waits: it sleeps in `poll(2)` on
+    /// the sockets the message could arrive on and on `poller`. When
+    /// nothing is ready, `poller` is registered under the same lock that
+    /// found nothing, so a delivery after this pop — by a progress
+    /// worker, a driving caller or another rank — rings it once; the
+    /// receiver clears the registration after every sleep with
+    /// [`MsgStore::stop_polling`]. Marks the channel driven: from now
+    /// on [`MsgStore::note_arrival`] leaves its arrivals to its
+    /// receiver, until a [`MsgStore::try_pop`] or a
+    /// [`MsgStore::timed_out`] says the receiver stopped driving.
+    pub(crate) fn pop_driving(
+        &self,
+        key: ChanKey,
+        poller: &Arc<WakeSocket>,
+    ) -> FabricResult<Option<Vec<u8>>> {
         let mut g = self.lock()?;
         let st = g.entry(key).or_default();
         if !st.driven {
             st.driven = true;
             self.drivers.fetch_add(1, Ordering::SeqCst);
         }
-        Ok(match st.ready.pop_front() {
-            Some(m) => {
-                st.waiting_since = None;
-                Ok(m)
-            }
-            None => Err(st.arrivals),
-        })
+        let msg = st.ready.pop_front();
+        if msg.is_some() {
+            st.waiting_since = None;
+        } else {
+            st.waiting_since.get_or_insert_with(Instant::now);
+            st.poller = Some(Arc::clone(poller));
+        }
+        Ok(msg)
+    }
+
+    /// Clear the registration [`MsgStore::pop_driving`] made for `key`.
+    /// Returns whether a delivery rang it meanwhile: its byte is on the
+    /// wake socket, and no later one will be.
+    pub(crate) fn stop_polling(&self, key: ChanKey) -> bool {
+        self.lock()
+            .ok()
+            .and_then(|mut g| g.get_mut(&key).map(|st| st.poller.take().is_none()))
+            .unwrap_or(false)
     }
 
     /// Clear `st`'s driven mark, if set.
@@ -321,79 +348,37 @@ impl MsgStore {
         }
     }
 
-    /// The park half of a driving receive: pop the next message on `key`
-    /// or park once until a delivery, an arrival noted after `seen`, or
-    /// `timeout`. `Ok(None)` after any wake-up — the caller drains the
-    /// wire and calls [`MsgStore::pop_driving`] again.
-    pub fn pop_or_park(
-        &self,
-        key: ChanKey,
-        seen: u64,
-        timeout: Duration,
-    ) -> FabricResult<Option<Vec<u8>>> {
-        let mut parked = false;
-        let (mut g, msg) = self
-            .waiters_for(key)
-            .wait_for(self.lock()?, timeout, |chans| {
-                let st = chans.entry(key).or_default();
-                if let Some(m) = st.ready.pop_front() {
-                    st.waiting_since = None;
-                    return Some(Some(m));
-                }
-                st.waiting_since.get_or_insert_with(Instant::now);
-                if parked || st.arrivals != seen {
-                    return Some(None);
-                }
-                parked = true;
-                st.parked = true;
-                None
-            })
-            .map_err(|_| FabricError::QueuePoisoned {
-                what: "receive store",
-            })?;
-        if let Some(st) = g.get_mut(&key) {
-            st.parked = false;
-        }
-        Ok(msg.flatten())
-    }
-
     /// Whether any channel of this store is driven: some receiver here
-    /// reads the wire itself (see [`MsgStore::pop_driving`]).
+    /// reads the wire itself (see `MsgStore::pop_driving`).
     pub fn driven(&self) -> bool {
         self.drivers.load(Ordering::SeqCst) > 0
     }
 
     /// A frame of channel `key` was just written onto a socket into this
     /// store's node. Returns whether the channel's driving receiver will
-    /// pick it up — woken if parked, it drains again before it parks, and
-    /// a receiver not yet back drains on arrival — or `false`, when
-    /// someone else must be woken to read it.
+    /// pick it up — it sleeps in `poll(2)` on that socket, which the
+    /// write itself woke, or polls it on its next receive — or `false`,
+    /// when someone else must be woken to read it.
     pub fn note_arrival(&self, key: ChanKey) -> bool {
         // Nobody driving anywhere: no lock needed to say so.
         if !self.driven() {
             return false;
         }
-        let Ok(mut g) = self.lock() else {
-            return false;
-        };
-        let Some(st) = g.get_mut(&key).filter(|st| st.driven) else {
-            return false;
-        };
-        st.arrivals += 1;
-        if st.parked {
-            self.waiters_for(key).notify(&g);
-        }
-        true
+        self.lock()
+            .is_ok_and(|g| g.get(&key).is_some_and(|st| st.driven))
     }
 
     /// The typed timeout of a receive on `key` that waited `timeout` for
     /// nothing (see [`MsgStore::pop_within`]). A receiver that gave up
-    /// may not come back, so the channel stops being driven.
+    /// may not come back, so the channel stops being driven and its
+    /// wake socket is let go.
     pub fn timed_out(&self, key: ChanKey, timeout: Duration) -> FabricError {
         match self.lock() {
             Ok(mut g) => {
                 let err = Self::timeout_diag(self.backend, &mut g, key, timeout);
-                self.undrive(g.entry(key).or_default());
+                let st = g.entry(key).or_default();
+                st.poller = None;
+                self.undrive(st);
                 err
             }
             Err(e) => e,
@@ -699,27 +684,45 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_reach_a_driving_receiver_before_it_parks() {
+    fn polling_registration_returns_earlier_deliveries_and_rings_once_for_later() {
         let s = MsgStore::new("test");
+        let wake = Arc::new(WakeSocket::new().unwrap());
         // Nobody drives the channel yet: the writer must wake someone.
         assert!(!s.note_arrival(K));
-        let seen = s.pop_driving(K).unwrap().unwrap_err();
-        // An arrival noted after `seen` (while the receiver drains) makes
-        // the park return at once instead of sleeping out its timeout.
-        assert!(s.note_arrival(K), "a driving receiver picks it up");
-        let t0 = Instant::now();
-        assert_eq!(
-            s.pop_or_park(K, seen, Duration::from_secs(5)).unwrap(),
-            None
-        );
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "parked past an arrival"
-        );
-        // A delivery still ends the receive; a poller stops the driving.
+        // A delivery made before the registration is what it returns,
+        // and nothing is left registered to ring.
         s.deliver_seg_watermark(K, 0, 0, 0, vec![7]);
-        let seen = s.pop_driving(K).unwrap().unwrap();
-        assert_eq!(seen, vec![7]);
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![7]));
+        assert!(s.note_arrival(K), "a driving receiver picks it up");
+        s.deliver_seg_watermark(K, 1, 0, 0, vec![8]);
+        assert_eq!(wake.drain(), 0, "rang with nobody registered");
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![8]));
+        // A miss registers; the deliveries after it ring exactly once.
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
+        assert_eq!(wake.drain(), 0);
+        s.deliver_seg_watermark(K, 2, 0, 0, vec![9]);
+        s.deliver_seg_watermark(K, 3, 0, 0, vec![10]);
+        assert_eq!(wake.drain(), 1, "one wake byte per registration");
+        assert!(s.stop_polling(K), "the delivery rang the registration");
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![9]));
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![10]));
+        // A registration cleared unrung, or by a timeout, rings no more.
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
+        assert!(!s.stop_polling(K));
+        s.deliver_seg_watermark(K, 4, 0, 0, vec![11]);
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![11]));
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
+        assert!(matches!(
+            s.timed_out(K, Duration::ZERO),
+            FabricError::Timeout(_)
+        ));
+        s.deliver_seg_watermark(K, 5, 0, 0, vec![12]);
+        assert_eq!(wake.drain(), 0, "a timed-out receiver was rung");
+        assert_eq!(Arc::strong_count(&wake), 1, "the store kept the socket");
+        // A timed-out receiver stops driving, and so does a poller.
+        assert!(!s.note_arrival(K));
+        assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![12]));
+        assert!(s.note_arrival(K));
         assert_eq!(s.try_pop(K).unwrap(), None);
         assert!(!s.note_arrival(K), "a polled channel is not driven");
         assert!(!s.driven());

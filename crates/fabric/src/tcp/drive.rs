@@ -1,12 +1,17 @@
 //! The paths on which a caller drives the sockets itself: `send` writes
-//! an eager frame straight onto its lane, `recv_within` drains the
-//! sockets from the sending node before it parks, and [`drive`] runs a
-//! progress worker's pass over every endpoint from a polling thread.
-//! All of them run the same `write_step` and `read_step` as the
-//! progress pool; only the caller differs.
+//! an eager frame straight onto its lane, `recv_within` sleeps in
+//! `poll(2)` on the sockets from the sending node and reads those the
+//! kernel reports readable, and [`drive`] runs a progress worker's pass
+//! over every endpoint from a polling thread. All of them run the same
+//! `write_step` and `read_step` as the progress pool; only the caller
+//! differs.
 
 use std::cell::{Cell, RefCell};
+use std::ffi::{c_int, c_short};
+use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::endpoint::write_step;
@@ -15,7 +20,35 @@ use super::worker::stage_share;
 use super::LaneKey;
 use crate::error::FabricResult;
 use crate::pool::FrameBuf;
+use crate::wait::WakeSocket;
 use crate::ChanKey;
+
+#[cfg(not(unix))]
+compile_error!("the TCP fabric's blocking receive sleeps in poll(2): it needs a unix target");
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `nfds_t`.
+#[cfg(target_os = "linux")]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::ffi::c_uint;
+
+#[cfg(unix)]
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
+
+const POLLIN: c_short = 0x1;
+const POLLERR: c_short = 0x8;
+const POLLHUP: c_short = 0x10;
+const POLLNVAL: c_short = 0x20;
 
 /// Frames a channel may have awaiting an ack and still send inline. A
 /// channel past it is streaming, not exchanging: its frames take the
@@ -109,6 +142,8 @@ thread_local! {
     /// A rank's or a driver's socket read buffer, reused across its
     /// reads.
     static SCRATCH: RefCell<Vec<u8>> = RefCell::new(vec![0; 64 * 1024]);
+    /// A rank's poll set, built on its first blocking receive.
+    static POLL: RefCell<PollSet> = RefCell::new(PollSet::new());
     /// The id of the mesh this thread drives ([`drive`] with `stay`),
     /// 0 for none. Ids are never reused, so a mark outliving its fabric
     /// matches no other.
@@ -116,60 +151,141 @@ thread_local! {
 }
 
 /// Drain every lane's socket carrying node `peer`'s traffic into node
-/// `here`, as a rank (`by_rank`) or as a worker would. Every lane,
-/// because a striped message spreads its segments over all of them. A
-/// lane whose worker is running is left to it, as on the send side: the
-/// worker batches the read with the rest of its cycle, and a poke makes
-/// sure that cycle comes. Returns whether any bytes arrived.
-fn drain_inbound(mesh: &Mesh, here: usize, peer: usize, by_rank: bool) -> bool {
-    let mut read = false;
+/// `here`, as a worker would. Every lane, because a striped message
+/// spreads its segments over all of them. A lane whose worker is
+/// running is left to it, as on the send side: the worker batches the
+/// read with the rest of its cycle, and a poke makes sure that cycle
+/// comes.
+fn drain_inbound(mesh: &Mesh, here: usize, peer: usize) {
     for lane in 0..mesh.cfg.lanes {
         let key = (here, peer, lane);
         let slot = mesh.slot(key);
         let owner = &mesh.progress.signals[slot.owner];
         if owner.is_parked() {
-            read |= SCRATCH
-                .with_borrow_mut(|scratch| slot.read.read(mesh, key, by_rank, scratch))
-                .unwrap_or(false);
+            SCRATCH.with_borrow_mut(|scratch| slot.read.read(mesh, key, false, scratch));
         } else {
             owner.notify();
         }
     }
-    read
+}
+
+/// What a thread sleeps on in [`recv_driving`], kept for the thread's
+/// life so that no wait allocates or opens a descriptor: its wake
+/// socket, and one sleep's lane sockets with their `pollfd`s.
+struct PollSet {
+    wake: Arc<WakeSocket>,
+    /// The lanes polled in this sleep and their sockets, whose refcounts
+    /// keep each descriptor number theirs until the reads are done.
+    lanes: Vec<(usize, Arc<TcpStream>)>,
+    /// `lanes`' descriptors in order, then the wake socket's.
+    fds: Vec<PollFd>,
+}
+
+impl PollSet {
+    fn new() -> PollSet {
+        PollSet {
+            wake: Arc::new(WakeSocket::new().expect("a receiving thread's wake socket pair")),
+            lanes: Vec::new(),
+            fds: Vec::new(),
+        }
+    }
+
+    /// Sleep until a socket of a live lane from node `peer` into node
+    /// `here` is readable or hangs up, the wake socket rings, or `left`
+    /// passes (rounded up to `poll`'s milliseconds). Every live lane,
+    /// whoever holds its read half: a frame may land on any of them just
+    /// after a worker finished reading it, and its writer, seeing this
+    /// receiver drive the channel, wakes no one else.
+    fn sleep(&mut self, mesh: &Mesh, here: usize, peer: usize, left: Duration) {
+        self.lanes.clear();
+        self.fds.clear();
+        let sleeper = |fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        for lane in 0..mesh.cfg.lanes {
+            if mesh.killed[lane].load(Ordering::Relaxed) {
+                continue;
+            }
+            if let Some(stream) = mesh.slot((here, peer, lane)).stream() {
+                self.fds.push(sleeper(stream.as_raw_fd()));
+                self.lanes.push((lane, stream));
+            }
+        }
+        self.fds.push(sleeper(self.wake.fd()));
+        let ms = c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is a live array of `fds.len()` `pollfd`s, and
+        // every descriptor in it stays open until the call returns: the
+        // lanes' by the refcounts in `lanes`, the wake socket's by
+        // `wake`. A failed call (EINTR) sets no `revents` and reads as a
+        // wake-up with nothing ready.
+        unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as Nfds, ms) };
+    }
+
+    /// After a sleep: take the wake byte if a delivery `rung` (or the
+    /// kernel reports one), and read each lane the kernel reported, as
+    /// a rank. A lane that hung up is forgotten until a repair offers
+    /// its replacement. Lanes whose half another thread holds are left
+    /// to it (the holder reads again for us); if that was all there was
+    /// to read, give the holder the CPU before polling again.
+    fn read_ready(&mut self, mesh: &Mesh, here: usize, peer: usize, rung: bool) {
+        if rung || self.fds.last().is_some_and(|w| w.revents != 0) {
+            self.wake.drain();
+        }
+        let (mut busy, mut read) = (false, false);
+        for ((lane, stream), fd) in self.lanes.drain(..).zip(&self.fds) {
+            if fd.revents == 0 {
+                continue;
+            }
+            let key = (here, peer, lane);
+            let slot = mesh.slot(key);
+            match SCRATCH.with_borrow_mut(|scratch| slot.read.read(mesh, key, true, scratch)) {
+                Some(got) => read |= got,
+                None if fd.revents & (POLLHUP | POLLERR | POLLNVAL) != 0 => {
+                    slot.forget_stream(&stream);
+                }
+                None => busy = true,
+            }
+        }
+        if busy && !read && !rung {
+            std::thread::yield_now();
+        }
+    }
 }
 
 /// Blocking receive of an internode message that progresses the wire
-/// while it waits: pop, drain the inbound sockets, pop again, park once
-/// on the store, repeat. A frame written while this runs either wakes
-/// the park or makes it return at once (see [`MsgStore::note_arrival`]).
-/// The pool's workers stay the backstop — a rank's park only shortens
-/// delivery, it never gates it.
+/// while it waits: pop, or register this thread's wake socket with the
+/// store under the lock that found nothing; sleep in `poll(2)` on the
+/// sockets of every live lane from the sending node and on the wake
+/// socket; clear the registration; read the lanes that became readable;
+/// repeat. A frame written onto one of those sockets wakes the sleep
+/// from inside the kernel, so its sender pays no wake-up. A delivery
+/// any other thread makes rings the wake socket instead (see
+/// [`MsgStore::pop_driving`]). The pool's workers stay the backstop —
+/// a rank's reads only shorten delivery, they never gate it.
 ///
-/// [`MsgStore::note_arrival`]: crate::store::MsgStore::note_arrival
+/// [`MsgStore::pop_driving`]: crate::store::MsgStore::pop_driving
 pub(super) fn recv_driving(mesh: &Mesh, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>> {
     let here = mesh.topo.node_of(key.1);
     let peer = mesh.topo.node_of(key.0);
     let store = &mesh.stores[here];
-    let mut deadline = None;
-    loop {
-        let seen = match store.pop_driving(key)? {
-            Ok(m) => return Ok(m),
-            Err(seen) => seen,
-        };
-        if drain_inbound(mesh, here, peer, true) {
-            if let Ok(m) = store.pop_driving(key)? {
+    POLL.with_borrow_mut(|ps| {
+        let mut deadline = None;
+        loop {
+            if let Some(m) = store.pop_driving(key, &ps.wake)? {
                 return Ok(m);
             }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(store.timed_out(key, timeout));
+            }
+            ps.sleep(mesh, here, peer, left);
+            let rung = store.stop_polling(key);
+            ps.read_ready(mesh, here, peer, rung);
         }
-        let deadline = *deadline.get_or_insert_with(|| Instant::now() + timeout);
-        let left = deadline.saturating_duration_since(Instant::now());
-        if let Some(m) = store.pop_or_park(key, seen, left)? {
-            return Ok(m);
-        }
-        if left.is_zero() {
-            return Err(store.timed_out(key, timeout));
-        }
-    }
+    })
 }
 
 /// A fresh mesh id for [`driving`]; never 0.
@@ -197,7 +313,7 @@ pub(super) fn drive(mesh: &Mesh, stay: bool) {
     let nodes = mesh.topo.nodes();
     for here in 0..nodes {
         for peer in (0..nodes).filter(|&p| p != here) {
-            drain_inbound(mesh, here, peer, false);
+            drain_inbound(mesh, here, peer);
         }
     }
     mesh.flush_owed_acks();

@@ -248,6 +248,45 @@ pub(super) struct EndpointSlot {
     pub(super) owner: usize,
     pub(super) write: Half<WriteHalf>,
     pub(super) read: Half<ReadHalf>,
+    /// The socket the read half reads, kept outside the half's lock so
+    /// a receiver can poll it while a worker holds the half. Set when
+    /// the endpoint is installed; `None` once a receiver saw it hang up.
+    stream: Mutex<Option<Arc<TcpStream>>>,
+}
+
+impl EndpointSlot {
+    pub(super) fn new(owner: usize) -> Self {
+        EndpointSlot {
+            owner,
+            write: Half::empty(),
+            read: Half::empty(),
+            stream: Mutex::new(None),
+        }
+    }
+
+    /// The socket to poll for this endpoint's inbound bytes. The caller
+    /// holds the refcount for the whole poll, so a repair cannot close
+    /// it and hand its descriptor number to another socket meanwhile.
+    pub(super) fn stream(&self) -> Option<Arc<TcpStream>> {
+        self.stream.lock().ok()?.clone()
+    }
+
+    /// Offer `stream` for polling (initial connect, repair).
+    pub(super) fn set_stream(&self, stream: Arc<TcpStream>) {
+        if let Ok(mut g) = self.stream.lock() {
+            *g = Some(stream);
+        }
+    }
+
+    /// Stop offering `dead`, a socket that hung up, unless a repair
+    /// already replaced it: a hung-up socket polls readable forever.
+    pub(super) fn forget_stream(&self, dead: &Arc<TcpStream>) {
+        if let Ok(mut g) = self.stream.lock() {
+            if g.as_ref().is_some_and(|s| Arc::ptr_eq(s, dead)) {
+                *g = None;
+            }
+        }
+    }
 }
 
 /// Queue a break report for worker 0's repair duty — unless the socket
@@ -274,11 +313,13 @@ fn report_break(mesh: &Mesh, (here, peer, lane): LaneKey, gen: u64) {
 /// its own frame with [`WriteHalf::stage`] passes `stage` 0. Returns
 /// whether anything moved, or `None` if the socket broke.
 ///
-/// A write that carried one whole payload frame tells the frame's
-/// channel of its arrival: a receiver waiting on it reads the socket
-/// itself. Anything else — a receiver not waiting, a control frame, a
-/// batch, a torn write — wakes the owner of the reverse direction,
-/// which reads and delivers a batch with one wake-up per receiver.
+/// A write that carried one whole payload frame to a channel whose
+/// receiver drives the wire wakes nobody: that receiver sleeps in
+/// `poll(2)` on this socket, so the write itself woke it, or it polls
+/// the socket on its next receive. Anything else — a receiver not
+/// driving, a control frame, a batch, a torn write — wakes the owner of
+/// the reverse direction, which reads and delivers a batch with one
+/// wake-up per receiver.
 pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Option<bool> {
     let (here, peer, lane) = wh.key;
     let mut progressed = false;
@@ -330,10 +371,10 @@ pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Optio
     }
     if wrote {
         mesh.touch();
-        // Whoever reads what we just wrote: the receiver waiting on it,
-        // else the owner of the reverse direction of this connection —
-        // all nodes share this process, so poke it instead of waiting
-        // out a park timeout.
+        // Whoever reads what we just wrote: the receiver polling this
+        // socket, else the owner of the reverse direction of this
+        // connection — all nodes share this process, so poke it instead
+        // of waiting out a park timeout.
         let mut unheard = true;
         if wh.cursor.is_empty() {
             if let ([(chan, _)], false) = (wh.staged.as_slice(), wh.staged_ctrl) {

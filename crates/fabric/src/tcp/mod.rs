@@ -22,11 +22,12 @@
 //!   wire itself, the lane's worker is parked, the channel is not
 //!   streaming and nothing is queued ahead of it. A torn write leaves
 //!   the rest in the cursor for the worker.
-//! * **the waiter first**: `recv_within` drains the sockets from the
-//!   sending node whose worker is parked, decoding and dispatching every
-//!   frame (deliver, apply piggybacked acks), before it parks on the
-//!   store. A frame written while it waits is announced to it: a parked
-//!   waiter is woken to read the socket itself.
+//! * **the waiter first**: `recv_within` sleeps in `poll(2)` on the
+//!   sockets of every live lane from the sending node, plus its thread's
+//!   wake socket, and reads those the kernel reports readable, decoding
+//!   and dispatching every frame (deliver, apply piggybacked acks). A
+//!   frame written onto one of them wakes it from inside the kernel; a
+//!   frame another thread read and delivered rings its wake socket.
 //! * **the poller first**: a thread that polls with `try_recv` instead
 //!   of waiting (the service engine) calls [`Fabric::drive`] once per
 //!   pass, which runs a worker's pass over every endpoint whose worker
@@ -44,14 +45,19 @@
 //!   queue (control frames first) and `write_vectored`s many pooled
 //!   frames in one syscall, and drains each socket it can lock.
 //!
-//! Wakeups are edge-triggered in userspace: every producer (a sender
-//! pushing a frame, a repair request, shutdown) bumps the owning
-//! worker's [`WorkSignal`]; a write that is not announced to a waiting
-//! receiver signals the owner of the *reverse* endpoint, whose socket
-//! now has readable bytes, and a read that drained bytes signals the
-//! reverse endpoint's owner again if that writer last hit `WouldBlock`
-//! — all nodes live in this process, so either end is always positioned
-//! to poke the other.
+//! Wake-ups: a receiving rank sleeps in the kernel, on its sockets, so
+//! the `write` that lands its frame is its wake-up and the sender pays
+//! none; a delivery made by any other thread (a worker, a driving
+//! caller, another rank) writes one byte to the receiver's wake socket,
+//! registered with the store under the lock that found nothing ready.
+//! Workers are woken in userspace: every producer (a sender pushing a
+//! frame, a repair request, shutdown) bumps the owning worker's
+//! [`WorkSignal`]; a write whose channel has no driving receiver
+//! signals the owner of the *reverse* endpoint, whose socket now has
+//! readable bytes, and a read that drained bytes signals the reverse
+//! endpoint's owner again if that writer last hit `WouldBlock` — all
+//! nodes live in this process, so either end is always positioned to
+//! poke the other.
 //!
 //! Liveness never depends on a rank: a worker whose cycle made no
 //! progress parks with a bounded timeout (≤ 10 ms) and then re-scans
@@ -142,7 +148,7 @@ use crate::wait::{Waiters, WorkSignal};
 use crate::wire::{Frame, FrameKind};
 use crate::{ChanKey, Fabric};
 use drive::{driving, next_mesh_id, recv_driving, send_inline};
-use endpoint::{EndpointSlot, Half};
+use endpoint::EndpointSlot;
 use mesh::{ConnEntry, LaneCounters, Mesh, ProgressShared};
 use queue::{PushError, SendQueue};
 use repair::install_endpoint;
@@ -317,13 +323,13 @@ impl TcpFabric {
         // One slot per directed (node, node, lane), in `Mesh::slot`'s
         // order; a node's slots to itself stay empty.
         let slots = (0..nodes * nodes * cfg.lanes)
-            .map(|i| EndpointSlot {
-                owner: owners
-                    .get(&(i / cfg.lanes / nodes, i / cfg.lanes % nodes, i % cfg.lanes))
-                    .copied()
-                    .unwrap_or(0),
-                write: Half::empty(),
-                read: Half::empty(),
+            .map(|i| {
+                EndpointSlot::new(
+                    owners
+                        .get(&(i / cfg.lanes / nodes, i / cfg.lanes % nodes, i % cfg.lanes))
+                        .copied()
+                        .unwrap_or(0),
+                )
             })
             .collect();
         let mesh = Arc::new(Mesh {

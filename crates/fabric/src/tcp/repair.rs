@@ -24,7 +24,8 @@ pub(super) struct RepairReq {
 
 /// Install endpoint `key`'s halves over `stream` at generation `gen` of
 /// the connection whose live generation is `cur`, replacing whatever
-/// the slot held, and wake the endpoint's owner.
+/// the slot held, offer the stream to polling receivers, and wake the
+/// endpoint's owner.
 pub(super) fn install_endpoint(
     mesh: &Mesh,
     key: LaneKey,
@@ -47,8 +48,11 @@ pub(super) fn install_endpoint(
         tag(),
         WriteHalf::new(key, Arc::clone(&stream), Arc::clone(queue)),
     );
-    slot.read
-        .install(tag(), ReadHalf::new(key, stream, Arc::clone(reverse)));
+    slot.read.install(
+        tag(),
+        ReadHalf::new(key, Arc::clone(&stream), Arc::clone(reverse)),
+    );
+    slot.set_stream(stream);
     mesh.notify_owner(here, peer, lane);
 }
 

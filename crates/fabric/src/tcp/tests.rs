@@ -722,6 +722,69 @@ fn lost_wakeup_inline_exchange() {
     assert!(f.drain_errors().is_empty());
 }
 
+#[test]
+fn lost_wakeup_receive_delivered_by_another_thread() {
+    // The exchange above, with a third thread driving the fabric in a
+    // loop as the service engine does: it reads whatever lands on any
+    // socket, often before the kernel has run the rank sleeping in
+    // poll(2) on it. That sleep then finds its socket drained and sleeps
+    // on; only the wake byte the store writes for the delivery ends it.
+    // A lost byte leaves the receive to its timeout.
+    let _stress = crate::wake_stress();
+    const ROUNDS: usize = 10_000;
+    const T: Duration = Duration::from_secs(5);
+    let f = TcpFabric::connect(
+        Topology::new(2, 1),
+        TcpConfig {
+            lanes: 2,
+            ..TcpConfig::default()
+        },
+    )
+    .unwrap();
+    let exchange = |me: usize, round: usize| {
+        let t0 = Instant::now();
+        f.send((me, 1 - me, 3), vec![round as u8; 128]).unwrap();
+        let got = f.recv_within((1 - me, me, 3), T).unwrap();
+        assert_eq!(got, vec![round as u8; 128], "round {round}");
+        let took = t0.elapsed();
+        assert!(
+            took < T,
+            "round {round} waited out the timeout: a wake-up was lost"
+        );
+        took >= Duration::from_micros(9_500)
+    };
+    let done = AtomicBool::new(false);
+    /// Stops the driver however the exchange ends, panics included.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let slow = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                f.drive(false);
+                std::thread::yield_now();
+            }
+        });
+        let _stop = Stop(&done);
+        let peer = s.spawn(|| (0..ROUNDS).filter(|&r| exchange(1, r)).count());
+        let mine = (0..ROUNDS).filter(|&r| exchange(0, r)).count();
+        mine + peer.join().unwrap()
+    });
+    let s = f.stats();
+    assert!(
+        s.driver_frames > 0 && s.rank_reads > 0,
+        "the driver never read a frame, or the ranks never did: {s:?}"
+    );
+    assert!(
+        slow <= 20,
+        "{slow} rounds took ≥ 9.5 ms: wake-ups were lost to the worker's park"
+    );
+    assert!(f.drain_errors().is_empty());
+}
+
 /// Shrink the kernel send and receive buffers of every socket of `f` to
 /// `bytes`, so a large frame cannot leave in one write.
 #[cfg(target_os = "linux")]

@@ -16,9 +16,18 @@ use std::time::Duration;
 /// bad `PIPMCOLL_SYNC_TIMEOUT_MS` with a typed [`crate::env::EnvError`]
 /// before any worker thread can read this cache.
 pub fn sync_timeout() -> Duration {
-    static MS: OnceLock<u64> = OnceLock::new();
-    let ms = *MS.get_or_init(|| crate::env::read_u64_or("PIPMCOLL_SYNC_TIMEOUT_MS", 10_000));
-    Duration::from_millis(ms)
+    static T: OnceLock<Duration> = OnceLock::new();
+    *T.get_or_init(|| timeout_from(std::env::var(VAR).ok().as_deref()))
+}
+
+const VAR: &str = "PIPMCOLL_SYNC_TIMEOUT_MS";
+
+/// The timeout `PIPMCOLL_SYNC_TIMEOUT_MS` set to `raw` (`None`: unset)
+/// stands for: its milliseconds, or the 10 s default when unset or
+/// malformed.
+fn timeout_from(raw: Option<&str>) -> Duration {
+    let parsed = raw.and_then(|v| crate::env::parse_u64(VAR, v, "milliseconds").ok());
+    Duration::from_millis(parsed.unwrap_or(10_000))
 }
 
 #[cfg(test)]
@@ -27,8 +36,19 @@ mod tests {
 
     #[test]
     fn default_is_ten_seconds() {
-        // The test environment does not set the variable; the cached
-        // default must be the documented 10 s.
-        assert_eq!(sync_timeout(), Duration::from_millis(10_000));
+        assert_eq!(timeout_from(None), Duration::from_secs(10));
+        assert_eq!(timeout_from(Some("30000")), Duration::from_secs(30));
+        assert_eq!(timeout_from(Some(" 250 ")), Duration::from_millis(250));
+        for bad in ["", "ten", "10ms", "-5"] {
+            assert_eq!(timeout_from(Some(bad)), Duration::from_secs(10), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn cached_timeout_reads_the_environment() {
+        // CI sets the variable for whole jobs, so compare against what
+        // the real environment stands for rather than the default.
+        let raw = std::env::var(VAR).ok();
+        assert_eq!(sync_timeout(), timeout_from(raw.as_deref()));
     }
 }

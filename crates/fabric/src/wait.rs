@@ -1,18 +1,28 @@
 //! The shared wait primitives: [`Waiters`] for every blocking wait on a
-//! mutex-guarded condition, and [`WorkSignal`] for the fabric's idle
-//! progress threads.
+//! mutex-guarded condition, [`WorkSignal`] for the fabric's idle
+//! progress threads, and `WakeSocket` for the one wait that sleeps in
+//! the kernel instead.
 //!
-//! Every blocking wait — the fabric's lane send queues and receive
-//! stores, the runtime's address-board fetches, flag waits and
-//! barriers, the service's request completion — parks on its first
-//! miss. Spinning first only pays when the thread that will produce the
-//! awaited state has a CPU of its own; on a host where rank, progress
-//! and engine threads outnumber the cores, a spinning waiter holds the
-//! very CPU its producer is queued for. The notifying side stays cheap
-//! instead: [`Waiters`] counts its parked threads, so a notify with
-//! nobody parked is a load under the lock the notifier already holds,
-//! not a futex syscall.
+//! Every blocking wait on a condition — the fabric's lane send queues,
+//! its in-process and node-local receives, the runtime's address-board
+//! fetches, flag waits and barriers, the service's request completion —
+//! parks on its first miss. Spinning first only pays when the thread
+//! that will produce the awaited state has a CPU of its own; on a host
+//! where rank, progress and engine threads outnumber the cores, a
+//! spinning waiter holds the very CPU its producer is queued for. The
+//! notifying side stays cheap instead: [`Waiters`] counts its parked
+//! threads, so a notify with nobody parked is a load under the lock the
+//! notifier already holds, not a futex syscall.
+//!
+//! A blocking internode receive over TCP waits for bytes on a socket,
+//! so it sleeps in `poll(2)` on its lane sockets: the sender's `write`
+//! wakes it from inside the kernel, with no wake-up of its own to pay.
+//! Only a delivery some other thread made must reach it from userspace,
+//! as one byte on the receiving thread's `WakeSocket`.
 
+use std::io::{Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -157,6 +167,43 @@ impl WorkSignal {
         }
         drop(g);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The wake-up of a thread that sleeps in `poll(2)`: a nonblocking
+/// socket pair whose read end the sleeper polls beside the sockets it
+/// waits on, and whose write end anyone else rings with one byte. Made
+/// once per thread and kept for the thread's life, so a wait opens no
+/// descriptor; it closes when the thread and every holder drop it.
+pub(crate) struct WakeSocket {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl WakeSocket {
+    /// A fresh socket pair, both ends nonblocking.
+    pub(crate) fn new() -> std::io::Result<WakeSocket> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(WakeSocket { rx, tx })
+    }
+
+    /// The descriptor to poll for readability.
+    pub(crate) fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+
+    /// Make the read end readable. The caller rings at most once per
+    /// sleep, so the byte always fits.
+    pub(crate) fn ring(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Take the bytes rung since the last drain, with one read: how
+    /// many there were.
+    pub(crate) fn drain(&self) -> usize {
+        (&self.rx).read(&mut [0; 8]).unwrap_or(0)
     }
 }
 
