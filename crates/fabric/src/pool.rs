@@ -5,7 +5,7 @@
 //! and another clone when the retransmitter re-queued it. At the
 //! small-message rates the paper cares about, the allocator — not the
 //! sockets — became the bottleneck. A [`FrameBuf`] is an `Arc`-backed
-//! byte buffer: the send queue, the pending table, and any retransmit
+//! byte buffer: the send queue, the retransmit ring, and any retransmit
 //! in flight all hold refcounts on the *same* encoded bytes, and when
 //! the last holder drops, the buffer returns to a bounded free-list to
 //! be reused by the next send. After warm-up the steady-state eager
@@ -147,27 +147,28 @@ impl FramePool {
 
     /// Encode `frame` into a pooled buffer: the one place on the eager
     /// path where bytes are laid out. Every later holder — send queue,
-    /// pending table, retransmit — is a refcount on this buffer.
+    /// retransmit ring, retransmit — is a refcount on this buffer.
     pub fn encode(&self, frame: &Frame) -> FrameBuf {
-        self.encode_seg(frame, &frame.payload)
+        self.encode_seg(frame, &frame.payload, 0)
     }
 
-    /// [`FramePool::encode`] with the payload taken from `payload`
-    /// instead of `frame.payload`: the stripe send path encodes each
-    /// segment straight from a sub-slice of the caller's message, so a
-    /// split message costs one pooled encode per segment and no
-    /// intermediate per-segment payload allocation.
-    pub fn encode_seg(&self, frame: &Frame, payload: &[u8]) -> FrameBuf {
+    /// [`FramePool::encode`] as frame `lseq` of its lane, with the
+    /// payload taken from `payload` instead of `frame.payload`: the
+    /// stripe send path encodes each segment straight from a sub-slice
+    /// of the caller's message, so a split message costs one pooled
+    /// encode per segment and no intermediate per-segment payload
+    /// allocation.
+    pub fn encode_seg(&self, frame: &Frame, payload: &[u8], lseq: u64) -> FrameBuf {
         let mut buf = self.acquire(crate::wire::HEADER_LEN + payload.len());
         let inner = Arc::get_mut(buf.arc.as_mut().expect("fresh FrameBuf holds its arc"))
             .expect("freshly acquired buffer is uniquely owned");
-        frame.encode_into_with(&mut inner.data, payload);
+        frame.encode_lane_into(&mut inner.data, payload, lseq);
         buf
     }
 
     /// A pooled copy of already-encoded bytes. The chaos corrupt hook
     /// uses this to bit-flip a *copy* of a frame for the wire while the
-    /// retransmit pending table keeps a refcount on the pristine
+    /// retransmit ring keeps a refcount on the pristine
     /// original — injected corruption must be recoverable by
     /// retransmit, so the stored bytes must stay clean.
     pub fn copy_bytes(&self, bytes: &[u8]) -> FrameBuf {
@@ -207,7 +208,7 @@ impl FrameBuf {
 
     /// Mutable access to the bytes, available only while this handle is
     /// the sole owner (i.e. before the buffer is shared with a send
-    /// queue or pending table). `None` once cloned — shared frame bytes
+    /// queue or retransmit ring). `None` once cloned — shared frame bytes
     /// are immutable by construction.
     pub fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
         Arc::get_mut(self.arc.as_mut()?).map(|inner| inner.data.as_mut_slice())
@@ -260,7 +261,7 @@ impl std::fmt::Debug for FrameBuf {
 /// the queued frames (the front one sliced at the resume offset) — one
 /// syscall carries many frames — then [`WriteCursor::advance`]s by
 /// however many bytes the kernel accepted. Fully written frames drop
-/// their pool refcount there (the retransmit pending table keeps the
+/// their pool refcount there (the retransmit ring keeps the
 /// underlying bytes alive where needed); a torn frame simply stays at
 /// the front with a larger offset until the socket drains.
 #[derive(Default)]
@@ -369,7 +370,7 @@ mod tests {
         let mut seg = frame(vec![]);
         seg.seg_idx = 1;
         seg.seg_count = 2;
-        let buf = pool.encode_seg(&seg, &body[3..]);
+        let buf = pool.encode_seg(&seg, &body[3..], 0);
         let mut whole = seg.clone();
         whole.payload = body[3..].to_vec();
         assert_eq!(&*buf, whole.encode().as_slice());

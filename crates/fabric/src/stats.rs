@@ -128,6 +128,9 @@ pub struct FabricStats {
     /// Payload-bearing frames retransmitted because no ack arrived in
     /// time (loss on the wire, injected or real).
     pub retransmits: u64,
+    /// Standalone ACK frames written: acks no payload frame going the
+    /// other way on the lane could carry. 0 for backends without acks.
+    pub ack_frames: u64,
     /// Wire re-deliveries suppressed by receiver sequence dedup.
     pub dups_dropped: u64,
     /// Inbound frames discarded because their CRC-32C failed (line
@@ -153,8 +156,8 @@ pub struct FabricStats {
     /// [`Fabric::drive`]: crate::Fabric::drive
     pub driver_frames: u64,
     /// Round-trip time from first transmission of an eager frame to the
-    /// cumulative ack that covered it (never from retransmissions —
-    /// their acks are ambiguous).
+    /// lane's cumulative ack that covered it (never from retransmissions
+    /// — their acks are ambiguous).
     pub ack_rtt: LatencySnapshot,
     /// Deepest any control queue (the unbounded ack, retransmit and
     /// heartbeat side of a lane's send queue) ever got — visibility into the one

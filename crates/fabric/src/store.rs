@@ -10,7 +10,7 @@
 //! arrive before an earlier one, and its ack-based retransmit re-sends
 //! a lost frame after later ones landed, or re-delivers one whose ack
 //! was lost — so wire deliveries carry a per-channel sequence number
-//! and go through [`MsgStore::deliver_seg_watermark`], which holds
+//! and go through [`MsgStore::deliver_seg`], which holds
 //! out-of-order arrivals until the gap fills, glues a striped message's
 //! segments back together, and silently drops re-deliveries of
 //! already-consumed or already-held sequence numbers (counted in
@@ -174,41 +174,34 @@ impl MsgStore {
     /// reorders so receivers always observe send order. Returns whether
     /// the frame was fresh — a re-delivery of a consumed or held
     /// sequence number (a retransmit whose original won the race, or an
-    /// injected duplicate) is dropped and counted, never delivered twice
-    /// — and the channel's cumulative-ack watermark (the next-expected
-    /// sequence: everything below it has been delivered in order). The
-    /// TCP backend acks this watermark instead of individual frames;
-    /// duplicates also report it, so a re-delivery whose original ack
-    /// was lost re-raises the ack and unsticks the sender.
+    /// injected duplicate) is dropped and counted, never delivered twice.
     ///
     /// The frame may be one segment of a striped message (`seg_count >
     /// 1`; 0 or 1 is a whole message). Segments of one message occupy
     /// consecutive sequence numbers, so the ordinary hold-back/dedup
     /// machinery orders and de-duplicates them; in-order segments
     /// accumulate in a per-channel reassembly buffer and the complete
-    /// message is released to receivers in one piece. The watermark
-    /// still advances per *frame* — the cumulative-ack loop never learns
-    /// about message boundaries.
-    pub fn deliver_seg_watermark(
+    /// message is released to receivers in one piece.
+    pub fn deliver_seg(
         &self,
         key: ChanKey,
         seq: u64,
         seg_idx: u16,
         seg_count: u16,
         payload: Vec<u8>,
-    ) -> (bool, u64) {
+    ) -> bool {
         let mut wakes = Wakes::default();
-        let out = self.deliver_deferred(key, seq, seg_idx, seg_count, payload, &mut wakes);
+        let fresh = self.deliver_deferred(key, seq, seg_idx, seg_count, payload, &mut wakes);
         self.wake(&mut wakes);
-        out
+        fresh
     }
 
-    /// [`MsgStore::deliver_seg_watermark`] without waking parked
-    /// receivers: the wake-up this delivery owes is added to `wakes`, to
-    /// be paid by one [`MsgStore::wake`] after a whole batch of frames.
-    /// A reader that decodes hundreds of small frames per socket read
-    /// then wakes each parked receiver once, not once per frame. A
-    /// receiver sleeping in `poll(2)` is rung at once, and only once.
+    /// [`MsgStore::deliver_seg`] without waking parked receivers: the
+    /// wake-up this delivery owes is added to `wakes`, to be paid by one
+    /// [`MsgStore::wake`] after a whole batch of frames. A reader that
+    /// decodes hundreds of small frames per socket read then wakes each
+    /// parked receiver once, not once per frame. A receiver sleeping in
+    /// `poll(2)` is rung at once, and only once.
     pub fn deliver_deferred(
         &self,
         key: ChanKey,
@@ -217,15 +210,15 @@ impl MsgStore {
         seg_count: u16,
         payload: Vec<u8>,
         wakes: &mut Wakes,
-    ) -> (bool, u64) {
+    ) -> bool {
         let Ok(mut g) = self.lock() else {
-            return (false, 0);
+            return false;
         };
         let st = g.entry(key).or_default();
         if seq < st.next_seq {
             // Already consumed: a duplicate from retransmit or chaos.
             self.dups.fetch_add(1, Ordering::Relaxed);
-            return (false, st.next_seq);
+            return false;
         }
         if seq == st.next_seq {
             st.absorb(SegFrame {
@@ -241,18 +234,18 @@ impl MsgStore {
             }
             st.ring();
             wakes.0 |= 1 << Self::shard(key);
-            (true, st.next_seq)
+            true
         } else if let std::collections::btree_map::Entry::Vacant(e) = st.held.entry(seq) {
             e.insert(SegFrame {
                 seg_idx,
                 seg_count,
                 payload,
             });
-            (true, st.next_seq)
+            true
         } else {
             // Already held: duplicate of an out-of-order arrival.
             self.dups.fetch_add(1, Ordering::Relaxed);
-            (false, st.next_seq)
+            false
         }
     }
 
@@ -329,6 +322,15 @@ impl MsgStore {
             st.poller = Some(Arc::clone(poller));
         }
         Ok(msg)
+    }
+
+    /// Whether part of the next message on `key` is in: a striped
+    /// message's first segments, or frames held behind a gap.
+    pub(crate) fn partial(&self, key: ChanKey) -> bool {
+        self.lock().is_ok_and(|g| {
+            g.get(&key)
+                .is_some_and(|st| st.assembling.is_some() || !st.held.is_empty())
+        })
     }
 
     /// Clear the registration [`MsgStore::pop_driving`] made for `key`.
@@ -483,9 +485,9 @@ mod tests {
     #[test]
     fn out_of_order_wire_arrivals_are_reassembled() {
         let s = MsgStore::new("test");
-        s.deliver_seg_watermark(K, 2, 0, 0, vec![2]);
-        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
-        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
+        s.deliver_seg(K, 2, 0, 0, vec![2]);
+        s.deliver_seg(K, 0, 0, 0, vec![0]);
+        s.deliver_seg(K, 1, 0, 0, vec![1]);
         for want in 0u8..3 {
             assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![want]);
         }
@@ -494,38 +496,38 @@ mod tests {
     #[test]
     fn pop_blocks_until_gap_fills() {
         let s = std::sync::Arc::new(MsgStore::new("test"));
-        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
+        s.deliver_seg(K, 1, 0, 0, vec![1]);
         let s2 = std::sync::Arc::clone(&s);
         let t = std::thread::spawn(move || s2.pop_within(K, Duration::from_secs(2)));
         std::thread::sleep(Duration::from_millis(10));
-        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
+        s.deliver_seg(K, 0, 0, 0, vec![0]);
         assert_eq!(t.join().unwrap().unwrap(), vec![0]);
     }
 
     #[test]
     fn consumed_duplicates_are_dropped_and_counted() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seg_watermark(K, 0, 0, 0, vec![0]).0);
+        assert!(s.deliver_seg(K, 0, 0, 0, vec![0]));
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![0]);
         // A retransmit of seq 0 arrives after the original was consumed.
-        assert!(!s.deliver_seg_watermark(K, 0, 0, 0, vec![0]).0);
+        assert!(!s.deliver_seg(K, 0, 0, 0, vec![0]));
         assert_eq!(s.dups_dropped(), 1);
         // The cursor is unharmed: seq 1 still delivers next.
-        assert!(s.deliver_seg_watermark(K, 1, 0, 0, vec![1]).0);
+        assert!(s.deliver_seg(K, 1, 0, 0, vec![1]));
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
     }
 
     #[test]
     fn held_duplicates_are_dropped_and_counted() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seg_watermark(K, 2, 0, 0, vec![2]).0);
+        assert!(s.deliver_seg(K, 2, 0, 0, vec![2]));
         assert!(
-            !s.deliver_seg_watermark(K, 2, 0, 0, vec![99]).0,
+            !s.deliver_seg(K, 2, 0, 0, vec![99]),
             "duplicate of a held frame"
         );
         assert_eq!(s.dups_dropped(), 1);
-        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
-        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
+        s.deliver_seg(K, 0, 0, 0, vec![0]);
+        s.deliver_seg(K, 1, 0, 0, vec![1]);
         for want in 0u8..3 {
             assert_eq!(
                 s.pop_within(K, Duration::from_secs(1)).unwrap(),
@@ -545,7 +547,7 @@ mod tests {
         assert_eq!(s.try_pop(K).unwrap(), Some(vec![2]));
         assert_eq!(s.try_pop(K).unwrap(), None, "drained");
         // A held out-of-order frame is not ready.
-        s.deliver_seg_watermark(K, 5, 0, 0, vec![5]);
+        s.deliver_seg(K, 5, 0, 0, vec![5]);
         assert_eq!(s.try_pop(K).unwrap(), None);
     }
 
@@ -554,7 +556,7 @@ mod tests {
         let s = MsgStore::new("test");
         // Traffic elsewhere and a held frame show up in the diagnostic.
         s.push((4, 5, 0), vec![9]);
-        s.deliver_seg_watermark(K, 3, 0, 0, vec![3]);
+        s.deliver_seg(K, 3, 0, 0, vec![3]);
         let err = s.pop_within(K, Duration::from_millis(20)).unwrap_err();
         match err {
             FabricError::Timeout(d) => {
@@ -585,26 +587,14 @@ mod tests {
     }
 
     #[test]
-    fn watermark_tracks_the_contiguous_prefix() {
-        let s = MsgStore::new("test");
-        assert_eq!(s.deliver_seg_watermark(K, 0, 0, 0, vec![0]), (true, 1));
-        // A gap: seq 2 is held, watermark stays at 1.
-        assert_eq!(s.deliver_seg_watermark(K, 2, 0, 0, vec![2]), (true, 1));
-        // Gap fills: watermark jumps over the held frame.
-        assert_eq!(s.deliver_seg_watermark(K, 1, 0, 0, vec![1]), (true, 3));
-        // A duplicate still reports the watermark (lost-ack recovery).
-        assert_eq!(s.deliver_seg_watermark(K, 0, 0, 0, vec![0]), (false, 3));
-    }
-
-    #[test]
     fn striped_segments_reassemble_into_one_message() {
         let s = MsgStore::new("test");
         // Segments arrive out of order across lanes; hold-back puts them
         // back in sequence and exactly one whole message comes out.
-        assert_eq!(s.deliver_seg_watermark(K, 2, 2, 3, vec![5, 6]), (true, 0));
-        assert_eq!(s.deliver_seg_watermark(K, 0, 0, 3, vec![1, 2]), (true, 1));
+        assert!(s.deliver_seg(K, 2, 2, 3, vec![5, 6]));
+        assert!(s.deliver_seg(K, 0, 0, 3, vec![1, 2]));
         assert_eq!(s.try_pop(K).unwrap(), None, "incomplete message held");
-        assert_eq!(s.deliver_seg_watermark(K, 1, 1, 3, vec![3, 4]), (true, 3));
+        assert!(s.deliver_seg(K, 1, 1, 3, vec![3, 4]));
         assert_eq!(
             s.pop_within(K, Duration::from_secs(1)).unwrap(),
             vec![1, 2, 3, 4, 5, 6]
@@ -616,10 +606,10 @@ mod tests {
     fn striped_and_whole_messages_interleave_in_fifo_order() {
         let s = MsgStore::new("test");
         // Message A: two segments (seqs 0, 1). Message B: whole (seq 2).
-        s.deliver_seg_watermark(K, 0, 0, 2, vec![10]);
-        s.deliver_seg_watermark(K, 2, 0, 0, vec![30]);
+        s.deliver_seg(K, 0, 0, 2, vec![10]);
+        s.deliver_seg(K, 2, 0, 0, vec![30]);
         assert_eq!(s.try_pop(K).unwrap(), None, "B waits behind unfinished A");
-        s.deliver_seg_watermark(K, 1, 1, 2, vec![11]);
+        s.deliver_seg(K, 1, 1, 2, vec![11]);
         assert_eq!(
             s.pop_within(K, Duration::from_secs(1)).unwrap(),
             vec![10, 11]
@@ -630,20 +620,20 @@ mod tests {
     #[test]
     fn duplicate_segments_are_dropped_not_reassembled_twice() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seg_watermark(K, 0, 0, 2, vec![1]).0);
+        assert!(s.deliver_seg(K, 0, 0, 2, vec![1]));
         // Retransmit of segment 0 after the original was absorbed.
-        assert!(!s.deliver_seg_watermark(K, 0, 0, 2, vec![1]).0);
+        assert!(!s.deliver_seg(K, 0, 0, 2, vec![1]));
         assert_eq!(s.dups_dropped(), 1);
-        assert!(s.deliver_seg_watermark(K, 1, 1, 2, vec![2]).0);
+        assert!(s.deliver_seg(K, 1, 1, 2, vec![2]));
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1, 2]);
     }
 
     #[test]
     fn clear_ready_keeps_sequence_cursor() {
         let s = MsgStore::new("test");
-        s.deliver_seg_watermark(K, 0, 0, 0, vec![0]);
+        s.deliver_seg(K, 0, 0, 0, vec![0]);
         s.clear_ready();
-        s.deliver_seg_watermark(K, 1, 0, 0, vec![1]);
+        s.deliver_seg(K, 1, 0, 0, vec![1]);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
     }
 
@@ -667,10 +657,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         let mut wakes = Wakes::default();
         for (i, &key) in chans.iter().enumerate() {
-            assert_eq!(
-                s.deliver_deferred(key, 0, 0, 0, vec![i as u8], &mut wakes),
-                (true, 1)
-            );
+            assert!(s.deliver_deferred(key, 0, 0, 0, vec![i as u8], &mut wakes));
         }
         s.wake(&mut wakes);
         for (i, r) in receivers.into_iter().enumerate() {
@@ -691,17 +678,17 @@ mod tests {
         assert!(!s.note_arrival(K));
         // A delivery made before the registration is what it returns,
         // and nothing is left registered to ring.
-        s.deliver_seg_watermark(K, 0, 0, 0, vec![7]);
+        s.deliver_seg(K, 0, 0, 0, vec![7]);
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![7]));
         assert!(s.note_arrival(K), "a driving receiver picks it up");
-        s.deliver_seg_watermark(K, 1, 0, 0, vec![8]);
+        s.deliver_seg(K, 1, 0, 0, vec![8]);
         assert_eq!(wake.drain(), 0, "rang with nobody registered");
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![8]));
         // A miss registers; the deliveries after it ring exactly once.
         assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
         assert_eq!(wake.drain(), 0);
-        s.deliver_seg_watermark(K, 2, 0, 0, vec![9]);
-        s.deliver_seg_watermark(K, 3, 0, 0, vec![10]);
+        s.deliver_seg(K, 2, 0, 0, vec![9]);
+        s.deliver_seg(K, 3, 0, 0, vec![10]);
         assert_eq!(wake.drain(), 1, "one wake byte per registration");
         assert!(s.stop_polling(K), "the delivery rang the registration");
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![9]));
@@ -709,14 +696,14 @@ mod tests {
         // A registration cleared unrung, or by a timeout, rings no more.
         assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
         assert!(!s.stop_polling(K));
-        s.deliver_seg_watermark(K, 4, 0, 0, vec![11]);
+        s.deliver_seg(K, 4, 0, 0, vec![11]);
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![11]));
         assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
         assert!(matches!(
             s.timed_out(K, Duration::ZERO),
             FabricError::Timeout(_)
         ));
-        s.deliver_seg_watermark(K, 5, 0, 0, vec![12]);
+        s.deliver_seg(K, 5, 0, 0, vec![12]);
         assert_eq!(wake.drain(), 0, "a timed-out receiver was rung");
         assert_eq!(Arc::strong_count(&wake), 1, "the store kept the socket");
         // A timed-out receiver stops driving, and so does a poller.

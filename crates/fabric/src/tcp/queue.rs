@@ -135,8 +135,8 @@ impl SendQueue {
                 f
             });
             match next {
-                // The queue's refcount moves into the cursor; the pending
-                // table (if any) keeps the bytes alive for retransmit.
+                // The queue's refcount moves into the cursor; the lane's
+                // ring (if any) keeps the bytes alive for retransmit.
                 Some(f) => {
                     match Frame::peek_payload_id(&f) {
                         Some(id) => staged.push(id),

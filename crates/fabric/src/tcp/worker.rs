@@ -98,11 +98,6 @@ pub(super) fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
                 .read(&mesh, key, false, &mut scratch)
                 .unwrap_or(false);
         }
-        // Acks a rank or a streaming sender asked for (see `read_step`,
-        // `send_inline`).
-        if mesh.acks_wanted.swap(false, Ordering::Relaxed) {
-            mesh.flush_owed_acks();
-        }
         if progressed {
             continue;
         }

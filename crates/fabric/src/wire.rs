@@ -3,23 +3,24 @@
 //! opens with a magic byte and a format version, and closes its header
 //! with a CRC-32C checksum covering header and payload.
 //!
-//! Every frame starts with a fixed 47-byte little-endian header:
+//! Every frame starts with a fixed 55-byte little-endian header:
 //!
 //! ```text
 //! offset  size  field
 //!      0     1  magic       0xB7 (stream-desync sentinel)
-//!      1     1  version     wire-format version (currently 2)
+//!      1     1  version     wire-format version (currently 3)
 //!      2     1  kind        (1=EAGER, 5=ACK, 6=HEARTBEAT; 2–4 retired)
 //!      3     4  src rank
 //!      7     4  dst rank
 //!     11     4  tag
-//!     15     8  seq         per-channel sequence (EAGER), watermark (ACK)
-//!     23     8  aux         piggybacked ack: reverse watermark + 1 (EAGER)
+//!     15     8  seq         per-channel sequence (EAGER), lane watermark (ACK)
+//!     23     8  aux         piggybacked ack: reverse lane watermark + 1 (EAGER)
 //!     31     2  seg_idx     segment index within a striped message
 //!     33     2  seg_count   total segments (0 or 1 = unsegmented)
 //!     35     8  payload len
-//!     43     4  CRC-32C     over bytes [0..43) ++ payload
-//!     47     …  payload     (EAGER only)
+//!     43     8  lseq        per-lane sequence (EAGER)
+//!     51     4  CRC-32C     over bytes [0..51) ++ payload
+//!     55     …  payload     (EAGER only)
 //! ```
 //!
 //! The PR 9 header silently grew 37→41 bytes with nothing a peer could
@@ -38,7 +39,7 @@
 //! verify it *before* trusting any field: a checksum mismatch makes the
 //! whole frame untrustworthy, so the decoder consumes and discards it
 //! exactly as if the wire had eaten it ([`FrameDecoder::take_corrupt`]
-//! counts these). The PR 3/4 cumulative-ack + retransmit machinery then
+//! counts these). The lane's cumulative ack + retransmit machinery then
 //! recovers the clean copy with **zero new protocol states** — a
 //! corrupted frame is just a lost frame with a forensic trail. A flip
 //! that lands in the length field can desync the stream: the CRC over
@@ -56,23 +57,24 @@
 //! of one channel can cross on different lanes and come back out of
 //! order from a retransmit, so every payload frame carries its channel
 //! sequence number and the receive side reassembles send order (see
-//! `store::MsgStore`).
+//! `store::MsgStore`). Version 3 added `lseq`.
 //!
-//! `ACK` closes the loss-recovery loop, and acks are **cumulative**: an
-//! `ACK` frame's `seq` is the receiver's next-expected sequence for the
-//! channel, acknowledging *everything below it* at once. The sender
-//! keeps unacked frames in a per-channel pending queue, retransmitting
-//! with exponential backoff until the watermark passes them or the
-//! retransmit budget runs out. Receivers batch: instead of one control
-//! reply per frame, they flush one `ACK` per dirty channel when the
-//! inbound socket goes quiet (or every 32 frames under sustained load),
-//! and an ack owed on a channel's reverse direction piggybacks in the
-//! `aux` field of the next outgoing `EAGER` frame
-//! (`aux = watermark + 1`; 0 means none, since watermark 0 carries no
-//! information). The sequence dedup in `store::MsgStore` makes
-//! retransmits idempotent, and any later delivery on the channel
-//! re-raises the watermark — so a lost ack costs one duplicate frame,
-//! never a duplicate message, and never a stuck sender.
+//! `ACK` closes the loss-recovery loop, and acks are **cumulative per
+//! lane**. Each directed lane connection numbers its payload frames
+//! (`lseq`, carried across reconnects), the sender keeps every unacked
+//! frame of the lane in one ring, and the receiver owes one watermark
+//! per lane: the lowest `lseq` it has not seen. An `ACK` frame's `seq`
+//! is that watermark, acknowledging *every frame of the lane below it*,
+//! whatever channel it belonged to; it applies to the ring of the lane
+//! it arrives on. Any payload frame going back the other way on the
+//! lane carries the owed watermark in `aux` (`watermark + 1`; 0 means
+//! none, since watermark 0 carries no information), so an exchange
+//! between any two channels of a lane needs no ACK frame at all. The
+//! sender retransmits a ring's frames, oldest first, with exponential
+//! backoff until the watermark passes them. A duplicate arrival still
+//! re-owes the watermark and the channel dedup in `store::MsgStore`
+//! drops its payload, so a lost ack costs one duplicate frame, never a
+//! duplicate message, and never a stuck sender.
 //!
 //! A message at or above `tcp::TcpConfig::stripe_min` is split into up
 //! to k segments, each an ordinary sequenced
@@ -94,15 +96,18 @@ pub const MAGIC: u8 = 0xB7;
 
 /// The wire-format version this build speaks. Bump on any layout
 /// change; a peer speaking another version is typed, not garbage.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Size of the fixed frame header in bytes (magic + version + fields +
 /// CRC-32C).
-pub const HEADER_LEN: usize = 47;
+pub const HEADER_LEN: usize = 55;
 
 /// Byte offset of the header's CRC-32C field; the checksum covers
 /// `[0..CRC_OFFSET)` plus the payload.
 const CRC_OFFSET: usize = HEADER_LEN - 4;
+
+/// Byte offset of the header's `lseq` field.
+const LSEQ_OFFSET: usize = CRC_OFFSET - 8;
 
 /// Largest payload a frame may declare (1 GiB). A corrupted length
 /// field must not leave the decoder waiting forever for bytes that
@@ -391,9 +396,9 @@ pub enum FrameKind {
     /// Payload inline: a whole message, or one segment of a striped
     /// one.
     Eager = 1,
-    /// Cumulative acknowledgement: `seq` is the receiver's
-    /// next-expected sequence on this channel; the sender drops every
-    /// pending frame below it from its retransmit queue.
+    /// Cumulative acknowledgement: `seq` is the receiver's watermark
+    /// for the lane the frame arrives on; the sender drops every frame
+    /// of the lane below it from its retransmit ring.
     Ack = 5,
     /// Liveness beacon for the node pair. Carries no channel state —
     /// src/dst are representative ranks of the two nodes, seq/aux are
@@ -425,11 +430,11 @@ pub struct Frame {
     pub dst: u32,
     /// Message tag.
     pub tag: u32,
-    /// Per-channel sequence number (EAGER), or the cumulative
-    /// next-expected watermark (ACK).
+    /// Per-channel sequence number (EAGER), or the lane watermark
+    /// (ACK).
     pub seq: u64,
-    /// A piggybacked cumulative ack for the reverse channel (EAGER):
-    /// `watermark + 1`, with 0 meaning no ack aboard.
+    /// A piggybacked cumulative ack for the lane in the reverse
+    /// direction (EAGER): `watermark + 1`, with 0 meaning no ack aboard.
     pub aux: u64,
     /// Segment index within a striped message (EAGER at or above the
     /// stripe threshold); 0 otherwise.
@@ -448,8 +453,9 @@ enum Prefix {
     /// A complete frame whose checksum failed: its `usize` bytes must be
     /// consumed and its contents must not be trusted.
     Corrupt(usize),
-    /// A complete, checksum-valid frame and its encoded length.
-    Ok(Frame, usize),
+    /// A complete, checksum-valid frame, its lane sequence and its
+    /// encoded length.
+    Ok(Frame, u64, usize),
 }
 
 impl Frame {
@@ -468,12 +474,17 @@ impl Frame {
     }
 
     /// [`Frame::encode_into`] with the payload supplied as a slice,
-    /// ignoring `self.payload`. This is how the stripe send path encodes
-    /// each segment straight from a sub-slice of the caller's message —
-    /// one header per segment, zero intermediate payload copies. The
-    /// single encode choke point: every frame that reaches a wire is
-    /// checksummed here.
+    /// ignoring `self.payload`, as frame 0 of a lane.
     pub fn encode_into_with(&self, out: &mut Vec<u8>, payload: &[u8]) {
+        self.encode_lane_into(out, payload, 0);
+    }
+
+    /// [`Frame::encode_into_with`] as frame `lseq` of its lane. This is
+    /// how the stripe send path encodes each segment straight from a
+    /// sub-slice of the caller's message — one header per segment, zero
+    /// intermediate payload copies. The single encode choke point: every
+    /// frame that reaches a wire is checksummed here.
+    pub(crate) fn encode_lane_into(&self, out: &mut Vec<u8>, payload: &[u8], lseq: u64) {
         out.clear();
         out.reserve(HEADER_LEN + payload.len());
         out.push(MAGIC);
@@ -487,9 +498,20 @@ impl Frame {
         out.extend_from_slice(&self.seg_idx.to_le_bytes());
         out.extend_from_slice(&self.seg_count.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&lseq.to_le_bytes());
         let crc = frame_crc(&out[..CRC_OFFSET], payload);
         out.extend_from_slice(&crc.to_le_bytes());
         out.extend_from_slice(payload);
+    }
+
+    /// Re-number an encoded payload frame as frame `lseq` of another
+    /// lane, with no ack aboard, and re-checksum it: how a dead lane's
+    /// unacked frames move onto a survivor.
+    pub(crate) fn restamp(bytes: &mut [u8], lseq: u64) {
+        bytes[23..31].fill(0);
+        bytes[LSEQ_OFFSET..CRC_OFFSET].copy_from_slice(&lseq.to_le_bytes());
+        let crc = frame_crc(&bytes[..CRC_OFFSET], &bytes[HEADER_LEN..]);
+        bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// The channel this frame belongs to.
@@ -497,9 +519,9 @@ impl Frame {
         (self.src as usize, self.dst as usize, self.tag)
     }
 
-    /// Peek a payload frame's identity (channel + sequence) straight
-    /// from its encoded header, without touching the payload. `None`
-    /// for control kinds — the kinds the retransmit table never holds.
+    /// Peek a payload frame's channel and lane sequence straight from
+    /// its encoded header, without touching the payload. `None` for
+    /// control kinds — the kinds the retransmit ring never holds.
     pub fn peek_payload_id(bytes: &[u8]) -> Option<(crate::ChanKey, u64)> {
         if bytes.len() < HEADER_LEN
             || bytes[0] != MAGIC
@@ -511,8 +533,8 @@ impl Frame {
         let src = u32::from_le_bytes(bytes[3..7].try_into().unwrap()) as usize;
         let dst = u32::from_le_bytes(bytes[7..11].try_into().unwrap()) as usize;
         let tag = u32::from_le_bytes(bytes[11..15].try_into().unwrap());
-        let seq = u64::from_le_bytes(bytes[15..23].try_into().unwrap());
-        Some(((src, dst, tag), seq))
+        let lseq = u64::from_le_bytes(bytes[LSEQ_OFFSET..CRC_OFFSET].try_into().unwrap());
+        Some(((src, dst, tag), lseq))
     }
 
     /// Decode one frame from the front of `bytes`. Magic and version
@@ -542,7 +564,7 @@ impl Frame {
         if bytes.len() < total {
             return Ok(Prefix::Need);
         }
-        let want = u32::from_le_bytes(bytes[43..47].try_into().unwrap());
+        let want = u32::from_le_bytes(bytes[CRC_OFFSET..HEADER_LEN].try_into().unwrap());
         if frame_crc(&bytes[..CRC_OFFSET], &bytes[HEADER_LEN..total]) != want {
             return Ok(Prefix::Corrupt(total));
         }
@@ -561,6 +583,7 @@ impl Frame {
                 seg_count: u16::from_le_bytes(bytes[33..35].try_into().unwrap()),
                 payload: bytes[HEADER_LEN..total].to_vec(),
             },
+            u64::from_le_bytes(bytes[LSEQ_OFFSET..CRC_OFFSET].try_into().unwrap()),
             total,
         ))
     }
@@ -615,11 +638,16 @@ impl FrameDecoder {
     /// (reconnect, don't resync) — wrong magic, wrong format version,
     /// unknown kind, or an insane length.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        Ok(self.next_lane_frame()?.map(|(_, f)| f))
+    }
+
+    /// [`FrameDecoder::next_frame`] with the frame's lane sequence.
+    pub(crate) fn next_lane_frame(&mut self) -> Result<Option<(u64, Frame)>, WireError> {
         loop {
             match Frame::decode_prefix(&self.buf[self.pos..])? {
-                Prefix::Ok(frame, used) => {
+                Prefix::Ok(frame, lseq, used) => {
                     self.pos += used;
-                    return Ok(Some(frame));
+                    return Ok(Some((lseq, frame)));
                 }
                 Prefix::Corrupt(used) => {
                     self.pos += used;
@@ -809,7 +837,7 @@ mod tests {
             payload: vec![0x55; 16],
         };
         let bytes = f.encode();
-        let stored = u32::from_le_bytes(bytes[43..47].try_into().unwrap());
+        let stored = u32::from_le_bytes(bytes[51..55].try_into().unwrap());
         let mut covered = bytes[..CRC_OFFSET].to_vec();
         covered.extend_from_slice(&bytes[HEADER_LEN..]);
         assert_eq!(stored, crc32c(&covered));
@@ -833,6 +861,35 @@ mod tests {
         let mut whole = f.clone();
         whole.payload = vec![9, 8, 7];
         assert_eq!(out, whole.encode(), "slice payload encodes identically");
+    }
+
+    #[test]
+    fn lane_sequence_roundtrips_and_restamp_renumbers() {
+        let f = Frame {
+            kind: FrameKind::Eager,
+            src: 1,
+            dst: 2,
+            tag: 3,
+            seq: 4,
+            aux: 9,
+            seg_idx: 0,
+            seg_count: 0,
+            payload: vec![0x33; 40],
+        };
+        let mut bytes = Vec::new();
+        f.encode_lane_into(&mut bytes, &f.payload, 1 << 40);
+        assert_eq!(
+            u64::from_le_bytes(bytes[43..51].try_into().unwrap()),
+            1 << 40
+        );
+        assert_eq!(Frame::peek_payload_id(&bytes), Some(((1, 2, 3), 1 << 40)));
+        Frame::restamp(&mut bytes, 7);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&bytes);
+        let (lseq, back) = dec.next_lane_frame().unwrap().expect("re-checksummed");
+        assert_eq!(lseq, 7);
+        assert_eq!(back.aux, 0, "a moved frame carries no stale ack");
+        assert_eq!((back.seq, back.payload), (4, f.payload));
     }
 
     #[test]

@@ -74,18 +74,19 @@ fn eager_send_path_is_allocation_free_after_warmup() {
     let mut payloads: Vec<Vec<u8>> = (0..WARMUP + STEADY).map(|i| vec![i as u8; 64]).collect();
     let steady: Vec<Vec<u8>> = payloads.split_off(WARMUP);
 
-    // Warm-up: populate the channel's queue, pending and store entries,
-    // and stock the frame pool. Sending the whole warm-up as one burst
-    // matters: a buffer is only recycled once its ack retires the
-    // pending entry, so burst pacing drives the number of simultaneously
-    // live buffers — and therefore the eventual free-list depth — to the
-    // pool cap. Ping-pong pacing would leave only a handful of spares,
-    // and a moment of ack lag in the steady phase could then drain the
-    // list and force a fresh allocation (observed rarely in debug
-    // builds). The steady phase cannot run a fully stocked list dry: a
-    // sender waits for acks once its channel has 128 frames unacked,
-    // whether the frames were read by a worker, which flushes the acks
-    // itself, or by the receiving rank, which asks a worker for them.
+    // Warm-up: populate the lane's queue and retransmit ring, the
+    // channel's store entry, and stock the frame pool. Sending the whole
+    // warm-up as one burst matters: a buffer is only recycled once its
+    // lane's ack retires it from the ring, so burst pacing drives the
+    // number of simultaneously live buffers — and therefore the eventual
+    // free-list depth — to the pool cap. Ping-pong pacing would leave
+    // only a handful of spares, and a moment of ack lag in the steady
+    // phase could then drain the list and force a fresh allocation
+    // (observed rarely in debug builds). The steady phase cannot run a
+    // fully stocked list dry, and no sender waits for that: whoever
+    // decodes the lane's frames, a worker or this thread, writes its ack
+    // once the lane owes 32 frames, and this thread writes the ack owed
+    // before each sleep in a receive.
     for p in payloads {
         fabric.send(key, p).expect("warmup send");
     }

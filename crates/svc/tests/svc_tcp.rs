@@ -105,6 +105,7 @@ fn closed_loop_runs_node_local_steps_in_place_and_drives_the_wire() {
     let svc = Svc::new(fabric.clone(), SvcConfig::new(WORLD)).unwrap();
     closed_loop(&svc, 8, 4, 5_000);
     let s = fabric.stats();
+
     let st = svc.stats();
     assert_eq!(
         s.local_msgs, 0,
@@ -114,6 +115,14 @@ fn closed_loop_runs_node_local_steps_in_place_and_drives_the_wire() {
     assert!(
         s.driver_frames > 0,
         "the engine never drove the wire: {s:?}"
+    );
+    // Each lane's ack rides the frames going back on it, whichever
+    // channel they belong to: few wire messages need an ACK frame.
+    assert!(
+        2 * s.ack_frames <= s.total_msgs(),
+        "{} ACK frames for {} wire messages",
+        s.ack_frames,
+        s.total_msgs()
     );
     assert!(st.in_place > 0, "no step ran in place: {st:?}");
     assert!(fabric.drain_errors().is_empty());
