@@ -29,13 +29,13 @@
 //!
 //! ## Determinism
 //!
-//! Ranks are advanced in virtual-time order from a binary heap with a
-//! total tiebreak `(clock, rank, seq)`; all arithmetic is integer
+//! Ranks are advanced in virtual-time order from a binary heap keyed
+//! `(clock, seq, rank)`, where `seq` counts pushes: ranks at equal clocks
+//! run in the order they were pushed. All arithmetic is integer
 //! picoseconds. Two runs of the same schedule produce bit-identical
 //! reports.
 
 pub mod config;
-pub mod fxhash;
 pub mod pt2pt;
 pub mod report;
 pub mod resources;

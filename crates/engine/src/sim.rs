@@ -3,18 +3,18 @@
 //! Each rank is a state machine over its straight-line op list with a
 //! virtual clock. A binary heap keyed `(clock, seq, rank)` always advances
 //! the most-behind runnable rank, so shared resources are acquired in
-//! near-arrival order. Blocked ranks park on a `WaitKey` and are woken by
-//! the event that satisfies them (message matched, address posted, flag
-//! signalled, barrier completed).
+//! near-arrival order; equal clocks run in push order. Messages match on
+//! the channels and positions the schedule's [`Wiring`] assigns. A blocked
+//! rank records what it waits for and is woken by the event that
+//! satisfies it (message matched, address posted, flag signalled, barrier
+//! completed).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::fxhash::{FastMap, FastSet};
-
 use pipmcoll_model::hockney::ceil_log;
-use pipmcoll_model::SimTime;
-use pipmcoll_sched::{Op, Region, RemoteRegion, Schedule};
+use pipmcoll_model::{Mechanism, SimTime};
+use pipmcoll_sched::{MsgRef, Op, Region, Schedule, Wiring};
 
 use crate::config::EngineConfig;
 use crate::report::{Breakdown, OpCategory, SimReport};
@@ -35,52 +35,58 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-type Chan = (usize, usize, u32);
-
-/// How far a rank may run ahead of the most-behind runnable rank before it
-/// yields (keeps resource acquisition near time-order without thrashing the
-/// scheduler heap).
-const YIELD_SLACK: SimTime = SimTime::ZERO;
-
-#[derive(Hash, Eq, PartialEq, Clone, Copy, Debug)]
+/// What a blocked rank waits for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WaitKey {
-    Recv { chan: Chan, pos: usize },
-    Send { chan: Chan, pos: usize },
+    /// Its own send or receive to complete: only the channel's `src`
+    /// waits on a send, only its `dst` on a receive.
+    Msg(MsgRef),
+    /// `rank` to post `slot`; the waiters park on `rank`'s node.
     Post { rank: usize, slot: u16 },
-    Flag { rank: usize, flag: u16 },
+    /// Its own flag to reach the awaited count.
+    Flag(u16),
+    /// Barrier generation `gen` of `node` to complete; the waiters park
+    /// on `node`.
     Barrier { node: usize, gen: usize },
 }
 
-#[derive(Clone, Debug)]
 struct SendEntry {
     ready: SimTime,
     bytes: u64,
     done: Option<SimTime>,
 }
 
-#[derive(Clone, Debug)]
 struct RecvEntry {
     post: SimTime,
     done: Option<SimTime>,
 }
 
-#[derive(Default)]
+/// One channel's issued sends and receives, by position.
 struct ChanState {
     sends: Vec<SendEntry>,
     recvs: Vec<RecvEntry>,
     matched: usize,
 }
 
+/// One generation of a node barrier.
+#[derive(Clone, Copy, Default)]
+struct BarrierGen {
+    arrived: usize,
+    latest: SimTime,
+    done: Option<SimTime>,
+}
+
 struct RankSim {
     clock: SimTime,
     cats: Breakdown,
     pc: usize,
-    flag_times: FastMap<u16, Vec<SimTime>>,
-    posted: FastMap<u16, (Region, SimTime)>,
+    /// Per flag, the times it was signalled, sorted.
+    flag_times: Vec<Vec<SimTime>>,
+    /// Per slot, the posted region and when it was posted.
+    posted: Vec<Option<(Region, SimTime)>>,
     barriers_entered: usize,
     in_barrier: bool,
-    /// (chan, position, is_send) for each issued request op index.
-    req_info: FastMap<usize, (Chan, usize, bool)>,
+    blocked: Option<WaitKey>,
 }
 
 enum StepOutcome {
@@ -92,15 +98,23 @@ enum StepOutcome {
 struct Sim<'a> {
     cfg: &'a EngineConfig,
     sched: &'a Schedule,
+    wiring: &'a Wiring,
     ranks: Vec<RankSim>,
     res: ClusterResources,
-    chans: FastMap<Chan, ChanState>,
-    waiters: FastMap<WaitKey, Vec<usize>>,
-    barrier_arrivals: FastMap<(usize, usize), (usize, SimTime)>,
-    barrier_done: FastMap<(usize, usize), SimTime>,
-    /// (accessor, owner) pairs whose first shared-memory transfer happened
-    /// (drives XPMEM attach / page-fault amortisation).
-    first_use: FastSet<(usize, usize)>,
+    /// Per channel id.
+    chans: Vec<ChanState>,
+    /// Runnable ranks keyed `(clock, seq, rank)`.
+    queue: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    seq: u64,
+    /// Per node, the ranks blocked on a post or barrier of that node, in
+    /// the order they blocked.
+    parked: Vec<Vec<usize>>,
+    /// Per node, its barrier generations (generation `g` at `g - 1`).
+    barriers: Vec<Vec<BarrierGen>>,
+    /// Per accessor and owner's local index: whether the pair's first
+    /// shared-memory transfer happened (drives XPMEM attach / page-fault
+    /// amortisation).
+    first_use: Vec<bool>,
     // counters
     net_msgs: u64,
     net_bytes: u64,
@@ -111,31 +125,51 @@ struct Sim<'a> {
     ops_executed: usize,
 }
 
+/// Entry `i` of `v`, growing `v` with defaults to reach it.
+fn grow<T: Clone + Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
+}
+
 impl<'a> Sim<'a> {
     fn new(cfg: &'a EngineConfig, sched: &'a Schedule) -> Self {
         let topo = sched.topo();
+        let wiring = sched.wiring();
         let ranks = (0..topo.world_size())
             .map(|_| RankSim {
                 clock: SimTime::ZERO,
                 cats: [SimTime::ZERO; 6],
                 pc: 0,
-                flag_times: FastMap::default(),
-                posted: FastMap::default(),
+                flag_times: Vec::new(),
+                posted: Vec::new(),
                 barriers_entered: 0,
                 in_barrier: false,
-                req_info: FastMap::default(),
+                blocked: None,
+            })
+            .collect();
+        let chans = wiring
+            .channels()
+            .iter()
+            .map(|ch| ChanState {
+                sends: Vec::with_capacity(ch.sends.len()),
+                recvs: Vec::with_capacity(ch.recvs.len()),
+                matched: 0,
             })
             .collect();
         Sim {
             cfg,
             sched,
+            wiring,
             ranks,
             res: ClusterResources::new(topo.nodes(), topo.ppn()),
-            chans: FastMap::default(),
-            waiters: FastMap::default(),
-            barrier_arrivals: FastMap::default(),
-            barrier_done: FastMap::default(),
-            first_use: FastSet::default(),
+            chans,
+            queue: BinaryHeap::new(),
+            seq: 0,
+            parked: vec![Vec::new(); topo.nodes()],
+            barriers: vec![Vec::new(); topo.nodes()],
+            first_use: vec![false; topo.world_size() * topo.ppn()],
             net_msgs: 0,
             net_bytes: 0,
             intra_msgs: 0,
@@ -146,51 +180,91 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn wake(
-        &mut self,
-        key: WaitKey,
-        queue: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-        seq: &mut u64,
-    ) {
-        if let Some(ws) = self.waiters.remove(&key) {
-            for r in ws {
-                *seq += 1;
-                queue.push(Reverse((self.ranks[r].clock, *seq, r)));
+    /// Make `rank` runnable at its clock, after every rank pushed before
+    /// it at the same clock.
+    fn push(&mut self, rank: usize) {
+        self.seq += 1;
+        self.queue
+            .push(Reverse((self.ranks[rank].clock, self.seq, rank)));
+    }
+
+    /// Block `rank` until the event `key` names.
+    fn park(&mut self, rank: usize, key: WaitKey) {
+        match key {
+            WaitKey::Post { rank: owner, .. } => {
+                self.parked[self.sched.topo().node_of(owner)].push(rank)
             }
+            WaitKey::Barrier { node, .. } => self.parked[node].push(rank),
+            WaitKey::Msg(_) | WaitKey::Flag(_) => {}
+        }
+        self.ranks[rank].blocked = Some(key);
+    }
+
+    /// Make `rank` runnable if it waits for `key`.
+    fn wake(&mut self, rank: usize, key: WaitKey) {
+        if self.ranks[rank].blocked == Some(key) {
+            self.ranks[rank].blocked = None;
+            self.push(rank);
         }
     }
 
-    /// Attempt to match the next (send, recv) pair on `chan`; computes the
-    /// transfer through the resource model when both sides are present.
-    fn try_match(
-        &mut self,
-        chan: Chan,
-        queue: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-        seq: &mut u64,
-    ) {
-        loop {
-            let st = self.chans.entry(chan).or_default();
-            let m = st.matched;
-            if m >= st.sends.len() || m >= st.recvs.len() {
-                return;
-            }
-            let bytes = st.sends[m].bytes;
-            let sender_ready = st.sends[m].ready;
-            let recv_post = st.recvs[m].post;
-            let (src, dst, _) = chan;
-            let topo = self.sched.topo();
-            let (send_done, recv_done) = if topo.same_node(src, dst) {
-                self.intra_transfer(src, dst, bytes, sender_ready, recv_post)
-            } else {
-                self.inter_transfer(src, dst, bytes, sender_ready, recv_post)
-            };
-            let st = self.chans.get_mut(&chan).unwrap();
-            st.sends[m].done = Some(send_done);
-            st.recvs[m].done = Some(recv_done);
-            st.matched += 1;
-            self.wake(WaitKey::Send { chan, pos: m }, queue, seq);
-            self.wake(WaitKey::Recv { chan, pos: m }, queue, seq);
+    /// Make the ranks parked on `node` that wait for `key` runnable, in
+    /// the order they blocked.
+    fn wake_parked(&mut self, node: usize, key: WaitKey) {
+        let mut parked = std::mem::take(&mut self.parked[node]);
+        parked.retain(|&r| {
+            let hit = self.ranks[r].blocked == Some(key);
+            self.wake(r, key);
+            !hit
+        });
+        self.parked[node] = parked;
+    }
+
+    /// Issue `rank`'s send or receive at op `pc` at its clock; `bytes` is
+    /// a send's payload.
+    fn issue(&mut self, rank: usize, pc: usize, bytes: usize) {
+        let m = self.wiring.message(rank, pc).expect("a message op");
+        let at = self.ranks[rank].clock;
+        let st = &mut self.chans[m.chan];
+        if m.recv {
+            st.recvs.push(RecvEntry {
+                post: at,
+                done: None,
+            });
+        } else {
+            st.sends.push(SendEntry {
+                ready: at,
+                bytes: bytes as u64,
+                done: None,
+            });
         }
+        self.try_match(m.chan);
+    }
+
+    /// Match the next (send, recv) pair on `chan` if both sides are
+    /// issued, computing the transfer through the resource model. Each
+    /// issue adds one side, so at most one pair becomes ready.
+    fn try_match(&mut self, chan: usize) {
+        let st = &self.chans[chan];
+        let m = st.matched;
+        let (Some(send), Some(recv)) = (st.sends.get(m), st.recvs.get(m)) else {
+            return;
+        };
+        let (bytes, sender_ready, recv_post) = (send.bytes, send.ready, recv.post);
+        let ch = &self.wiring.channels()[chan];
+        let (src, dst) = (ch.src, ch.dst);
+        let (send_done, recv_done) = if self.sched.topo().same_node(src, dst) {
+            self.intra_transfer(src, dst, bytes, sender_ready, recv_post)
+        } else {
+            self.inter_transfer(src, dst, bytes, sender_ready, recv_post)
+        };
+        let st = &mut self.chans[chan];
+        st.sends[m].done = Some(send_done);
+        st.recvs[m].done = Some(recv_done);
+        st.matched += 1;
+        let msg = |recv| WaitKey::Msg(MsgRef { chan, pos: m, recv });
+        self.wake(src, msg(false));
+        self.wake(dst, msg(true));
     }
 
     /// Internode transfer through injection → NIC TX → wire → NIC RX.
@@ -224,6 +298,24 @@ impl<'a> Sim<'a> {
         (send_done, recv_done)
     }
 
+    /// Charge the set-up of one `mech` transfer of `bytes` from `a` to
+    /// `b`, a rank of its node: its syscalls, and on the pair's first
+    /// transfer the cached set-up. Returns the transfer's fixed overhead.
+    fn setup(&mut self, mech: Mechanism, a: usize, b: usize, bytes: u64) -> SimTime {
+        let topo = self.sched.topo();
+        debug_assert!(topo.same_node(a, b), "shared access across nodes");
+        let used = &mut self.first_use[a * topo.ppn() + topo.local_of(b)];
+        let first = !std::mem::replace(used, true);
+        self.syscalls += mech.syscalls_per_transfer() as u64;
+        if first && mech.has_cached_setup() {
+            self.syscalls += 2; // xpmem expose + attach
+        }
+        self.cfg
+            .machine
+            .mech_costs
+            .per_transfer_overhead(mech, bytes, first)
+    }
+
     /// Intranode point-to-point transfer through the configured mechanism.
     fn intra_transfer(
         &mut self,
@@ -233,8 +325,7 @@ impl<'a> Sim<'a> {
         sender_ready: SimTime,
         recv_post: SimTime,
     ) -> (SimTime, SimTime) {
-        let topo = self.sched.topo();
-        let node = topo.node_of(src);
+        let node = self.sched.topo().node_of(src);
         let mem = &self.cfg.machine.mem;
         let costs = &self.cfg.machine.mech_costs;
         let mech = self.cfg.intranode_mech;
@@ -244,12 +335,7 @@ impl<'a> Sim<'a> {
             start += costs.pip_size_sync;
         }
         start = start.max(recv_post);
-        let first = self.first_use.insert((src, dst));
-        let overhead = costs.per_transfer_overhead(mech, bytes, first);
-        self.syscalls += mech.syscalls_per_transfer() as u64;
-        if first && mech.has_cached_setup() {
-            self.syscalls += 2; // xpmem expose + attach
-        }
+        let overhead = self.setup(mech, src, dst, bytes);
         let moved = costs.bytes_moved(mech, bytes);
         let t0 = start + overhead;
         let (_, bus_end) = self.res.bus[node].acquire(t0, mem.bus_time(moved));
@@ -270,18 +356,11 @@ impl<'a> Sim<'a> {
         owner: usize,
         post_time: SimTime,
     ) -> SimTime {
-        let topo = self.sched.topo();
-        let node = topo.node_of(rank);
+        let node = self.sched.topo().node_of(rank);
         let mem = &self.cfg.machine.mem;
         let mech = self.cfg.shared_mech;
-        let costs = &self.cfg.machine.mech_costs;
-        let first = self.first_use.insert((rank, owner));
-        let overhead = costs.per_transfer_overhead(mech, bytes, first);
-        self.syscalls += mech.syscalls_per_transfer() as u64;
-        if first && mech.has_cached_setup() {
-            self.syscalls += 2;
-        }
-        let moved = costs.bytes_moved(mech, bytes);
+        let overhead = self.setup(mech, rank, owner, bytes);
+        let moved = self.cfg.machine.mech_costs.bytes_moved(mech, bytes);
         let t0 = self.ranks[rank].clock.max(post_time) + mem.alpha_r + overhead;
         let (_, bus_end) = self.res.bus[node].acquire(t0, mem.bus_time(moved));
         let mut core_end = t0 + mem.core_copy_time(moved);
@@ -293,45 +372,33 @@ impl<'a> Sim<'a> {
         bus_end.max(core_end)
     }
 
-    /// Resolve a remote region's post time, or the key to wait on.
-    fn remote_post_time(&self, rr: &RemoteRegion) -> Result<SimTime, WaitKey> {
-        match self.ranks[rr.rank].posted.get(&rr.slot) {
-            Some((region, t)) => {
-                debug_assert!(rr.offset + rr.len <= region.len);
-                Ok(*t)
-            }
-            None => Err(WaitKey::Post {
-                rank: rr.rank,
-                slot: rr.slot,
-            }),
+    /// The cost of issuing a send from `rank` to `dst`.
+    fn issue_cost(&self, rank: usize, dst: usize) -> SimTime {
+        let sw = self.cfg.machine.sw_overhead;
+        if self.sched.topo().same_node(rank, dst) {
+            sw
+        } else {
+            sw + self.cfg.machine.nic.send_overhead
         }
     }
 
-    fn step(
-        &mut self,
-        rank: usize,
-        queue: &mut BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-        seq: &mut u64,
-    ) -> Result<StepOutcome, SimError> {
+    fn step(&mut self, rank: usize) -> StepOutcome {
         let prog = &self.sched.programs()[rank];
-        if self.ranks[rank].pc >= prog.ops.len() {
-            return Ok(StepOutcome::Done);
-        }
         let pc = self.ranks[rank].pc;
-        let op = prog.ops[pc];
+        let Some(&op) = prog.ops.get(pc) else {
+            return StepOutcome::Done;
+        };
         let topo = self.sched.topo();
         let mem = self.cfg.machine.mem;
         let clock_before = self.ranks[rank].clock;
         let category = match op {
             Op::ISend { .. } | Op::ISendShared { .. } => OpCategory::NetSend,
             Op::IRecv { .. } | Op::IRecvShared { .. } => OpCategory::NetRecv,
-            Op::Wait { req } => {
-                // Attribute the wait to the direction of its request.
-                match self.ranks[rank].req_info.get(&req.0) {
-                    Some((_, _, true)) => OpCategory::NetSend,
-                    _ => OpCategory::NetRecv,
-                }
-            }
+            // Attribute the wait to the direction of its request.
+            Op::Wait { req } => match self.wiring.message(rank, req.0) {
+                Some(m) if !m.recv => OpCategory::NetSend,
+                _ => OpCategory::NetRecv,
+            },
             Op::CopyIn { .. } | Op::CopyOut { .. } | Op::ReduceIn { .. } => OpCategory::SharedData,
             Op::LocalCopy { .. } | Op::LocalReduce { .. } => OpCategory::LocalData,
             Op::PostAddr { .. } | Op::Signal { .. } | Op::WaitFlag { .. } | Op::NodeBarrier => {
@@ -339,134 +406,80 @@ impl<'a> Sim<'a> {
             }
             Op::Compute { .. } => OpCategory::Compute,
         };
+        // Ops on a peer's posted region wait for the post.
+        let remote = match op {
+            Op::ISendShared { src: rr, .. }
+            | Op::IRecvShared { dst: rr, .. }
+            | Op::CopyIn { from: rr, .. }
+            | Op::CopyOut { to: rr, .. }
+            | Op::ReduceIn { from: rr, .. } => Some(rr),
+            _ => None,
+        };
+        let mut post = SimTime::ZERO;
+        if let Some(rr) = remote {
+            let posted = self.ranks[rr.rank].posted.get(rr.slot as usize);
+            let Some((region, t)) = posted.copied().flatten() else {
+                let (rank, slot) = (rr.rank, rr.slot);
+                return StepOutcome::Blocked(WaitKey::Post { rank, slot });
+            };
+            debug_assert!(rr.offset + rr.len <= region.len);
+            post = t;
+        }
         match op {
-            Op::ISend { dst, tag, src } => {
-                let chan = (rank, dst, tag);
-                let nic = &self.cfg.machine.nic;
-                let issue_cost = if topo.same_node(rank, dst) {
-                    self.cfg.machine.sw_overhead
-                } else {
-                    self.cfg.machine.sw_overhead + nic.send_overhead
-                };
-                self.ranks[rank].clock += issue_cost;
-                let st = self.chans.entry(chan).or_default();
-                let pos = st.sends.len();
-                st.sends.push(SendEntry {
-                    ready: self.ranks[rank].clock,
-                    bytes: src.len as u64,
-                    done: None,
-                });
-                self.ranks[rank].req_info.insert(pc, (chan, pos, true));
-                self.try_match(chan, queue, seq);
+            Op::ISend { dst, src, .. } => {
+                let cost = self.issue_cost(rank, dst);
+                self.ranks[rank].clock += cost;
+                self.issue(rank, pc, src.len);
             }
-            Op::IRecv { src, tag, .. } => {
-                let chan = (src, rank, tag);
-                let st = self.chans.entry(chan).or_default();
-                let pos = st.recvs.len();
-                st.recvs.push(RecvEntry {
-                    post: self.ranks[rank].clock,
-                    done: None,
-                });
-                self.ranks[rank].req_info.insert(pc, (chan, pos, false));
-                self.try_match(chan, queue, seq);
-            }
-            Op::ISendShared { dst, tag, src } => {
+            Op::IRecv { .. } => self.issue(rank, pc, 0),
+            Op::ISendShared { dst, src, .. } => {
                 // Multi-object send from a peer's posted buffer: the only
                 // extra cost over a plain send is fetching the posted
                 // address (one flag latency) — no staging copy.
-                let post = match self.remote_post_time(&src) {
-                    Ok(t) => t,
-                    Err(k) => return Ok(StepOutcome::Blocked(k)),
-                };
-                let chan = (rank, dst, tag);
-                let nic = &self.cfg.machine.nic;
-                let issue_cost = if topo.same_node(rank, dst) {
-                    self.cfg.machine.sw_overhead
-                } else {
-                    self.cfg.machine.sw_overhead + nic.send_overhead
-                };
-                let c = self.ranks[rank].clock.max(post) + mem.alpha_r + issue_cost;
+                let c = self.ranks[rank].clock.max(post) + mem.alpha_r + self.issue_cost(rank, dst);
                 self.ranks[rank].clock = c;
-                let st = self.chans.entry(chan).or_default();
-                let pos = st.sends.len();
-                st.sends.push(SendEntry {
-                    ready: c,
-                    bytes: src.len as u64,
-                    done: None,
-                });
-                self.ranks[rank].req_info.insert(pc, (chan, pos, true));
                 self.shared_ops += 1;
-                self.try_match(chan, queue, seq);
+                self.issue(rank, pc, src.len);
             }
-            Op::IRecvShared { src, tag, dst } => {
-                let post = match self.remote_post_time(&dst) {
-                    Ok(t) => t,
-                    Err(k) => return Ok(StepOutcome::Blocked(k)),
-                };
-                let chan = (src, rank, tag);
+            Op::IRecvShared { .. } => {
                 let c = self.ranks[rank].clock.max(post) + mem.alpha_r;
                 self.ranks[rank].clock = c;
-                let st = self.chans.entry(chan).or_default();
-                let pos = st.recvs.len();
-                st.recvs.push(RecvEntry {
-                    post: c,
-                    done: None,
-                });
-                self.ranks[rank].req_info.insert(pc, (chan, pos, false));
                 self.shared_ops += 1;
-                self.try_match(chan, queue, seq);
+                self.issue(rank, pc, 0);
             }
             Op::Wait { req } => {
-                let (chan, pos, is_send) = self.ranks[rank].req_info[&req.0];
-                let st = self.chans.get(&chan).expect("request channel exists");
-                let done = if is_send {
-                    st.sends[pos].done
+                let m = self
+                    .wiring
+                    .message(rank, req.0)
+                    .expect("the recorder validates wait targets");
+                let st = &self.chans[m.chan];
+                let done = if m.recv {
+                    st.recvs[m.pos].done
                 } else {
-                    st.recvs[pos].done
+                    st.sends[m.pos].done
                 };
-                match done {
-                    Some(t) => {
-                        let c = self.ranks[rank].clock;
-                        self.ranks[rank].clock = c.max(t);
-                    }
-                    None => {
-                        let key = if is_send {
-                            WaitKey::Send { chan, pos }
-                        } else {
-                            WaitKey::Recv { chan, pos }
-                        };
-                        return Ok(StepOutcome::Blocked(key));
-                    }
-                }
+                let Some(t) = done else {
+                    return StepOutcome::Blocked(WaitKey::Msg(m));
+                };
+                let c = self.ranks[rank].clock;
+                self.ranks[rank].clock = c.max(t);
             }
             Op::PostAddr { slot, region } => {
                 // A post is a store + release fence: half a flag latency.
                 self.ranks[rank].clock += SimTime::from_ps(mem.alpha_r.as_ps() / 2);
                 let t = self.ranks[rank].clock;
-                self.ranks[rank].posted.insert(slot, (region, t));
-                self.wake(WaitKey::Post { rank, slot }, queue, seq);
+                *grow(&mut self.ranks[rank].posted, slot as usize) = Some((region, t));
+                self.wake_parked(topo.node_of(rank), WaitKey::Post { rank, slot });
             }
             Op::CopyIn { from, .. } => {
-                let post = match self.remote_post_time(&from) {
-                    Ok(t) => t,
-                    Err(k) => return Ok(StepOutcome::Blocked(k)),
-                };
                 let end = self.shared_access(rank, from.len as u64, false, from.rank, post);
                 self.ranks[rank].clock = end;
             }
             Op::CopyOut { from, to } => {
-                let post = match self.remote_post_time(&to) {
-                    Ok(t) => t,
-                    Err(k) => return Ok(StepOutcome::Blocked(k)),
-                };
                 let end = self.shared_access(rank, from.len as u64, false, to.rank, post);
                 self.ranks[rank].clock = end;
             }
             Op::ReduceIn { from, .. } => {
-                let post = match self.remote_post_time(&from) {
-                    Ok(t) => t,
-                    Err(k) => return Ok(StepOutcome::Blocked(k)),
-                };
                 let end = self.shared_access(rank, from.len as u64, true, from.rank, post);
                 self.ranks[rank].clock = end;
             }
@@ -489,64 +502,43 @@ impl<'a> Sim<'a> {
                 // An atomic increment on a shared line: half a flag latency.
                 self.ranks[rank].clock += SimTime::from_ps(mem.alpha_r.as_ps() / 2);
                 let t = self.ranks[rank].clock;
-                self.ranks[peer].flag_times.entry(flag).or_default().push(t);
-                self.wake(WaitKey::Flag { rank: peer, flag }, queue, seq);
+                let times = grow(&mut self.ranks[peer].flag_times, flag as usize);
+                times.insert(times.partition_point(|&x| x <= t), t);
+                self.wake(peer, WaitKey::Flag(flag));
             }
             Op::WaitFlag { flag, count } => {
-                let times = self.ranks[rank]
-                    .flag_times
-                    .get(&flag)
-                    .cloned()
-                    .unwrap_or_default();
+                let times = self.ranks[rank].flag_times.get(flag as usize);
+                let times = times.map_or(&[][..], Vec::as_slice);
                 if (times.len() as u32) < count {
-                    return Ok(StepOutcome::Blocked(WaitKey::Flag { rank, flag }));
+                    return StepOutcome::Blocked(WaitKey::Flag(flag));
                 }
-                let mut sorted = times;
-                sorted.sort_unstable();
-                let kth = sorted[count as usize - 1];
+                let kth = times[count as usize - 1];
                 let c = self.ranks[rank].clock;
                 self.ranks[rank].clock = c.max(kth) + mem.alpha_r;
             }
             Op::NodeBarrier => {
                 let node = topo.node_of(rank);
-                if !self.ranks[rank].in_barrier {
-                    self.ranks[rank].barriers_entered += 1;
-                    self.ranks[rank].in_barrier = true;
-                    let generation = self.ranks[rank].barriers_entered;
-                    let entry = self
-                        .barrier_arrivals
-                        .entry((node, generation))
-                        .or_insert((0, SimTime::ZERO));
-                    entry.0 += 1;
-                    entry.1 = entry.1.max(self.ranks[rank].clock);
-                    if entry.0 == topo.ppn() {
-                        let p = topo.ppn();
-                        let cost = self.cfg.machine.barrier_unit * ceil_log(2, p.max(2)) as u64;
-                        let done = entry.1 + cost;
-                        self.barrier_done.insert((node, generation), done);
-                        self.wake(
-                            WaitKey::Barrier {
-                                node,
-                                gen: generation,
-                            },
-                            queue,
-                            seq,
-                        );
+                let st = &mut self.ranks[rank];
+                if !st.in_barrier {
+                    st.barriers_entered += 1;
+                    st.in_barrier = true;
+                    let (gen, clock) = (st.barriers_entered, st.clock);
+                    let b = grow(&mut self.barriers[node], gen - 1);
+                    b.arrived += 1;
+                    b.latest = b.latest.max(clock);
+                    if b.arrived == topo.ppn() {
+                        let cost =
+                            self.cfg.machine.barrier_unit * ceil_log(2, topo.ppn().max(2)) as u64;
+                        b.done = Some(b.latest + cost);
+                        self.wake_parked(node, WaitKey::Barrier { node, gen });
                     }
                 }
-                let generation = self.ranks[rank].barriers_entered;
-                match self.barrier_done.get(&(node, generation)) {
-                    Some(done) => {
-                        self.ranks[rank].clock = *done;
-                        self.ranks[rank].in_barrier = false;
-                    }
-                    None => {
-                        return Ok(StepOutcome::Blocked(WaitKey::Barrier {
-                            node,
-                            gen: generation,
-                        }))
-                    }
-                }
+                let gen = self.ranks[rank].barriers_entered;
+                let Some(done) = self.barriers[node][gen - 1].done else {
+                    return StepOutcome::Blocked(WaitKey::Barrier { node, gen });
+                };
+                self.ranks[rank].clock = done;
+                self.ranks[rank].in_barrier = false;
             }
             Op::Compute { bytes } => {
                 self.ranks[rank].clock += mem.reduce_time(bytes);
@@ -556,7 +548,7 @@ impl<'a> Sim<'a> {
         self.ranks[rank].cats[category.idx()] += advanced;
         self.ranks[rank].pc += 1;
         self.ops_executed += 1;
-        Ok(StepOutcome::Progress)
+        StepOutcome::Progress
     }
 }
 
@@ -572,35 +564,28 @@ pub fn simulate(cfg: &EngineConfig, sched: &Schedule) -> Result<SimReport, SimEr
     );
     let mut sim = Sim::new(cfg, sched);
     let world = sched.topo().world_size();
-    let mut queue: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
     for r in 0..world {
-        seq += 1;
-        queue.push(Reverse((SimTime::ZERO, seq, r)));
+        sim.push(r);
     }
     let mut finish = vec![SimTime::ZERO; world];
     let mut finished = vec![false; world];
-    while let Some(Reverse((_, _, rank))) = queue.pop() {
+    while let Some(Reverse((_, _, rank))) = sim.queue.pop() {
         if finished[rank] {
             continue;
         }
         loop {
             // Yield to a more-behind rank so resources are acquired in
             // near-time order.
-            if let Some(Reverse((head, _, _))) = queue.peek() {
-                // Hysteresis: requeue only when meaningfully ahead of the
-                // most-behind runnable rank; re-sorting the heap on every
-                // sub-microsecond lead costs more accuracy than it buys.
-                if sim.ranks[rank].clock > *head + YIELD_SLACK {
-                    seq += 1;
-                    queue.push(Reverse((sim.ranks[rank].clock, seq, rank)));
+            if let Some(&Reverse((head, _, _))) = sim.queue.peek() {
+                if sim.ranks[rank].clock > head {
+                    sim.push(rank);
                     break;
                 }
             }
-            match sim.step(rank, &mut queue, &mut seq)? {
+            match sim.step(rank) {
                 StepOutcome::Progress => continue,
                 StepOutcome::Blocked(key) => {
-                    sim.waiters.entry(key).or_default().push(rank);
+                    sim.park(rank, key);
                     break;
                 }
                 StepOutcome::Done => {
@@ -640,8 +625,8 @@ pub fn simulate(cfg: &EngineConfig, sched: &Schedule) -> Result<SimReport, SimEr
     })
 }
 
-/// Convenience: simulate and also check the schedule with the dataflow
-/// interpreter beforehand (tests and harnesses).
+/// Convenience: check the schedule with [`Schedule::validate`], then
+/// simulate it (tests and harnesses).
 pub fn simulate_checked(cfg: &EngineConfig, sched: &Schedule) -> Result<SimReport, SimError> {
     sched.validate().map_err(|e| SimError {
         message: format!("validation: {e}"),
@@ -846,14 +831,41 @@ mod tests {
 
     #[test]
     fn deadlock_reported() {
-        let topo = pipmcoll_model::Topology::new(1, 2);
-        let s = record(topo, BufSizes::new(0, 0), |c| {
-            if c.local() == 0 {
-                c.wait_flag(3, 1);
-            }
-        });
-        let err = simulate(&cfg(1, 2), &s).unwrap_err();
-        assert!(err.message.contains("deadlock"), "{err}");
+        let topo = pipmcoll_model::Topology::new(1, 3);
+        type Body = fn(&mut pipmcoll_sched::TraceComm);
+        let cases: [(&str, Body); 4] = [
+            // A flag nobody signals.
+            ("rank 0 at op 0 (waitflag)", |c| {
+                if c.local() == 0 {
+                    c.wait_flag(3, 1);
+                }
+            }),
+            // A receive whose send never comes.
+            ("rank 1 at op 1 (wait)", |c| {
+                if c.local() == 1 {
+                    c.recv(0, 7, Region::new(B::Recv, 0, 8));
+                }
+            }),
+            // A copy from a slot its owner never posts.
+            ("rank 0 at op 0 (copyin)", |c| {
+                if c.local() == 0 {
+                    let from = pipmcoll_sched::RemoteRegion::new(2, 0, 0, 8);
+                    c.copy_in(from, Region::new(B::Recv, 0, 8));
+                }
+            }),
+            // A node barrier that one rank of the node skips.
+            ("rank 0 at op 0 (barrier), rank 2 at op 0 (barrier)", |c| {
+                if c.local() != 1 {
+                    c.node_barrier();
+                }
+            }),
+        ];
+        for (stuck, body) in cases {
+            let s = record(topo, BufSizes::new(8, 8), body);
+            let err = simulate(&cfg(1, 3), &s).unwrap_err();
+            assert!(err.message.contains("deadlock"), "{err}");
+            assert!(err.message.contains(stuck), "want {stuck:?}: {err}");
+        }
     }
 
     #[test]

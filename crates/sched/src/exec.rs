@@ -51,16 +51,31 @@ pub struct Channel {
     base: u32,
 }
 
+/// Where a message op sits: its channel and its position among the
+/// channel's sends or receives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MsgRef {
+    /// Channel id, an index into [`Wiring::channels`].
+    pub chan: usize,
+    /// Position among the channel's sends, or its receives.
+    pub pos: usize,
+    /// Whether the op receives.
+    pub recv: bool,
+}
+
 /// The static facts every execution of a schedule shares: the
 /// send→receive matching and where each rank's buffers sit in the
 /// arena, with every op lowered against both. Built once per schedule
-/// ([`Schedule::wiring`]); validation and the happens-before analysis
-/// match messages through it too.
+/// ([`Schedule::wiring`]); validation, the happens-before analysis and
+/// the discrete-event simulator (`pipmcoll-engine`) match messages
+/// through it too.
 #[derive(Clone, Debug)]
 pub struct Wiring {
     channels: Vec<Channel>,
     /// Per rank, per op: the op lowered against this wiring.
     steps: Vec<Vec<Lowered>>,
+    /// Per rank, per op: where a message op sits on its channel.
+    msgs: Vec<Vec<Option<MsgRef>>>,
     /// Total message slots: per channel, the larger of its send and
     /// receive counts.
     slots: usize,
@@ -81,6 +96,7 @@ impl Wiring {
         let mut index: HashMap<(usize, usize, Tag), u32> = HashMap::new();
         let mut channels: Vec<Channel> = Vec::new();
         let mut steps = Vec::with_capacity(sched.programs().len());
+        let mut msgs = Vec::with_capacity(sched.programs().len());
         let (mut bufs, mut first_buf, mut arena) = (Vec::new(), Vec::new(), 0);
         for (rank, prog) in sched.programs().iter().enumerate() {
             let first = bufs.len();
@@ -101,7 +117,6 @@ impl Wiring {
                     len: r.len,
                 })
             };
-            // Each message op's channel, position, and whether it receives.
             let mut msg = vec![None; prog.ops.len()];
             let mut lowered = Vec::with_capacity(prog.ops.len());
             for (i, op) in prog.ops.iter().enumerate() {
@@ -129,7 +144,11 @@ impl Wiring {
                     });
                     let ch = &mut channels[chan as usize];
                     let ops = if recv { &mut ch.recvs } else { &mut ch.sends };
-                    msg[i] = Some((chan, ops.len() as u32, recv));
+                    msg[i] = Some(MsgRef {
+                        chan: chan as usize,
+                        pos: ops.len(),
+                        recv,
+                    });
                     ops.push(i);
                 }
                 let fits = |from: &Region, to: &Region| span(from).zip(span(to));
@@ -142,8 +161,11 @@ impl Wiring {
                             span(&dst).map(|into| Lowered::Recv { chan, into })
                         }
                         Op::Wait { req } => Some(match msg.get(req.0).copied().flatten() {
-                            Some((_, _, false)) => Lowered::Instant,
-                            Some((chan, pos, true)) => Lowered::WaitRecv { chan, pos },
+                            Some(MsgRef { recv: false, .. }) => Lowered::Instant,
+                            Some(MsgRef { chan, pos, .. }) => Lowered::WaitRecv {
+                                chan: chan as u32,
+                                pos: pos as u32,
+                            },
                             None => Lowered::Local { chan },
                         }),
                         Op::LocalCopy { from, to } => {
@@ -159,6 +181,7 @@ impl Wiring {
                 );
             }
             steps.push(lowered);
+            msgs.push(msg);
         }
         first_buf.push(bufs.len());
         let mut slots = 0;
@@ -169,6 +192,7 @@ impl Wiring {
         Wiring {
             channels,
             steps,
+            msgs,
             slots,
             bufs,
             first_buf,
@@ -179,6 +203,12 @@ impl Wiring {
     /// Every channel, indexed by channel id.
     pub fn channels(&self) -> &[Channel] {
         &self.channels
+    }
+
+    /// Where op `op` of `rank`'s program sits on its channel, if it is
+    /// an `ISend`, `IRecv` or a shared form of either.
+    pub fn message(&self, rank: usize, op: usize) -> Option<MsgRef> {
+        self.msgs[rank][op]
     }
 
     /// Where `rank`'s buffer `buf` lives in the arena.
@@ -700,6 +730,13 @@ mod tests {
             w.steps[1][5],
             Lowered::WaitRecv { chan: 0, pos: 1 }
         ));
+        let second_recv = MsgRef {
+            chan: 0,
+            pos: 1,
+            recv: true,
+        };
+        assert_eq!(w.message(1, 4), Some(second_recv));
+        assert_eq!(w.message(1, 5), None, "a wait is not a message op");
         assert_eq!(w.arena, 2 * (4 + 12));
     }
 

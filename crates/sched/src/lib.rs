@@ -45,7 +45,7 @@ pub mod trace;
 pub mod verify;
 
 pub use comm::{BufSizes, Comm};
-pub use exec::{Exec, Wiring};
+pub use exec::{Exec, MsgRef, Wiring};
 pub use hb::{HbError, HbReport, Violation};
 pub use ids::{BufId, FlagId, Region, RemoteRegion, Req, Slot, Tag};
 pub use op::Op;
