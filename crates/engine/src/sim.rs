@@ -512,7 +512,10 @@ impl<'a> Sim<'a> {
                 if (times.len() as u32) < count {
                     return StepOutcome::Blocked(WaitKey::Flag(flag));
                 }
-                let kth = times[count as usize - 1];
+                // A zero count is met at once: only the flag read costs.
+                let kth = count
+                    .checked_sub(1)
+                    .map_or(SimTime::ZERO, |k| times[k as usize]);
                 let c = self.ranks[rank].clock;
                 self.ranks[rank].clock = c.max(kth) + mem.alpha_r;
             }
@@ -827,6 +830,17 @@ mod tests {
         assert_eq!(r.shared_ops, 1);
         assert_eq!(r.syscalls, 0);
         assert_eq!(r.net_msgs, 0);
+    }
+
+    #[test]
+    fn zero_count_flag_wait_is_met_at_once() {
+        // `wait_flag(f, 0)` waits for nothing, as in `validate`, `hb`
+        // and `Exec`: the rank pays only the flag read.
+        let topo = pipmcoll_model::Topology::new(1, 2);
+        let s = record(topo, BufSizes::new(8, 8), |c| c.wait_flag(0, 0));
+        let cfg = cfg(1, 2);
+        let r = simulate_checked(&cfg, &s).unwrap();
+        assert_eq!(r.rank_finish, vec![cfg.machine.mem.alpha_r; 2]);
     }
 
     #[test]

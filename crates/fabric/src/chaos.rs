@@ -614,7 +614,11 @@ impl WireChaos {
 /// Works over any backend: frame-level faults (drop/dup/corrupt) and
 /// topology faults (link/part) are delegated to the backend through
 /// [`Fabric::install_chaos`] and silently skipped if it declines;
-/// delays and lane kills are applied at this layer.
+/// delays and lane kills are applied at this layer. Every other call,
+/// from receives and health to [`Fabric::node_of`] and
+/// [`Fabric::drive`], goes to the backend as it is, so a service run
+/// over a chaos-wrapped wire takes the same paths as one over the bare
+/// wire.
 pub struct ChaosFabric<F: Fabric> {
     inner: F,
     cfg: ChaosConfig,
@@ -634,10 +638,6 @@ pub struct ChaosFabric<F: Fabric> {
     next_kill: AtomicU64,
     kills_left: AtomicUsize,
     kill_spacing: u64,
-    /// Lanes this wrapper killed, merged into [`Fabric::health`] so a
-    /// chaos run exercises the same detection path as a real TCP lane
-    /// death even over backends whose own health view is empty.
-    killed_lanes: Mutex<Vec<usize>>,
 }
 
 impl<F: Fabric> ChaosFabric<F> {
@@ -663,7 +663,6 @@ impl<F: Fabric> ChaosFabric<F> {
             next_kill: AtomicU64::new(spacing),
             kills_left: AtomicUsize::new(cfg.lane_kill),
             kill_spacing: spacing,
-            killed_lanes: Mutex::new(Vec::new()),
         }
     }
 
@@ -708,18 +707,8 @@ impl<F: Fabric> ChaosFabric<F> {
         // The backend refuses to kill its last surviving lane; try each
         // candidate once.
         for i in 0..lanes {
-            let lane = (start + i) % lanes;
-            if self.inner.kill_lane(lane) {
-                self.note_killed(lane);
+            if self.inner.kill_lane((start + i) % lanes) {
                 return;
-            }
-        }
-    }
-
-    fn note_killed(&self, lane: usize) {
-        if let Ok(mut g) = self.killed_lanes.lock() {
-            if !g.contains(&lane) {
-                g.push(lane);
             }
         }
     }
@@ -779,27 +768,19 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
     }
 
     fn kill_lane(&self, lane: usize) -> bool {
-        let ok = self.inner.kill_lane(lane);
-        if ok {
-            self.note_killed(lane);
-        }
-        ok
+        self.inner.kill_lane(lane)
     }
 
     fn health(&self) -> crate::FabricHealth {
-        let mut h = self.inner.health();
-        // Injected lane kills show up in the health view even when the
-        // backend's own view is empty (e.g. in-process delivery), so
-        // detection sees chaos and real TCP failures identically.
-        if let Ok(g) = self.killed_lanes.lock() {
-            for &lane in g.iter() {
-                if !h.dead_lanes.contains(&lane) {
-                    h.dead_lanes.push(lane);
-                }
-            }
-        }
-        h.dead_lanes.sort_unstable();
-        h
+        self.inner.health()
+    }
+
+    fn node_of(&self, rank: usize) -> Option<usize> {
+        self.inner.node_of(rank)
+    }
+
+    fn drive(&self, stay: bool) {
+        self.inner.drive(stay)
     }
 }
 

@@ -18,10 +18,12 @@
 //!   per node-pair connection pools with **k striped lanes** (a lane is
 //!   the paper's "object"; a large message splits into one segment per
 //!   lane), a length-prefixed, checksummed wire protocol with
-//!   `(src, dst, tag)` matching and per-channel FIFO, a fixed progress
-//!   pool (`min(4, cores)` workers) driving every nonblocking endpoint,
-//!   bounded per-lane send queues for backpressure, ack-based retransmit
-//!   with sequence dedup, lane failover, and per-lane traffic counters.
+//!   `(src, dst, tag)` matching and per-channel FIFO, nonblocking
+//!   sockets driven by the ranks that send and wait on them, a fixed
+//!   progress pool (`min(4, cores)` workers) as the backstop that
+//!   drives whatever no rank does, bounded per-lane send queues for
+//!   backpressure, ack-based retransmit with sequence dedup, lane
+//!   failover, and per-lane traffic counters.
 //! * [`ChaosFabric`] — a deterministic, seeded fault injector wrapping
 //!   any backend (`PIPMCOLL_CHAOS=drop:0.05,dup:0.02,delay:5ms`), used
 //!   to prove the collectives stay byte-correct under frame loss,
@@ -102,6 +104,10 @@ pub trait Fabric: Send + Sync {
 
     /// Blocking receive of the next in-order message on `key`, giving up
     /// with a [`FabricError::Timeout`] diagnostic after `timeout`.
+    ///
+    /// A channel has one receiver: no two threads may block on `key` at
+    /// once, since a blocked receive registers itself as the one the
+    /// channel's next delivery wakes.
     fn recv_within(&self, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>>;
 
     /// Blocking receive with the runtime-wide [`sync_timeout`].

@@ -19,10 +19,11 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::error::{BlockedRecv, FabricError, FabricResult, TimeoutDiag};
-use crate::wait::{Waiters, WakeSocket};
+use crate::wait::WakeSocket;
 use crate::ChanKey;
 
 /// One wire arrival: its segment coordinates plus payload. A whole
@@ -39,6 +40,24 @@ struct Assembly {
     buf: Vec<u8>,
     got: u16,
     count: u16,
+}
+
+/// How to wake the receiver blocked on a channel.
+enum Waker {
+    /// A thread parked in [`MsgStore::pop_within`].
+    Parked(Thread),
+    /// The wake socket of a thread asleep in `poll(2)` (see
+    /// [`MsgStore::pop_driving`]).
+    Polling(Arc<WakeSocket>),
+}
+
+impl Waker {
+    fn wake(self) {
+        match self {
+            Waker::Parked(t) => t.unpark(),
+            Waker::Polling(w) => w.ring(),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -60,19 +79,28 @@ struct ChanState {
     /// This channel's receiver drives the wire itself (see
     /// `MsgStore::pop_driving`).
     driven: bool,
-    /// The wake socket of its receiver while that receiver sleeps in
-    /// `poll(2)`: the next delivery rings it once and clears it.
-    poller: Option<Arc<WakeSocket>>,
+    /// The blocked receiver, registered under the lock that found
+    /// nothing ready: the delivery that readies a message takes it and
+    /// wakes it once, however many deliveries follow.
+    waker: Option<Waker>,
 }
 
 impl ChanState {
-    /// Wake a receiver sleeping in `poll(2)` if a message is ready for
-    /// it: one byte per registration, however many deliveries follow.
-    fn ring(&mut self) {
-        if !self.ready.is_empty() {
-            if let Some(w) = self.poller.take() {
-                w.ring();
-            }
+    /// Register the receiver that just found nothing ready. Its
+    /// receiver clears a registration after every sleep, and a channel
+    /// has one receiver, so no other registration can be live.
+    fn register(&mut self, w: Waker) {
+        debug_assert!(self.waker.is_none(), "two receivers blocked on one channel");
+        self.waker = Some(w);
+    }
+
+    /// The registered receiver, taken for waking, if a message is ready
+    /// for it.
+    fn take_waker(&mut self) -> Option<Waker> {
+        if self.ready.is_empty() {
+            None
+        } else {
+            self.waker.take()
         }
     }
 
@@ -109,23 +137,17 @@ impl ChanState {
     }
 }
 
-/// Receiver wait shards per store: one bit each in [`Wakes`].
-const WAIT_SHARDS: usize = 64;
-
-/// Receiver wake-ups owed by deliveries made with
-/// [`MsgStore::deliver_deferred`], one bit per wait shard.
-#[derive(Default)]
-pub struct Wakes(u64);
-
 /// Per-channel FIFO message store with blocking receive.
+///
+/// Waking follows one rule: a receiver that finds nothing ready
+/// registers how to wake it (its parked thread or its wake socket) on
+/// its channel under the lock that found nothing, and the delivery that
+/// readies the channel takes the registration and wakes it once, after
+/// letting the lock go.
 pub struct MsgStore {
     /// Backend name, for timeout diagnostics.
     backend: &'static str,
     chans: Mutex<HashMap<ChanKey, ChanState>>,
-    /// Parked receivers, sharded by channel: a delivery wakes only the
-    /// receivers whose channel shares its shard, not every receiver
-    /// parked on the store.
-    waiters: [Waiters; WAIT_SHARDS],
     /// Wire re-deliveries suppressed by sequence dedup.
     dups: AtomicU64,
     /// Driven channels — a lock-free "is any receiver driving?" gate
@@ -139,20 +161,9 @@ impl MsgStore {
         MsgStore {
             backend,
             chans: Mutex::new(HashMap::new()),
-            waiters: std::array::from_fn(|_| Waiters::new()),
             dups: AtomicU64::new(0),
             drivers: AtomicUsize::new(0),
         }
-    }
-
-    /// The wait shard of channel `key`.
-    fn shard((src, dst, tag): ChanKey) -> usize {
-        let h = (src as u64) ^ (dst as u64).rotate_left(21) ^ u64::from(tag).rotate_left(42);
-        (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
-    }
-
-    fn waiters_for(&self, key: ChanKey) -> &Waiters {
-        &self.waiters[Self::shard(key)]
     }
 
     fn lock(&self) -> FabricResult<std::sync::MutexGuard<'_, HashMap<ChanKey, ChanState>>> {
@@ -164,9 +175,13 @@ impl MsgStore {
     /// Deliver a message that is already in channel order (in-process
     /// delivery, node-local bypass).
     pub fn push(&self, key: ChanKey, payload: Vec<u8>) {
-        if let Ok(mut g) = self.lock() {
-            g.entry(key).or_default().ready.push_back(payload);
-            self.waiters_for(key).notify(&g);
+        let waker = self.lock().ok().and_then(|mut g| {
+            let st = g.entry(key).or_default();
+            st.ready.push_back(payload);
+            st.take_waker()
+        });
+        if let Some(w) = waker {
+            w.wake();
         }
     }
 
@@ -190,27 +205,6 @@ impl MsgStore {
         seg_count: u16,
         payload: Vec<u8>,
     ) -> bool {
-        let mut wakes = Wakes::default();
-        let fresh = self.deliver_deferred(key, seq, seg_idx, seg_count, payload, &mut wakes);
-        self.wake(&mut wakes);
-        fresh
-    }
-
-    /// [`MsgStore::deliver_seg`] without waking parked receivers: the
-    /// wake-up this delivery owes is added to `wakes`, to be paid by one
-    /// [`MsgStore::wake`] after a whole batch of frames. A reader that
-    /// decodes hundreds of small frames per socket read then wakes each
-    /// parked receiver once, not once per frame. A receiver sleeping in
-    /// `poll(2)` is rung at once, and only once.
-    pub fn deliver_deferred(
-        &self,
-        key: ChanKey,
-        seq: u64,
-        seg_idx: u16,
-        seg_count: u16,
-        payload: Vec<u8>,
-        wakes: &mut Wakes,
-    ) -> bool {
         let Ok(mut g) = self.lock() else {
             return false;
         };
@@ -232,8 +226,11 @@ impl MsgStore {
                 st.absorb(f);
                 st.next_seq += 1;
             }
-            st.ring();
-            wakes.0 |= 1 << Self::shard(key);
+            let waker = st.take_waker();
+            drop(g);
+            if let Some(w) = waker {
+                w.wake();
+            }
             true
         } else if let std::collections::btree_map::Entry::Vacant(e) = st.held.entry(seq) {
             e.insert(SegFrame {
@@ -249,46 +246,39 @@ impl MsgStore {
         }
     }
 
-    /// Pay the wake-ups deferred into `wakes` and clear it.
-    pub fn wake(&self, wakes: &mut Wakes) {
-        let mut shards = std::mem::take(&mut wakes.0);
-        if shards == 0 {
-            return;
-        }
-        let Ok(g) = self.lock() else {
-            return;
-        };
-        while shards != 0 {
-            self.waiters[shards.trailing_zeros() as usize].notify(&g);
-            shards &= shards - 1;
-        }
-    }
-
     /// Blocking receive of the next in-order message on `key`, giving up
     /// with a [`FabricError::Timeout`] naming the channel, the backend,
     /// the hold-back state and traffic elsewhere in the store — so an
     /// under-synchronized schedule fails in seconds with the evidence
     /// needed to tell a missing sender from a stuck transport.
+    ///
+    /// A miss parks the calling thread, registered on the channel, until
+    /// the delivery that readies it unparks it. A channel has one
+    /// receiver: no two threads may block on `key` at once.
     pub fn pop_within(&self, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>> {
-        let (mut g, msg) = self
-            .waiters_for(key)
-            .wait_for(self.lock()?, timeout, |chans| {
-                let st = chans.entry(key).or_default();
-                let msg = st.ready.pop_front();
-                if msg.is_some() {
-                    st.waiting_since = None;
-                } else {
-                    // First miss only: the watchdog's view of this wait.
-                    st.waiting_since.get_or_insert_with(Instant::now);
-                }
-                msg
-            })
-            .map_err(|_| FabricError::QueuePoisoned {
-                what: "receive store",
-            })?;
-        match msg {
-            Some(m) => Ok(m),
-            None => Err(Self::timeout_diag(self.backend, &mut g, key, timeout)),
+        let mut deadline = None;
+        loop {
+            let mut g = self.lock()?;
+            let st = g.entry(key).or_default();
+            if deadline.is_some() {
+                // Back from a park: clear the registration, rung or not.
+                st.waker = None;
+            }
+            if let Some(m) = st.ready.pop_front() {
+                st.waiting_since = None;
+                return Ok(m);
+            }
+            let now = Instant::now();
+            st.waiting_since.get_or_insert(now);
+            let left = deadline
+                .get_or_insert(now + timeout)
+                .saturating_duration_since(now);
+            if left.is_zero() {
+                return Err(Self::timeout_diag(self.backend, &mut g, key, timeout));
+            }
+            st.register(Waker::Parked(std::thread::current()));
+            drop(g);
+            std::thread::park_timeout(left);
         }
     }
 
@@ -319,7 +309,7 @@ impl MsgStore {
             st.waiting_since = None;
         } else {
             st.waiting_since.get_or_insert_with(Instant::now);
-            st.poller = Some(Arc::clone(poller));
+            st.register(Waker::Polling(Arc::clone(poller)));
         }
         Ok(msg)
     }
@@ -339,7 +329,7 @@ impl MsgStore {
     pub(crate) fn stop_polling(&self, key: ChanKey) -> bool {
         self.lock()
             .ok()
-            .and_then(|mut g| g.get_mut(&key).map(|st| st.poller.take().is_none()))
+            .and_then(|mut g| g.get_mut(&key).map(|st| st.waker.take().is_none()))
             .unwrap_or(false)
     }
 
@@ -379,7 +369,7 @@ impl MsgStore {
             Ok(mut g) => {
                 let err = Self::timeout_diag(self.backend, &mut g, key, timeout);
                 let st = g.entry(key).or_default();
-                st.poller = None;
+                st.waker = None;
                 self.undrive(st);
                 err
             }
@@ -638,39 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_wakes_reach_parked_receivers() {
-        // Receivers parked on two channels; one batch delivers to both
-        // and pays its wake-ups once at the end.
-        let s = std::sync::Arc::new(MsgStore::new("test"));
-        let chans = [(0, 1, 1), (2, 3, 9)];
-        let receivers: Vec<_> = chans
-            .iter()
-            .map(|&key| {
-                let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let t0 = Instant::now();
-                    let m = s.pop_within(key, Duration::from_secs(5)).unwrap();
-                    (m, t0.elapsed())
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        let mut wakes = Wakes::default();
-        for (i, &key) in chans.iter().enumerate() {
-            assert!(s.deliver_deferred(key, 0, 0, 0, vec![i as u8], &mut wakes));
-        }
-        s.wake(&mut wakes);
-        for (i, r) in receivers.into_iter().enumerate() {
-            let (m, waited) = r.join().unwrap();
-            assert_eq!(m, vec![i as u8]);
-            assert!(
-                waited < Duration::from_secs(5),
-                "receiver {i} was never woken"
-            );
-        }
-    }
-
-    #[test]
     fn polling_registration_returns_earlier_deliveries_and_rings_once_for_later() {
         let s = MsgStore::new("test");
         let wake = Arc::new(WakeSocket::new().unwrap());
@@ -718,7 +675,7 @@ mod tests {
     #[test]
     fn lost_wakeup_store_ping_pong() {
         // Each side parks in `pop_within` until the other's push lands;
-        // a push that skipped the notify while its receiver was parked
+        // a push that skipped the wake-up while its receiver was parked
         // would leave that park to run out its whole timeout.
         let _stress = crate::wake_stress();
         const ROUNDS: u32 = 20_000;
@@ -747,5 +704,53 @@ mod tests {
             assert_eq!(pop(&s, PONG, round), round.to_le_bytes());
         }
         echo.join().unwrap();
+    }
+
+    #[test]
+    fn lost_wakeup_every_parked_receiver_gets_its_own_delivery() {
+        // Eight receivers park on eight channels of one store. Even
+        // channels are fed by `push`; odd ones by `deliver_seg`, each
+        // round's second frame first, so the first is held until its
+        // gap fills. A delivery that woke the wrong receiver, or none,
+        // leaves a park to run out its whole timeout.
+        let _stress = crate::wake_stress();
+        const ROUNDS: u64 = 2_000;
+        const T: Duration = Duration::from_secs(5);
+        let chans: Vec<ChanKey> = (0..8).map(|i| (i, 8 + i, i as u32)).collect();
+        let s = Arc::new(MsgStore::new("test"));
+        let receivers: Vec<_> = chans
+            .iter()
+            .map(|&key| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for n in 0..2 * ROUNDS {
+                        let t0 = Instant::now();
+                        let m = s.pop_within(key, T).unwrap();
+                        assert!(
+                            t0.elapsed() < T,
+                            "channel {key:?} message {n} waited out its timeout"
+                        );
+                        assert_eq!(m, n.to_le_bytes(), "channel {key:?}");
+                    }
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        for round in 0..ROUNDS {
+            let (a, b) = (2 * round, 2 * round + 1);
+            for (i, &key) in chans.iter().enumerate() {
+                if i % 2 == 0 {
+                    s.push(key, a.to_le_bytes().to_vec());
+                    s.push(key, b.to_le_bytes().to_vec());
+                } else {
+                    assert!(s.deliver_seg(key, b, 0, 0, b.to_le_bytes().to_vec()));
+                    assert!(s.deliver_seg(key, a, 0, 0, a.to_le_bytes().to_vec()));
+                }
+            }
+        }
+        for r in receivers {
+            r.join().unwrap();
+        }
+        assert!(s.blocked().is_empty());
     }
 }

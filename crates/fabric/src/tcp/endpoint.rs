@@ -15,7 +15,6 @@ use super::queue::SendQueue;
 use super::repair::RepairReq;
 use super::LaneKey;
 use crate::pool::{FrameBuf, WriteCursor};
-use crate::store::Wakes;
 use crate::wait::WorkSignal;
 use crate::wire::{Frame, FrameDecoder, FrameKind};
 use crate::ChanKey;
@@ -350,8 +349,7 @@ fn report_break(mesh: &Mesh, (here, peer, lane): LaneKey, gen: u64) {
 /// `poll(2)` on this socket, so the write itself woke it, or it polls
 /// the socket on its next receive. Anything else — a receiver not
 /// driving, a control frame, a batch, a torn write — wakes the owner of
-/// the reverse direction, which reads and delivers a batch with one
-/// wake-up per receiver.
+/// the reverse direction, which reads and delivers it.
 pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Option<bool> {
     let (here, peer, lane) = wh.key;
     let mut progressed = false;
@@ -444,10 +442,6 @@ pub(super) fn read_step(
     let mut reads = 0usize;
     let mut frames = 0u64;
     let mut payload = 0u64;
-    // Receiver wake-ups owed by this read's deliveries, paid once the
-    // read's frames are all in.
-    let mut wakes = Wakes::default();
-    let store = &mesh.stores[here];
     // `None` once the socket broke.
     let pass = loop {
         match (&*rh.stream).read(scratch) {
@@ -467,7 +461,7 @@ pub(super) fn read_step(
                             mesh.note_heard_at(here, peer, nanos);
                             mesh.note_lane_heard_at(lane, nanos);
                             payload += u64::from(frame.kind == FrameKind::Eager);
-                            ack_due |= mesh.handle_frame(rh.key, lseq, frame, &mut wakes);
+                            ack_due |= mesh.handle_frame(rh.key, lseq, frame);
                             frames += 1;
                         }
                         Ok(None) => break None,
@@ -480,7 +474,6 @@ pub(super) fn read_step(
                 if skipped > 0 {
                     mesh.corrupt_frames.fetch_add(skipped, Ordering::Relaxed);
                 }
-                store.wake(&mut wakes);
                 if ack_due {
                     mesh.ack_lane(rh.key, by_rank, LaneRx::take_ack);
                 }

@@ -20,7 +20,7 @@ use crate::chaos::WireChaos;
 use crate::error::FabricError;
 use crate::pool::{FrameBuf, FramePool};
 use crate::stats::LatencyHist;
-use crate::store::{MsgStore, Wakes};
+use crate::store::MsgStore;
 use crate::wait::WorkSignal;
 use crate::wire::{Frame, FrameKind};
 use crate::ChanKey;
@@ -485,13 +485,7 @@ impl Mesh {
     /// Process one decoded frame, frame `lseq` of the lane read by
     /// endpoint `key`. Returns whether the lane now owes an ack for
     /// [`ACK_BATCH`] frames.
-    pub(super) fn handle_frame(
-        &self,
-        key: LaneKey,
-        lseq: u64,
-        f: Frame,
-        wakes: &mut Wakes,
-    ) -> bool {
+    pub(super) fn handle_frame(&self, key: LaneKey, lseq: u64, f: Frame) -> bool {
         // An ack for the frames `key` sent: an ACK's `seq`, or riding a
         // payload frame's `aux` (watermark + 1; 0 = none aboard). A
         // heartbeat carries nothing: any arrival was a beat already.
@@ -510,8 +504,7 @@ impl Mesh {
         if f.kind != FrameKind::Eager {
             return false;
         }
-        let store = &self.stores[key.0];
-        store.deliver_deferred(f.chan(), f.seq, f.seg_idx, f.seg_count, f.payload, wakes);
+        self.stores[key.0].deliver_seg(f.chan(), f.seq, f.seg_idx, f.seg_count, f.payload);
         // Noted after the delivery, so no ack ever covers a frame the
         // store has not taken; a duplicate is noted too.
         self.slot(key).arrive(lseq) >= ACK_BATCH

@@ -283,19 +283,31 @@ fn retransmit_exhaustion_is_a_typed_peer_dead_verdict() {
 }
 
 fn striped(lanes: usize, stripe_min: usize) -> TcpFabric {
+    striped_rto(lanes, stripe_min, Duration::from_millis(5))
+}
+
+fn striped_rto(lanes: usize, stripe_min: usize, rto: Duration) -> TcpFabric {
     TcpFabric::connect(
         Topology::new(2, 4),
         TcpConfig {
             lanes,
             stripe_min,
-            rto: Duration::from_millis(5),
+            rto,
             ..TcpConfig::default()
         },
     )
     .expect("loopback fabric")
 }
 
-/// Wait until `f` has measured an ack and holds no unacked frame.
+/// A retransmit timeout for tests that [`await_acks`]. An ack is
+/// written within a retransmit scan or two (every `rto / 4`), but a
+/// loaded host can delay that past a short `rto`. A frame re-sent
+/// before its ack lands gives no RTT sample (Karn's rule), and a test
+/// that sent only a few frames then measures none.
+const ACKED_RTO: Duration = Duration::from_millis(250);
+
+/// Wait until `f` has measured an ack and holds no unacked frame. Give
+/// `f` an `rto` of [`ACKED_RTO`].
 fn await_acks(f: &TcpFabric, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while f.stats().ack_rtt.count == 0 || f.pending_frames() > 0 {
@@ -315,8 +327,8 @@ fn await_acks(f: &TcpFabric, what: &str) {
 
 #[test]
 fn default_config_stripes_large_messages_into_eager_segments() {
-    // The shape the benchmark runs: default stripe_min (8 KiB), no
-    // overrides. Every message goes as eager frames whatever its size:
+    // The shape the benchmark runs: default stripe_min (8 KiB). Every
+    // message goes as eager frames whatever its size:
     // at k = 2 a 128 KiB message splits into two 64 KiB segments; with
     // one lane there is nothing to stripe over and it goes whole, as
     // one frame.
@@ -325,6 +337,7 @@ fn default_config_stripes_large_messages_into_eager_segments() {
             Topology::new(2, 1),
             TcpConfig {
                 lanes,
+                rto: ACKED_RTO,
                 ..TcpConfig::default()
             },
         )
@@ -378,6 +391,7 @@ fn rendezvous_transfers_record_ack_rtt() {
         Topology::new(2, 1),
         TcpConfig {
             lanes: 1,
+            rto: ACKED_RTO,
             ..TcpConfig::default()
         },
     )
@@ -413,7 +427,7 @@ fn striping_bypasses_rendezvous_when_segments_fit_eager() {
 #[test]
 fn striped_rendezvous_payload_is_intact() {
     // 100 000 B over 4 lanes: four 25 000 B eager segments.
-    let f = striped(4, 16);
+    let f = striped_rto(4, 16, ACKED_RTO);
     let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
     f.send((0, 4, 3), big.clone()).unwrap();
     assert_eq!(f.recv((0, 4, 3)).unwrap(), big);

@@ -1,12 +1,15 @@
-//! The shared wait primitives: [`Waiters`] for every blocking wait on a
-//! mutex-guarded condition, [`WorkSignal`] for the fabric's idle
-//! progress threads, and `WakeSocket` for the one wait that sleeps in
-//! the kernel instead.
+//! The shared wait primitives: [`Waiters`] for the blocking waits on a
+//! mutex-guarded condition that many threads may share, [`WorkSignal`]
+//! for the fabric's idle progress threads, and `WakeSocket` for the
+//! receive that sleeps in the kernel instead.
 //!
-//! Every blocking wait on a condition — the fabric's lane send queues,
-//! its in-process and node-local receives, the runtime's address-board
-//! fetches, flag waits and barriers, the service's request completion —
-//! parks on its first miss. Spinning first only pays when the thread
+//! Every blocking wait on a condition — the fabric's lane send queues
+//! and receives, the runtime's address-board fetches, flag waits and
+//! barriers, the service's request completion — parks on its first
+//! miss. A receive has one waiter per channel, so the message store
+//! (`store`) parks it registered on its channel, and the delivery that
+//! readies the channel wakes that thread alone; the other waits use
+//! [`Waiters`]. Spinning first only pays when the thread
 //! that will produce the awaited state has a CPU of its own; on a host
 //! where rank, progress and engine threads outnumber the cores, a
 //! spinning waiter holds the very CPU its producer is queued for. The
@@ -18,7 +21,8 @@
 //! so it sleeps in `poll(2)` on its lane sockets: the sender's `write`
 //! wakes it from inside the kernel, with no wake-up of its own to pay.
 //! Only a delivery some other thread made must reach it from userspace,
-//! as one byte on the receiving thread's `WakeSocket`.
+//! as one byte on the receiving thread's `WakeSocket`, registered on
+//! its channel in the store like a parked receiver's thread.
 
 use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, RawFd};

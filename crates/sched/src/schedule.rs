@@ -151,7 +151,8 @@ impl Schedule {
 
     /// Static validation: bounds, send/recv matching, barrier counts,
     /// intranode-only shared access, flag satisfiability. Deadlock freedom
-    /// and data races are checked dynamically by the dataflow interpreter.
+    /// and data races are checked by the happens-before analysis,
+    /// [`crate::hb::check`].
     pub fn validate(&self) -> Result<(), ValidationError> {
         self.check_bounds()?;
         self.check_sendrecv_matching()?;

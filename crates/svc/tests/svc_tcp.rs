@@ -13,7 +13,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pipmcoll_fabric::{sync_timeout, ChaosConfig, Fabric, TcpConfig, TcpFabric, WireChaos};
+use pipmcoll_fabric::{
+    sync_timeout, ChaosConfig, ChaosFabric, Fabric, TcpConfig, TcpFabric, WireChaos,
+};
 use pipmcoll_model::{Datatype, ReduceOp, Topology};
 use pipmcoll_rt::FaultPlan;
 use pipmcoll_svc::{Request, Svc, SvcConfig, SvcStats};
@@ -155,6 +157,34 @@ fn dirty_wire_recovers_with_engine_written_acks() {
         "the engine never drove the wire: {s:?}"
     );
     assert_eq!(s.local_msgs, 0);
+}
+
+#[test]
+fn chaos_wrapped_wire_runs_steps_in_place_and_drives_the_wire() {
+    // The `PIPMCOLL_CHAOS` wrapper hands the engine the backend's
+    // topology and wire progress: node-local steps still run in place,
+    // and the engine still drives the sockets it injects faults on.
+    let _serial = serial();
+    let fabric = Arc::new(ChaosFabric::new(
+        tcp(Duration::from_millis(5)),
+        ChaosConfig {
+            drop: 0.01,
+            seed: 25,
+            ..ChaosConfig::default()
+        },
+    ));
+    assert!(fabric.wired());
+    let svc = Svc::new(fabric.clone(), SvcConfig::new(WORLD)).unwrap();
+    closed_loop(&svc, 8, 4, 2_000);
+    let (s, st) = (fabric.stats(), svc.stats());
+    assert!(fabric.wire().dropped() > 0, "seed 25 must drop a frame");
+    assert!(st.in_place > 0, "no step ran in place: {st:?}");
+    assert!(
+        s.driver_frames > 0,
+        "the engine never drove the wire: {s:?}"
+    );
+    assert_eq!(s.local_msgs, 0, "a node-local step went through the fabric");
+    assert!(fabric.drain_errors().is_empty());
 }
 
 /// Fault-tolerant config with timing shrunk so detect → agree → retry
