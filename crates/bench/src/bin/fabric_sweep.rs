@@ -1,17 +1,18 @@
 //! Fabric lane sweep: drive the real TCP loopback transport with 8
-//! concurrent sender/receiver pairs while sweeping the number of striped
-//! lanes k ∈ {1..8} × message size — the socket-backed analogue of the
+//! concurrent sender/receiver pairs while sweeping the number of lanes
+//! k ∈ {1..8} × message size — the socket-backed analogue of the
 //! paper's Fig. 1 (message rate / throughput vs. concurrent objects).
 //!
-//! Every point runs the fabric's default lane mapping: messages below
-//! `stripe_min` (8 KiB) ride their sender's nominal lane whole, larger
-//! ones split into one segment per lane — so the 64B series probes the
-//! message-rate floor and the 128KiB series the striped bandwidth.
+//! Every point runs the fabric's lane mapping: each message, whatever
+//! its size, rides its sender's lane (`local rank % k`) whole, so the
+//! 8 pairs spread over min(8, k) lanes. The 64B series probes the
+//! message-rate floor and the 128KiB series the bandwidth.
 //!
 //! Writes `results/fabric_sweep.csv` (throughput table) and merges the
 //! full series (incl. message rates and ack-RTT percentiles) into the
 //! `sweep` section of `BENCH_fabric.json` at the repo root, kept as
-//! `results/BENCH_fragment_sweep.json`. Scale knobs:
+//! `results/BENCH_fragment_sweep.json`, with the run's CPU count and
+//! source commit. Scale knobs:
 //! `PIPMCOLL_FABRIC_MSGS` (max messages per pair, default 20000),
 //! `PIPMCOLL_FABRIC_TRIALS` (best-of trials per point, default 3).
 
@@ -151,8 +152,7 @@ fn main() {
 
     let fig = Figure {
         id: "fabric_sweep".into(),
-        title: "TCP fabric loopback sweep: throughput vs striped lanes (paper Fig. 1 analogue)"
-            .into(),
+        title: "TCP fabric loopback sweep: throughput vs lanes (paper Fig. 1 analogue)".into(),
         x_name: "lanes".into(),
         y_name: "MB/s".into(),
         series,

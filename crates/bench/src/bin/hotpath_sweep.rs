@@ -8,7 +8,8 @@
 //! before they show up in throughput.
 //!
 //! Merges the `hotpath` section of `BENCH_fabric.json` at the repo root,
-//! kept as `results/BENCH_fragment_hotpath.json`. Scale knob:
+//! kept as `results/BENCH_fragment_hotpath.json`, with the run's CPU
+//! count and source commit. Scale knob:
 //! `PIPMCOLL_HOTPATH_MSGS` (round trips per pair, default 2000).
 
 use std::fmt::Write as _;
@@ -109,6 +110,7 @@ fn main() {
     let _ = writeln!(out, "  \"id\": \"hotpath_sweep\",");
     let _ = writeln!(out, "  \"backend\": \"tcp-loopback\",");
     let _ = writeln!(out, "  \"round_trips_per_pair\": {n},");
+    let _ = writeln!(out, "  \"trials\": 1,");
     let _ = writeln!(
         out,
         "  \"lanes\": [{}],",

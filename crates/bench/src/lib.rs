@@ -66,20 +66,28 @@ pub fn atomic_write(path: &std::path::Path, contents: &str) {
 /// (override the location with `PIPMCOLL_BENCH_ROOT`).
 ///
 /// Each emitting bin owns one section (`fabric_sweep` → `"sweep"`,
-/// `hotpath_sweep` → `"hotpath"`). The section body is kept as a fragment
-/// under the results dir, and the root file is regenerated from every
-/// fragment present — so the bins can run in any order or alone and the
-/// perf-trajectory file stays complete.
+/// `hotpath_sweep` → `"hotpath"`), a JSON object; its first fields
+/// become the run's `nproc` (CPUs available) and `commit` (the sources'
+/// `git describe --always --dirty`). The section body is kept as a
+/// fragment under the results dir, and the root file is regenerated
+/// from every fragment present — so the bins can run in any order or
+/// alone and the perf-trajectory file stays complete.
 pub fn write_bench_fabric_section(section: &str, body_json: &str) {
     assert!(
         BENCH_FABRIC_SECTIONS.contains(&section),
         "unknown BENCH_fabric section {section:?}"
     );
-    let dir = results_dir();
-    atomic_write(
-        &dir.join(format!("BENCH_fragment_{section}.json")),
-        body_json,
+    let fields = body_json
+        .trim_start()
+        .strip_prefix('{')
+        .expect("a BENCH_fabric section is a JSON object");
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let body = format!(
+        "{{\n  \"nproc\": {nproc},\n  \"commit\": {},{fields}",
+        json_str(&git_commit())
     );
+    let dir = results_dir();
+    atomic_write(&dir.join(format!("BENCH_fragment_{section}.json")), &body);
     let mut out = String::from("{\n");
     let mut first = true;
     for name in BENCH_FABRIC_SECTIONS {
@@ -95,6 +103,19 @@ pub fn write_bench_fabric_section(section: &str, body_json: &str) {
     out.push_str("\n}\n");
     let root = std::env::var("PIPMCOLL_BENCH_ROOT").unwrap_or_else(|_| ".".to_string());
     atomic_write(&PathBuf::from(root).join("BENCH_fabric.json"), &out);
+}
+
+/// The commit the sources were built from, `-dirty` when they differ
+/// from it; "unknown" outside a git checkout.
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["-C", env!("CARGO_MANIFEST_DIR")])
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 /// Simulate one collective and return its latency in microseconds.

@@ -25,8 +25,8 @@ pub type FabricResult<T> = Result<T, FabricError>;
 /// The point of the struct (rather than a bare message) is that the
 /// backend can *enrich* it: the store fills in the channel-level view
 /// (hold-back depth, next expected sequence), and the TCP backend adds
-/// the lane the channel is striped onto, the sender-side queue depth of
-/// that lane, and which lanes are dead — so "no message arrived" comes
+/// the lane the channel rides, the sender-side queue depth of that
+/// lane, and which lanes are dead — so "no message arrived" comes
 /// with the evidence needed to tell a missing sender from a stuck lane.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimeoutDiag {
@@ -36,7 +36,7 @@ pub struct TimeoutDiag {
     pub chan: ChanKey,
     /// How long the receive waited before giving up.
     pub waited: Duration,
-    /// Lane the channel is striped onto (socket backends only).
+    /// Lane the channel rides (socket backends only).
     pub lane: Option<usize>,
     /// Messages ready on this channel right now (zero at timeout by
     /// definition; non-zero only in diagnostics taken mid-run).

@@ -15,15 +15,15 @@
 //!   `rt::comm`, now one implementation among several. Zero syscalls,
 //!   one logical lane; the default for unit tests and verified runs.
 //! * [`TcpFabric`] — a real socket transport over `std::net` loopback:
-//!   per node-pair connection pools with **k striped lanes** (a lane is
-//!   the paper's "object"; a large message splits into one segment per
-//!   lane), a length-prefixed, checksummed wire protocol with
-//!   `(src, dst, tag)` matching and per-channel FIFO, nonblocking
-//!   sockets driven by the ranks that send and wait on them, a fixed
-//!   progress pool (`min(4, cores)` workers) as the backstop that
-//!   drives whatever no rank does, bounded per-lane send queues for
-//!   backpressure, ack-based retransmit with sequence dedup, lane
-//!   failover, and per-lane traffic counters.
+//!   per node-pair connection pools with **k lanes** (a lane is the
+//!   paper's "object"; each of a node's ranks sends its messages whole
+//!   on lane `local rank % k`), a length-prefixed, checksummed wire
+//!   protocol with `(src, dst, tag)` matching and per-channel FIFO,
+//!   nonblocking sockets driven by the ranks that send and wait on
+//!   them, a fixed progress pool (`min(4, cores)` workers) as the
+//!   backstop that drives whatever no rank does, bounded per-lane send
+//!   queues for backpressure, ack-based retransmit with sequence dedup,
+//!   lane failover, and per-lane traffic counters.
 //! * [`ChaosFabric`] — a deterministic, seeded fault injector wrapping
 //!   any backend (`PIPMCOLL_CHAOS=drop:0.05,dup:0.02,delay:5ms`), used
 //!   to prove the collectives stay byte-correct under frame loss,
@@ -36,7 +36,7 @@
 //!    delivered to a receive on the same `(src, dst, tag)` channel.
 //! 2. **Non-overtaking** — messages on one channel are delivered in send
 //!    order (MPI's non-overtaking rule), even when the wire reorders,
-//!    drops or duplicates frames, or splits a message over lanes.
+//!    drops or duplicates frames, or moves them onto another lane.
 //! 3. **Zero-length messages** are real messages: they match and are
 //!    delivered like any other.
 //!
@@ -93,7 +93,7 @@ pub trait Fabric: Send + Sync {
     /// Backend name for diagnostics and result files.
     fn name(&self) -> &'static str;
 
-    /// Number of striped lanes (the paper's concurrent objects).
+    /// Number of lanes (the paper's concurrent objects).
     fn lanes(&self) -> usize;
 
     /// Enqueue `payload` for delivery on `key`. May block when the

@@ -153,11 +153,9 @@ impl FramePool {
     }
 
     /// [`FramePool::encode`] as frame `lseq` of its lane, with the
-    /// payload taken from `payload` instead of `frame.payload`: the
-    /// stripe send path encodes each segment straight from a sub-slice
-    /// of the caller's message, so a split message costs one pooled
-    /// encode per segment and no intermediate per-segment payload
-    /// allocation.
+    /// payload taken from `payload` instead of `frame.payload`: the send
+    /// path encodes straight from the caller's message, so a send costs
+    /// one pooled encode and no intermediate payload allocation.
     pub fn encode_seg(&self, frame: &Frame, payload: &[u8], lseq: u64) -> FrameBuf {
         let mut buf = self.acquire(crate::wire::HEADER_LEN + payload.len());
         let inner = Arc::get_mut(buf.arc.as_mut().expect("fresh FrameBuf holds its arc"))
@@ -367,9 +365,7 @@ mod tests {
     fn encode_seg_matches_a_whole_frame_encode() {
         let pool = FramePool::with_cap(4);
         let body = [1u8, 2, 3, 4, 5, 6];
-        let mut seg = frame(vec![]);
-        seg.seg_idx = 1;
-        seg.seg_count = 2;
+        let seg = frame(vec![]);
         let buf = pool.encode_seg(&seg, &body[3..], 0);
         let mut whole = seg.clone();
         whole.payload = body[3..].to_vec();

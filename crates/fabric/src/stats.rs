@@ -1,11 +1,11 @@
 //! Per-lane traffic counters and latency histograms — the observables
-//! that let benches and tests confirm lane striping spreads load and
-//! that the ack path stays fast.
+//! that let benches and tests confirm a node's ranks spread their
+//! messages over its lanes and that the ack path stays fast.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Counters for one lane (one striped object of the transport).
+/// Counters for one lane (one object of the transport).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Messages accepted for transmission on this lane.
@@ -138,10 +138,6 @@ pub struct FabricStats {
     /// retransmit exactly like a dropped frame — a non-zero count with
     /// correct results is the integrity layer working.
     pub corrupt_frames: u64,
-    /// Messages split into per-lane segments (each still counts once in
-    /// `lanes[..].msgs`); 0 when every message is below the backend's
-    /// stripe threshold or only one lane is routable.
-    pub striped_msgs: u64,
     /// Eager frames the sending thread wrote onto the socket itself
     /// instead of queueing them for a progress worker; 0 for backends
     /// without sockets.

@@ -1,18 +1,18 @@
 //! The receive-side message store shared by every backend: per-channel
 //! FIFO queues with blocking, timeout-bounded receives, plus sequence
-//! reassembly and duplicate suppression for backends whose wire can
+//! hold-back and duplicate suppression for backends whose wire can
 //! reorder or re-deliver traffic.
 //!
 //! MPI's non-overtaking rule is per `(src, dst, tag)` channel. The
 //! in-process backend delivers in send order by construction and uses
-//! [`MsgStore::push`]. The TCP backend stripes a large message's
-//! segments over several lanes, so a later frame of a channel can
-//! arrive before an earlier one, and its ack-based retransmit re-sends
-//! a lost frame after later ones landed, or re-delivers one whose ack
-//! was lost — so wire deliveries carry a per-channel sequence number
-//! and go through [`MsgStore::deliver_seg`], which holds
-//! out-of-order arrivals until the gap fills, glues a striped message's
-//! segments back together, and silently drops re-deliveries of
+//! [`MsgStore::push`]. The TCP backend sends every message whole as one
+//! frame on its sender's lane, but a lane kill moves a channel's unacked
+//! frames onto a survivor, and its ack-based retransmit re-sends a lost
+//! frame after later ones landed, or re-delivers one whose ack was lost
+//! — so a later frame of a channel can arrive before an earlier one.
+//! Wire deliveries therefore carry a per-channel sequence number and go
+//! through [`MsgStore::deliver`], which holds out-of-order arrivals
+//! until the gap fills and silently drops re-deliveries of
 //! already-consumed or already-held sequence numbers (counted in
 //! [`MsgStore::dups_dropped`]).
 
@@ -25,22 +25,6 @@ use std::time::{Duration, Instant};
 use crate::error::{BlockedRecv, FabricError, FabricResult, TimeoutDiag};
 use crate::wait::WakeSocket;
 use crate::ChanKey;
-
-/// One wire arrival: its segment coordinates plus payload. A whole
-/// (unsegmented) message is `seg_count` 0 or 1.
-struct SegFrame {
-    seg_idx: u16,
-    seg_count: u16,
-    payload: Vec<u8>,
-}
-
-/// Reassembly state for a striped message whose segments are still
-/// arriving in sequence order.
-struct Assembly {
-    buf: Vec<u8>,
-    got: u16,
-    count: u16,
-}
 
 /// How to wake the receiver blocked on a channel.
 enum Waker {
@@ -62,18 +46,12 @@ impl Waker {
 
 #[derive(Default)]
 struct ChanState {
-    /// In-order *complete* messages ready to be received. Striped
-    /// messages only land here once every segment has been absorbed.
+    /// In-order messages ready to be received.
     ready: VecDeque<Vec<u8>>,
-    /// Next wire sequence number expected on this channel. Segments of
-    /// a striped message occupy consecutive sequence numbers, so the
-    /// cursor advances per frame, not per message.
+    /// Next wire sequence number expected on this channel.
     next_seq: u64,
     /// Out-of-order wire arrivals, held until `next_seq` catches up.
-    held: BTreeMap<u64, SegFrame>,
-    /// Partially reassembled striped message (segments are absorbed in
-    /// sequence order, so at most one message is ever in flight here).
-    assembling: Option<Assembly>,
+    held: BTreeMap<u64, Vec<u8>>,
     /// When the current blocked receive started waiting (if any).
     waiting_since: Option<Instant>,
     /// This channel's receiver drives the wire itself (see
@@ -101,38 +79,6 @@ impl ChanState {
             None
         } else {
             self.waker.take()
-        }
-    }
-
-    /// Absorb the next in-sequence frame: whole messages go straight to
-    /// `ready`; segments accumulate in `assembling` until the striped
-    /// message is complete, so FIFO hold-back release only ever exposes
-    /// whole messages.
-    fn absorb(&mut self, f: SegFrame) {
-        if f.seg_count <= 1 {
-            self.ready.push_back(f.payload);
-            return;
-        }
-        match self.assembling.as_mut() {
-            Some(a) if f.seg_idx > 0 => {
-                a.buf.extend_from_slice(&f.payload);
-                a.got += 1;
-            }
-            // First segment (or a defensive restart if a malformed
-            // sender never finished the previous message).
-            _ => {
-                self.assembling = Some(Assembly {
-                    buf: f.payload,
-                    got: 1,
-                    count: f.seg_count,
-                });
-            }
-        }
-        if let Some(a) = self.assembling.as_ref() {
-            if a.got >= a.count {
-                let done = self.assembling.take().expect("checked Some above");
-                self.ready.push_back(done.buf);
-            }
         }
     }
 }
@@ -185,26 +131,12 @@ impl MsgStore {
         }
     }
 
-    /// Deliver a wire frame carrying per-channel sequence `seq`;
+    /// Deliver a wire message carrying per-channel sequence `seq`;
     /// reorders so receivers always observe send order. Returns whether
-    /// the frame was fresh — a re-delivery of a consumed or held
+    /// the message was fresh — a re-delivery of a consumed or held
     /// sequence number (a retransmit whose original won the race, or an
     /// injected duplicate) is dropped and counted, never delivered twice.
-    ///
-    /// The frame may be one segment of a striped message (`seg_count >
-    /// 1`; 0 or 1 is a whole message). Segments of one message occupy
-    /// consecutive sequence numbers, so the ordinary hold-back/dedup
-    /// machinery orders and de-duplicates them; in-order segments
-    /// accumulate in a per-channel reassembly buffer and the complete
-    /// message is released to receivers in one piece.
-    pub fn deliver_seg(
-        &self,
-        key: ChanKey,
-        seq: u64,
-        seg_idx: u16,
-        seg_count: u16,
-        payload: Vec<u8>,
-    ) -> bool {
+    pub fn deliver(&self, key: ChanKey, seq: u64, payload: Vec<u8>) -> bool {
         let Ok(mut g) = self.lock() else {
             return false;
         };
@@ -215,15 +147,11 @@ impl MsgStore {
             return false;
         }
         if seq == st.next_seq {
-            st.absorb(SegFrame {
-                seg_idx,
-                seg_count,
-                payload,
-            });
+            st.ready.push_back(payload);
             st.next_seq += 1;
-            // Drain any arrivals that were waiting on this gap.
-            while let Some(f) = st.held.remove(&st.next_seq) {
-                st.absorb(f);
+            // Release any arrivals that were waiting on this gap.
+            while let Some(m) = st.held.remove(&st.next_seq) {
+                st.ready.push_back(m);
                 st.next_seq += 1;
             }
             let waker = st.take_waker();
@@ -233,11 +161,7 @@ impl MsgStore {
             }
             true
         } else if let std::collections::btree_map::Entry::Vacant(e) = st.held.entry(seq) {
-            e.insert(SegFrame {
-                seg_idx,
-                seg_count,
-                payload,
-            });
+            e.insert(payload);
             true
         } else {
             // Already held: duplicate of an out-of-order arrival.
@@ -312,15 +236,6 @@ impl MsgStore {
             st.register(Waker::Polling(Arc::clone(poller)));
         }
         Ok(msg)
-    }
-
-    /// Whether part of the next message on `key` is in: a striped
-    /// message's first segments, or frames held behind a gap.
-    pub(crate) fn partial(&self, key: ChanKey) -> bool {
-        self.lock().is_ok_and(|g| {
-            g.get(&key)
-                .is_some_and(|st| st.assembling.is_some() || !st.held.is_empty())
-        })
     }
 
     /// Clear the registration [`MsgStore::pop_driving`] made for `key`.
@@ -475,9 +390,9 @@ mod tests {
     #[test]
     fn out_of_order_wire_arrivals_are_reassembled() {
         let s = MsgStore::new("test");
-        s.deliver_seg(K, 2, 0, 0, vec![2]);
-        s.deliver_seg(K, 0, 0, 0, vec![0]);
-        s.deliver_seg(K, 1, 0, 0, vec![1]);
+        s.deliver(K, 2, vec![2]);
+        s.deliver(K, 0, vec![0]);
+        s.deliver(K, 1, vec![1]);
         for want in 0u8..3 {
             assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![want]);
         }
@@ -486,38 +401,35 @@ mod tests {
     #[test]
     fn pop_blocks_until_gap_fills() {
         let s = std::sync::Arc::new(MsgStore::new("test"));
-        s.deliver_seg(K, 1, 0, 0, vec![1]);
+        s.deliver(K, 1, vec![1]);
         let s2 = std::sync::Arc::clone(&s);
         let t = std::thread::spawn(move || s2.pop_within(K, Duration::from_secs(2)));
         std::thread::sleep(Duration::from_millis(10));
-        s.deliver_seg(K, 0, 0, 0, vec![0]);
+        s.deliver(K, 0, vec![0]);
         assert_eq!(t.join().unwrap().unwrap(), vec![0]);
     }
 
     #[test]
     fn consumed_duplicates_are_dropped_and_counted() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seg(K, 0, 0, 0, vec![0]));
+        assert!(s.deliver(K, 0, vec![0]));
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![0]);
         // A retransmit of seq 0 arrives after the original was consumed.
-        assert!(!s.deliver_seg(K, 0, 0, 0, vec![0]));
+        assert!(!s.deliver(K, 0, vec![0]));
         assert_eq!(s.dups_dropped(), 1);
         // The cursor is unharmed: seq 1 still delivers next.
-        assert!(s.deliver_seg(K, 1, 0, 0, vec![1]));
+        assert!(s.deliver(K, 1, vec![1]));
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
     }
 
     #[test]
     fn held_duplicates_are_dropped_and_counted() {
         let s = MsgStore::new("test");
-        assert!(s.deliver_seg(K, 2, 0, 0, vec![2]));
-        assert!(
-            !s.deliver_seg(K, 2, 0, 0, vec![99]),
-            "duplicate of a held frame"
-        );
+        assert!(s.deliver(K, 2, vec![2]));
+        assert!(!s.deliver(K, 2, vec![99]), "duplicate of a held frame");
         assert_eq!(s.dups_dropped(), 1);
-        s.deliver_seg(K, 0, 0, 0, vec![0]);
-        s.deliver_seg(K, 1, 0, 0, vec![1]);
+        s.deliver(K, 0, vec![0]);
+        s.deliver(K, 1, vec![1]);
         for want in 0u8..3 {
             assert_eq!(
                 s.pop_within(K, Duration::from_secs(1)).unwrap(),
@@ -537,7 +449,7 @@ mod tests {
         assert_eq!(s.try_pop(K).unwrap(), Some(vec![2]));
         assert_eq!(s.try_pop(K).unwrap(), None, "drained");
         // A held out-of-order frame is not ready.
-        s.deliver_seg(K, 5, 0, 0, vec![5]);
+        s.deliver(K, 5, vec![5]);
         assert_eq!(s.try_pop(K).unwrap(), None);
     }
 
@@ -546,7 +458,7 @@ mod tests {
         let s = MsgStore::new("test");
         // Traffic elsewhere and a held frame show up in the diagnostic.
         s.push((4, 5, 0), vec![9]);
-        s.deliver_seg(K, 3, 0, 0, vec![3]);
+        s.deliver(K, 3, vec![3]);
         let err = s.pop_within(K, Duration::from_millis(20)).unwrap_err();
         match err {
             FabricError::Timeout(d) => {
@@ -577,53 +489,11 @@ mod tests {
     }
 
     #[test]
-    fn striped_segments_reassemble_into_one_message() {
-        let s = MsgStore::new("test");
-        // Segments arrive out of order across lanes; hold-back puts them
-        // back in sequence and exactly one whole message comes out.
-        assert!(s.deliver_seg(K, 2, 2, 3, vec![5, 6]));
-        assert!(s.deliver_seg(K, 0, 0, 3, vec![1, 2]));
-        assert_eq!(s.try_pop(K).unwrap(), None, "incomplete message held");
-        assert!(s.deliver_seg(K, 1, 1, 3, vec![3, 4]));
-        assert_eq!(
-            s.pop_within(K, Duration::from_secs(1)).unwrap(),
-            vec![1, 2, 3, 4, 5, 6]
-        );
-        assert_eq!(s.try_pop(K).unwrap(), None, "exactly one message");
-    }
-
-    #[test]
-    fn striped_and_whole_messages_interleave_in_fifo_order() {
-        let s = MsgStore::new("test");
-        // Message A: two segments (seqs 0, 1). Message B: whole (seq 2).
-        s.deliver_seg(K, 0, 0, 2, vec![10]);
-        s.deliver_seg(K, 2, 0, 0, vec![30]);
-        assert_eq!(s.try_pop(K).unwrap(), None, "B waits behind unfinished A");
-        s.deliver_seg(K, 1, 1, 2, vec![11]);
-        assert_eq!(
-            s.pop_within(K, Duration::from_secs(1)).unwrap(),
-            vec![10, 11]
-        );
-        assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![30]);
-    }
-
-    #[test]
-    fn duplicate_segments_are_dropped_not_reassembled_twice() {
-        let s = MsgStore::new("test");
-        assert!(s.deliver_seg(K, 0, 0, 2, vec![1]));
-        // Retransmit of segment 0 after the original was absorbed.
-        assert!(!s.deliver_seg(K, 0, 0, 2, vec![1]));
-        assert_eq!(s.dups_dropped(), 1);
-        assert!(s.deliver_seg(K, 1, 1, 2, vec![2]));
-        assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1, 2]);
-    }
-
-    #[test]
     fn clear_ready_keeps_sequence_cursor() {
         let s = MsgStore::new("test");
-        s.deliver_seg(K, 0, 0, 0, vec![0]);
+        s.deliver(K, 0, vec![0]);
         s.clear_ready();
-        s.deliver_seg(K, 1, 0, 0, vec![1]);
+        s.deliver(K, 1, vec![1]);
         assert_eq!(s.pop_within(K, Duration::from_secs(1)).unwrap(), vec![1]);
     }
 
@@ -635,17 +505,17 @@ mod tests {
         assert!(!s.note_arrival(K));
         // A delivery made before the registration is what it returns,
         // and nothing is left registered to ring.
-        s.deliver_seg(K, 0, 0, 0, vec![7]);
+        s.deliver(K, 0, vec![7]);
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![7]));
         assert!(s.note_arrival(K), "a driving receiver picks it up");
-        s.deliver_seg(K, 1, 0, 0, vec![8]);
+        s.deliver(K, 1, vec![8]);
         assert_eq!(wake.drain(), 0, "rang with nobody registered");
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![8]));
         // A miss registers; the deliveries after it ring exactly once.
         assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
         assert_eq!(wake.drain(), 0);
-        s.deliver_seg(K, 2, 0, 0, vec![9]);
-        s.deliver_seg(K, 3, 0, 0, vec![10]);
+        s.deliver(K, 2, vec![9]);
+        s.deliver(K, 3, vec![10]);
         assert_eq!(wake.drain(), 1, "one wake byte per registration");
         assert!(s.stop_polling(K), "the delivery rang the registration");
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![9]));
@@ -653,14 +523,14 @@ mod tests {
         // A registration cleared unrung, or by a timeout, rings no more.
         assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
         assert!(!s.stop_polling(K));
-        s.deliver_seg(K, 4, 0, 0, vec![11]);
+        s.deliver(K, 4, vec![11]);
         assert_eq!(s.pop_driving(K, &wake).unwrap(), Some(vec![11]));
         assert_eq!(s.pop_driving(K, &wake).unwrap(), None);
         assert!(matches!(
             s.timed_out(K, Duration::ZERO),
             FabricError::Timeout(_)
         ));
-        s.deliver_seg(K, 5, 0, 0, vec![12]);
+        s.deliver(K, 5, vec![12]);
         assert_eq!(wake.drain(), 0, "a timed-out receiver was rung");
         assert_eq!(Arc::strong_count(&wake), 1, "the store kept the socket");
         // A timed-out receiver stops driving, and so does a poller.
@@ -709,7 +579,7 @@ mod tests {
     #[test]
     fn lost_wakeup_every_parked_receiver_gets_its_own_delivery() {
         // Eight receivers park on eight channels of one store. Even
-        // channels are fed by `push`; odd ones by `deliver_seg`, each
+        // channels are fed by `push`; odd ones by `deliver`, each
         // round's second frame first, so the first is held until its
         // gap fills. A delivery that woke the wrong receiver, or none,
         // leaves a park to run out its whole timeout.
@@ -743,8 +613,8 @@ mod tests {
                     s.push(key, a.to_le_bytes().to_vec());
                     s.push(key, b.to_le_bytes().to_vec());
                 } else {
-                    assert!(s.deliver_seg(key, b, 0, 0, b.to_le_bytes().to_vec()));
-                    assert!(s.deliver_seg(key, a, 0, 0, a.to_le_bytes().to_vec()));
+                    assert!(s.deliver(key, b, b.to_le_bytes().to_vec()));
+                    assert!(s.deliver(key, a, a.to_le_bytes().to_vec()));
                 }
             }
         }

@@ -124,11 +124,11 @@ thread_local! {
 }
 
 /// Drain every lane's socket carrying node `peer`'s traffic into node
-/// `here`, as a worker would. Every lane, because a striped message
-/// spreads its segments over all of them. A lane whose worker is
-/// running is left to it, as on the send side: the worker batches the
-/// read with the rest of its cycle, and a poke makes sure that cycle
-/// comes.
+/// `here`, as a worker would. Every lane, because each of `peer`'s ranks
+/// rides its own and a lane kill moves frames onto the survivors. A
+/// lane whose worker is running is left to it, as on the send side: the
+/// worker batches the read with the rest of its cycle, and a poke makes
+/// sure that cycle comes.
 fn drain_inbound(mesh: &Mesh, here: usize, peer: usize) {
     for lane in 0..mesh.cfg.lanes {
         let key = (here, peer, lane);
@@ -230,14 +230,14 @@ impl PollSet {
 /// Blocking receive of an internode message that progresses the wire
 /// while it waits: pop, or register this thread's wake socket with the
 /// store under the lock that found nothing; write the acks owed on the
-/// lanes from the sending node, unless part of the message is in; sleep
-/// in `poll(2)` on the sockets of every live lane from that node and on
-/// the wake socket; clear the registration; read the lanes that became
-/// readable; repeat. A frame written onto one of those sockets wakes the
-/// sleep from inside the kernel, so its sender pays no wake-up. A
-/// delivery any other thread makes rings the wake socket instead (see
-/// [`MsgStore::pop_driving`]). The pool's workers stay the backstop — a
-/// rank's reads only shorten delivery, they never gate it.
+/// lanes from the sending node; sleep in `poll(2)` on the sockets of
+/// every live lane from that node and on the wake socket; clear the
+/// registration; read the lanes that became readable; repeat. A frame
+/// written onto one of those sockets wakes the sleep from inside the
+/// kernel, so its sender pays no wake-up. A delivery any other thread
+/// makes rings the wake socket instead (see [`MsgStore::pop_driving`]).
+/// The pool's workers stay the backstop — a rank's reads only shorten
+/// delivery, they never gate it.
 ///
 /// [`MsgStore::pop_driving`]: crate::store::MsgStore::pop_driving
 pub(super) fn recv_driving(mesh: &Mesh, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>> {
@@ -255,17 +255,9 @@ pub(super) fn recv_driving(mesh: &Mesh, key: ChanKey, timeout: Duration) -> Fabr
             if left.is_zero() {
                 return Err(store.timed_out(key, timeout));
             }
-            // No reply carries the acks owed while this thread sleeps,
-            // unless the rest of its message is in flight.
-            let lanes = (0..mesh.cfg.lanes).map(|lane| (here, peer, lane));
-            if lanes
-                .clone()
-                .any(|k| mesh.slot(k).owes.load(Ordering::Relaxed))
-                && !store.partial(key)
-            {
-                for k in lanes {
-                    mesh.ack_lane(k, true, LaneRx::take_ack);
-                }
+            // No reply carries the acks owed while this thread sleeps.
+            for lane in 0..mesh.cfg.lanes {
+                mesh.ack_lane((here, peer, lane), true, LaneRx::take_ack);
             }
             ps.sleep(mesh, here, peer, left);
             let rung = store.stop_polling(key);

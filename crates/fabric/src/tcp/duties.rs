@@ -65,7 +65,7 @@ pub(super) fn retransmit_pass(mesh: &Mesh, rng: &mut ChaosRng) {
 }
 
 /// Move every unacked frame of dead lane `key` onto the lane its sender
-/// stripes onto now, in order, each as a fresh frame of that lane (see
+/// rides now, in order, each as a fresh frame of that lane (see
 /// [`Frame::restamp`]). The receiver's channel dedup absorbs the copies
 /// of frames that did arrive.
 fn migrate(mesh: &Mesh, (from, to, dead): LaneKey) {

@@ -67,7 +67,9 @@ impl PendingFrame {
 /// are a gap the retransmit duty fills.
 #[derive(Default)]
 pub(super) struct TxRing {
-    next: AtomicU64,
+    /// The next lane sequence number: how many payload frames the lane
+    /// has numbered.
+    pub(super) next: AtomicU64,
     pub(super) frames: Mutex<VecDeque<PendingFrame>>,
 }
 

@@ -1,6 +1,6 @@
 //! The state shared by `send`/`recv` callers and the progress pool:
-//! lane selection and striping, writing and applying lane acks, and the
-//! dispatch of every decoded frame.
+//! lane selection, writing and applying lane acks, and the dispatch of
+//! every decoded frame.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -121,8 +121,6 @@ pub(super) struct Mesh {
     pub(super) retransmits: AtomicU64,
     /// Standalone ACK frames written.
     pub(super) ack_frames: AtomicU64,
-    /// Messages split into per-lane segments.
-    pub(super) striped_msgs: AtomicU64,
     /// Eager frames the sending thread wrote onto the socket itself.
     pub(super) inline_sends: AtomicU64,
     /// Frames a waiting rank decoded from the socket itself.
@@ -341,18 +339,36 @@ impl Mesh {
             .collect()
     }
 
-    /// The lane a sending rank nominally stripes onto with every lane
-    /// alive — what a failure diagnostic names when none survive.
+    /// The lane a sending rank nominally rides with every lane alive —
+    /// what a failure diagnostic names when none survive.
     pub(super) fn nominal_lane(&self, src: usize) -> usize {
         self.topo.local_of(src) % self.cfg.lanes
     }
 
-    /// The lane a sending rank's traffic is striped onto right now: its
-    /// local id modulo the *surviving* lanes, so killed lanes degrade
-    /// onto the rest. `None` only if every lane is dead. Allocation-free
-    /// — this sits on the eager send path.
+    /// The lane a sending rank's messages ride right now: its local id
+    /// modulo the *usable* lanes — neither killed nor brownout-demoted —
+    /// so a killed or browned lane's traffic degrades onto the rest. If
+    /// every survivor is browned it falls back to the merely-alive set:
+    /// degraded delivery beats none. `None` only if every lane is dead.
+    /// Allocation-free — this sits on the eager send path.
     pub(super) fn effective_lane(&self, src: usize) -> Option<usize> {
-        self.seg_lane(src, 0)
+        let local = self.topo.local_of(src);
+        let usable = |l: &usize| self.lane_usable(*l);
+        let count = (0..self.cfg.lanes).filter(usable).count();
+        if count == self.cfg.lanes {
+            // No lane killed or browned — the no-fault common case:
+            // plain modulo, no filtered re-scan.
+            return Some(local % count);
+        }
+        if count > 0 {
+            return (0..self.cfg.lanes).filter(usable).nth(local % count);
+        }
+        let alive = |l: &usize| !self.killed[*l].load(Ordering::Relaxed);
+        let count = (0..self.cfg.lanes).filter(alive).count();
+        if count == 0 {
+            return None;
+        }
+        (0..self.cfg.lanes).filter(alive).nth(local % count)
     }
 
     /// [`Mesh::effective_lane`] with the no-survivors case as the typed
@@ -367,67 +383,6 @@ impl Mesh {
                 lane: self.nominal_lane(src),
                 detail: detail(),
             })
-    }
-
-    /// The lane for segment `i` of a striped message from `src`: the
-    /// sender's stripe rotated round-robin over the *usable* lanes —
-    /// neither killed nor brownout-demoted — so a browned lane sheds
-    /// fresh traffic exactly like a dead one (segment 0 is exactly
-    /// [`Mesh::effective_lane`], so an unstriped message is the `i == 0`
-    /// case). If every survivor is browned the stripe falls back to the
-    /// merely-alive set: degraded delivery beats none. Allocation-free —
-    /// this sits on the eager send path.
-    pub(super) fn seg_lane(&self, src: usize, i: usize) -> Option<usize> {
-        let usable = |l: &usize| self.lane_usable(*l);
-        let count = (0..self.cfg.lanes).filter(usable).count();
-        if count == self.cfg.lanes {
-            // No lane killed or browned — the no-fault common case:
-            // plain modulo, no filtered re-scan.
-            return Some((self.topo.local_of(src) + i) % count);
-        }
-        if count > 0 {
-            return (0..self.cfg.lanes)
-                .filter(usable)
-                .nth((self.topo.local_of(src) + i) % count);
-        }
-        let alive = |l: &usize| !self.killed[*l].load(Ordering::Relaxed);
-        let count = (0..self.cfg.lanes).filter(alive).count();
-        if count == 0 {
-            return None;
-        }
-        (0..self.cfg.lanes)
-            .filter(alive)
-            .nth((self.topo.local_of(src) + i) % count)
-    }
-
-    /// How many segments a `len`-byte payload splits into: 1 below
-    /// [`TcpConfig::stripe_min`] or with fewer than two routable lanes;
-    /// otherwise one segment per routable lane, renormalized so every
-    /// segment is non-empty and the count fits the u16 wire field.
-    pub(super) fn plan_segments(&self, len: usize) -> usize {
-        if len < self.cfg.stripe_min {
-            return 1;
-        }
-        // Stripe over the lanes fresh traffic can actually use (the
-        // same set `seg_lane` routes over): a browned lane must not
-        // inflate the segment count it will never carry.
-        let usable = (0..self.cfg.lanes).filter(|&l| self.lane_usable(l)).count();
-        let routable = if usable > 0 {
-            usable
-        } else {
-            (0..self.cfg.lanes)
-                .filter(|&l| !self.killed[l].load(Ordering::Relaxed))
-                .count()
-        };
-        if routable < 2 {
-            return 1;
-        }
-        let want = routable.min(usize::from(u16::MAX));
-        // Recompute through the chunk size so exactly this many
-        // non-empty chunks come out even when `len` barely clears the
-        // threshold.
-        let seg_len = len.div_ceil(want).max(1);
-        len.div_ceil(seg_len).max(1)
     }
 
     /// An encoded control frame of `kind` from node `from` to node `to`:
@@ -504,7 +459,7 @@ impl Mesh {
         if f.kind != FrameKind::Eager {
             return false;
         }
-        self.stores[key.0].deliver_seg(f.chan(), f.seq, f.seg_idx, f.seg_count, f.payload);
+        self.stores[key.0].deliver(f.chan(), f.seq, f.payload);
         // Noted after the delivery, so no ack ever covers a frame the
         // store has not taken; a duplicate is noted too.
         self.slot(key).arrive(lseq) >= ACK_BATCH

@@ -1,15 +1,13 @@
-//! The socket backend: real loopback TCP with **k striped lanes** per
-//! node pair — the paper's multi-object internode transport made
-//! concrete, with loss recovery and lane failover.
+//! The socket backend: real loopback TCP with **k lanes** per node pair
+//! — the paper's multi-object internode transport made concrete, with
+//! loss recovery and lane failover.
 //!
-//! Topology: every node pair gets `lanes` TCP connections. A message
-//! below [`TcpConfig::stripe_min`] rides its *sending rank's* nominal
-//! lane — the local id modulo the usable lanes, so each of a node's
+//! Topology: every node pair gets `lanes` TCP connections. Every
+//! message, whatever its size, rides its *sending rank's* lane whole, as
+//! one frame: the local id modulo the usable lanes, so each of a node's
 //! ranks drives its own lane, exactly the paper's mapping of objects to
-//! local ranks (Fig. 2). A message at or above it splits into one
-//! segment per usable lane (Träff's 1/k decomposition), so one large
-//! transfer drives every socket. A killed or browned lane's traffic
-//! degrades onto the survivors.
+//! local ranks (Fig. 2). A killed or browned lane's traffic degrades
+//! onto the survivors.
 //!
 //! **Who drives a socket.** All sockets are nonblocking. Each endpoint
 //! (one direction of one lane connection) is split into a write half
@@ -118,10 +116,10 @@
 //!   number. Frames lost in the break are a gap in the lane's sequence,
 //!   which retransmit fills.
 //! * **Lane failover** — [`Fabric::kill_lane`] severs a lane and future
-//!   sends restripe over the survivors; the retransmit duty moves the
-//!   dead lane's unacked frames onto them under fresh lane sequence
-//!   numbers. Per-channel FIFO survives because receivers reassemble by
-//!   channel sequence number. The last surviving lane refuses to die.
+//!   sends remap over the survivors; the retransmit duty moves the dead
+//!   lane's unacked frames onto them under fresh lane sequence numbers.
+//!   Per-channel FIFO survives because receivers reorder by channel
+//!   sequence number. The last surviving lane refuses to die.
 //! * **Chaos** — when a [`WireChaos`] stream is installed, every payload
 //!   frame's first transmission rolls a fate *below* sequence
 //!   assignment: a dropped frame looks exactly like wire loss and a
@@ -176,13 +174,9 @@ mod worker;
 /// Tuning knobs for [`TcpFabric`].
 #[derive(Clone, Copy, Debug)]
 pub struct TcpConfig {
-    /// Striped connections per node pair (the paper's object count k).
+    /// Connections per node pair (the paper's object count k); a
+    /// sending rank's messages ride lane `local rank % k`.
     pub lanes: usize,
-    /// Smallest payload split into per-lane segments (Träff's 1/k
-    /// decomposition, arXiv:1910.13373); smaller messages ride their
-    /// sender's nominal lane whole, so the small-message rate is
-    /// untouched. Must be at least 1.
-    pub stripe_min: usize,
     /// Bounded user send window (in messages) per directed node pair,
     /// split evenly across its lanes (each lane queue gets at least 1
     /// slot). A per-pair budget keeps the total in-flight backlog —
@@ -240,7 +234,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             lanes: 4,
-            stripe_min: 8 * 1024,
             queue_cap: 1024,
             rto: Duration::from_millis(25),
             max_retransmits: 8,
@@ -275,10 +268,6 @@ impl TcpFabric {
         crate::env::validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         assert!(cfg.lanes >= 1, "a fabric needs at least one lane");
-        assert!(
-            cfg.stripe_min >= 1,
-            "stripe_min 0 would split every message, empty ones included"
-        );
         assert!(cfg.queue_cap >= 1, "send queues need capacity");
         assert!(!cfg.rto.is_zero(), "retransmit timeout must be positive");
         let nodes = topo.nodes();
@@ -373,7 +362,6 @@ impl TcpFabric {
             seqs: Mutex::new(HashMap::new()),
             retransmits: AtomicU64::new(0),
             ack_frames: AtomicU64::new(0),
-            striped_msgs: AtomicU64::new(0),
             inline_sends: AtomicU64::new(0),
             rank_reads: AtomicU64::new(0),
             driver_frames: AtomicU64::new(0),
@@ -536,47 +524,71 @@ impl Fabric for TcpFabric {
             mesh.stores[node_d].push(key, payload);
             return Ok(());
         }
-        // Fix the segment plan before anything else: it decides how many
-        // sequence numbers this message consumes.
-        let segs = mesh.plan_segments(payload.len());
         let seq = {
             let mut g = mesh.seqs.lock().map_err(|_| FabricError::QueuePoisoned {
                 what: "sequence table",
             })?;
             let c = g.entry(key).or_insert(0);
             let s = *c;
-            // Segments occupy consecutive sequences on the channel, so
-            // the receiver's hold-back ordering and cumulative acks see
-            // them as ordinary frames.
-            *c += segs as u64;
+            *c += 1;
             s
         };
         let lane = mesh.effective_lane_or_dead(src, || "no surviving lane".into())?;
+        let q = mesh
+            .queues
+            .get(&(node_s, node_d, lane))
+            .ok_or_else(|| FabricError::LaneDead {
+                lane,
+                detail: "no send queue for this node pair".into(),
+            })?;
         // Outbound traffic doubles as this node pair's heartbeat.
         mesh.note_sent(node_s, node_d);
-        // A message counts once, on its sender's primary lane, however
-        // many segments it splits into — stats totals stay message- and
-        // payload-exact however the message splits.
         let ctrs = &mesh.lane_ctrs[lane];
         ctrs.msgs.fetch_add(1, Ordering::Relaxed);
         ctrs.bytes
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let seg_len = if segs > 1 {
-            payload.len().div_ceil(segs)
-        } else {
-            payload.len()
+        let slot = mesh.slot((node_s, node_d, lane));
+        // The ack this lane owes the peer rides along in `aux`
+        // (watermark + 1; 0 = none aboard).
+        let aux = slot.owed_ack(LaneRx::take_ack).map_or(0, |wm| wm + 1);
+        let frame = Frame {
+            kind: FrameKind::Eager,
+            src: src as u32,
+            dst: dst as u32,
+            tag: key.2,
+            seq,
+            aux,
+            seg_idx: 0,
+            seg_count: 0,
+            payload: Vec::new(),
         };
-        let chaos = mesh.chaos();
-        // A driving caller about to block on a full queue first hands
-        // back the wake-ups it deferred: the lane's worker must drain it.
-        let push_to = |q: &SendQueue, lane: usize, buf: FrameBuf| {
+        // The one encode on the send path: header + payload laid out into
+        // a pooled buffer, as the next frame of its lane; every holder
+        // below is a refcount.
+        let lseq = slot.tx.reserve();
+        let buf = mesh.pool.encode_seg(&frame, &payload, lseq);
+        // Register for retransmit before the frame can be lost: the
+        // lane's ring holds a refcount on the same pooled bytes, and its
+        // cumulative ack pops a prefix.
+        let pending = PendingFrame::new(lseq, key, seq, buf.clone(), mesh.cfg.rto);
+        let unacked = slot.tx.insert(pending);
+        // A frame goes onto its socket from this thread when it can (see
+        // `send_inline`); otherwise it is queued and the lane's worker
+        // woken. Returns whether the push stalled. A driving caller about
+        // to block on a full queue first hands back the wake-ups it
+        // deferred: the lane's worker must drain it.
+        let post = |buf: FrameBuf| -> FabricResult<bool> {
+            let buf = match send_inline(mesh, (node_s, node_d, lane), unacked, buf) {
+                Ok(()) => return Ok(false),
+                Err(buf) => buf,
+            };
             let hand_back = || {
                 if driving(mesh) {
                     mesh.hand_back();
                     mesh.owner_signal((node_s, node_d, lane)).notify();
                 }
             };
-            q.push_user(buf, hand_back).map_err(|e| match e {
+            let stalled = q.push_user(buf, hand_back).map_err(|e| match e {
                 PushError::Timeout(waited) => FabricError::PeerHung {
                     chan: key,
                     attempts: 0,
@@ -585,96 +597,37 @@ impl Fabric for TcpFabric {
                     ),
                 },
                 PushError::Poisoned => FabricError::QueuePoisoned { what: "send queue" },
-            })
+            })?;
+            mesh.notify_owner(node_s, node_d, lane);
+            Ok(stalled)
         };
-        // A frame goes onto its socket from this thread when it can (see
-        // `send_inline`); otherwise it is queued and the lane's worker
-        // woken. Returns whether the push stalled.
-        let post = |q: &SendQueue, lane: usize, unacked: usize, buf: FrameBuf| match send_inline(
-            mesh,
-            (node_s, node_d, lane),
-            unacked,
-            buf,
-        ) {
-            Ok(()) => Ok::<_, FabricError>(false),
-            Err(buf) => {
-                let stalled = push_to(q, lane, buf)?;
-                mesh.notify_owner(node_s, node_d, lane);
-                Ok(stalled)
+        // Chaos rolls the frame's fate (cut edge, degraded lane, then the
+        // per-class streams): an ordinary frame to lose, duplicate,
+        // corrupt, recover.
+        let chaos = mesh.chaos();
+        let fate = chaos
+            .as_ref()
+            .map_or(FrameFate::Deliver, |c| c.fate_for(node_s, node_d, lane));
+        let stalled = match fate {
+            // "Lost on the wire": the retransmit duty recovers it.
+            FrameFate::Drop => false,
+            FrameFate::Dup => {
+                let a = post(buf.clone())?;
+                let b = post(buf)?;
+                a || b
             }
+            FrameFate::Corrupt => {
+                // Line noise: a bit-flipped *copy* goes out while the ring
+                // keeps the pristine bytes for the retransmit the
+                // receiver's CRC reject will provoke.
+                let mut copy = mesh.pool.copy_bytes(&buf);
+                if let (Some(c), Some(bytes)) = (chaos.as_ref(), copy.as_mut_slice()) {
+                    c.corrupt_bytes(bytes);
+                }
+                post(copy)?
+            }
+            FrameFate::Deliver => post(buf)?,
         };
-        if segs > 1 {
-            mesh.striped_msgs.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut stalled = false;
-        for i in 0..segs {
-            let lo = (i * seg_len).min(payload.len());
-            let hi = ((i + 1) * seg_len).min(payload.len());
-            let seg_seq = seq + i as u64;
-            // Scatter: segment i rides lane (stripe + i) over the
-            // survivors; an unstriped message is the i == 0 case on its
-            // usual lane.
-            let seg_lane = mesh.seg_lane(src, i).unwrap_or(lane);
-            let q = mesh
-                .queues
-                .get(&(node_s, node_d, seg_lane))
-                .ok_or_else(|| FabricError::LaneDead {
-                    lane: seg_lane,
-                    detail: "no send queue for this node pair".into(),
-                })?;
-            let slot = mesh.slot((node_s, node_d, seg_lane));
-            // The ack this lane owes the peer rides along in `aux`
-            // (watermark + 1; 0 = none aboard).
-            let aux = slot.owed_ack(LaneRx::take_ack).map_or(0, |wm| wm + 1);
-            let frame = Frame {
-                kind: FrameKind::Eager,
-                src: src as u32,
-                dst: dst as u32,
-                tag: key.2,
-                seq: seg_seq,
-                aux,
-                seg_idx: i as u16,
-                seg_count: if segs > 1 { segs as u16 } else { 0 },
-                payload: Vec::new(),
-            };
-            // The one encode on the send path: header + payload laid out
-            // into a pooled buffer, as the next frame of its lane; every
-            // holder below is a refcount.
-            let lseq = slot.tx.reserve();
-            let buf = mesh.pool.encode_seg(&frame, &payload[lo..hi], lseq);
-            // Register for retransmit before the frame can be lost: the
-            // lane's ring holds a refcount on the same pooled bytes, and
-            // its cumulative ack pops a prefix.
-            let pending = PendingFrame::new(lseq, key, seg_seq, buf.clone(), mesh.cfg.rto);
-            let unacked = slot.tx.insert(pending);
-            // Chaos rolls a fate per segment (cut edge, degraded lane,
-            // then the per-class streams): each is an ordinary frame to
-            // lose, duplicate, corrupt, recover.
-            let fate = chaos
-                .as_ref()
-                .map_or(FrameFate::Deliver, |c| c.fate_for(node_s, node_d, seg_lane));
-            let pushed = match fate {
-                // "Lost on the wire": the retransmit duty recovers it.
-                FrameFate::Drop => false,
-                FrameFate::Dup => {
-                    let a = post(q, seg_lane, unacked, buf.clone())?;
-                    let b = post(q, seg_lane, unacked, buf)?;
-                    a || b
-                }
-                FrameFate::Corrupt => {
-                    // Line noise: a bit-flipped *copy* goes out while the
-                    // ring keeps the pristine bytes for the retransmit
-                    // the receiver's CRC reject will provoke.
-                    let mut copy = mesh.pool.copy_bytes(&buf);
-                    if let (Some(c), Some(bytes)) = (chaos.as_ref(), copy.as_mut_slice()) {
-                        c.corrupt_bytes(bytes);
-                    }
-                    post(q, seg_lane, unacked, copy)?
-                }
-                FrameFate::Deliver => post(q, seg_lane, unacked, buf)?,
-            };
-            stalled |= pushed;
-        }
         if stalled {
             ctrs.stalls.fetch_add(1, Ordering::Relaxed);
         }
@@ -735,7 +688,6 @@ impl Fabric for TcpFabric {
             local_bytes: mesh.local_bytes.load(Ordering::Relaxed),
             retransmits: mesh.retransmits.load(Ordering::Relaxed),
             ack_frames: mesh.ack_frames.load(Ordering::Relaxed),
-            striped_msgs: mesh.striped_msgs.load(Ordering::Relaxed),
             inline_sends: mesh.inline_sends.load(Ordering::Relaxed),
             rank_reads: mesh.rank_reads.load(Ordering::Relaxed),
             driver_frames: mesh.driver_frames.load(Ordering::Relaxed),

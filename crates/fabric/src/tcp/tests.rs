@@ -99,7 +99,7 @@ fn recv_timeout_diag_names_backend_lane_and_queue() {
         FabricError::Timeout(d) => {
             assert_eq!(d.backend, "tcp");
             assert_eq!(d.chan, (1, 4, 5));
-            assert_eq!(d.lane, Some(1), "rank 1 stripes onto lane 1 of 2");
+            assert_eq!(d.lane, Some(1), "rank 1 rides lane 1 of 2");
             assert_eq!(d.send_queue_depth, Some(0));
             assert!(d.dead_lanes.is_empty());
         }
@@ -282,21 +282,13 @@ fn retransmit_exhaustion_is_a_typed_peer_dead_verdict() {
     }
 }
 
-fn striped(lanes: usize, stripe_min: usize) -> TcpFabric {
-    striped_rto(lanes, stripe_min, Duration::from_millis(5))
-}
-
-fn striped_rto(lanes: usize, stripe_min: usize, rto: Duration) -> TcpFabric {
-    TcpFabric::connect(
-        Topology::new(2, 4),
-        TcpConfig {
-            lanes,
-            stripe_min,
-            rto,
-            ..TcpConfig::default()
-        },
-    )
-    .expect("loopback fabric")
+/// Payload frames numbered so far on each lane from node `from` to node
+/// `to`: a message is one frame, so this counts the frames each lane
+/// carried (a lane kill's migration numbers moved frames again).
+fn frames_per_lane(f: &TcpFabric, from: usize, to: usize) -> Vec<u64> {
+    (0..f.mesh.cfg.lanes)
+        .map(|l| f.mesh.slot((from, to, l)).tx.next.load(Ordering::Relaxed))
+        .collect()
 }
 
 /// A retransmit timeout for tests that [`await_acks`]. An ack is
@@ -327,12 +319,10 @@ fn await_acks(f: &TcpFabric, what: &str) {
 
 #[test]
 fn default_config_stripes_large_messages_into_eager_segments() {
-    // The shape the benchmark runs: default stripe_min (8 KiB). Every
-    // message goes as eager frames whatever its size:
-    // at k = 2 a 128 KiB message splits into two 64 KiB segments; with
-    // one lane there is nothing to stripe over and it goes whole, as
-    // one frame.
-    for (lanes, striped) in [(2, 1), (1, 0)] {
+    // The shape the benchmark runs: the default config at k = 2 and
+    // k = 1. Every message goes whole as one eager frame on its
+    // sender's lane, whatever its size.
+    for lanes in [2, 1] {
         let f = TcpFabric::connect(
             Topology::new(2, 1),
             TcpConfig {
@@ -345,24 +335,20 @@ fn default_config_stripes_large_messages_into_eager_segments() {
         let big: Vec<u8> = (0..128 * 1024u32).map(|i| (i % 251) as u8).collect();
         f.send((0, 1, 0), big.clone()).unwrap();
         assert_eq!(f.recv((0, 1, 0)).unwrap(), big, "k = {lanes}");
-        assert_eq!(f.stats().striped_msgs, striped, "k = {lanes}");
-        // One byte under stripe_min rides its sender's lane whole.
-        let below = vec![7u8; 8 * 1024 - 1];
-        f.send((0, 1, 1), below.clone()).unwrap();
-        assert_eq!(f.recv((0, 1, 1)).unwrap(), below);
-        assert_eq!(
-            f.stats().striped_msgs,
-            striped,
-            "below stripe_min nothing splits"
-        );
+        let small = vec![7u8; 8 * 1024 - 1];
+        f.send((0, 1, 1), small.clone()).unwrap();
+        assert_eq!(f.recv((0, 1, 1)).unwrap(), small);
+        let mut want = vec![0; lanes];
+        want[0] = 2;
+        assert_eq!(frames_per_lane(&f, 0, 1), want, "k = {lanes}");
         // Large frames are acked like small ones.
         await_acks(&f, &format!("k = {lanes}"));
     }
 }
 
-// The next four tests keep the names they had when large messages took
-// a rendezvous handshake; each now checks the same payload on the one
-// eager path.
+// Tests named for rendezvous or striping keep the names they had when
+// large messages took a handshake or split over lanes; each now checks
+// the same payload, order or failover on whole messages.
 
 #[test]
 fn rendezvous_payload_is_intact() {
@@ -378,9 +364,8 @@ fn rendezvous_payload_is_intact() {
     let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
     f.send((0, 1, 3), big.clone()).unwrap();
     assert_eq!(f.recv((0, 1, 3)).unwrap(), big);
-    let s = f.stats();
-    assert_eq!(s.total_msgs(), 1);
-    assert_eq!(s.striped_msgs, 0);
+    assert_eq!(f.stats().total_msgs(), 1);
+    assert_eq!(frames_per_lane(&f, 0, 1), [1]);
 }
 
 #[test]
@@ -402,44 +387,28 @@ fn rendezvous_transfers_record_ack_rtt() {
 }
 
 #[test]
-fn striped_eager_message_scatters_over_all_lanes() {
-    let f = striped(4, 16);
-    let big: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
-    f.send((0, 4, 0), big.clone()).unwrap();
-    assert_eq!(f.recv((0, 4, 0)).unwrap(), big);
-    let s = f.stats();
-    assert_eq!(s.total_msgs(), 1, "a striped message still counts once");
-    assert_eq!(s.total_bytes(), 8192);
-    assert_eq!(s.striped_msgs, 1);
-}
-
-#[test]
-fn striping_bypasses_rendezvous_when_segments_fit_eager() {
-    // 8 KiB over 4 lanes from sender 1, whose stripe starts on lane 1:
-    // four 2 KiB segments.
-    let f = striped(4, 16);
-    let big: Vec<u8> = (0..8192u32).map(|i| (i % 249) as u8).collect();
-    f.send((1, 4, 2), big.clone()).unwrap();
-    assert_eq!(f.recv((1, 4, 2)).unwrap(), big);
-    assert_eq!(f.stats().striped_msgs, 1);
-}
-
-#[test]
 fn striped_rendezvous_payload_is_intact() {
-    // 100 000 B over 4 lanes: four 25 000 B eager segments.
-    let f = striped_rto(4, 16, ACKED_RTO);
+    // 100 000 B from sender 1 over 4 lanes: one frame on lane 1.
+    let f = TcpFabric::connect(
+        Topology::new(2, 4),
+        TcpConfig {
+            lanes: 4,
+            rto: ACKED_RTO,
+            ..TcpConfig::default()
+        },
+    )
+    .unwrap();
     let big: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-    f.send((0, 4, 3), big.clone()).unwrap();
-    assert_eq!(f.recv((0, 4, 3)).unwrap(), big);
-    let s = f.stats();
-    assert_eq!(s.total_msgs(), 1);
-    assert_eq!(s.striped_msgs, 1);
-    await_acks(&f, "striped 100 000 B");
+    f.send((1, 4, 3), big.clone()).unwrap();
+    assert_eq!(f.recv((1, 4, 3)).unwrap(), big);
+    assert_eq!(f.stats().total_msgs(), 1);
+    assert_eq!(frames_per_lane(&f, 0, 1), [0, 1, 0, 0]);
+    await_acks(&f, "100 000 B");
 }
 
 #[test]
 fn small_messages_stay_on_the_modulo_fast_path_under_stripe() {
-    let f = striped(4, 1024);
+    let f = fast_rto(4, 4);
     for src in 0..4 {
         f.send((src, 4, 0), vec![src as u8; 8]).unwrap();
     }
@@ -447,23 +416,68 @@ fn small_messages_stay_on_the_modulo_fast_path_under_stripe() {
         assert_eq!(f.recv((src, 4, 0)).unwrap(), vec![src as u8; 8]);
     }
     let s = f.stats();
-    assert_eq!(s.striped_msgs, 0, "below stripe_min nothing splits");
     for lane in 0..4 {
         assert_eq!(s.lanes[lane].msgs, 1, "one sender per lane");
+    }
+    assert_eq!(frames_per_lane(&f, 0, 1), [1, 1, 1, 1]);
+}
+
+#[test]
+fn a_large_message_rides_its_senders_lane_whole() {
+    // 128 KiB from local ranks 0 and 1 at k = 2 and k = 4: each is one
+    // frame on its sender's lane. After that lane dies the sender's next
+    // message goes whole on a survivor, byte-exact.
+    let big = |src: usize, n: u32| -> Vec<u8> {
+        (0..128 * 1024u32)
+            .map(|i| (i % 251) as u8 ^ (src as u8) ^ (n as u8))
+            .collect()
+    };
+    for lanes in [2usize, 4] {
+        for src in [0usize, 1] {
+            let f = TcpFabric::connect(
+                Topology::new(2, 4),
+                TcpConfig {
+                    lanes,
+                    rto: ACKED_RTO,
+                    ..TcpConfig::default()
+                },
+            )
+            .unwrap();
+            let key = (src, 4 + src, 2);
+            f.send(key, big(src, 0)).unwrap();
+            assert_eq!(f.recv(key).unwrap(), big(src, 0), "k = {lanes}");
+            let mut want = vec![0u64; lanes];
+            want[src] = 1;
+            assert_eq!(frames_per_lane(&f, 0, 1), want, "k = {lanes} src {src}");
+            // Nothing unacked is left to migrate: the kill moves no frame.
+            await_acks(&f, "first message");
+            assert!(f.kill_lane(src));
+            f.send(key, big(src, 1)).unwrap();
+            assert_eq!(f.recv(key).unwrap(), big(src, 1), "k = {lanes} src {src}");
+            let after = frames_per_lane(&f, 0, 1);
+            assert_eq!(after[src], 1, "k = {lanes}: the dead lane carried more");
+            assert_eq!(
+                after.iter().sum::<u64>(),
+                2,
+                "k = {lanes} src {src}: {after:?}"
+            );
+            assert_eq!(f.stats().total_msgs(), 2);
+            assert!(f.drain_errors().is_empty());
+        }
     }
 }
 
 #[test]
 fn striped_fifo_survives_interleaving_and_a_lane_kill() {
-    let f = striped(4, 64);
+    let f = fast_rto(4, 4);
     let mk = |i: u8, n: usize| vec![i; n];
     for i in 0..6u8 {
-        // Alternate striped (256 B) and unstriped (8 B) messages on
-        // one channel; kill a lane mid-stream.
+        // Alternate 256 B and 8 B messages on one channel; kill the
+        // sender's lane mid-stream.
         f.send((0, 4, 1), mk(i, if i % 2 == 0 { 256 } else { 8 }))
             .unwrap();
         if i == 3 {
-            assert!(f.kill_lane(2));
+            assert!(f.kill_lane(0));
         }
     }
     for i in 0..6u8 {
@@ -474,7 +488,7 @@ fn striped_fifo_survives_interleaving_and_a_lane_kill() {
 
 #[test]
 fn striped_eager_recovers_from_chaos_drops() {
-    let f = striped(2, 64);
+    let f = fast_rto(2, 4);
     let wire = Arc::new(WireChaos::new(&ChaosConfig {
         drop: 0.3,
         seed: 17,
@@ -488,7 +502,10 @@ fn striped_eager_recovers_from_chaos_drops() {
     for m in &msgs {
         assert_eq!(&f.recv((0, 4, 5)).unwrap(), m);
     }
-    assert!(wire.dropped() > 0, "seed 17 must drop something in 60 segs");
+    assert!(
+        wire.dropped() > 0,
+        "seed 17 must drop something in 30 frames"
+    );
     assert!(f.drain_errors().is_empty(), "recovery is not an error");
 }
 
@@ -542,7 +559,7 @@ fn gray_failing_lane_is_demoted_and_restored_after_the_fault_clears() {
     // sockets stay connected — the case fail-stop detection cannot
     // see (no error, no disconnect, just loss).
     wire.degrade_lane(1, 1.0);
-    // Sender local rank 1 nominally stripes onto lane 1, so every
+    // Sender local rank 1 nominally rides lane 1, so every
     // first transmission is eaten; each retransmit blames lane 1.
     for i in 0..8u8 {
         f.send((1, 3, 7), vec![i]).unwrap();
@@ -1071,7 +1088,8 @@ fn large_message_survives_a_broken_connection() {
 
 #[test]
 fn striped_large_message_survives_a_lane_kill() {
-    // Two lanes: 150 KiB segments, and the one on lane 0 dies with it.
+    // Two lanes: the 300 KiB message is one frame on sender 0's lane 0,
+    // which dies with it; the frame moves to lane 1.
     survives(2, 300 * 1024, |f| assert!(f.kill_lane(0)));
 }
 

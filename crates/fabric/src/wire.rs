@@ -15,8 +15,8 @@
 //!     11     4  tag
 //!     15     8  seq         per-channel sequence (EAGER), lane watermark (ACK)
 //!     23     8  aux         piggybacked ack: reverse lane watermark + 1 (EAGER)
-//!     31     2  seg_idx     segment index within a striped message
-//!     33     2  seg_count   total segments (0 or 1 = unsegmented)
+//!     31     2  seg_idx     reserved: 0
+//!     33     2  seg_count   reserved: 0 or 1
 //!     35     8  payload len
 //!     43     8  lseq        per-lane sequence (EAGER)
 //!     51     4  CRC-32C     over bytes [0..51) ++ payload
@@ -76,14 +76,12 @@
 //! drops its payload, so a lost ack costs one duplicate frame, never a
 //! duplicate message, and never a stuck sender.
 //!
-//! A message at or above `tcp::TcpConfig::stripe_min` is split into up
-//! to k segments, each an ordinary sequenced
-//! frame on its own lane. `seg_idx`/`seg_count` tell the receive side
-//! how to reassemble: segments of one message occupy *consecutive*
-//! channel sequence numbers, so the existing hold-back/dedup machinery
-//! orders and de-duplicates them for free, and `store::MsgStore` glues
-//! `seg_count` consecutive deliveries back into one message before FIFO
-//! release. `seg_count` 0 or 1 means the frame carries a whole message.
+//! Every message is one frame. `seg_idx` and `seg_count` once named one
+//! segment of a message split over lanes; they are reserved now. Senders
+//! write 0, and a checksum-valid frame with `seg_idx ≠ 0` or
+//! `seg_count > 1` is a [`WireError::Segmented`] stream error, so a peer
+//! that still splits messages is refused rather than having each
+//! segment delivered as a message of its own.
 
 use std::fmt;
 
@@ -348,6 +346,15 @@ pub enum WireError {
         /// The declared length.
         len: u64,
     },
+    /// A checksum-valid frame that claims to be one segment of a split
+    /// message: its reserved segment fields are not 0 (a peer that
+    /// still splits messages over lanes).
+    Segmented {
+        /// The frame's `seg_idx`.
+        seg_idx: u16,
+        /// The frame's `seg_count`.
+        seg_count: u16,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -366,6 +373,10 @@ impl fmt::Display for WireError {
             WireError::Oversize { len } => {
                 write!(f, "declared payload length {len} exceeds {MAX_PAYLOAD}")
             }
+            WireError::Segmented { seg_idx, seg_count } => write!(
+                f,
+                "segment {seg_idx} of {seg_count}: messages are never split"
+            ),
         }
     }
 }
@@ -393,8 +404,7 @@ impl WireError {
 /// Frame discriminator (third header byte).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Payload inline: a whole message, or one segment of a striped
-    /// one.
+    /// Payload inline: one whole message.
     Eager = 1,
     /// Cumulative acknowledgement: `seq` is the receiver's watermark
     /// for the lane the frame arrives on; the sender drops every frame
@@ -436,11 +446,10 @@ pub struct Frame {
     /// A piggybacked cumulative ack for the lane in the reverse
     /// direction (EAGER): `watermark + 1`, with 0 meaning no ack aboard.
     pub aux: u64,
-    /// Segment index within a striped message (EAGER at or above the
-    /// stripe threshold); 0 otherwise.
+    /// Reserved, written as 0: a frame decodes only with `seg_idx` 0.
     pub seg_idx: u16,
-    /// Total segments of the striped message this frame belongs to.
-    /// 0 or 1 means the frame carries a whole, unsegmented message.
+    /// Reserved, written as 0: a frame decodes only with `seg_count` 0
+    /// or 1.
     pub seg_count: u16,
     /// Inline payload (EAGER; empty otherwise).
     pub payload: Vec<u8>,
@@ -480,10 +489,9 @@ impl Frame {
     }
 
     /// [`Frame::encode_into_with`] as frame `lseq` of its lane. This is
-    /// how the stripe send path encodes each segment straight from a
-    /// sub-slice of the caller's message — one header per segment, zero
-    /// intermediate payload copies. The single encode choke point: every
-    /// frame that reaches a wire is checksummed here.
+    /// how the send path encodes a frame straight from the caller's
+    /// message, with no intermediate payload copy. The single encode
+    /// choke point: every frame that reaches a wire is checksummed here.
     pub(crate) fn encode_lane_into(&self, out: &mut Vec<u8>, payload: &[u8], lseq: u64) {
         out.clear();
         out.reserve(HEADER_LEN + payload.len());
@@ -571,6 +579,11 @@ impl Frame {
         let Some(kind) = FrameKind::from_u8(bytes[2]) else {
             return Err(WireError::BadKind { got: bytes[2] });
         };
+        let seg_idx = u16::from_le_bytes(bytes[31..33].try_into().unwrap());
+        let seg_count = u16::from_le_bytes(bytes[33..35].try_into().unwrap());
+        if seg_idx != 0 || seg_count > 1 {
+            return Err(WireError::Segmented { seg_idx, seg_count });
+        }
         Ok(Prefix::Ok(
             Frame {
                 kind,
@@ -579,8 +592,8 @@ impl Frame {
                 tag: u32::from_le_bytes(bytes[11..15].try_into().unwrap()),
                 seq: u64::from_le_bytes(bytes[15..23].try_into().unwrap()),
                 aux: u64::from_le_bytes(bytes[23..31].try_into().unwrap()),
-                seg_idx: u16::from_le_bytes(bytes[31..33].try_into().unwrap()),
-                seg_count: u16::from_le_bytes(bytes[33..35].try_into().unwrap()),
+                seg_idx,
+                seg_count,
                 payload: bytes[HEADER_LEN..total].to_vec(),
             },
             u64::from_le_bytes(bytes[LSEQ_OFFSET..CRC_OFFSET].try_into().unwrap()),
@@ -756,8 +769,8 @@ mod tests {
                 tag: 42,
                 seq: 9,
                 aux: 77,
-                seg_idx: 2,
-                seg_count: 5,
+                seg_idx: 0,
+                seg_count: 0,
                 payload,
             };
             let bytes = f.encode();
@@ -793,8 +806,8 @@ mod tests {
             tag: 3,
             seq: 4,
             aux: 5,
-            seg_idx: 1,
-            seg_count: 2,
+            seg_idx: 0,
+            seg_count: 0,
             payload: vec![6, 7],
         };
         let mut buf = vec![0xFFu8; 500];
@@ -803,24 +816,63 @@ mod tests {
     }
 
     #[test]
-    fn segment_fields_sit_at_their_documented_offsets() {
-        let f = Frame {
+    fn segmented_frames_are_rejected_as_malformed() {
+        // The reserved segment fields sit at 31..33 and 33..35. A
+        // checksum-valid frame claiming a segment of a split message is
+        // a protocol disagreement: the reader drops the stream and
+        // records it as malformed, as it does an unknown kind.
+        for (seg_idx, seg_count) in [(1u16, 0u16), (0, 2), (3, 7)] {
+            let bytes = Frame {
+                kind: FrameKind::Eager,
+                src: 1,
+                dst: 2,
+                tag: 3,
+                seq: 10,
+                aux: 4,
+                seg_idx,
+                seg_count,
+                payload: vec![0xAA; 5],
+            }
+            .encode();
+            assert_eq!(
+                u16::from_le_bytes(bytes[31..33].try_into().unwrap()),
+                seg_idx
+            );
+            assert_eq!(
+                u16::from_le_bytes(bytes[33..35].try_into().unwrap()),
+                seg_count
+            );
+            let mut dec = FrameDecoder::new();
+            dec.feed(&bytes);
+            let err = dec.next_frame().unwrap_err();
+            assert_eq!(err, WireError::Segmented { seg_idx, seg_count });
+            match err.malformed(1, 0) {
+                FabricError::MalformedFrame {
+                    lane: 1,
+                    detail,
+                    expected_version: None,
+                    got: None,
+                } => assert!(
+                    detail.contains(&format!("segment {seg_idx} of {seg_count}")),
+                    "{detail}"
+                ),
+                other => panic!("expected MalformedFrame, got {other:?}"),
+            }
+            assert_eq!(dec.take_corrupt(), 0, "a checksummed frame is no noise");
+        }
+        // `seg_count` 1 was always a whole message.
+        let whole = Frame {
             kind: FrameKind::Eager,
             src: 1,
             dst: 2,
             tag: 3,
             seq: 10,
             aux: 4,
-            seg_idx: 3,
-            seg_count: 7,
+            seg_idx: 0,
+            seg_count: 1,
             payload: vec![0xAA; 5],
         };
-        let bytes = f.encode();
-        assert_eq!(u16::from_le_bytes(bytes[31..33].try_into().unwrap()), 3);
-        assert_eq!(u16::from_le_bytes(bytes[33..35].try_into().unwrap()), 7);
-        assert_eq!(u64::from_le_bytes(bytes[35..43].try_into().unwrap()), 5);
-        let back = decode_one(&bytes);
-        assert_eq!((back.seg_idx, back.seg_count), (3, 7));
+        assert_eq!(decode_one(&whole.encode()), whole);
     }
 
     #[test]
@@ -852,8 +904,8 @@ mod tests {
             tag: 3,
             seq: 4,
             aux: 0,
-            seg_idx: 1,
-            seg_count: 4,
+            seg_idx: 0,
+            seg_count: 0,
             payload: vec![],
         };
         let mut out = Vec::new();

@@ -471,7 +471,7 @@ where
 ///
 /// The internode transport is chosen by the environment
 /// (`PIPMCOLL_FABRIC`, see [`pipmcoll_fabric::from_env`]): in-process
-/// channels by default, real loopback TCP with striped lanes when
+/// channels by default, real loopback TCP with k lanes when
 /// `PIPMCOLL_FABRIC=tcp` — which lets the entire test suite double as a
 /// socket-transport soak without code changes.
 pub fn run_cluster_timed<S, I, F>(

@@ -12,7 +12,7 @@
 //! trace recorder, so every algorithm in `pipmcoll-core` runs here
 //! unchanged. Internode point-to-point goes through the pluggable
 //! [`pipmcoll_fabric::Fabric`] transport: in-process channels by default,
-//! or real loopback TCP with k striped lanes (`PIPMCOLL_FABRIC=tcp`, or
+//! or real loopback TCP with k lanes (`PIPMCOLL_FABRIC=tcp`, or
 //! explicitly via [`cluster::run_cluster_on`]) so the paper's multi-object
 //! claim is exercised against a transport with genuine injection costs.
 //! The runtime is used for *correctness cross-validation* at small scale

@@ -7,7 +7,7 @@
 //! * `pipmcoll_rt::RtComm` — executes ops directly on threads sharing an
 //!   address space (the PiP substitution, real data movement); its
 //!   internode sends/recvs travel over a pluggable `pipmcoll_fabric`
-//!   transport (in-process channels or real lane-striped TCP sockets).
+//!   transport (in-process channels or real multi-lane TCP sockets).
 //!
 //! An algorithm is a plain function `fn algo<C: Comm>(c: &mut C, ...)`
 //! invoked once per rank; `c.rank()` tells it who it is. Control flow may

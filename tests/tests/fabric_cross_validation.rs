@@ -1,7 +1,7 @@
 //! Fabric cross-validation: the full collective grid must produce
 //! byte-identical results whether internode messages travel over the
 //! in-process channel backend or over real loopback TCP sockets with
-//! k ∈ {1, 2, 4} striped lanes.
+//! k ∈ {1, 2, 4} lanes.
 //!
 //! The in-process run goes through [`run_cluster_verified_on`], so the
 //! schedule is proven race- and deadlock-free once; the TCP runs reuse
@@ -188,21 +188,23 @@ fn chaos_cross_validate(
 }
 
 /// The dirty-wire grid: seeded bit-flip corruption on top of drops and
-/// duplicates, for each lane count. `stripe_min` is 64 bytes, below
-/// every payload here, so with 2+ lanes each message splits into
-/// per-lane segments and the faults land on segments. Every injected
+/// duplicates, for each lane count. Every message rides its sender's
+/// lane whole, so with 2+ lanes a node's ranks spread the faults over
+/// several lanes. Every injected
 /// flip is confined to the CRC field + payload, so it must surface as a
 /// receiver-side checksum mismatch (`corrupt_frames`) and be healed by
 /// the same retransmit path that absorbs drops — the run must stay
 /// byte-identical to the clean in-process reference with zero rank
-/// failures. Returns the total injected-corruption count so the caller
-/// can assert the grid was not vacuously clean.
+/// failures. Adds the injected corruptions and each lane's payload
+/// messages to `tally`, so the caller can assert the grid was not
+/// vacuously clean or confined to one lane.
 fn dirty_cross_validate(
     lib: LibraryProfile,
     nodes: usize,
     ppn: usize,
     spec: CollectiveSpec,
-) -> u64 {
+    tally: &mut DirtyTally,
+) {
     let topo = Topology::new(nodes, ppn);
     let algo = LibAlgo { lib, spec };
     let sizes: Vec<BufSizes> = build_schedule(lib, topo, &spec)
@@ -219,13 +221,11 @@ fn dirty_cross_validate(
         &algo,
     );
     reference.expect_clean();
-    let mut injected = 0;
     for lanes in [1usize, 2, 4] {
         let tcp = TcpFabric::connect(
             topo,
             TcpConfig {
                 lanes,
-                stripe_min: 64,
                 rto: Duration::from_millis(5),
                 ..TcpConfig::default()
             },
@@ -286,16 +286,9 @@ fn dirty_cross_validate(
             cf.wire().corrupted(),
             res.fabric_stats.retransmits
         );
-        // The faults must land on segments, not only on whole messages,
-        // and on frames the ranks wrote themselves, not only on the
-        // workers' queue.
+        // The faults must land on frames the ranks wrote themselves,
+        // not only on the workers' queue.
         if lanes >= 2 {
-            assert!(
-                res.fabric_stats.striped_msgs > 0,
-                "{} {nodes}x{ppn} k={lanes}: no message striped — the grid ran \
-                 on the whole-message path only",
-                lib.name()
-            );
             assert!(
                 res.fabric_stats.inline_sends > 0,
                 "{} {nodes}x{ppn} k={lanes}: no frame went inline — the grid ran \
@@ -303,9 +296,21 @@ fn dirty_cross_validate(
                 lib.name()
             );
         }
-        injected += cf.wire().corrupted();
+        tally.injected += cf.wire().corrupted();
+        let per_lane = tally.lane_msgs.entry(lanes).or_insert(vec![0; lanes]);
+        for (sum, l) in per_lane.iter_mut().zip(&res.fabric_stats.lanes) {
+            *sum += l.msgs;
+        }
     }
-    injected
+}
+
+/// What the dirty-wire grid put on the wire, summed over its specs.
+#[derive(Default)]
+struct DirtyTally {
+    /// Injected corruptions.
+    injected: u64,
+    /// Payload messages per lane, keyed by lane count.
+    lane_msgs: std::collections::BTreeMap<usize, Vec<u64>>,
 }
 
 #[test]
@@ -313,30 +318,44 @@ fn collective_grid_survives_dirty_wire() {
     // One spec per collective family, each over k ∈ {1, 2, 4} lanes
     // with seeded corrupt:0.02,drop:0.05,dup:0.02. Injected corruptions
     // are summed across the grid: the test is vacuous unless some frame
-    // was actually flipped on the wire.
-    let mut injected = dirty_cross_validate(
+    // was actually flipped on the wire. Lane use is summed too: the
+    // scatter's internode messages all leave from its root, so they ride
+    // one lane, but at k ≥ 2 the grid must put payload on two or more.
+    let mut tally = DirtyTally::default();
+    dirty_cross_validate(
         LibraryProfile::PipMColl,
         2,
         3,
         CollectiveSpec::Scatter(ScatterParams { cb: 256, root: 0 }),
+        &mut tally,
     );
-    injected += dirty_cross_validate(
+    dirty_cross_validate(
         LibraryProfile::PipMColl,
         3,
         2,
         CollectiveSpec::Allgather(AllgatherParams { cb: 128 }),
+        &mut tally,
     );
-    injected += dirty_cross_validate(
+    dirty_cross_validate(
         LibraryProfile::IntelMpi,
         2,
         3,
         CollectiveSpec::Allreduce(AllreduceParams::sum_doubles(100)),
+        &mut tally,
     );
     assert!(
-        injected > 0,
+        tally.injected > 0,
         "seeded 2% corruption over the whole grid flipped no frames — \
          corruption injection is not wired up"
     );
+    for (lanes, msgs) in tally.lane_msgs.range(2..) {
+        let carried = msgs.iter().filter(|&&m| m > 0).count();
+        assert!(
+            carried >= 2,
+            "k={lanes}: payload frames rode {carried} lane(s) ({msgs:?}) — \
+             the grid ran on one lane only"
+        );
+    }
 }
 
 #[test]
@@ -369,8 +388,8 @@ fn allgather_grid_over_tcp() {
             }
         }
     }
-    // Large-message ring path: over TCP, its 96 KiB blocks go as one
-    // frame at k = 1 and as per-lane segments at k = 2 and 4.
+    // Large-message ring path: over TCP, each 96 KiB block goes whole
+    // as one frame on its sender's lane.
     cross_validate(
         LibraryProfile::PipMColl,
         3,
