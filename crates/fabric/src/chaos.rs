@@ -522,15 +522,17 @@ impl WireChaos {
         }
     }
 
-    /// Flip 1–3 seeded bits in an encoded frame, confined to the CRC
-    /// field and payload (`wire::HEADER_LEN − 4` onward). Flips there
-    /// always present as a checksum mismatch — the silent-drop path the
-    /// retransmit machinery absorbs — never as a garbled header, which
-    /// would tear the whole connection down and test reconnect instead
-    /// of integrity.
-    pub fn corrupt_bytes(&self, bytes: &mut [u8]) {
+    /// Flip 1–3 seeded bits in an encoded frame, given as its header and
+    /// its payload, confined to the CRC field and payload
+    /// (`wire::HEADER_LEN − 4` onward, counted over the two parts as one
+    /// byte string). Flips there always present as a checksum mismatch —
+    /// the silent-drop path the retransmit machinery absorbs — never as
+    /// a garbled header, which would tear the whole connection down and
+    /// test reconnect instead of integrity.
+    pub fn corrupt_bytes(&self, header: &mut [u8], payload: &mut [u8]) {
         let lo = crate::wire::HEADER_LEN - 4;
-        if bytes.len() <= lo {
+        let len = header.len() + payload.len();
+        if len <= lo {
             return;
         }
         let Ok(mut rng) = self.flip_rng.lock() else {
@@ -541,8 +543,12 @@ impl WireChaos {
         // `corrupt_frames ≥ corrupted()` accounting depends on it.
         let flips = if rng.flip() { 1 } else { 3 };
         for _ in 0..flips {
-            let at = rng.range(lo, bytes.len());
-            bytes[at] ^= 1 << rng.range(0, 8);
+            let at = rng.range(lo, len);
+            let byte = match at.checked_sub(header.len()) {
+                Some(i) => &mut payload[i],
+                None => &mut header[at],
+            };
+            *byte ^= 1 << rng.range(0, 8);
         }
     }
 
@@ -983,12 +989,17 @@ mod tests {
         });
         let lo = crate::wire::HEADER_LEN - 4;
         for len in [crate::wire::HEADER_LEN, crate::wire::HEADER_LEN + 64] {
-            let clean = vec![0u8; len];
-            for _ in 0..100 {
-                let mut buf = clean.clone();
-                wire.corrupt_bytes(&mut buf);
-                assert_eq!(&buf[..lo], &clean[..lo], "header prefix untouched");
-                assert_ne!(&buf[lo..], &clean[lo..], "something flipped");
+            // The frame whole in one part, and split as a pooled frame
+            // is: the flips land in the same places either way.
+            for split in [len, crate::wire::HEADER_LEN] {
+                let clean = vec![0u8; len];
+                for _ in 0..100 {
+                    let mut buf = clean.clone();
+                    let (header, payload) = buf.split_at_mut(split);
+                    wire.corrupt_bytes(header, payload);
+                    assert_eq!(&buf[..lo], &clean[..lo], "header prefix untouched");
+                    assert_ne!(&buf[lo..], &clean[lo..], "something flipped");
+                }
             }
         }
     }

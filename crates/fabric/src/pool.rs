@@ -1,49 +1,61 @@
-//! Pooled, refcounted frame buffers for the TCP fabric's send path.
+//! Pooled, refcounted frames for the TCP fabric's send path.
 //!
-//! Every eager frame used to cost three heap events: the encode
-//! allocation, a full `bytes.clone()` into the retransmit pending table,
-//! and another clone when the retransmitter re-queued it. At the
-//! small-message rates the paper cares about, the allocator — not the
-//! sockets — became the bottleneck. A [`FrameBuf`] is an `Arc`-backed
-//! byte buffer: the send queue, the retransmit ring, and any retransmit
-//! in flight all hold refcounts on the *same* encoded bytes, and when
-//! the last holder drops, the buffer returns to a bounded free-list to
-//! be reused by the next send. After warm-up the steady-state eager
-//! path performs zero heap allocations (proven by the counting-
-//! allocator test in `tests/alloc_steady_state.rs`).
+//! A [`FrameBuf`] is one frame in two parts: its encoded header, in a
+//! header-sized buffer drawn from a bounded pool, and its payload — the
+//! `Vec` the sender handed to `Fabric::send`, moved in whole. The
+//! header's CRC is taken over the payload where it lies, and the write
+//! path sends both parts as two `IoSlice`s of one `write_vectored`
+//! ([`WriteCursor`]), so the payload is never copied in user space on
+//! its way to the socket.
+//!
+//! The send queue, the write cursor, the lane's retransmit ring and any
+//! retransmit in flight all hold refcounts on the *same* frame; when
+//! the last holder drops, the header buffer, with its `Arc`, returns to
+//! a bounded free-list to frame the next send. After warm-up the
+//! steady-state eager path performs zero heap allocations (proven by
+//! the counting-allocator test in `tests/alloc_steady_state.rs`): the
+//! payload was allocated by the caller, and the pool supplies the rest.
 //!
 //! Recycling is race-free by construction: `Drop` only recycles when
 //! `Arc::strong_count == 1`, and only the *sole remaining* holder can
 //! observe a count of 1 — two concurrent droppers both see ≥ 2. A racy
 //! miss (count read as 2 while the other holder is mid-drop) merely
-//! skips one recycle; the buffer is freed normally. Correctness never
+//! skips one recycle; the frame is freed normally. Correctness never
 //! depends on recycling happening.
 //!
+//! Who frees a payload: the last holder is usually the thread that
+//! applied the lane's ack, not the sender that allocated the payload.
+//! A small payload's allocation therefore stays with the recycled
+//! buffer, emptied, and is freed when the buffer frames its next send —
+//! on the sending thread, whose allocator made it, so small-message
+//! streams keep the allocator's per-thread caches warm. Freeing them on
+//! the acking thread instead cost `fabric_sweep`'s 64 B series at k = 4
+//! about a tenth of its message rate on a 2-CPU host. A payload above
+//! `MAX_RETAIN_CAP` (4 KiB) is freed at once.
+//!
 //! Bounds: the free-list holds at most [`POOL_CAP`] (256) buffers per
-//! pool. Buffers above 256 KiB capacity are never retained — large
-//! frames would otherwise pin large allocations forever.
+//! pool, each a header and at most 4 KiB of retired payload
+//! allocation, so no large message stays pinned in the pool.
 
-use std::ops::Deref;
+use std::io::IoSlice;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-use crate::wire::Frame;
-
-/// Buffers with more capacity than this are dropped rather than
-/// recycled, so one big frame can't pin memory in the pool.
-const MAX_RETAIN_CAP: usize = 256 * 1024;
-
-/// Smallest capacity a fresh buffer gets. Control frames (acks,
-/// heartbeats) and small eager frames share the free list, so a buffer
-/// first used for a bare header must take a small payload later without
-/// growing — a regrow on the eager path is an allocation.
-const MIN_CAP: usize = 256;
+use crate::wire::{Frame, HEADER_LEN};
 
 /// Free-list bound of a [`FramePool::new`] pool, in buffers.
 pub const POOL_CAP: usize = 256;
 
+/// Largest payload allocation a recycled buffer keeps, emptied, for the
+/// next encode to free (see the module doc); larger ones are freed when
+/// their frame retires.
+const MAX_RETAIN_CAP: usize = 4096;
+
 struct BufInner {
-    data: Vec<u8>,
+    /// The encoded header: [`HEADER_LEN`] bytes once encoded.
+    header: Vec<u8>,
+    /// The payload the header announces and checksums.
+    payload: Vec<u8>,
     /// Weak so a pool can die while frames are still in flight; those
     /// frames then free normally instead of recycling.
     pool: Weak<PoolInner>,
@@ -64,10 +76,12 @@ impl PoolInner {
         let Some(inner) = Arc::get_mut(&mut arc) else {
             return;
         };
-        if inner.data.capacity() > MAX_RETAIN_CAP {
-            return;
+        inner.header.clear();
+        if inner.payload.capacity() > MAX_RETAIN_CAP {
+            inner.payload = Vec::new();
+        } else {
+            inner.payload.clear();
         }
-        inner.data.clear();
         let Ok(mut free) = self.free.lock() else {
             return;
         };
@@ -124,10 +138,9 @@ impl FramePool {
         }
     }
 
-    /// An empty buffer, recycled if one is free, freshly allocated
-    /// otherwise with room for at least `size_hint` bytes, and never
-    /// less than 256.
-    pub fn acquire(&self, size_hint: usize) -> FrameBuf {
+    /// An empty frame, recycled if one is free, freshly allocated
+    /// otherwise with room for a header.
+    pub fn acquire(&self) -> FrameBuf {
         let recycled = self.inner.free.lock().ok().and_then(|mut f| f.pop());
         let arc = match recycled {
             Some(arc) => {
@@ -137,7 +150,8 @@ impl FramePool {
             None => {
                 self.inner.misses.fetch_add(1, Ordering::Relaxed);
                 Arc::new(BufInner {
-                    data: Vec::with_capacity(size_hint.max(MIN_CAP)),
+                    header: Vec::with_capacity(HEADER_LEN),
+                    payload: Vec::new(),
                     pool: Arc::downgrade(&self.inner),
                 })
             }
@@ -145,37 +159,43 @@ impl FramePool {
         FrameBuf { arc: Some(arc) }
     }
 
-    /// Encode `frame` into a pooled buffer: the one place on the eager
-    /// path where bytes are laid out. Every later holder — send queue,
-    /// retransmit ring, retransmit — is a refcount on this buffer.
+    /// `frame` as a pooled frame of lane 0, its payload copied from
+    /// `frame.payload` (control frames carry none).
     pub fn encode(&self, frame: &Frame) -> FrameBuf {
-        self.encode_seg(frame, &frame.payload, 0)
+        self.encode_lane(frame, frame.payload.clone(), 0)
     }
 
-    /// [`FramePool::encode`] as frame `lseq` of its lane, with the
-    /// payload taken from `payload` instead of `frame.payload`: the send
-    /// path encodes straight from the caller's message, so a send costs
-    /// one pooled encode and no intermediate payload allocation.
-    pub fn encode_seg(&self, frame: &Frame, payload: &[u8], lseq: u64) -> FrameBuf {
-        let mut buf = self.acquire(crate::wire::HEADER_LEN + payload.len());
-        let inner = Arc::get_mut(buf.arc.as_mut().expect("fresh FrameBuf holds its arc"))
+    /// Frame `payload` as frame `lseq` of its lane, with the header
+    /// fields of `frame` (whose own payload is ignored): the header is
+    /// encoded into a pooled buffer, and `payload` moves in beside it
+    /// uncopied. The one place on the eager path where a frame is laid
+    /// out; every later holder — send queue, retransmit ring,
+    /// retransmit — is a refcount on it.
+    pub fn encode_lane(&self, frame: &Frame, payload: Vec<u8>, lseq: u64) -> FrameBuf {
+        let mut buf = self.acquire();
+        let inner = buf
+            .sole()
             .expect("freshly acquired buffer is uniquely owned");
-        frame.encode_lane_into(&mut inner.data, payload, lseq);
+        frame.encode_header_into(&mut inner.header, &payload, lseq);
+        // Frees the allocation a recycled buffer kept, on this thread.
+        inner.payload = payload;
         buf
     }
 
-    /// A pooled copy of already-encoded bytes. The chaos corrupt hook
-    /// uses this to bit-flip a *copy* of a frame for the wire while the
-    /// retransmit ring keeps a refcount on the pristine
-    /// original — injected corruption must be recoverable by
-    /// retransmit, so the stored bytes must stay clean.
-    pub fn copy_bytes(&self, bytes: &[u8]) -> FrameBuf {
-        let mut buf = self.acquire(bytes.len());
-        let inner = Arc::get_mut(buf.arc.as_mut().expect("fresh FrameBuf holds its arc"))
+    /// A pooled copy of frame `buf`, header and payload, that stays
+    /// mutable until shared. The chaos corrupt hook bit-flips such a
+    /// copy for the wire while the retransmit ring keeps a refcount on
+    /// the pristine original — injected corruption must be recoverable
+    /// by retransmit, so the stored bytes must stay clean — and a lane
+    /// migration restamps one.
+    pub fn copy_bytes(&self, buf: &FrameBuf) -> FrameBuf {
+        let mut copy = self.acquire();
+        let inner = copy
+            .sole()
             .expect("freshly acquired buffer is uniquely owned");
-        inner.data.clear();
-        inner.data.extend_from_slice(bytes);
-        buf
+        inner.header.extend_from_slice(buf.header());
+        inner.payload.extend_from_slice(buf.payload());
+        copy
     }
 
     /// Point-in-time pool counters.
@@ -189,9 +209,10 @@ impl FramePool {
     }
 }
 
-/// A refcounted handle on one encoded frame. `Clone` bumps the
-/// refcount (no copy); dropping the last handle recycles the buffer
-/// into its pool's free-list.
+/// A refcounted handle on one frame: its encoded header and its
+/// payload. `Clone` bumps the refcount (no copy); dropping the last
+/// handle frees the payload and recycles the header buffer into its
+/// pool's free-list.
 pub struct FrameBuf {
     /// `Some` until `Drop` takes it; never observed as `None` otherwise.
     arc: Option<Arc<BufInner>>,
@@ -204,20 +225,33 @@ impl FrameBuf {
             .expect("FrameBuf holds its arc until drop")
     }
 
-    /// Mutable access to the bytes, available only while this handle is
-    /// the sole owner (i.e. before the buffer is shared with a send
-    /// queue or retransmit ring). `None` once cloned — shared frame bytes
-    /// are immutable by construction.
-    pub fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
-        Arc::get_mut(self.arc.as_mut()?).map(|inner| inner.data.as_mut_slice())
+    /// The frame's parts, while this handle is the sole owner.
+    fn sole(&mut self) -> Option<&mut BufInner> {
+        Arc::get_mut(self.arc.as_mut()?)
     }
-}
 
-impl Deref for FrameBuf {
-    type Target = [u8];
+    /// The encoded header.
+    pub fn header(&self) -> &[u8] {
+        &self.inner().header
+    }
 
-    fn deref(&self) -> &[u8] {
-        &self.inner().data
+    /// The payload, sent right behind the header.
+    pub fn payload(&self) -> &[u8] {
+        &self.inner().payload
+    }
+
+    /// Bytes the frame takes on the wire: header and payload.
+    pub fn wire_len(&self) -> usize {
+        self.header().len() + self.payload().len()
+    }
+
+    /// Mutable access to the header and the payload, available only
+    /// while this handle is the sole owner (i.e. before the frame is
+    /// shared with a send queue or retransmit ring). `None` once cloned
+    /// — shared frame bytes are immutable by construction.
+    pub fn parts_mut(&mut self) -> Option<(&mut [u8], &mut [u8])> {
+        self.sole()
+            .map(|inner| (inner.header.as_mut_slice(), inner.payload.as_mut_slice()))
     }
 }
 
@@ -246,7 +280,7 @@ impl Drop for FrameBuf {
 
 impl std::fmt::Debug for FrameBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FrameBuf({} bytes)", self.len())
+        write!(f, "FrameBuf({} bytes)", self.wire_len())
     }
 }
 
@@ -255,17 +289,18 @@ impl std::fmt::Debug for FrameBuf {
 /// frame marking how much of it a previous `write_vectored` managed to
 /// push before `WouldBlock`.
 ///
-/// The progress pool writes by building [`std::io::IoSlice`] views over
-/// the queued frames (the front one sliced at the resume offset) — one
-/// syscall carries many frames — then [`WriteCursor::advance`]s by
-/// however many bytes the kernel accepted. Fully written frames drop
-/// their pool refcount there (the retransmit ring keeps the
-/// underlying bytes alive where needed); a torn frame simply stays at
-/// the front with a larger offset until the socket drains.
+/// The progress pool writes by building [`IoSlice`] views over the
+/// queued frames — each frame's header, then its payload, the front
+/// frame resumed at its offset in either part — so one syscall carries
+/// many frames; then [`WriteCursor::advance`]s by however many bytes the
+/// kernel accepted. Fully written frames drop their pool refcount there
+/// (the retransmit ring keeps the frame alive where needed); a torn
+/// frame simply stays at the front with a larger offset until the
+/// socket drains.
 #[derive(Default)]
 pub struct WriteCursor {
     frames: std::collections::VecDeque<FrameBuf>,
-    /// Bytes of `frames[0]` already written to the socket.
+    /// Bytes of `frames[0]` (header, then payload) already written.
     offset: usize,
     /// Total unwritten bytes across all queued frames.
     remaining: usize,
@@ -277,9 +312,9 @@ impl WriteCursor {
         WriteCursor::default()
     }
 
-    /// Queue one encoded frame behind any partially written ones.
+    /// Queue one frame behind any partially written ones.
     pub fn push(&mut self, buf: FrameBuf) {
-        self.remaining += buf.len();
+        self.remaining += buf.wire_len();
         self.frames.push_back(buf);
     }
 
@@ -298,16 +333,28 @@ impl WriteCursor {
         self.frames.len()
     }
 
-    /// Fill `out` with vectored-write views over up to `out.len()`
-    /// queued frames, the front one resumed at its offset, and return
-    /// how many were filled (0 when nothing is queued). The caller owns
-    /// the array, so a write allocates nothing.
-    pub fn io_slices<'a>(&'a self, out: &mut [std::io::IoSlice<'a>]) -> usize {
+    /// Fill `out` with vectored-write views over the queued frames, two
+    /// per frame (its header and a non-empty payload), the front frame
+    /// resumed at its offset, and return how many were filled (0 when
+    /// nothing is queued). The caller owns the array, so a write
+    /// allocates nothing.
+    pub fn io_slices<'a>(&'a self, out: &mut [IoSlice<'a>]) -> usize {
         let mut n = 0;
-        for (slot, f) in out.iter_mut().zip(&self.frames) {
-            let skip = if n == 0 { self.offset } else { 0 };
-            *slot = std::io::IoSlice::new(&f[skip..]);
-            n += 1;
+        let mut skip = self.offset;
+        for f in &self.frames {
+            for part in [f.header(), f.payload()] {
+                if skip >= part.len() {
+                    // Written already, or an empty payload.
+                    skip -= part.len();
+                    continue;
+                }
+                let Some(slot) = out.get_mut(n) else {
+                    return n;
+                };
+                *slot = IoSlice::new(&part[skip..]);
+                skip = 0;
+                n += 1;
+            }
         }
         n
     }
@@ -321,7 +368,7 @@ impl WriteCursor {
             let Some(front) = self.frames.front() else {
                 return;
             };
-            let left = front.len() - self.offset;
+            let left = front.wire_len() - self.offset;
             if n >= left {
                 n -= left;
                 self.offset = 0;
@@ -361,15 +408,29 @@ mod tests {
         }
     }
 
+    /// The frame's bytes as they go on the wire.
+    fn wire(buf: &FrameBuf) -> Vec<u8> {
+        [buf.header(), buf.payload()].concat()
+    }
+
     #[test]
-    fn encode_seg_matches_a_whole_frame_encode() {
+    fn encode_lane_matches_a_whole_frame_encode() {
+        // The header and the payload concatenate to exactly the bytes of
+        // a contiguous encode, across the tri-stream CRC threshold and an
+        // odd length: the header's checksum, taken over the payload where
+        // it lies, is the one a contiguous encode computes.
         let pool = FramePool::with_cap(4);
-        let body = [1u8, 2, 3, 4, 5, 6];
-        let seg = frame(vec![]);
-        let buf = pool.encode_seg(&seg, &body[3..], 0);
-        let mut whole = seg.clone();
-        whole.payload = body[3..].to_vec();
-        assert_eq!(&*buf, whole.encode().as_slice());
+        for len in [0usize, 64, 8 * 1024, 128 * 1024 + 1] {
+            let f = frame((0..len).map(|i| (i * 7 + 1) as u8).collect());
+            let buf = pool.encode_lane(&frame(vec![]), f.payload.clone(), 0);
+            assert_eq!(buf.header().len(), HEADER_LEN, "len {len}");
+            assert_eq!(buf.payload(), f.payload.as_slice(), "len {len}");
+            assert_eq!(wire(&buf), f.encode(), "len {len}");
+            let mut lane = Vec::new();
+            f.encode_lane_into(&mut lane, &f.payload, 9);
+            let buf = pool.encode_lane(&f, f.payload.clone(), 9);
+            assert_eq!(wire(&buf), lane, "len {len}, lseq 9");
+        }
     }
 
     #[test]
@@ -382,7 +443,7 @@ mod tests {
         drop(b);
         let s = pool.stats();
         assert_eq!((s.free, s.recycled), (1, 1));
-        let _c = pool.acquire(8);
+        let _c = pool.acquire();
         let s = pool.stats();
         assert_eq!((s.hits, s.free), (1, 0));
     }
@@ -398,7 +459,7 @@ mod tests {
         let small = frame(vec![1, 2, 3]);
         let reused = pool.encode(&small);
         assert_eq!(pool.stats().hits, 1, "must exercise the recycled path");
-        assert_eq!(&*reused, small.encode().as_slice());
+        assert_eq!(wire(&reused), small.encode());
     }
 
     #[test]
@@ -406,11 +467,22 @@ mod tests {
         let pool = FramePool::with_cap(4);
         let original = pool.encode(&frame(vec![7; 24]));
         let mut copy = pool.copy_bytes(&original);
-        assert_eq!(&*copy, &*original);
-        copy.as_mut_slice().expect("sole owner can mutate")[0] ^= 0xFF;
-        assert_ne!(&*copy, &*original, "the original stays pristine");
+        assert_eq!(wire(&copy), wire(&original));
+        let (header, payload) = copy.parts_mut().expect("sole owner can mutate");
+        header[0] ^= 0xFF;
+        payload[0] ^= 0xFF;
+        assert_ne!(
+            copy.header(),
+            original.header(),
+            "the original stays pristine"
+        );
+        assert_ne!(
+            copy.payload(),
+            original.payload(),
+            "the original stays pristine"
+        );
         let _shared = copy.clone();
-        assert!(copy.as_mut_slice().is_none(), "shared bytes are frozen");
+        assert!(copy.parts_mut().is_none(), "shared bytes are frozen");
     }
 
     #[test]
@@ -423,9 +495,21 @@ mod tests {
 
     #[test]
     fn oversized_buffers_are_not_retained() {
+        // A large frame's header buffer recycles; its payload is freed,
+        // so the pool never pins a large allocation. A small payload's
+        // allocation stays, emptied, for the next encode to free.
         let pool = FramePool::with_cap(4);
         drop(pool.encode(&frame(vec![0; MAX_RETAIN_CAP + 1])));
-        assert_eq!(pool.stats().free, 0);
+        assert_eq!(pool.stats().free, 1);
+        let reused = pool.acquire();
+        assert_eq!(pool.stats().hits, 1, "must exercise the recycled path");
+        assert_eq!(reused.inner().payload.capacity(), 0);
+        assert_eq!(reused.inner().header.capacity(), HEADER_LEN);
+        drop(reused);
+        drop(pool.encode(&frame(vec![0; MAX_RETAIN_CAP])));
+        let reused = pool.acquire();
+        assert!(reused.payload().is_empty(), "no stale payload bytes");
+        assert_eq!(reused.inner().payload.capacity(), MAX_RETAIN_CAP);
     }
 
     #[test]
@@ -452,19 +536,31 @@ mod tests {
         let mut cur = WriteCursor::new();
         let f1 = pool.encode(&frame(vec![1; 10]));
         let f2 = pool.encode(&frame(vec![2; 10]));
-        let (l1, l2) = (f1.len(), f2.len());
+        let (l1, l2) = (f1.wire_len(), f2.wire_len());
         cur.push(f1);
         cur.push(f2);
         assert_eq!(cur.remaining_bytes(), l1 + l2);
         assert_eq!(cur.frame_count(), 2);
 
-        // A torn write partway into the first frame: the slices must
-        // resume at the offset, and nothing recycles yet.
-        cur.advance(l1 - 3);
-        let mut slices = [std::io::IoSlice::new(&[]); 64];
-        assert_eq!(cur.io_slices(&mut slices), 2);
-        assert_eq!(slices[0].len(), 3);
-        assert_eq!(slices[1].len(), l2);
+        // A write torn inside the first frame's header resumes there,
+        // then sends its payload and the whole second frame.
+        cur.advance(HEADER_LEN - 5);
+        let parts_of = |cur: &WriteCursor| {
+            let mut slices = [IoSlice::new(&[]); 64];
+            let n = cur.io_slices(&mut slices);
+            slices[..n].iter().map(|s| s.to_vec()).collect::<Vec<_>>()
+        };
+        let parts = parts_of(&cur);
+        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [5, 10, HEADER_LEN, 10]);
+
+        // Torn inside its payload: the slices resume at the offset, and
+        // nothing recycles yet.
+        cur.advance(5 + 7);
+        let parts = parts_of(&cur);
+        let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [3, HEADER_LEN, 10]);
+        assert_eq!(parts[0], [1, 1, 1]);
         assert_eq!(pool.stats().free, 0);
 
         // Finishing the first frame releases it back to the pool.
@@ -476,7 +572,7 @@ mod tests {
         assert!(cur.is_empty());
         assert_eq!(cur.remaining_bytes(), 0);
         assert_eq!(pool.stats().free, 2);
-        assert_eq!(cur.io_slices(&mut [std::io::IoSlice::new(&[]); 64]), 0);
+        assert_eq!(cur.io_slices(&mut [IoSlice::new(&[]); 64]), 0);
     }
 
     #[test]
@@ -486,7 +582,13 @@ mod tests {
         for i in 0..5 {
             cur.push(pool.encode(&frame(vec![i as u8; 4])));
         }
-        assert_eq!(cur.io_slices(&mut [std::io::IoSlice::new(&[]); 3]), 3);
+        assert_eq!(cur.io_slices(&mut [IoSlice::new(&[]); 3]), 3);
+        // A frame without a payload takes one slice, not two.
+        let mut ctrl = WriteCursor::new();
+        for _ in 0..3 {
+            ctrl.push(pool.encode(&frame(vec![])));
+        }
+        assert_eq!(ctrl.io_slices(&mut [IoSlice::new(&[]); 8]), 3);
     }
 
     #[test]

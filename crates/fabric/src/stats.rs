@@ -151,6 +151,17 @@ pub struct FabricStats {
     ///
     /// [`Fabric::drive`]: crate::Fabric::drive
     pub driver_frames: u64,
+    /// Payload bytes the fabric copied in user space on the send side.
+    /// The sender's message moves into its frame whole, so this stays 0
+    /// without faults; a chaos bit-flip or a lane migration copies the
+    /// frame it alters.
+    pub send_copied_bytes: u64,
+    /// Payload bytes the fabric copied in user space on the receive side:
+    /// the part of a payload that a socket read buffered together with
+    /// its frame's header, copied into the message. The rest is read
+    /// straight into the message, so this never exceeds the payload
+    /// bytes received.
+    pub recv_copied_bytes: u64,
     /// Round-trip time from first transmission of an eager frame to the
     /// lane's cumulative ack that covered it (never from retransmissions
     /// — their acks are ambiguous).

@@ -4,10 +4,12 @@
 //! kernel reports readable, and [`drive`] runs a progress worker's pass
 //! over every endpoint from a polling thread. All of them run the same
 //! `write_step` and `read_step` as the progress pool; only the caller
-//! differs.
+//! differs. Every socket read goes through [`read_spare`], straight into
+//! the vector the bytes belong in.
 
 use std::cell::{Cell, RefCell};
-use std::ffi::{c_int, c_short};
+use std::ffi::{c_int, c_short, c_void};
+use std::io;
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,12 +46,29 @@ type Nfds = std::ffi::c_uint;
 #[cfg(unix)]
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
 }
 
 const POLLIN: c_short = 0x1;
 const POLLERR: c_short = 0x8;
 const POLLHUP: c_short = 0x10;
 const POLLNVAL: c_short = 0x20;
+
+/// Read at most `room` bytes from `stream` straight into the spare
+/// capacity of `into`, growing its length by the count read: the
+/// message's own vector or the decoder's buffer, with no bounce buffer
+/// and no zeroing pass ahead of the copy the kernel makes. `Ok(0)` is
+/// the peer closing. `room` must be positive and within the capacity.
+pub(super) fn read_spare(stream: &TcpStream, into: &mut Vec<u8>, room: usize) -> io::Result<usize> {
+    let spare = &mut into.spare_capacity_mut()[..room];
+    // SAFETY: `spare` is `room` writable bytes owned by `into`, and the
+    // descriptor stays open for the call: the caller borrows its stream.
+    let got = unsafe { read(stream.as_raw_fd(), spare.as_mut_ptr().cast(), spare.len()) };
+    let n = usize::try_from(got).map_err(|_| io::Error::last_os_error())?;
+    // SAFETY: read(2) initialized the first `n ≤ room` spare bytes.
+    unsafe { into.set_len(into.len() + n) };
+    Ok(n)
+}
 
 /// Frames a lane may have awaiting an ack and still take an inline
 /// write. A lane past it is streaming, not exchanging: its frames take
@@ -112,9 +131,6 @@ pub(super) fn write_inline(mesh: &Mesh, key: LaneKey, buf: FrameBuf) -> Result<(
 }
 
 thread_local! {
-    /// A rank's or a driver's socket read buffer, reused across its
-    /// reads.
-    static SCRATCH: RefCell<Vec<u8>> = RefCell::new(vec![0; 64 * 1024]);
     /// A rank's poll set, built on its first blocking receive.
     static POLL: RefCell<PollSet> = RefCell::new(PollSet::new());
     /// The id of the mesh this thread drives ([`drive`] with `stay`),
@@ -135,7 +151,7 @@ fn drain_inbound(mesh: &Mesh, here: usize, peer: usize) {
         let slot = mesh.slot(key);
         let owner = &mesh.progress.signals[slot.owner];
         if owner.is_parked() {
-            SCRATCH.with_borrow_mut(|scratch| slot.read.read(mesh, key, false, scratch));
+            slot.read.read(mesh, key, false);
         } else {
             owner.notify();
         }
@@ -213,7 +229,7 @@ impl PollSet {
             }
             let key = (here, peer, lane);
             let slot = mesh.slot(key);
-            match SCRATCH.with_borrow_mut(|scratch| slot.read.read(mesh, key, true, scratch)) {
+            match slot.read.read(mesh, key, true) {
                 Some(got) => read |= got,
                 None if fd.revents & (POLLHUP | POLLERR | POLLNVAL) != 0 => {
                     slot.forget_stream(&stream);

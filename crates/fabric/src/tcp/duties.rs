@@ -80,9 +80,9 @@ fn migrate(mesh: &Mesh, (from, to, dead): LaneKey) {
         };
         let ring = &mesh.slot((from, to, lane)).tx;
         let lseq = ring.reserve();
-        let mut buf = mesh.pool.copy_bytes(&p.buf);
-        if let Some(bytes) = buf.as_mut_slice() {
-            Frame::restamp(bytes, lseq);
+        let mut buf = mesh.copy_frame(&p.buf);
+        if let Some((header, payload)) = buf.parts_mut() {
+            Frame::restamp(header, payload, lseq);
         }
         ring.insert(PendingFrame::new(lseq, p.chan, p.seq, buf.clone(), rto));
         mesh.push_ctrl_to(from, to, lane, buf);

@@ -2,13 +2,13 @@
 //! read half that any thread may drive, and the nonblocking steps that
 //! write a half's queue out and decode what its socket read.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
-use super::drive::driving;
+use super::drive::{driving, read_spare};
 use super::lane::{LaneRx, TxRing};
 use super::mesh::Mesh;
 use super::queue::SendQueue;
@@ -19,12 +19,13 @@ use crate::wait::WorkSignal;
 use crate::wire::{Frame, FrameDecoder, FrameKind};
 use crate::ChanKey;
 
-/// Frames per `write_vectored` call (conservative portable IOV cap).
-const MAX_IOV: usize = 64;
+/// Slices per `write_vectored` call (conservative portable IOV cap): 64
+/// frames, each a header and a payload.
+const MAX_IOV: usize = 128;
 
 /// Socket reads one endpoint may take per progress pass before yielding
-/// to its siblings (each read fills up to the scratch buffer, 64 KiB) —
-/// fairness under a one-sided flood.
+/// to its siblings (each read fills up to the decoder's 64 KiB buffer,
+/// or the rest of one payload) — fairness under a one-sided flood.
 const MAX_READS_PER_PASS: usize = 4;
 
 /// The connection generation a half belongs to: `gen != cur` means a
@@ -54,7 +55,7 @@ pub(super) struct WriteHalf {
 }
 
 /// The receiving side of endpoint `key`: the same stream, the
-/// incremental frame decoder.
+/// incremental frame decoder its reads land in.
 pub(super) struct ReadHalf {
     pub(super) key: LaneKey,
     pub(super) stream: Arc<TcpStream>,
@@ -67,7 +68,7 @@ pub(super) struct ReadHalf {
 impl WriteHalf {
     /// Put one encoded frame behind whatever the cursor holds.
     pub(super) fn stage(&mut self, buf: FrameBuf) {
-        match Frame::peek_payload_id(&buf) {
+        match Frame::peek_payload_id(buf.header()) {
             Some(id) => self.staged.push(id),
             None => self.staged_ctrl = true,
         }
@@ -168,26 +169,18 @@ impl<T> Half<T> {
 }
 
 impl Half<ReadHalf> {
-    /// One read pass over endpoint `key` ([`read_step`], `by_rank` and
-    /// `scratch` as there). Reading is the same work whoever does it,
+    /// One read pass over endpoint `key` ([`read_step`], `by_rank` as
+    /// there). Reading is the same work whoever does it,
     /// so a thread that loses the lock leaves it to the holder: a holder
     /// that finds `missed` set after its pass takes the lock again and
     /// reads once more, so bytes that landed after its last read are
     /// never left for the owner's bounded park. Returns whether any
     /// bytes arrived, or `None` if the half was busy, absent or retired.
-    pub(super) fn read(
-        &self,
-        mesh: &Mesh,
-        key: LaneKey,
-        by_rank: bool,
-        scratch: &mut [u8],
-    ) -> Option<bool> {
+    pub(super) fn read(&self, mesh: &Mesh, key: LaneKey, by_rank: bool) -> Option<bool> {
         let mut got = None;
         while let Some(mut g) = self.take(true) {
             self.missed.store(false, Ordering::SeqCst);
-            if let Some(read) = Self::run(&mut g, mesh, key, |rh| {
-                read_step(mesh, rh, by_rank, scratch)
-            }) {
+            if let Some(read) = Self::run(&mut g, mesh, key, |rh| read_step(mesh, rh, by_rank)) {
                 got = Some(read || got == Some(true));
             }
             drop(g);
@@ -423,32 +416,28 @@ pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Optio
     Some(progressed)
 }
 
-/// One nonblocking read pass over a read half: drain the socket through
-/// `scratch` (a worker's pass is bounded, for fairness) into the decoder
-/// and dispatch every complete frame. Once the lane owes an ack for
-/// [`ACK_BATCH`] frames, the reader writes it at once: a rank (`by_rank`)
-/// inline when it can, anyone else through the queue. Returns whether
-/// any bytes arrived, or `None` if the socket broke or the stream is
-/// garbled.
+/// One nonblocking read pass over a read half: drain the socket (a
+/// worker's pass is bounded, for fairness) straight into the decoder —
+/// a payload whose header has arrived into the message's own vector,
+/// anything else into the decoder's buffer — and dispatch every complete
+/// frame. Once the lane owes an ack for [`ACK_BATCH`] frames, the reader
+/// writes it at once: a rank (`by_rank`) inline when it can, anyone else
+/// through the queue. Returns whether any bytes arrived, or `None` if
+/// the socket broke or the stream is garbled.
 ///
 /// [`ACK_BATCH`]: super::lane::ACK_BATCH
-pub(super) fn read_step(
-    mesh: &Mesh,
-    rh: &mut ReadHalf,
-    by_rank: bool,
-    scratch: &mut [u8],
-) -> Option<bool> {
+pub(super) fn read_step(mesh: &Mesh, rh: &mut ReadHalf, by_rank: bool) -> Option<bool> {
     let (here, peer, lane) = rh.key;
     let mut reads = 0usize;
     let mut frames = 0u64;
     let mut payload = 0u64;
     // `None` once the socket broke.
     let pass = loop {
-        match (&*rh.stream).read(scratch) {
+        let (into, room) = rh.decoder.read_target();
+        match read_spare(&rh.stream, into, room) {
             // Peer closed — a break or shutdown.
             Ok(0) => break None,
             Ok(n) => {
-                rh.decoder.feed(&scratch[..n]);
                 let mut ack_due = false;
                 let garbled = loop {
                     match rh.decoder.next_lane_frame() {
@@ -474,6 +463,10 @@ pub(super) fn read_step(
                 if skipped > 0 {
                     mesh.corrupt_frames.fetch_add(skipped, Ordering::Relaxed);
                 }
+                let copied = rh.decoder.take_copied();
+                if copied > 0 {
+                    mesh.recv_copied.fetch_add(copied, Ordering::Relaxed);
+                }
                 if ack_due {
                     mesh.ack_lane(rh.key, by_rank, LaneRx::take_ack);
                 }
@@ -489,7 +482,7 @@ pub(super) fn read_step(
                     break None;
                 }
                 reads += 1;
-                if n < scratch.len() {
+                if n < room {
                     // A short read took all the socket had: no need to
                     // ask again for the `WouldBlock`.
                     break Some(());

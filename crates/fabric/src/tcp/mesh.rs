@@ -127,6 +127,11 @@ pub(super) struct Mesh {
     pub(super) rank_reads: AtomicU64,
     /// Payload frames a driving caller wrote or decoded itself.
     pub(super) driver_frames: AtomicU64,
+    /// Payload bytes copied in user space on the send side
+    /// ([`Mesh::copy_frame`]).
+    pub(super) send_copied: AtomicU64,
+    /// Payload bytes the decoders copied out of their read buffers.
+    pub(super) recv_copied: AtomicU64,
     /// Per worker: a driving caller skipped waking it (see
     /// [`Mesh::notify_owner`]); [`Mesh::hand_back`] pays the wake-up.
     pub(super) driver_owed: Vec<AtomicBool>,
@@ -383,6 +388,14 @@ impl Mesh {
                 lane: self.nominal_lane(src),
                 detail: detail(),
             })
+    }
+
+    /// A private copy of frame `buf` to alter (a chaos bit-flip, a lane
+    /// migration's restamp); its payload bytes count as copied.
+    pub(super) fn copy_frame(&self, buf: &FrameBuf) -> FrameBuf {
+        self.send_copied
+            .fetch_add(buf.payload().len() as u64, Ordering::Relaxed);
+        self.pool.copy_bytes(buf)
     }
 
     /// An encoded control frame of `kind` from node `from` to node `to`:

@@ -87,14 +87,21 @@
 //! each is retransmit-protected from the moment it is encoded: no
 //! handshake, and no message a break or a lane kill can lose.
 //!
-//! Hot-path economics: a frame is encoded exactly once into a
-//! pooled, refcounted buffer ([`crate::pool::FrameBuf`]) — the send
+//! Hot-path economics: a frame's header is encoded exactly once into a
+//! pooled, refcounted buffer ([`crate::pool::FrameBuf`]) beside the
+//! payload the caller handed over, which moves in uncopied — the send
 //! queue, the write cursor, the lane's retransmit ring, and any
-//! retransmit in flight share refcounts on the same bytes, and the
-//! buffer recycles when the last holder drops. After pool warm-up the
-//! steady-state eager send path performs no heap allocation at all. A
-//! lane's unacked frames stay few without any sender waiting: whoever
-//! decodes the frames writes the lane's ack once it owes 32 of them.
+//! retransmit in flight share refcounts on that one frame, and its
+//! header buffer recycles when the last holder drops. One
+//! `write_vectored` sends header and payload as two slices, and a read
+//! lands a payload in the message's own vector, so each payload byte is
+//! copied at most once in user space on each side of the wire: never on
+//! the send side, and only the part a read happened to buffer ahead of
+//! its frame's header on the receive side ([`FabricStats`] counts both).
+//! After pool warm-up the steady-state eager send path performs no heap
+//! allocation at all. A lane's unacked frames stay few without any
+//! sender waiting: whoever decodes the frames writes the lane's ack once
+//! it owes 32 of them.
 //!
 //! Robustness (loss recovery, reconnect, failover and chaos hooks):
 //!
@@ -365,6 +372,8 @@ impl TcpFabric {
             inline_sends: AtomicU64::new(0),
             rank_reads: AtomicU64::new(0),
             driver_frames: AtomicU64::new(0),
+            send_copied: AtomicU64::new(0),
+            recv_copied: AtomicU64::new(0),
             driver_owed: (0..pool_size).map(|_| AtomicBool::new(false)).collect(),
             lane_ctrs,
             local_msgs: AtomicU64::new(0),
@@ -562,11 +571,11 @@ impl Fabric for TcpFabric {
             seg_count: 0,
             payload: Vec::new(),
         };
-        // The one encode on the send path: header + payload laid out into
-        // a pooled buffer, as the next frame of its lane; every holder
-        // below is a refcount.
+        // The one encode on the send path: the header, as the next frame
+        // of its lane, into a pooled buffer beside the payload, which
+        // moves in uncopied; every holder below is a refcount.
         let lseq = slot.tx.reserve();
-        let buf = mesh.pool.encode_seg(&frame, &payload, lseq);
+        let buf = mesh.pool.encode_lane(&frame, payload, lseq);
         // Register for retransmit before the frame can be lost: the
         // lane's ring holds a refcount on the same pooled bytes, and its
         // cumulative ack pops a prefix.
@@ -620,9 +629,9 @@ impl Fabric for TcpFabric {
                 // Line noise: a bit-flipped *copy* goes out while the ring
                 // keeps the pristine bytes for the retransmit the
                 // receiver's CRC reject will provoke.
-                let mut copy = mesh.pool.copy_bytes(&buf);
-                if let (Some(c), Some(bytes)) = (chaos.as_ref(), copy.as_mut_slice()) {
-                    c.corrupt_bytes(bytes);
+                let mut copy = mesh.copy_frame(&buf);
+                if let (Some(c), Some((header, payload))) = (chaos.as_ref(), copy.parts_mut()) {
+                    c.corrupt_bytes(header, payload);
                 }
                 post(copy)?
             }
@@ -691,6 +700,8 @@ impl Fabric for TcpFabric {
             inline_sends: mesh.inline_sends.load(Ordering::Relaxed),
             rank_reads: mesh.rank_reads.load(Ordering::Relaxed),
             driver_frames: mesh.driver_frames.load(Ordering::Relaxed),
+            send_copied_bytes: mesh.send_copied.load(Ordering::Relaxed),
+            recv_copied_bytes: mesh.recv_copied.load(Ordering::Relaxed),
             dups_dropped: mesh.stores.iter().map(|s| s.dups_dropped()).sum(),
             corrupt_frames: mesh.corrupt_frames.load(Ordering::Relaxed),
             ack_rtt: mesh.ack_rtt.snapshot(),

@@ -138,11 +138,11 @@ impl SendQueue {
                 // The queue's refcount moves into the cursor; the lane's
                 // ring (if any) keeps the bytes alive for retransmit.
                 Some(f) => {
-                    match Frame::peek_payload_id(&f) {
+                    match Frame::peek_payload_id(f.header()) {
                         Some(id) => staged.push(id),
                         None => ctrl = true,
                     }
-                    moved += f.len();
+                    moved += f.wire_len();
                     cursor.push(f);
                 }
                 None => break,

@@ -1214,7 +1214,7 @@ fn lane_reorders_when_two_senders_share_it() {
     let tx = lane::TxRing::default();
     let (a, b) = (tx.reserve(), tx.reserve());
     assert_eq!((a, b), (0, 1));
-    let frame = |chan| lane::PendingFrame::new(0, chan, 0, pool.acquire(64), Duration::ZERO);
+    let frame = |chan| lane::PendingFrame::new(0, chan, 0, pool.acquire(), Duration::ZERO);
     let mut fb = frame((1, 2, 0));
     fb.lseq = b;
     let mut fa = frame((0, 2, 0));
@@ -1266,4 +1266,126 @@ fn a_burst_lost_to_a_cut_recovers_many_frames_per_retransmit_tick() {
         "{N} lost frames took {took:?}"
     );
     assert!(f.drain_errors().is_empty());
+}
+
+#[test]
+fn payload_bytes_are_copied_never_on_send_and_at_most_once_on_receive() {
+    // A ping-pong per size, so both the ranks and the workers read. The
+    // send side moves each message into its frame; the receive side
+    // copies at most the part of a payload that a read buffered with its
+    // frame's header. Copies are taken per payload byte decoded, which
+    // counts a retransmitted duplicate as well as the message.
+    const ROUNDS: usize = 50;
+    for size in [64usize, 8 * 1024, 128 * 1024] {
+        let f = TcpFabric::connect(Topology::new(2, 1), TcpConfig::default()).unwrap();
+        let msg = |round: usize, src: usize| -> Vec<u8> {
+            (0..size).map(|i| (i ^ round ^ (src << 4)) as u8).collect()
+        };
+        for round in 0..ROUNDS {
+            f.send((0, 1, 3), msg(round, 0)).unwrap();
+            assert_eq!(f.recv((0, 1, 3)).unwrap(), msg(round, 0), "{size} B");
+            f.send((1, 0, 3), msg(round, 1)).unwrap();
+            assert_eq!(f.recv((1, 0, 3)).unwrap(), msg(round, 1), "{size} B");
+        }
+        let s = f.stats();
+        let sent = s.total_bytes();
+        assert_eq!(sent, (2 * ROUNDS * size) as u64);
+        let decoded = sent + s.retransmits * size as u64;
+        let send_copies = s.send_copied_bytes as f64 / sent as f64;
+        let recv_copies = s.recv_copied_bytes as f64 / decoded as f64;
+        println!(
+            "{size} B: {send_copies:.3} send and {recv_copies:.3} receive copies per payload byte"
+        );
+        assert_eq!(
+            s.send_copied_bytes, 0,
+            "{size} B: the send path copied a payload"
+        );
+        assert!(
+            recv_copies <= 1.0,
+            "{size} B: {recv_copies} receive copies per byte"
+        );
+        assert!(
+            s.recv_copied_bytes > 0 || size > 64 * 1024,
+            "{size} B: copies went uncounted"
+        );
+    }
+}
+
+#[test]
+fn direct_reads_decode_a_stream_in_every_chunking() {
+    // Frames of 0 B, 64 B, 8 KiB and 128 KiB + 1, and a payload frame
+    // with a flipped payload bit between the second and third, written
+    // over loopback TCP in chunks of each size and read the way a read
+    // half reads: into the decoder's buffer, or straight into a payload
+    // whose header arrived.
+    use crate::wire::{FrameDecoder, HEADER_LEN};
+    use std::io::Write;
+    let frame = |seq: u64, len: usize| Frame {
+        kind: FrameKind::Eager,
+        src: 1,
+        dst: 2,
+        tag: 3,
+        seq,
+        aux: seq + 1,
+        seg_idx: 0,
+        seg_count: 0,
+        payload: (0..len).map(|i| (i * 31 + seq as usize) as u8).collect(),
+    };
+    let frames: Vec<Frame> = [0usize, 64, 8 * 1024, 128 * 1024 + 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| frame(i as u64, len))
+        .collect();
+    let mut corrupt = frame(9, 4096).encode();
+    corrupt[HEADER_LEN + 2048] ^= 0x04;
+    let mut wire = Vec::new();
+    for (i, f) in frames.iter().enumerate() {
+        if i == 2 {
+            wire.extend_from_slice(&corrupt);
+        }
+        wire.extend_from_slice(&f.encode());
+    }
+    let payload_bytes: usize = frames.iter().map(|f| f.payload.len()).sum::<usize>() + 4096;
+    for chunk in [1usize, 7, 48, 4096, 65_537] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (reader, _) = listener.accept().unwrap();
+        writer.set_nonblocking(true).unwrap();
+        reader.set_nonblocking(true).unwrap();
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        let drain = |dec: &mut FrameDecoder, got: &mut Vec<Frame>| loop {
+            let (into, room) = dec.read_target();
+            match drive::read_spare(&reader, into, room) {
+                Ok(n) => {
+                    assert!(n > 0, "chunk {chunk}: the writer hung up");
+                    while let Some(f) = dec.next_frame().expect("no WireError") {
+                        got.push(f);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) => panic!("chunk {chunk}: {e}"),
+            }
+        };
+        for part in wire.chunks(chunk) {
+            let mut rest = part;
+            while !rest.is_empty() {
+                match (&writer).write(rest) {
+                    Ok(n) => rest = &rest[n..],
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("chunk {chunk}: {e}"),
+                }
+                drain(&mut dec, &mut got);
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.len() < frames.len() && Instant::now() < deadline {
+            drain(&mut dec, &mut got);
+            std::thread::yield_now();
+        }
+        assert_eq!(got, frames, "chunk {chunk}");
+        assert_eq!(dec.take_corrupt(), 1, "chunk {chunk}");
+        assert_eq!(dec.pending_bytes(), 0, "chunk {chunk}");
+        assert!(dec.take_copied() <= payload_bytes as u64, "chunk {chunk}");
+    }
 }

@@ -63,7 +63,6 @@ pub(super) fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
         .collect();
     owned.sort_unstable();
     let stage = stage_share(owned.len());
-    let mut scratch = vec![0u8; 64 * 1024];
     loop {
         // Epoch read precedes the work scan: anything enqueued after
         // this line bumps the epoch and cuts the park short.
@@ -93,10 +92,7 @@ pub(super) fn worker_loop(mesh: Arc<Mesh>, widx: usize) {
             // this worker a re-read or a re-notify (see `Half`).
             let slot = mesh.slot(key);
             progressed |= slot.write.write(&mesh, key, stage).unwrap_or(false);
-            progressed |= slot
-                .read
-                .read(&mesh, key, false, &mut scratch)
-                .unwrap_or(false);
+            progressed |= slot.read.read(&mesh, key, false).unwrap_or(false);
         }
         if progressed {
             continue;

@@ -455,18 +455,6 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// What [`Frame::decode_prefix`] found at the front of the buffer.
-enum Prefix {
-    /// Not enough bytes for a verdict yet.
-    Need,
-    /// A complete frame whose checksum failed: its `usize` bytes must be
-    /// consumed and its contents must not be trusted.
-    Corrupt(usize),
-    /// A complete, checksum-valid frame, its lane sequence and its
-    /// encoded length.
-    Ok(Frame, u64, usize),
-}
-
 impl Frame {
     /// Encode the frame as header + payload bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -475,9 +463,8 @@ impl Frame {
         out
     }
 
-    /// Encode into `out`, replacing its contents. Reuses `out`'s
-    /// existing capacity — this is how pooled frame buffers avoid a
-    /// fresh allocation per message (see `pool::FramePool::encode`).
+    /// Encode into `out`, replacing its contents and reusing its
+    /// capacity.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.encode_into_with(out, &self.payload);
     }
@@ -488,13 +475,24 @@ impl Frame {
         self.encode_lane_into(out, payload, 0);
     }
 
-    /// [`Frame::encode_into_with`] as frame `lseq` of its lane. This is
-    /// how the send path encodes a frame straight from the caller's
-    /// message, with no intermediate payload copy. The single encode
-    /// choke point: every frame that reaches a wire is checksummed here.
+    /// [`Frame::encode_into_with`] as frame `lseq` of its lane: the
+    /// header of [`Frame::encode_header_into`], then the payload.
     pub(crate) fn encode_lane_into(&self, out: &mut Vec<u8>, payload: &[u8], lseq: u64) {
         out.clear();
         out.reserve(HEADER_LEN + payload.len());
+        self.encode_header_into(out, payload, lseq);
+        out.extend_from_slice(payload);
+    }
+
+    /// Replace `out` with the header of this frame as frame `lseq` of
+    /// its lane, carrying `payload` (ignoring `self.payload`): the
+    /// header alone, its CRC taken over the payload where it lies. This
+    /// is how the send path frames the caller's message without copying
+    /// it: the header goes out beside the payload, never ahead of it in
+    /// one buffer. The single encode choke point: every frame that
+    /// reaches a wire is checksummed here.
+    pub(crate) fn encode_header_into(&self, out: &mut Vec<u8>, payload: &[u8], lseq: u64) {
+        out.clear();
         out.push(MAGIC);
         out.push(WIRE_VERSION);
         out.push(self.kind as u8);
@@ -509,17 +507,17 @@ impl Frame {
         out.extend_from_slice(&lseq.to_le_bytes());
         let crc = frame_crc(&out[..CRC_OFFSET], payload);
         out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(payload);
     }
 
-    /// Re-number an encoded payload frame as frame `lseq` of another
-    /// lane, with no ack aboard, and re-checksum it: how a dead lane's
-    /// unacked frames move onto a survivor.
-    pub(crate) fn restamp(bytes: &mut [u8], lseq: u64) {
-        bytes[23..31].fill(0);
-        bytes[LSEQ_OFFSET..CRC_OFFSET].copy_from_slice(&lseq.to_le_bytes());
-        let crc = frame_crc(&bytes[..CRC_OFFSET], &bytes[HEADER_LEN..]);
-        bytes[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    /// Re-number the header of an encoded payload frame carrying
+    /// `payload` as frame `lseq` of another lane, with no ack aboard,
+    /// and re-checksum it: how a dead lane's unacked frames move onto a
+    /// survivor.
+    pub(crate) fn restamp(header: &mut [u8], payload: &[u8], lseq: u64) {
+        header[23..31].fill(0);
+        header[LSEQ_OFFSET..CRC_OFFSET].copy_from_slice(&lseq.to_le_bytes());
+        let crc = frame_crc(&header[..CRC_OFFSET], payload);
+        header[CRC_OFFSET..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// The channel this frame belongs to.
@@ -545,15 +543,14 @@ impl Frame {
         Some(((src, dst, tag), lseq))
     }
 
-    /// Decode one frame from the front of `bytes`. Magic and version
-    /// are checked first (they gate whether the length field means
-    /// anything); the checksum is verified over the complete frame
-    /// *before any field is trusted*, so a corrupted frame — wherever
-    /// the flip landed — comes back as [`Prefix::Corrupt`], not as a
-    /// frame with plausible-looking garbage in it.
-    fn decode_prefix(bytes: &[u8]) -> Result<Prefix, WireError> {
+    /// The payload length a frame header at the front of `bytes`
+    /// declares, or `None` before the whole header has arrived. Magic
+    /// and version are checked first (they gate whether the length field
+    /// means anything), then the length's bound; no other field is
+    /// trusted before [`Frame::finish`] verified the checksum.
+    fn payload_len(bytes: &[u8]) -> Result<Option<usize>, WireError> {
         if bytes.len() < HEADER_LEN {
-            return Ok(Prefix::Need);
+            return Ok(None);
         }
         if bytes[0] != MAGIC {
             return Err(WireError::BadMagic { got: bytes[0] });
@@ -568,44 +565,71 @@ impl Frame {
         if len > MAX_PAYLOAD {
             return Err(WireError::Oversize { len });
         }
-        let total = HEADER_LEN + len as usize;
-        if bytes.len() < total {
-            return Ok(Prefix::Need);
+        Ok(Some(len as usize))
+    }
+
+    /// The frame `header` announced, now that all of its `payload` has
+    /// arrived, with its lane sequence. The checksum is verified over
+    /// header and payload *before any field is trusted*, so a corrupted
+    /// frame — wherever the flip landed — comes back as `Ok(None)`, not
+    /// as a frame with plausible-looking garbage in it.
+    fn finish(
+        header: &[u8; HEADER_LEN],
+        payload: Vec<u8>,
+    ) -> Result<Option<(u64, Frame)>, WireError> {
+        let want = u32::from_le_bytes(header[CRC_OFFSET..].try_into().unwrap());
+        if frame_crc(&header[..CRC_OFFSET], &payload) != want {
+            return Ok(None);
         }
-        let want = u32::from_le_bytes(bytes[CRC_OFFSET..HEADER_LEN].try_into().unwrap());
-        if frame_crc(&bytes[..CRC_OFFSET], &bytes[HEADER_LEN..total]) != want {
-            return Ok(Prefix::Corrupt(total));
-        }
-        let Some(kind) = FrameKind::from_u8(bytes[2]) else {
-            return Err(WireError::BadKind { got: bytes[2] });
+        let Some(kind) = FrameKind::from_u8(header[2]) else {
+            return Err(WireError::BadKind { got: header[2] });
         };
-        let seg_idx = u16::from_le_bytes(bytes[31..33].try_into().unwrap());
-        let seg_count = u16::from_le_bytes(bytes[33..35].try_into().unwrap());
+        let seg_idx = u16::from_le_bytes(header[31..33].try_into().unwrap());
+        let seg_count = u16::from_le_bytes(header[33..35].try_into().unwrap());
         if seg_idx != 0 || seg_count > 1 {
             return Err(WireError::Segmented { seg_idx, seg_count });
         }
-        Ok(Prefix::Ok(
+        Ok(Some((
+            u64::from_le_bytes(header[LSEQ_OFFSET..CRC_OFFSET].try_into().unwrap()),
             Frame {
                 kind,
-                src: u32::from_le_bytes(bytes[3..7].try_into().unwrap()),
-                dst: u32::from_le_bytes(bytes[7..11].try_into().unwrap()),
-                tag: u32::from_le_bytes(bytes[11..15].try_into().unwrap()),
-                seq: u64::from_le_bytes(bytes[15..23].try_into().unwrap()),
-                aux: u64::from_le_bytes(bytes[23..31].try_into().unwrap()),
+                src: u32::from_le_bytes(header[3..7].try_into().unwrap()),
+                dst: u32::from_le_bytes(header[7..11].try_into().unwrap()),
+                tag: u32::from_le_bytes(header[11..15].try_into().unwrap()),
+                seq: u64::from_le_bytes(header[15..23].try_into().unwrap()),
+                aux: u64::from_le_bytes(header[23..31].try_into().unwrap()),
                 seg_idx,
                 seg_count,
-                payload: bytes[HEADER_LEN..total].to_vec(),
+                payload,
             },
-            u64::from_le_bytes(bytes[LSEQ_OFFSET..CRC_OFFSET].try_into().unwrap()),
-            total,
-        ))
+        )))
     }
 }
 
-/// Incremental frame decoder for nonblocking sockets: feed it whatever
-/// byte chunks the kernel hands back, pull out as many complete frames
-/// as have accumulated. A frame split across reads simply waits in the
-/// buffer until its tail arrives.
+/// Room the decoder's buffer offers one socket read.
+const READ_CAP: usize = 64 * 1024;
+
+/// A frame whose header has been decoded and whose payload is still
+/// arriving, straight into the message's own vector.
+struct Body {
+    header: [u8; HEADER_LEN],
+    /// The declared payload length; `payload` is complete at this length.
+    len: usize,
+    payload: Vec<u8>,
+}
+
+/// Incremental frame decoder for nonblocking sockets: it takes whatever
+/// byte chunks the kernel hands back and yields as many complete frames
+/// as have arrived. A frame split across reads waits until its tail
+/// arrives.
+///
+/// Each payload byte is copied at most once. Bytes land in the decoder's
+/// buffer (through [`FrameDecoder::feed`], or a socket read into
+/// `read_target`); once a frame's header is decoded, the payload bytes
+/// already buffered are copied into a vector of the declared length,
+/// and — if the payload is not all there yet — the rest is read straight
+/// into that vector's spare capacity. The vector is the message the
+/// receiver gets. `take_copied` counts the copied bytes.
 ///
 /// Checksum-failed frames are consumed and *silently skipped* — the
 /// wire ate them, as far as the protocol is concerned, and retransmit
@@ -614,7 +638,7 @@ impl Frame {
 /// [`FrameDecoder::take_corrupt`].
 ///
 /// The internal buffer is reused across frames (consumed bytes are
-/// compacted away lazily), so a steady stream of small frames settles
+/// compacted away before the next read), so a steady stream settles
 /// into zero decoder-side allocations apart from the per-frame payload
 /// vector the receiver keeps anyway.
 #[derive(Default)]
@@ -622,9 +646,15 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Bytes of `buf` already decoded and awaiting compaction.
     pos: usize,
+    /// The frame whose payload is arriving. While its payload is short,
+    /// `buf` holds no undecoded bytes: they all went into the payload.
+    body: Option<Body>,
     /// Checksum-failed frames consumed since the last
     /// [`FrameDecoder::take_corrupt`].
     corrupt: u64,
+    /// Payload bytes copied out of `buf` since the last
+    /// [`FrameDecoder::take_copied`].
+    copied: u64,
 }
 
 impl FrameDecoder {
@@ -633,15 +663,42 @@ impl FrameDecoder {
         FrameDecoder::default()
     }
 
-    /// Append freshly read bytes to the undecoded tail.
-    pub fn feed(&mut self, bytes: &[u8]) {
+    /// Append freshly read bytes to the undecoded tail: the part a
+    /// partial payload still lacks straight into it, the rest to the
+    /// buffer.
+    pub fn feed(&mut self, mut bytes: &[u8]) {
+        if let Some(body) = &mut self.body {
+            let take = (body.len - body.payload.len()).min(bytes.len());
+            body.payload.extend_from_slice(&bytes[..take]);
+            bytes = &bytes[take..];
+        }
         // Compact before growing: reclaiming the consumed prefix keeps
         // the buffer from creeping up under a long-lived connection.
-        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos >= 64 * 1024) {
+        if self.pos > 0 && (self.pos >= self.buf.len() || self.pos >= READ_CAP) {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Where the next socket read belongs and how many bytes it may
+    /// take: the spare capacity of a partial payload, up to its declared
+    /// length, or else the free tail of the buffer, compacted first (its
+    /// first use sizes it). Append at most that many bytes to the
+    /// vector; never 0.
+    pub(crate) fn read_target(&mut self) -> (&mut Vec<u8>, usize) {
+        if let Some(body) = self.body.as_mut().filter(|b| b.payload.len() < b.len) {
+            let room = body.len - body.payload.len();
+            return (&mut body.payload, room);
+        }
+        if self.pos > 0 {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf
+            .reserve(READ_CAP.saturating_sub(self.buf.len()).max(1));
+        let room = self.buf.capacity() - self.buf.len();
+        (&mut self.buf, room)
     }
 
     /// Decode the next complete, checksum-valid frame, if one has fully
@@ -657,16 +714,41 @@ impl FrameDecoder {
     /// [`FrameDecoder::next_frame`] with the frame's lane sequence.
     pub(crate) fn next_lane_frame(&mut self) -> Result<Option<(u64, Frame)>, WireError> {
         loop {
-            match Frame::decode_prefix(&self.buf[self.pos..])? {
-                Prefix::Ok(frame, lseq, used) => {
-                    self.pos += used;
-                    return Ok(Some((lseq, frame)));
+            if let Some(body) = self.body.take_if(|b| b.payload.len() == b.len) {
+                match Frame::finish(&body.header, body.payload)? {
+                    Some(frame) => return Ok(Some(frame)),
+                    None => {
+                        self.corrupt += 1;
+                        continue;
+                    }
                 }
-                Prefix::Corrupt(used) => {
-                    self.pos += used;
-                    self.corrupt += 1;
-                }
-                Prefix::Need => return Ok(None),
+            }
+            if self.body.is_some() {
+                return Ok(None);
+            }
+            let bytes = &self.buf[self.pos..];
+            let Some(len) = Frame::payload_len(bytes)? else {
+                return Ok(None);
+            };
+            let (header, rest) = bytes.split_first_chunk::<HEADER_LEN>().unwrap();
+            let have = len.min(rest.len());
+            let mut payload = Vec::with_capacity(len);
+            payload.extend_from_slice(&rest[..have]);
+            self.copied += have as u64;
+            if have < len {
+                self.body = Some(Body {
+                    header: *header,
+                    len,
+                    payload,
+                });
+                self.pos += HEADER_LEN + have;
+                return Ok(None);
+            }
+            let frame = Frame::finish(header, payload)?;
+            self.pos += HEADER_LEN + len;
+            match frame {
+                Some(frame) => return Ok(Some(frame)),
+                None => self.corrupt += 1,
             }
         }
     }
@@ -677,10 +759,21 @@ impl FrameDecoder {
         std::mem::take(&mut self.corrupt)
     }
 
+    /// Drain the count of payload bytes copied from the buffer into
+    /// messages since the last call (bytes a read put straight into a
+    /// message are not copies).
+    pub(crate) fn take_copied(&mut self) -> u64 {
+        std::mem::take(&mut self.copied)
+    }
+
     /// Bytes buffered but not yet decoded into a frame (a partial frame
     /// in flight).
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        let body = self
+            .body
+            .as_ref()
+            .map_or(0, |b| HEADER_LEN + b.payload.len());
+        self.buf.len() - self.pos + body
     }
 }
 
@@ -935,7 +1028,8 @@ mod tests {
             1 << 40
         );
         assert_eq!(Frame::peek_payload_id(&bytes), Some(((1, 2, 3), 1 << 40)));
-        Frame::restamp(&mut bytes, 7);
+        let (header, payload) = bytes.split_at_mut(HEADER_LEN);
+        Frame::restamp(header, payload, 7);
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
         let (lseq, back) = dec.next_lane_frame().unwrap().expect("re-checksummed");

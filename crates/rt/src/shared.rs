@@ -106,9 +106,13 @@ impl SharedBuf {
         // Validate the range *before* allocating: a wrapped or wild `len`
         // must fail the bounds check, not abort inside the allocator.
         self.check(offset, len);
-        let mut v = vec![0u8; len];
-        self.read(offset, &mut v);
-        v
+        // SAFETY: bounds checked; ordering per type contract. Copying
+        // from the slice fills the vector in one pass, with no zeroing
+        // pass ahead of the copy.
+        unsafe {
+            let src = (*self.data.get()).as_ptr().add(offset);
+            std::slice::from_raw_parts(src, len).to_vec()
+        }
     }
 
     /// Direct buffer-to-buffer copy (the single-copy PiP fast path).
