@@ -20,8 +20,8 @@
 //!   on lane `local rank % k`), a length-prefixed, checksummed wire
 //!   protocol with `(src, dst, tag)` matching and per-channel FIFO,
 //!   nonblocking sockets driven by the ranks that send and wait on
-//!   them, a fixed progress pool (`min(4, cores)` workers) as the
-//!   backstop that drives whatever no rank does, bounded per-lane send
+//!   them, one progress thread per fabric as the backstop that drives
+//!   whatever no rank does and runs the timers, bounded per-lane send
 //!   queues for backpressure, ack-based retransmit with sequence dedup,
 //!   lane failover, and per-lane traffic counters.
 //! * [`ChaosFabric`] — a deterministic, seeded fault injector wrapping

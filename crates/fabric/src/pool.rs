@@ -289,7 +289,7 @@ impl std::fmt::Debug for FrameBuf {
 /// frame marking how much of it a previous `write_vectored` managed to
 /// push before `WouldBlock`.
 ///
-/// The progress pool writes by building [`IoSlice`] views over the
+/// A write pass writes by building [`IoSlice`] views over the
 /// queued frames — each frame's header, then its payload, the front
 /// frame resumed at its offset in either part — so one syscall carries
 /// many frames; then [`WriteCursor::advance`]s by however many bytes the

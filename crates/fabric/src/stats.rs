@@ -139,15 +139,15 @@ pub struct FabricStats {
     /// correct results is the integrity layer working.
     pub corrupt_frames: u64,
     /// Eager frames the sending thread wrote onto the socket itself
-    /// instead of queueing them for a progress worker; 0 for backends
+    /// instead of queueing them for the progress thread; 0 for backends
     /// without sockets.
     pub inline_sends: u64,
     /// Frames a rank waiting in a receive decoded from the socket itself
-    /// instead of a progress worker; 0 for backends without sockets.
+    /// instead of the progress thread; 0 for backends without sockets.
     pub rank_reads: u64,
     /// Payload frames a thread driving the fabric ([`Fabric::drive`])
-    /// wrote onto or decoded from a socket itself instead of a progress
-    /// worker; 0 for backends without sockets.
+    /// wrote onto or decoded from a socket itself instead of the
+    /// progress thread; 0 for backends without sockets.
     ///
     /// [`Fabric::drive`]: crate::Fabric::drive
     pub driver_frames: u64,

@@ -210,8 +210,8 @@ impl MsgStore {
     /// wire progress itself while it waits: it sleeps in `poll(2)` on
     /// the sockets the message could arrive on and on `poller`. When
     /// nothing is ready, `poller` is registered under the same lock that
-    /// found nothing, so a delivery after this pop — by a progress
-    /// worker, a driving caller or another rank — rings it once; the
+    /// found nothing, so a delivery after this pop — by the progress
+    /// thread, a driving caller or another rank — rings it once; the
     /// receiver clears the registration after every sleep with
     /// [`MsgStore::stop_polling`]. Marks the channel driven: from now
     /// on [`MsgStore::note_arrival`] leaves its arrivals to its

@@ -1,10 +1,10 @@
 //! The paths on which a caller drives the sockets itself: `send` writes
 //! an eager frame straight onto its lane, `recv_within` sleeps in
 //! `poll(2)` on the sockets from the sending node and reads those the
-//! kernel reports readable, and [`drive`] runs a progress worker's pass
-//! over every endpoint from a polling thread. All of them run the same
-//! `write_step` and `read_step` as the progress pool; only the caller
-//! differs. Every socket read goes through [`read_spare`], straight into
+//! kernel reports readable, and [`drive`] runs the progress thread's
+//! pass over every endpoint from a polling thread. All of them run the
+//! same `write_step` and `read_step` as the progress thread; only the
+//! caller differs. Every socket read goes through [`read_spare`], straight into
 //! the vector the bytes belong in.
 
 use std::cell::{Cell, RefCell};
@@ -72,7 +72,7 @@ pub(super) fn read_spare(stream: &TcpStream, into: &mut Vec<u8>, room: usize) ->
 
 /// Frames a lane may have awaiting an ack and still take an inline
 /// write. A lane past it is streaming, not exchanging: its frames take
-/// the queue, where the worker batches them into few syscalls.
+/// the queue, where the progress thread batches them into few syscalls.
 const INLINE_MAX_UNACKED: usize = 64;
 
 /// Write eager frame `buf`, one of `unacked` frames awaiting an ack on
@@ -81,11 +81,10 @@ const INLINE_MAX_UNACKED: usize = 64;
 ///
 /// The frame goes inline only when the lane is not streaming, a
 /// receiver on the destination node reads the wire itself (a poller's
-/// frames are the workers' to read, so they may as well write them,
-/// batched), the endpoint's owner is parked (a running worker batches
-/// the frame into its next `write_vectored` anyway, and a busy one is
-/// exactly when a send should stay cheap), and [`write_inline`] can
-/// write it.
+/// frames are the progress thread's to read, so it may as well write
+/// them, batched), the progress thread is parked (running, it batches
+/// the frame into its next `write_vectored` anyway, and busy is exactly
+/// when a send should stay cheap), and [`write_inline`] can write it.
 ///
 /// A driving caller ([`drive`]) queues instead: its next pass writes
 /// the frame, batched with the rest.
@@ -98,7 +97,7 @@ pub(super) fn send_inline(
     if driving(mesh)
         || unacked > INLINE_MAX_UNACKED
         || !mesh.stores[key.1].driven()
-        || !mesh.owner_signal(key).is_parked()
+        || !mesh.progress.signal.is_parked()
     {
         return Err(buf);
     }
@@ -110,11 +109,11 @@ pub(super) fn send_inline(
 /// Write `buf` onto endpoint `key`'s socket from the calling thread if
 /// the write half is free and nothing is queued or half-written ahead
 /// of it; otherwise hand it back. A torn write leaves the rest in the
-/// cursor for the owner to finish.
+/// cursor for the progress thread to finish.
 pub(super) fn write_inline(mesh: &Mesh, key: LaneKey, buf: FrameBuf) -> Result<(), FrameBuf> {
     let mut frame = Some(buf);
     let half = &mesh.slot(key).write;
-    half.send_with(mesh, key, mesh.owner_signal(key), |wh| {
+    half.send_with(mesh, key, |wh| {
         if !wh.cursor.is_empty() || wh.queue.depth() > 0 {
             return Some(());
         }
@@ -122,8 +121,9 @@ pub(super) fn write_inline(mesh: &Mesh, key: LaneKey, buf: FrameBuf) -> Result<(
         let alive = write_step(mesh, wh, 0);
         if !wh.cursor.is_empty() {
             // Torn: the cursor keeps the rest and its one writer stays
-            // whoever holds the half next — wake the owner to finish it.
-            mesh.notify_owner(key.0, key.1, key.2);
+            // whoever holds the half next — wake the progress thread to
+            // finish it.
+            mesh.notify_worker();
         }
         alive.map(|_| ())
     });
@@ -140,20 +140,19 @@ thread_local! {
 }
 
 /// Drain every lane's socket carrying node `peer`'s traffic into node
-/// `here`, as a worker would. Every lane, because each of `peer`'s ranks
-/// rides its own and a lane kill moves frames onto the survivors. A
-/// lane whose worker is running is left to it, as on the send side: the
-/// worker batches the read with the rest of its cycle, and a poke makes
-/// sure that cycle comes.
+/// `here`, as the progress thread would. Every lane, because each of
+/// `peer`'s ranks rides its own and a lane kill moves frames onto the
+/// survivors. While the progress thread runs, the lanes are left to it,
+/// as on the send side: it batches the reads with the rest of its pass,
+/// and a poke makes sure that pass comes.
 fn drain_inbound(mesh: &Mesh, here: usize, peer: usize) {
+    let worker = &mesh.progress.signal;
     for lane in 0..mesh.cfg.lanes {
         let key = (here, peer, lane);
-        let slot = mesh.slot(key);
-        let owner = &mesh.progress.signals[slot.owner];
-        if owner.is_parked() {
-            slot.read.read(mesh, key, false);
+        if worker.is_parked() {
+            mesh.slot(key).read.read(mesh, key, false);
         } else {
-            owner.notify();
+            worker.notify();
         }
     }
 }
@@ -183,8 +182,8 @@ impl PollSet {
     /// `here` is readable or hangs up, the wake socket rings, or `left`
     /// passes (rounded up to `poll`'s milliseconds). Every live lane,
     /// whoever holds its read half: a frame may land on any of them just
-    /// after a worker finished reading it, and its writer, seeing this
-    /// receiver drive the channel, wakes no one else.
+    /// after the progress thread finished reading it, and its writer,
+    /// seeing this receiver drive the channel, wakes no one else.
     fn sleep(&mut self, mesh: &Mesh, here: usize, peer: usize, left: Duration) {
         self.lanes.clear();
         self.fds.clear();
@@ -252,7 +251,7 @@ impl PollSet {
 /// written onto one of those sockets wakes the sleep from inside the
 /// kernel, so its sender pays no wake-up. A delivery any other thread
 /// makes rings the wake socket instead (see [`MsgStore::pop_driving`]).
-/// The pool's workers stay the backstop — a rank's reads only shorten
+/// The progress thread stays the backstop — a rank's reads only shorten
 /// delivery, they never gate it.
 ///
 /// [`MsgStore::pop_driving`]: crate::store::MsgStore::pop_driving
@@ -289,21 +288,22 @@ pub(super) fn next_mesh_id() -> u64 {
 }
 
 /// Whether the calling thread drives `mesh` right now. Its wake-ups of
-/// workers wait until it stops (see [`Mesh::notify_owner`]).
+/// the progress thread wait until it stops (see [`Mesh::notify_worker`]).
 pub(super) fn driving(mesh: &Mesh) -> bool {
     DRIVING.get() == mesh.id
 }
 
 /// One progress pass over every endpoint of `mesh` from the calling
-/// thread: drain each inbound socket and decode what arrived as a
-/// worker does, then write each send queue. Without `stay`, every ack
-/// owed is queued first: the caller's next frames would have carried
-/// them, and it is about to stop sending for a while. An
-/// endpoint whose worker is running is left to it and poked instead,
-/// as in [`drain_inbound`]. With `stay` the thread keeps driving after
-/// the pass: its sends queue without an inline write and, like its ack
-/// pushes, wake no worker, because its next pass writes them. Without
-/// `stay` it stops driving ([`stop_driving`]) once the pass is done.
+/// thread: drain each inbound socket and decode what arrived as the
+/// progress thread does, then write each send queue. Without `stay`,
+/// every ack owed is queued first: the caller's next frames would have
+/// carried them, and it is about to stop sending for a while. While
+/// the progress thread runs, endpoints are left to it and it is poked
+/// instead, as in [`drain_inbound`]. With `stay` the thread keeps
+/// driving after the pass: its sends queue without an inline write
+/// and, like its ack pushes, leave the progress thread asleep, because
+/// its next pass writes them. Without `stay` it stops driving
+/// ([`stop_driving`]) once the pass is done.
 pub(super) fn drive(mesh: &Mesh, stay: bool) {
     DRIVING.set(mesh.id);
     let nodes = mesh.topo.nodes();
@@ -319,10 +319,9 @@ pub(super) fn drive(mesh: &Mesh, stay: bool) {
     }
     let stage = stage_share(mesh.queues.len());
     for &key in mesh.queues.keys() {
-        let slot = mesh.slot(key);
-        // A running owner was poked by the drain above.
-        if mesh.progress.signals[slot.owner].is_parked() {
-            slot.write.write(mesh, key, stage);
+        // A running progress thread was poked by the drain above.
+        if mesh.progress.signal.is_parked() {
+            mesh.slot(key).write.write(mesh, key, stage);
         }
     }
     if !stay {
@@ -330,9 +329,9 @@ pub(super) fn drive(mesh: &Mesh, stay: bool) {
     }
 }
 
-/// Stop driving `mesh`: clear the thread's mark and wake every worker
-/// whose wake-up it deferred, so no frame it left queued and no byte it
-/// left unread waits out a worker's bounded park.
+/// Stop driving `mesh`: clear the thread's mark and pay the wake-up it
+/// deferred, if any, so no frame it left queued and no byte it left
+/// unread waits out the progress thread's bounded park.
 pub(super) fn stop_driving(mesh: &Mesh) {
     if driving(mesh) {
         DRIVING.set(0);

@@ -1,6 +1,6 @@
-//! Worker 0's timer duties: the retransmit scan (with the lane acks
-//! nobody else wrote and the moves off dead lanes), the heartbeat tick
-//! and the brownout (gray-failure) window.
+//! The progress thread's timer duties: the retransmit scan (with the
+//! lane acks nobody else wrote and the moves off dead lanes), the
+//! heartbeat tick and the brownout (gray-failure) window.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ use crate::wire::{Frame, FrameKind};
 /// the brownout score.
 const BROWNOUT_P99: Duration = Duration::from_millis(250);
 
-/// Worker 0's retransmit duty, one scan over every directed lane. A
+/// The retransmit duty, one scan over every directed lane. A
 /// dead lane's unacked frames move onto the survivors. On a live lane,
 /// the ack owed since the previous scan is written, and up to
 /// [`ACK_BATCH`] timed-out frames are re-sent on the lane, oldest first
@@ -89,7 +89,7 @@ fn migrate(mesh: &Mesh, (from, to, dead): LaneKey) {
     }
 }
 
-/// Worker 0's heartbeat duty: one tick of the liveness sideband. Emits
+/// The heartbeat duty: one tick of the liveness sideband. Emits
 /// a standalone beat for each directed node pair whose outbound traffic
 /// has gone quiet for a full interval — busy pairs never see one, their
 /// regular frames *are* the beats — and promotes pairs silent past the
@@ -136,7 +136,7 @@ pub(super) fn heartbeat_pass(mesh: &Mesh) {
     }
 }
 
-/// Worker 0's brownout duty: one evaluation window of the gray-failure
+/// The brownout duty: one evaluation window of the gray-failure
 /// detector. Per lane, the health score is the retransmit delta blamed
 /// on it this window plus its cumulative ack-RTT p99; an over-threshold
 /// lane is *demoted* — excluded from fresh lane selection via the

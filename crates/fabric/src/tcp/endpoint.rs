@@ -15,7 +15,6 @@ use super::queue::SendQueue;
 use super::repair::RepairReq;
 use super::LaneKey;
 use crate::pool::{FrameBuf, WriteCursor};
-use crate::wait::WorkSignal;
 use crate::wire::{Frame, FrameDecoder, FrameKind};
 use crate::ChanKey;
 
@@ -100,7 +99,7 @@ impl ReadHalf {
 }
 
 /// One endpoint half, with the connection generation it belongs to, as
-/// shared by its owning worker and the ranks: whoever takes its lock
+/// shared by the progress thread and the ranks: whoever takes its lock
 /// does the work, and nobody waits for it.
 ///
 /// A thread that loses the `try_lock` sets `missed`. What the holder
@@ -170,11 +169,11 @@ impl<T> Half<T> {
 
 impl Half<ReadHalf> {
     /// One read pass over endpoint `key` ([`read_step`], `by_rank` as
-    /// there). Reading is the same work whoever does it,
-    /// so a thread that loses the lock leaves it to the holder: a holder
-    /// that finds `missed` set after its pass takes the lock again and
-    /// reads once more, so bytes that landed after its last read are
-    /// never left for the owner's bounded park. Returns whether any
+    /// there). Reading is the same work whoever does it, so a thread
+    /// that loses the lock leaves it to the holder: a holder that finds
+    /// `missed` set after its pass takes the lock again and reads once
+    /// more, so bytes that landed after its last read are never left
+    /// for the progress thread's bounded park. Returns whether any
     /// bytes arrived, or `None` if the half was busy, absent or retired.
     pub(super) fn read(&self, mesh: &Mesh, key: LaneKey, by_rank: bool) -> Option<bool> {
         let mut got = None;
@@ -194,7 +193,8 @@ impl Half<ReadHalf> {
 }
 
 impl Half<WriteHalf> {
-    /// A worker's or a driving caller's write pass over endpoint `key`
+    /// The progress thread's or a driving caller's write pass over
+    /// endpoint `key`
     /// ([`write_step`]). Losing the lock to a sending rank flags it (see
     /// [`Half::send_with`]). Returns whether anything moved, or `None`
     /// if the half was busy, absent or retired.
@@ -204,39 +204,38 @@ impl Half<WriteHalf> {
         Self::run(&mut g, mesh, key, |wh| write_step(mesh, wh, stage))
     }
 
-    /// Run a sending rank's `step` on endpoint `key`, whose owner is
-    /// `owner`, if the lock is free — a frame that cannot go inline
-    /// takes the queue instead. A worker that wanted the half meanwhile
-    /// wanted the queue written out, which a sender does not do: on
-    /// release the sender re-notifies the owner if the owner's signal
-    /// moved while it held the half.
+    /// Run a sending rank's `step` on endpoint `key` if the lock is free
+    /// — a frame that cannot go inline takes the queue instead. A
+    /// progress thread that wanted the half meanwhile wanted the queue
+    /// written out, which a sender does not do: on release the sender
+    /// re-notifies it if its signal moved while the sender held the
+    /// half.
     pub(super) fn send_with<R>(
         &self,
         mesh: &Mesh,
         key: LaneKey,
-        owner: &WorkSignal,
         step: impl FnOnce(&mut WriteHalf) -> Option<R>,
     ) -> Option<R> {
+        let worker = &mesh.progress.signal;
         let mut g = self.take(false)?;
-        let seen = owner.epoch();
+        let seen = worker.epoch();
         let out = Self::run(&mut g, mesh, key, step);
         drop(g);
         fence(Ordering::SeqCst);
         if self.missed.load(Ordering::SeqCst)
             && self.missed.swap(false, Ordering::SeqCst)
-            && owner.epoch() != seen
+            && worker.epoch() != seen
         {
-            owner.notify();
+            worker.notify();
         }
         out
     }
 }
 
-/// Both halves of one endpoint, in its [`Mesh`] slot, the index of the
-/// worker that owns them, and the reliability state of the lane in each
-/// direction, which outlives every connection the lane goes through.
+/// Both halves of one endpoint, in its [`Mesh`] slot, and the
+/// reliability state of the lane in each direction, which outlives
+/// every connection the lane goes through.
 pub(super) struct EndpointSlot {
-    pub(super) owner: usize,
     pub(super) write: Half<WriteHalf>,
     pub(super) read: Half<ReadHalf>,
     /// Frames this endpoint sent and the peer has not acked.
@@ -248,8 +247,9 @@ pub(super) struct EndpointSlot {
     /// the ack to the next send, sleep or tick.
     pub(super) owes: AtomicBool,
     /// The socket the read half reads, kept outside the half's lock so
-    /// a receiver can poll it while a worker holds the half. Set when
-    /// the endpoint is installed; `None` once a receiver saw it hang up.
+    /// a receiver can poll it while another thread holds the half. Set
+    /// when the endpoint is installed; `None` once a receiver saw it hang
+    /// up.
     stream: Mutex<Option<Arc<TcpStream>>>,
 }
 
@@ -276,9 +276,8 @@ impl EndpointSlot {
         wm
     }
 
-    pub(super) fn new(owner: usize) -> Self {
+    pub(super) fn new() -> Self {
         EndpointSlot {
-            owner,
             write: Half::empty(),
             read: Half::empty(),
             tx: TxRing::default(),
@@ -313,7 +312,7 @@ impl EndpointSlot {
     }
 }
 
-/// Queue a break report for worker 0's repair duty — unless the socket
+/// Queue a break report for the repair duty — unless the socket
 /// broke because of shutdown or a deliberate lane kill, which are not
 /// repairable.
 fn report_break(mesh: &Mesh, (here, peer, lane): LaneKey, gen: u64) {
@@ -328,7 +327,7 @@ fn report_break(mesh: &Mesh, (here, peer, lane): LaneKey, gen: u64) {
     if let Ok(mut q) = mesh.progress.repair_q.lock() {
         q.push_back(RepairReq { lo, hi, lane, gen });
     }
-    mesh.progress.signals[0].notify();
+    mesh.progress.signal.notify();
 }
 
 /// One nonblocking write pass over a write half: top the cursor up from
@@ -341,10 +340,10 @@ fn report_break(mesh: &Mesh, (here, peer, lane): LaneKey, gen: u64) {
 /// receiver drives the wire wakes nobody: that receiver sleeps in
 /// `poll(2)` on this socket, so the write itself woke it, or it polls
 /// the socket on its next receive. Anything else — a receiver not
-/// driving, a control frame, a batch, a torn write — wakes the owner of
-/// the reverse direction, which reads and delivers it.
+/// driving, a control frame, a batch, a torn write — wakes the progress
+/// thread, which reads and delivers it.
 pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Option<bool> {
-    let (here, peer, lane) = wh.key;
+    let peer = wh.key.1;
     let mut progressed = false;
     if wh.cursor.remaining_bytes() < stage {
         let before = wh.staged.len();
@@ -397,9 +396,8 @@ pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Optio
     if wrote {
         mesh.touch();
         // Whoever reads what we just wrote: the receiver polling this
-        // socket, else the owner of the reverse direction of this
-        // connection — all nodes share this process, so poke it instead
-        // of waiting out a park timeout.
+        // socket, else the progress thread — all nodes share this
+        // process, so poke it instead of waiting out a park timeout.
         let mut unheard = true;
         if wh.cursor.is_empty() {
             if let ([(chan, _)], false) = (wh.staged.as_slice(), wh.staged_ctrl) {
@@ -410,17 +408,17 @@ pub(super) fn write_step(mesh: &Mesh, wh: &mut WriteHalf, stage: usize) -> Optio
             wh.staged_ctrl = false;
         }
         if unheard {
-            mesh.notify_owner(peer, here, lane);
+            mesh.notify_worker();
         }
     }
     Some(progressed)
 }
 
-/// One nonblocking read pass over a read half: drain the socket (a
-/// worker's pass is bounded, for fairness) straight into the decoder —
-/// a payload whose header has arrived into the message's own vector,
-/// anything else into the decoder's buffer — and dispatch every complete
-/// frame. Once the lane owes an ack for [`ACK_BATCH`] frames, the reader
+/// One nonblocking read pass over a read half: drain the socket (the
+/// progress thread's pass is bounded, for fairness) straight into the
+/// decoder — a payload whose header has arrived into the message's own
+/// vector, anything else into the decoder's buffer — and dispatch every
+/// complete frame. Once the lane owes an ack for [`ACK_BATCH`] frames, the reader
 /// writes it at once: a rank (`by_rank`) inline when it can, anyone else
 /// through the queue. Returns whether any bytes arrived, or `None` if
 /// the socket broke or the stream is garbled.
@@ -490,8 +488,9 @@ pub(super) fn read_step(mesh: &Mesh, rh: &mut ReadHalf, by_rank: bool) -> Option
                 if !by_rank && reads >= MAX_READS_PER_PASS {
                     // Yield to sibling endpoints; leftover bytes are
                     // picked up next pass (we made progress, so the
-                    // worker loops straight back around). A rank reads
-                    // on: nothing else would wake it for the rest.
+                    // progress thread loops straight back around). A
+                    // rank reads on: nothing else would wake it for the
+                    // rest.
                     break Some(());
                 }
             }
@@ -509,7 +508,7 @@ pub(super) fn read_step(mesh: &Mesh, rh: &mut ReadHalf, by_rank: bool) -> Option
     pass?;
     if reads > 0 && rh.reverse.write_blocked.load(Ordering::SeqCst) {
         // The reverse endpoint writes into the socket we just drained.
-        mesh.notify_owner(peer, here, lane);
+        mesh.notify_worker();
     }
     Some(reads > 0)
 }

@@ -6,10 +6,11 @@
 //! Who writes a lane's ACK frame: nobody, if a payload frame going back
 //! on the lane carries the watermark first. Otherwise whoever decoded
 //! the frames — at once when the lane owes [`ACK_BATCH`]; a rank before
-//! it sleeps in a receive; a driving caller before it pauses. A worker
-//! writes no ack sooner, so it never takes one a rank's reply is about
-//! to carry: an ack still owed a whole retransmit tick later is worker
-//! 0's to write, well inside the retransmit timeout.
+//! it sleeps in a receive; a driving caller before it pauses. The
+//! progress thread writes no ack sooner, so it never takes one a rank's
+//! reply is about to carry: an ack still owed a whole retransmit tick
+//! later is the retransmit duty's to write, well inside the retransmit
+//! timeout.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,7 +148,7 @@ pub(super) struct LaneRx {
     pub(super) gaps: Vec<(u64, u64)>,
     /// Payload frames that arrived since an ack last left.
     pub(super) owed: u32,
-    /// `owed` was already set at worker 0's previous ack tick.
+    /// `owed` was already set at the progress thread's previous ack tick.
     aged: bool,
 }
 
@@ -196,9 +197,9 @@ impl LaneRx {
         (std::mem::take(&mut self.owed) > 0 && wm > 0).then_some(wm)
     }
 
-    /// Worker 0's ack tick: take the ack only if it was owed at the
-    /// previous tick too — no reverse frame took it meanwhile, so none
-    /// is about to.
+    /// The retransmit duty's ack tick: take the ack only if it was owed
+    /// at the previous tick too — no reverse frame took it meanwhile, so
+    /// none is about to.
     pub(super) fn take_aged(&mut self) -> Option<u64> {
         if self.owed == 0 {
             return None;

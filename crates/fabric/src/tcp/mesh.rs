@@ -1,4 +1,4 @@
-//! The state shared by `send`/`recv` callers and the progress pool:
+//! The state shared by `send`/`recv` callers and the progress thread:
 //! lane selection, writing and applying lane acks, and the dispatch of
 //! every decoded frame.
 
@@ -44,27 +44,26 @@ pub(super) struct ConnEntry {
     pub(super) inn: Arc<TcpStream>,
 }
 
-/// Progress-pool plumbing: wakeup signals, the repair queue, and the
-/// listener worker 0 repairs through.
+/// Progress-thread plumbing: its wakeup signal, the repair queue, and
+/// the listener its repair duty reconnects through.
 pub(super) struct ProgressShared {
     pub(super) addr: SocketAddr,
     /// The loopback listener; blocking during initial connect, then
-    /// nonblocking for worker 0's repair accepts.
+    /// nonblocking for the repair duty's accepts.
     pub(super) listener: Mutex<TcpListener>,
-    /// Break reports awaiting worker 0.
+    /// Break reports awaiting the repair duty.
     pub(super) repair_q: Mutex<VecDeque<RepairReq>>,
-    /// Per-worker wakeup signals.
-    pub(super) signals: Vec<WorkSignal>,
-    /// Resolved pool size.
-    pub(super) pool_size: usize,
-    /// Live worker census (incremented on entry, guard-decremented on
-    /// exit) — the observable behind the thread-budget tests. `Arc` so
-    /// a probe can outlive the fabric and verify `Drop` joined the pool.
+    /// The progress thread's wakeup signal.
+    pub(super) signal: WorkSignal,
+    /// Live progress-thread census (incremented at spawn,
+    /// guard-decremented on exit) — the observable behind the
+    /// thread-budget tests. `Arc` so a probe can outlive the fabric and
+    /// verify `Drop` joined the thread.
     pub(super) live: Arc<AtomicUsize>,
 }
 
 /// Everything shared between `send`/`recv` callers and the progress
-/// pool.
+/// thread.
 pub(super) struct Mesh {
     /// Unique per fabric: names the mesh in a driving thread's mark.
     pub(super) id: u64,
@@ -104,7 +103,7 @@ pub(super) struct Mesh {
     /// Nanoseconds (since `started`) a frame was last decoded on each
     /// lane, in either direction; 0 = never.
     pub(super) lane_heard: Vec<AtomicU64>,
-    /// Failures recorded by progress workers, drained by the runtime.
+    /// Failures recorded off the caller's path, drained by the runtime.
     pub(super) errors: Mutex<Vec<FabricError>>,
     /// Per-lane kill flags; a killed lane is never repaired.
     pub(super) killed: Vec<AtomicBool>,
@@ -114,7 +113,7 @@ pub(super) struct Mesh {
     /// Lock-free "is chaos installed?" gate: the send path, every
     /// control-frame push and the ack flush consult chaos, and taking
     /// the mutex just to find `None` measurably serialized concurrent
-    /// lane workers on the no-fault hot path.
+    /// senders on the no-fault hot path.
     pub(super) chaos_installed: AtomicBool,
     /// Next send sequence per channel.
     pub(super) seqs: Mutex<HashMap<ChanKey, u64>>,
@@ -132,9 +131,9 @@ pub(super) struct Mesh {
     pub(super) send_copied: AtomicU64,
     /// Payload bytes the decoders copied out of their read buffers.
     pub(super) recv_copied: AtomicU64,
-    /// Per worker: a driving caller skipped waking it (see
-    /// [`Mesh::notify_owner`]); [`Mesh::hand_back`] pays the wake-up.
-    pub(super) driver_owed: Vec<AtomicBool>,
+    /// A driving caller skipped waking the progress thread (see
+    /// [`Mesh::notify_worker`]); [`Mesh::hand_back`] pays the wake-up.
+    pub(super) driver_owed: AtomicBool,
     pub(super) lane_ctrs: Vec<LaneCounters>,
     pub(super) local_msgs: AtomicU64,
     pub(super) local_bytes: AtomicU64,
@@ -197,35 +196,27 @@ impl Mesh {
         &self.slots[(from * self.topo.nodes() + to) * self.cfg.lanes + lane]
     }
 
-    /// Wake the worker that owns endpoint `(from, to, lane)` — its send
-    /// queue or its socket just gained work. A thread driving this mesh
-    /// writes and reads that endpoint at its next pass, so it only
-    /// notes the wake-up as owed until it stops driving.
-    pub(super) fn notify_owner(&self, from: usize, to: usize, lane: usize) {
-        let owner = self.slot((from, to, lane)).owner;
+    /// Wake the progress thread: a send queue or a socket just gained
+    /// work. A thread driving this mesh writes and reads every endpoint
+    /// at its next pass, so it only notes the wake-up as owed until it
+    /// stops driving.
+    pub(super) fn notify_worker(&self) {
         if driving(self) {
-            self.driver_owed[owner].store(true, Ordering::Release);
+            self.driver_owed.store(true, Ordering::Release);
         } else {
-            self.progress.signals[owner].notify();
+            self.progress.signal.notify();
         }
     }
 
-    /// Wake every worker a driving caller owes a wake-up.
+    /// Pay the wake-up a driving caller owes the progress thread, if any.
     pub(super) fn hand_back(&self) {
-        for (owed, signal) in self.driver_owed.iter().zip(&self.progress.signals) {
-            if owed.swap(false, Ordering::AcqRel) {
-                signal.notify();
-            }
+        if self.driver_owed.swap(false, Ordering::AcqRel) {
+            self.progress.signal.notify();
         }
-    }
-
-    /// The wakeup signal of the worker owning internode endpoint `key`.
-    pub(super) fn owner_signal(&self, key: LaneKey) -> &WorkSignal {
-        &self.progress.signals[self.slot(key).owner]
     }
 
     /// Push a control frame onto `(from, to, lane)`'s queue and wake the
-    /// owning worker. Returns `false` if the queue is missing/poisoned.
+    /// progress thread. Returns `false` if the queue is missing/poisoned.
     ///
     /// This is the single choke point every control path funnels
     /// through — acks, retransmits, heartbeats — so a
@@ -244,7 +235,7 @@ impl Mesh {
             Some(q) => {
                 let ok = q.push_ctrl(buf);
                 if ok {
-                    self.notify_owner(from, to, lane);
+                    self.notify_worker();
                 }
                 ok
             }

@@ -17,9 +17,9 @@
 //!
 //! * **the sender first**: `send` writes a frame straight onto its
 //!   lane's socket when a receiver on the destination node reads the
-//!   wire itself, the lane's worker is parked, the lane is not streaming
-//!   and nothing is queued ahead of it. A torn write leaves the rest in
-//!   the cursor for the worker.
+//!   wire itself, the progress thread is parked, the lane is not
+//!   streaming and nothing is queued ahead of it. A torn write leaves
+//!   the rest in the cursor for the progress thread.
 //! * **the waiter first**: `recv_within` sleeps in `poll(2)` on the
 //!   sockets of every live lane from the sending node, plus its thread's
 //!   wake socket, and reads those the kernel reports readable, decoding
@@ -29,58 +29,55 @@
 //!   read and delivered rings its wake socket.
 //! * **the poller first**: a thread that polls with `try_recv` instead
 //!   of waiting (the service engine) calls [`Fabric::drive`] once per
-//!   pass, which runs a worker's pass over every endpoint whose worker
-//!   is parked — read and decode each inbound socket, write each send
-//!   queue, and on its last pass before a pause queue every ack owed —
-//!   and pokes a running worker instead.
+//!   pass, which runs the progress thread's pass over every endpoint
+//!   while that thread is parked — read and decode each inbound socket,
+//!   write each send queue, and on its last pass before a pause queue
+//!   every ack owed — and pokes it while it runs.
 //!   While it drives, its sends are queued, and its sends and ack
-//!   pushes only note the owner's wake-up as owed, because its next
-//!   pass does the work; every way out of driving (its last call, a
-//!   send about to block on a full queue) pays the owed wake-ups first.
-//! * **the progress pool as backstop**: a small fixed pool of progress
-//!   threads (default `min(4, cores)`, override
-//!   [`TcpConfig::progress_threads`]), *not* a thread pair per
-//!   endpoint, owns the endpoints round-robin. A worker's loop rotates
-//!   over its endpoints: it refills each write cursor from the send
-//!   queue (control frames first) and `write_vectored`s many pooled
-//!   frames in one syscall, and drains each socket it can lock.
+//!   pushes only note the progress thread's wake-up as owed, because
+//!   its next pass does the work; every way out of driving (its last
+//!   call, a send about to block on a full queue) pays that wake-up
+//!   first.
+//! * **the progress thread as backstop**: one thread per fabric (none
+//!   for a fabric of one node) owns every endpoint. Each pass it runs
+//!   the timer duties that are due, then walks the endpoints: it refills
+//!   each write cursor from the send queue (control frames first) and
+//!   `write_vectored`s many pooled frames in one syscall, and drains
+//!   each socket it can lock.
 //!
 //! Wake-ups: a receiving rank sleeps in the kernel, on its sockets, so
 //! the `write` that lands its frame is its wake-up and the sender pays
-//! none; a delivery made by any other thread (a worker, a driving
-//! caller, another rank) writes one byte to the receiver's wake socket,
-//! registered with the store under the lock that found nothing ready.
-//! Workers are woken in userspace: every producer (a sender pushing a
-//! frame, a repair request, shutdown) bumps the owning worker's
-//! [`WorkSignal`]; a write whose channel has no driving receiver
-//! signals the owner of the *reverse* endpoint, whose socket now has
-//! readable bytes, and a read that drained bytes signals the reverse
-//! endpoint's owner again if that writer last hit `WouldBlock` — all
-//! nodes live in this process, so either end is always positioned to
-//! poke the other.
+//! none; a delivery made by any other thread (the progress thread, a
+//! driving caller, another rank) writes one byte to the receiver's wake
+//! socket, registered with the store under the lock that found nothing
+//! ready. The progress thread is woken in userspace: every producer (a
+//! sender pushing a frame, a repair request, shutdown) bumps its
+//! [`WorkSignal`]; so does a write whose channel has no driving
+//! receiver, since the reverse endpoint's socket now has readable
+//! bytes, and a read that drained bytes a writer stuck on `WouldBlock`
+//! waits for — all nodes live in this process, so either end is always
+//! positioned to poke the other.
 //!
-//! Liveness never depends on a rank: a worker whose cycle made no
-//! progress parks with a bounded timeout (≤ 10 ms) and then re-scans
-//! every endpoint it owns, so bytes no rank picked up are delivered and
-//! a missed edge costs milliseconds, not liveness. A thread that loses
-//! a half's lock is owed a re-read (read half) or a re-notify of the
-//! worker (write half) by the holder, so a rank holding a half never
-//! costs the worker its bounded park, and a wake-up a driving thread
-//! defers is paid when it stops driving.
+//! Liveness never depends on a rank: a progress pass that made no
+//! progress parks with a bounded timeout (≤ 10 ms, shorter when a timer
+//! is due sooner) and then re-scans every endpoint, so bytes no rank
+//! picked up are delivered and a missed edge costs milliseconds, not
+//! liveness. A thread that loses a half's lock is owed a re-read (read
+//! half) or a re-notify of the progress thread (write half) by the
+//! holder, so a rank holding a half never costs the progress thread its
+//! bounded park, and a wake-up a driving thread defers is paid when it
+//! stops driving.
 //!
-//! The former repair, retransmit and heartbeat threads fold into worker
-//! 0 as deadline-ordered timer duties: a retransmit scan every `rto/4`,
-//! a heartbeat tick every `heartbeat/2`, and repair-queue processing on
-//! demand. Total fabric-owned threads are therefore O(pool) — a
-//! constant — instead of O(node pairs × lanes), the wall that kept the
-//! thread-per-lane design from multiplying lanes the way the paper's
-//! Fig. 1 premise requires.
+//! Timers ride the same thread as deadline-ordered duties: a retransmit
+//! scan every `rto/4`, a heartbeat tick every `heartbeat/2`, a brownout
+//! window when enabled, and repair-queue processing on demand. A fabric
+//! therefore owns one thread, whatever its node pairs and lanes.
 //!
 //! Backpressure: each lane's user send queue is bounded; `send` blocks
 //! (and counts a stall) while it is full. Acks, retransmits and
 //! heartbeats travel on an unbounded control queue drained first — frame
-//! handling inside a worker never blocks on a full queue, so workers
-//! always drain the wire and TCP flow control always eventually
+//! handling inside the progress thread never blocks on a full queue, so
+//! it always drains the wire and TCP flow control always eventually
 //! releases any blocked sender.
 //!
 //! Every internode message goes as eager frames, whatever its size, and
@@ -111,17 +108,17 @@
 //!   *watermark* passes it. Any payload frame going back on the lane,
 //!   whatever its channel, carries the owed watermark in `aux`;
 //!   otherwise whoever decoded the frames writes an ACK frame (see
-//!   `lane`). Worker 0 re-sends a ring's timed-out frames, oldest
-//!   first, on their lane with exponential backoff and jitter; channel
-//!   dedup makes re-deliveries idempotent and a duplicate re-owes the
-//!   watermark, so a lost ack never wedges the sender. An exhausted
+//!   `lane`). The retransmit duty re-sends a ring's timed-out frames,
+//!   oldest first, on their lane with exponential backoff and jitter;
+//!   channel dedup makes re-deliveries idempotent and a duplicate re-owes
+//!   the watermark, so a lost ack never wedges the sender. An exhausted
 //!   budget becomes a typed [`FabricError::PeerDead`] verdict; the frame
 //!   keeps retrying.
-//! * **Reconnect** — a broken socket is reported to worker 0's repair
-//!   duty, which re-establishes the connection and hands fresh
-//!   endpoints to their owners, deduplicating reports by generation
-//!   number. Frames lost in the break are a gap in the lane's sequence,
-//!   which retransmit fills.
+//! * **Reconnect** — a broken socket is reported to the repair duty,
+//!   which re-establishes the connection and swaps fresh endpoint halves
+//!   into their slots, deduplicating reports by generation number.
+//!   Frames lost in the break are a gap in the lane's sequence, which
+//!   retransmit fills.
 //! * **Lane failover** — [`Fabric::kill_lane`] severs a lane and future
 //!   sends remap over the survivors; the retransmit duty moves the dead
 //!   lane's unacked frames onto them under fresh lane sequence numbers.
@@ -165,7 +162,7 @@ use lane::{LaneRx, PendingFrame};
 use mesh::{ConnEntry, LaneCounters, Mesh, ProgressShared};
 use queue::{PushError, SendQueue};
 use repair::install_endpoint;
-use worker::{resolve_pool_size, worker_loop};
+use worker::worker_loop;
 
 mod drive;
 mod duties;
@@ -205,15 +202,12 @@ pub struct TcpConfig {
     /// Missed-beat budget: a node silent for `heartbeat * misses` is
     /// suspected dead (cleared the instant any frame arrives from it).
     pub heartbeat_misses: u32,
-    /// Progress-pool size; `0` means auto (`min(4, cores)`). The pool is
-    /// additionally capped at the endpoint count — a fabric never spawns
-    /// a worker with nothing to drive.
-    pub progress_threads: usize,
-    /// Gray-failure brownout evaluation window. Every window, worker 0
-    /// scores each lane from its retransmit delta and ack-RTT p99; an
-    /// over-threshold lane is *demoted* (excluded from lane selection,
-    /// reported in [`FabricHealth::browned_lanes`]) but not killed, and
-    /// recovery probes restore it once frames cross it again.
+    /// Gray-failure brownout evaluation window. Every window, the
+    /// progress thread scores each lane from its retransmit delta and
+    /// ack-RTT p99; an over-threshold lane is *demoted* (excluded from
+    /// lane selection, reported in [`FabricHealth::browned_lanes`]) but
+    /// not killed, and recovery probes restore it once frames cross it
+    /// again.
     /// [`Duration::ZERO`] disables brownout entirely. Default from
     /// `PIPMCOLL_BROWNOUT_MS` (0 = off).
     pub brownout_window: Duration,
@@ -246,7 +240,6 @@ impl Default for TcpConfig {
             max_retransmits: 8,
             heartbeat: env_heartbeat(),
             heartbeat_misses: 4,
-            progress_threads: 0,
             brownout_window: env_brownout_window(),
             brownout_retransmits: 16,
         }
@@ -257,18 +250,19 @@ impl Default for TcpConfig {
 type LaneKey = (usize, usize, usize);
 
 /// Loopback TCP transport with per-node-pair lane pools, ack-based loss
-/// recovery, reconnect, and lane failover — all driven by a fixed-size
-/// progress pool over nonblocking sockets.
+/// recovery, reconnect, and lane failover, over nonblocking sockets
+/// that its ranks and one progress thread drive.
 pub struct TcpFabric {
     mesh: Arc<Mesh>,
-    workers: Vec<JoinHandle<()>>,
+    /// The progress thread; `None` for a fabric of one node.
+    worker: Option<JoinHandle<()>>,
 }
 
 impl TcpFabric {
     /// Build the full lane mesh for `topo` on loopback: `cfg.lanes`
-    /// connections per node pair, every socket nonblocking, all driven
-    /// by a pool of progress threads: `cfg.progress_threads` (0 = the
-    /// host's CPUs, at most 4), capped at the endpoint count.
+    /// connections per node pair, every socket nonblocking, with one
+    /// progress thread to drive them (none when there is no internode
+    /// endpoint).
     pub fn connect(topo: Topology, cfg: TcpConfig) -> io::Result<TcpFabric> {
         // Reject malformed PIPMCOLL_* variables here, before any worker
         // thread reads them through a silently-defaulting cache.
@@ -305,37 +299,10 @@ impl TcpFabric {
         }
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        // Two endpoints (one per direction) per undirected pair per lane.
-        let n_endpoints = nodes * nodes.saturating_sub(1) * cfg.lanes;
-        let pool_size = resolve_pool_size(&cfg, n_endpoints);
-        // Deterministic endpoint → worker assignment, round-robin over
-        // the enumeration order, so load spreads evenly and `send` can
-        // wake exactly the right worker.
-        let mut owners = HashMap::new();
-        if pool_size > 0 {
-            let mut eidx = 0usize;
-            for a in 0..nodes {
-                for b in (a + 1)..nodes {
-                    for lane in 0..cfg.lanes {
-                        owners.insert((a, b, lane), eidx % pool_size);
-                        eidx += 1;
-                        owners.insert((b, a, lane), eidx % pool_size);
-                        eidx += 1;
-                    }
-                }
-            }
-        }
         // One slot per directed (node, node, lane), in `Mesh::slot`'s
         // order; a node's slots to itself stay empty.
         let slots = (0..nodes * nodes * cfg.lanes)
-            .map(|i| {
-                EndpointSlot::new(
-                    owners
-                        .get(&(i / cfg.lanes / nodes, i / cfg.lanes % nodes, i % cfg.lanes))
-                        .copied()
-                        .unwrap_or(0),
-                )
-            })
+            .map(|_| EndpointSlot::new())
             .collect();
         let mesh = Arc::new(Mesh {
             id: next_mesh_id(),
@@ -345,8 +312,7 @@ impl TcpFabric {
                 addr,
                 listener: Mutex::new(listener),
                 repair_q: Mutex::new(VecDeque::new()),
-                signals: (0..pool_size).map(|_| WorkSignal::new()).collect(),
-                pool_size,
+                signal: WorkSignal::new(),
                 live: Arc::new(AtomicUsize::new(0)),
             },
             stores,
@@ -374,7 +340,7 @@ impl TcpFabric {
             driver_frames: AtomicU64::new(0),
             send_copied: AtomicU64::new(0),
             recv_copied: AtomicU64::new(0),
-            driver_owed: (0..pool_size).map(|_| AtomicBool::new(false)).collect(),
+            driver_owed: AtomicBool::new(false),
             lane_ctrs,
             local_msgs: AtomicU64::new(0),
             local_bytes: AtomicU64::new(0),
@@ -420,29 +386,31 @@ impl TcpFabric {
                     }
                 }
             }
-            // From here on only worker 0's repair duty accepts.
+            // From here on only the repair duty accepts.
             listener.set_nonblocking(true)?;
             *mesh.conns.lock().expect("fresh mutex cannot be poisoned") = conns;
         }
-        let workers = (0..pool_size)
-            .map(|w| {
-                // Count the worker before it is scheduled so the census
-                // reads `pool_size` the instant `connect` returns; the
-                // worker's drop guard is the matching decrement. A
-                // failed spawn unwinds the credit itself.
-                mesh.progress.live.fetch_add(1, Ordering::SeqCst);
-                std::thread::Builder::new()
-                    .name(format!("fab-pool-{w}"))
-                    .spawn({
-                        let mesh = Arc::clone(&mesh);
-                        move || worker_loop(mesh, w)
-                    })
-                    .inspect_err(|_| {
-                        mesh.progress.live.fetch_sub(1, Ordering::SeqCst);
-                    })
+        if mesh.queues.is_empty() {
+            // One node: no endpoint for a progress thread to drive.
+            return Ok(TcpFabric { mesh, worker: None });
+        }
+        // Count the thread before it is scheduled so the census reads 1
+        // the instant `connect` returns; its drop guard is the matching
+        // decrement. A failed spawn unwinds the credit itself.
+        mesh.progress.live.fetch_add(1, Ordering::SeqCst);
+        let worker = std::thread::Builder::new()
+            .name("fab-pool-0".into())
+            .spawn({
+                let mesh = Arc::clone(&mesh);
+                move || worker_loop(mesh)
             })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(TcpFabric { mesh, workers })
+            .inspect_err(|_| {
+                mesh.progress.live.fetch_sub(1, Ordering::SeqCst);
+            })?;
+        Ok(TcpFabric {
+            mesh,
+            worker: Some(worker),
+        })
     }
 
     /// This backend's configuration.
@@ -456,21 +424,10 @@ impl TcpFabric {
         self.mesh.pool.stats()
     }
 
-    /// Resolved progress-pool size: the total number of fabric-owned
-    /// threads, independent of node-pair × lane count.
-    pub fn progress_thread_count(&self) -> usize {
-        self.mesh.progress.pool_size
-    }
-
-    /// Progress threads alive right now (the census behind the
-    /// thread-budget and clean-shutdown tests).
-    pub fn live_progress_threads(&self) -> usize {
-        self.mesh.progress.live.load(Ordering::SeqCst)
-    }
-
-    /// A census probe that outlives the fabric: reads the number of
-    /// live progress threads, and reads 0 once `Drop` has joined the
-    /// pool — the observable behind the clean-shutdown test.
+    /// A census probe that outlives the fabric: reads the number of live
+    /// progress threads — 1 while a fabric with an internode endpoint
+    /// runs, 0 for one node and once `Drop` has joined the thread. The
+    /// observable behind the thread-budget and clean-shutdown tests.
     pub fn census_probe(&self) -> Arc<AtomicUsize> {
         Arc::clone(&self.mesh.progress.live)
     }
@@ -582,10 +539,10 @@ impl Fabric for TcpFabric {
         let pending = PendingFrame::new(lseq, key, seq, buf.clone(), mesh.cfg.rto);
         let unacked = slot.tx.insert(pending);
         // A frame goes onto its socket from this thread when it can (see
-        // `send_inline`); otherwise it is queued and the lane's worker
+        // `send_inline`); otherwise it is queued and the progress thread
         // woken. Returns whether the push stalled. A driving caller about
-        // to block on a full queue first hands back the wake-ups it
-        // deferred: the lane's worker must drain it.
+        // to block on a full queue first pays the wake-up it deferred:
+        // the progress thread must drain the queue.
         let post = |buf: FrameBuf| -> FabricResult<bool> {
             let buf = match send_inline(mesh, (node_s, node_d, lane), unacked, buf) {
                 Ok(()) => return Ok(false),
@@ -593,8 +550,8 @@ impl Fabric for TcpFabric {
             };
             let hand_back = || {
                 if driving(mesh) {
-                    mesh.hand_back();
-                    mesh.owner_signal((node_s, node_d, lane)).notify();
+                    mesh.driver_owed.store(false, Ordering::Relaxed);
+                    mesh.progress.signal.notify();
                 }
             };
             let stalled = q.push_user(buf, hand_back).map_err(|e| match e {
@@ -607,7 +564,7 @@ impl Fabric for TcpFabric {
                 },
                 PushError::Poisoned => FabricError::QueuePoisoned { what: "send queue" },
             })?;
-            mesh.notify_owner(node_s, node_d, lane);
+            mesh.notify_worker();
             Ok(stalled)
         };
         // Chaos rolls the frame's fate (cut edge, degraded lane, then the
@@ -771,12 +728,10 @@ impl Fabric for TcpFabric {
                 let _ = entry.inn.shutdown(Shutdown::Both);
             }
         }
-        // Wake every worker so the killed lane's endpoints retire at
-        // once; the retransmit duty moves the lane's unacked frames onto
-        // the survivors.
-        for s in &mesh.progress.signals {
-            s.notify();
-        }
+        // Wake the progress thread so the killed lane's endpoints retire
+        // at once; the retransmit duty moves the lane's unacked frames
+        // onto the survivors.
+        mesh.progress.signal.notify();
         true
     }
 
@@ -838,15 +793,14 @@ impl Drop for TcpFabric {
     fn drop(&mut self) {
         let mesh = &self.mesh;
         mesh.shutdown.store(true, Ordering::Relaxed);
-        // Wake blocked senders (queues) and parked workers (signals);
-        // workers observe the flag and exit, dropping their endpoints.
+        // Wake blocked senders (queues) and the parked progress thread
+        // (signal); it observes the flag and exits, dropping its
+        // endpoints.
         for q in mesh.queues.values() {
             q.close();
         }
-        for s in &mesh.progress.signals {
-            s.notify();
-        }
-        for t in self.workers.drain(..) {
+        mesh.progress.signal.notify();
+        if let Some(t) = self.worker.take() {
             let _ = t.join();
         }
     }

@@ -1,5 +1,5 @@
 //! One lane endpoint's send side: the bounded user queue and the
-//! unbounded control queue a progress worker drains into its socket.
+//! unbounded control queue drained into its socket.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,8 +39,8 @@ pub(super) struct SendQueue {
     /// Senders parked on a full user queue.
     can_push: Waiters,
     /// The endpoint draining this queue last hit `WouldBlock` with bytes
-    /// still in its cursor: the socket's reader wakes that endpoint's
-    /// worker when it drains bytes (the writer has no other edge).
+    /// still in its cursor: the socket's reader wakes the progress thread
+    /// when it drains bytes (the writer has no other edge).
     pub(super) write_blocked: AtomicBool,
 }
 
@@ -94,7 +94,7 @@ impl SendQueue {
     }
 
     /// Enqueue a protocol frame (acks, retransmits, heartbeats). Never
-    /// blocks — this is what keeps the progress pool always able to
+    /// blocks — this is what keeps the progress thread always able to
     /// drain the wire. Returns `false` only on a poisoned queue.
     pub(super) fn push_ctrl(&self, frame: FrameBuf) -> bool {
         match self.inner.lock() {

@@ -1,4 +1,4 @@
-//! Worker 0's repair duty: reconnect a broken lane connection and swap
+//! The progress thread's repair duty: reconnect a broken lane connection and swap
 //! the fresh endpoint halves into their slots.
 
 use std::io;
@@ -12,7 +12,7 @@ use super::mesh::Mesh;
 use super::LaneKey;
 use crate::error::FabricError;
 
-/// A break report from a progress worker to worker 0's repair duty.
+/// A break report from whoever found a socket broken to the repair duty.
 pub(super) struct RepairReq {
     pub(super) lo: usize,
     pub(super) hi: usize,
@@ -25,7 +25,7 @@ pub(super) struct RepairReq {
 /// Install endpoint `key`'s halves over `stream` at generation `gen` of
 /// the connection whose live generation is `cur`, replacing whatever
 /// the slot held, offer the stream to polling receivers, and wake the
-/// endpoint's owner.
+/// progress thread.
 pub(super) fn install_endpoint(
     mesh: &Mesh,
     key: LaneKey,
@@ -53,12 +53,12 @@ pub(super) fn install_endpoint(
         ReadHalf::new(key, Arc::clone(&stream), Arc::clone(reverse)),
     );
     slot.set_stream(stream);
-    mesh.notify_owner(here, peer, lane);
+    mesh.notify_worker();
 }
 
 /// Establish one fresh loopback connection pair through the (now
-/// nonblocking) listener — we are both sides, so worker 0 connects and
-/// accepts itself. Returns nodelay'd, nonblocking streams.
+/// nonblocking) listener — we are both sides, so the progress thread
+/// connects and accepts itself. Returns nodelay'd, nonblocking streams.
 pub(super) fn reconnect_nb(mesh: &Mesh) -> io::Result<(TcpStream, TcpStream)> {
     let listener = mesh
         .progress
@@ -146,7 +146,7 @@ pub(super) fn repair_one(mesh: &Mesh, req: RepairReq) {
     }
 }
 
-/// Worker 0's repair duty: drain and process the break-report queue.
+/// The repair duty: drain and process the break-report queue.
 /// Returns whether anything was repaired (progress).
 pub(super) fn repair_pass(mesh: &Mesh) -> bool {
     let reqs: Vec<RepairReq> = match mesh.progress.repair_q.lock() {

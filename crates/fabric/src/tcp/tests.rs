@@ -70,26 +70,6 @@ fn drop_joins_progress_threads() {
 }
 
 #[test]
-fn pool_size_is_independent_of_lanes() {
-    let narrow = two_nodes(1);
-    let wide = two_nodes(8);
-    assert!(
-        wide.progress_thread_count() <= 4,
-        "pool exceeds min(4, cores): {}",
-        wide.progress_thread_count()
-    );
-    assert!(wide.progress_thread_count() >= narrow.progress_thread_count());
-    // 8× the lanes may not mean 8× the threads — the whole point.
-    assert!(
-        wide.progress_thread_count() <= narrow.progress_thread_count() * 4,
-        "pool scales with lanes: {} vs {}",
-        wide.progress_thread_count(),
-        narrow.progress_thread_count()
-    );
-    assert_eq!(wide.live_progress_threads(), wide.progress_thread_count());
-}
-
-#[test]
 fn recv_timeout_diag_names_backend_lane_and_queue() {
     let f = two_nodes(2);
     let err = f
@@ -528,7 +508,7 @@ fn broken_connection_reconnects_and_delivery_continues() {
 }
 
 /// Poll the health view until `browned_lanes == want` (the brownout
-/// duty runs on worker 0's window clock, not the test's).
+/// duty runs on the progress thread's window clock, not the test's).
 fn wait_browned(f: &TcpFabric, want: &[usize]) -> bool {
     let t0 = Instant::now();
     while t0.elapsed() < Duration::from_secs(5) {
@@ -602,8 +582,8 @@ fn gray_failing_lane_is_demoted_and_restored_after_the_fault_clears() {
 
 #[test]
 fn lost_wakeup_full_send_queue() {
-    // A one-slot queue per pair: nearly every send parks until a
-    // progress worker frees the slot, so a free that skipped the
+    // A one-slot queue per pair: nearly every send parks until the
+    // progress thread frees the slot, so a free that skipped the
     // notify would leave the sender parked for a whole sync timeout.
     // A frame goes inline only to a receiver that reads the wire
     // itself; this one polls, so every frame takes the bounded queue.
@@ -657,15 +637,15 @@ fn lost_wakeup_full_send_queue() {
 #[test]
 #[cfg(target_os = "linux")]
 fn write_stall_is_woken_by_the_reader() {
-    // One lane, two workers: the two ends of the connection land on
-    // different workers, so only the reading worker can tell when a
-    // writer stuck on `WouldBlock` may go on. A frame far larger than
-    // the socket buffers completes no frame (and so sends no ack
-    // back) for many read passes; without a wake-up from the reader
-    // each refill of the socket costs the writer a park of up to
-    // 10 ms. Small kernel buffers make those refills many: on a
-    // 2-vCPU VM the transfer takes ~0.25 s with the wake-up and
-    // ~1.4 s without it.
+    // One lane: the progress thread writes the frame and stalls on
+    // `WouldBlock`, and only a reader that drains the socket (the
+    // waiting rank, or the same thread's read pass) can tell when it
+    // may go on. A frame far larger than the socket buffers completes
+    // no frame (and so sends no ack back) for many read passes; without
+    // a wake-up from the reader each refill of the socket costs the
+    // writer a park of up to 10 ms. Small kernel buffers make those
+    // refills many: on a 2-vCPU VM the transfer takes ~0.25 s with the
+    // wake-up and ~1.4 s without it.
     use std::os::fd::AsRawFd;
     extern "C" {
         fn setsockopt(fd: i32, level: i32, name: i32, val: *const i32, len: u32) -> i32;
@@ -677,7 +657,6 @@ fn write_stall_is_woken_by_the_reader() {
         Topology::new(2, 1),
         TcpConfig {
             lanes: 1,
-            progress_threads: 2,
             // No retransmit of a frame that is still streaming.
             rto: Duration::from_secs(5),
             ..TcpConfig::default()
@@ -711,8 +690,8 @@ fn lost_wakeup_inline_exchange() {
     // Two ranks trade 128 B frames, the benchmark's small-message
     // shape: each send goes onto the socket from the sending rank and
     // the receiving rank drains it itself. A poke lost between the
-    // write and the receiver's park is recovered only by a worker's
-    // bounded park (10 ms): rounds that slow are its signature. A few
+    // write and the receiver's park is recovered only by the progress
+    // thread's bounded park (10 ms): rounds that slow are its signature. A few
     // may be the scheduler's; more than 20 in 20k are not.
     let _stress = crate::wake_stress();
     const ROUNDS: usize = 20_000;
@@ -749,7 +728,7 @@ fn lost_wakeup_inline_exchange() {
     );
     assert!(
         slow <= 20,
-        "{slow} rounds took ≥ 9.5 ms: wake-ups were lost to the worker's park"
+        "{slow} rounds took ≥ 9.5 ms: wake-ups were lost to the progress thread's park"
     );
     assert!(f.drain_errors().is_empty());
 }
@@ -812,7 +791,7 @@ fn lost_wakeup_receive_delivered_by_another_thread() {
     );
     assert!(
         slow <= 20,
-        "{slow} rounds took ≥ 9.5 ms: wake-ups were lost to the worker's park"
+        "{slow} rounds took ≥ 9.5 ms: wake-ups were lost to the progress thread's park"
     );
     assert!(f.drain_errors().is_empty());
 }
@@ -845,13 +824,12 @@ fn shrink_socket_buffers(f: &TcpFabric, bytes: i32) {
 fn inline_write_tears_and_the_worker_finishes() {
     // A 64 KiB eager frame against 16 KiB socket buffers: the sending
     // rank's inline write takes what fits and returns, and the rest
-    // stays in the cursor for the lane's worker. The bytes must arrive
-    // whole and the frame's ack must retire it.
+    // stays in the cursor for the progress thread. The bytes must
+    // arrive whole and the frame's ack must retire it.
     let f = TcpFabric::connect(
         Topology::new(2, 1),
         TcpConfig {
             lanes: 1,
-            progress_threads: 2,
             // No retransmit of a frame that is still streaming.
             rto: Duration::from_secs(5),
             ..TcpConfig::default()
@@ -860,13 +838,16 @@ fn inline_write_tears_and_the_worker_finishes() {
     .unwrap();
     shrink_socket_buffers(&f, 16 << 10);
     // Inline writes need a receiver that reads the wire itself, and the
-    // lane's worker parked.
+    // progress thread parked.
     f.send((1, 0, 2), vec![1]).unwrap();
     assert_eq!(f.recv((1, 0, 2)).unwrap(), vec![1]);
     let inline_before = f.stats().inline_sends;
     let deadline = Instant::now() + Duration::from_secs(5);
-    while !f.mesh.owner_signal((1, 0, 0)).is_parked() {
-        assert!(Instant::now() < deadline, "the worker never parked");
+    while !f.mesh.progress.signal.is_parked() {
+        assert!(
+            Instant::now() < deadline,
+            "the progress thread never parked"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     let msg: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 253) as u8).collect();
@@ -943,21 +924,22 @@ fn chaos_on_inline_sends_is_accounted_like_the_queue() {
     assert!(f.drain_errors().is_empty(), "recovery is not an error");
 }
 
-/// A round slower than this waited for a worker's bounded park.
+/// A round slower than this waited for the progress thread's bounded
+/// park.
 const SLOW: Duration = Duration::from_millis(2);
 
 #[test]
 fn lost_wakeup_driver_handoff() {
-    // A thread driving the fabric queues its sends without waking a
-    // worker: its next pass writes them. Each round here queues one
+    // A thread driving the fabric queues its sends without waking the
+    // progress thread: its next pass writes them. Each round here queues one
     // frame while driving and then stops driving — by a last pass that
     // writes it (odd rounds) or with no pass at all (even rounds), so
     // only the wake-ups handed back on the way out can move it. The
     // peer waits as a rank and answers. A hand-off that skipped its
-    // wake-up leaves the frame to a worker's bounded park (worker 0's
-    // ends every `rto / 4`, others' every 10 ms): a round takes
-    // milliseconds, not the tens of microseconds of a woken worker:
-    // without the hand-off about half the rounds are slow. A loaded
+    // wake-up leaves the frame to the progress thread's bounded park
+    // (it ends every `rto / 4`): a round takes milliseconds, not the
+    // tens of microseconds of a woken thread: without the hand-off
+    // about half the rounds are slow. A loaded
     // host makes a few percent slow by itself; more than 5% is a lost
     // wake-up.
     let _stress = crate::wake_stress();
@@ -1009,9 +991,9 @@ fn lost_wakeup_driver_handoff() {
 #[test]
 fn lost_wakeup_driving_send_into_a_full_queue() {
     // A one-slot queue: a driving thread's second send finds the first
-    // still queued, with its owner's wake-up deferred. Before it blocks
-    // it must hand that wake-up back, or it waits out a worker's
-    // bounded park for the slot (most sends do, without the hand-back;
+    // still queued, with the progress thread's wake-up deferred. Before
+    // it blocks it must hand that wake-up back, or it waits out the
+    // thread's bounded park for the slot (most sends do, without the hand-back;
     // a loaded host slows a few percent by itself).
     let _stress = crate::wake_stress();
     const ROUNDS: usize = 2_000;
@@ -1052,6 +1034,96 @@ fn lost_wakeup_driving_send_into_a_full_queue() {
     assert!(
         slow <= ROUNDS / 20,
         "{slow} driving sends took ≥ {SLOW:?}: a full queue lost its wake-up"
+    );
+    assert!(f.drain_errors().is_empty());
+}
+
+#[test]
+fn lost_wakeup_driving_engine_beside_waiting_ranks() {
+    // One 2×2 fabric carries both kinds of caller at once. Rank 0's
+    // thread polls as the service engine does — `drive(true)` then
+    // `try_recv`, yielding when nothing came — and trades with rank 2,
+    // which blocks in `recv_within`; ranks 1 and 3 ping-pong on their
+    // own channels meanwhile. The engine's sends wake nobody while it
+    // drives, rank 2 sleeps in `poll(2)` on sockets the engine and the
+    // progress thread read too, and both pairs' frames share the
+    // progress thread. A wake-up lost to the progress thread leaves a
+    // round to its bounded park: a loaded host makes a few percent of
+    // rounds slow by itself, more than 5% is a lost wake-up. A wake
+    // byte lost to a rank asleep in `poll(2)` leaves it asleep until an
+    // unrelated frame or a timer's write lands on its sockets, which
+    // takes hundreds of milliseconds: no round may take `STUCK`.
+    let _stress = crate::wake_stress();
+    const ROUNDS: usize = 5_000;
+    const T: Duration = Duration::from_secs(5);
+    const STUCK: Duration = Duration::from_millis(250);
+    let bounded = |what: &str, round: usize, t0: Instant| {
+        let took = t0.elapsed();
+        assert!(
+            took < STUCK,
+            "{what} round {round} took {took:?}: a wake-up was lost"
+        );
+        took >= SLOW
+    };
+    let f = TcpFabric::connect(
+        Topology::new(2, 2),
+        TcpConfig {
+            lanes: 2,
+            ..TcpConfig::default()
+        },
+    )
+    .unwrap();
+    let payload = |me: usize, round: usize| -> Vec<u8> {
+        (0..64).map(|i| (i * 3 + round + 41 * me) as u8).collect()
+    };
+    let rank_exchange = |me: usize, peer: usize, round: usize| {
+        let t0 = Instant::now();
+        f.send((me, peer, 4), payload(me, round)).unwrap();
+        let got = f.recv_within((peer, me, 4), T).unwrap();
+        assert_eq!(got, payload(peer, round), "rank {me} round {round}");
+        bounded("rank pair", round, t0)
+    };
+    let engine_round = |round: usize| {
+        let t0 = Instant::now();
+        f.drive(true);
+        f.send((0, 2, 9), payload(0, round)).unwrap();
+        let got = loop {
+            f.drive(true);
+            if let Some(m) = f.try_recv((2, 0, 9)).unwrap() {
+                break m;
+            }
+            bounded("engine", round, t0);
+            std::thread::yield_now();
+        };
+        assert_eq!(got, payload(2, round), "engine round {round}");
+        bounded("engine", round, t0)
+    };
+    let slow = std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 0..ROUNDS {
+                let t0 = Instant::now();
+                let got = f.recv_within((0, 2, 9), T).unwrap();
+                assert_eq!(got, payload(0, round), "rank 2 round {round}");
+                bounded("rank 2", round, t0);
+                f.send((2, 0, 9), payload(2, round)).unwrap();
+            }
+        });
+        let one = s.spawn(|| (0..ROUNDS).filter(|&r| rank_exchange(1, 3, r)).count());
+        let three = s.spawn(|| (0..ROUNDS).filter(|&r| rank_exchange(3, 1, r)).count());
+        let engine = (0..ROUNDS).filter(|&r| engine_round(r)).count();
+        f.drive(false);
+        assert!(!drive::driving(&f.mesh));
+        engine + one.join().unwrap() + three.join().unwrap()
+    });
+    let s = f.stats();
+    assert!(
+        s.driver_frames > 0 && s.rank_reads > 0,
+        "the engine never moved a frame, or the ranks never read one: {s:?}"
+    );
+    assert!(
+        slow <= 3 * ROUNDS / 20,
+        "{slow} of {} rounds took ≥ {SLOW:?}: a wake-up was lost",
+        3 * ROUNDS
     );
     assert!(f.drain_errors().is_empty());
 }
@@ -1270,7 +1342,8 @@ fn a_burst_lost_to_a_cut_recovers_many_frames_per_retransmit_tick() {
 
 #[test]
 fn payload_bytes_are_copied_never_on_send_and_at_most_once_on_receive() {
-    // A ping-pong per size, so both the ranks and the workers read. The
+    // A ping-pong per size, so both the ranks and the progress thread
+    // read. The
     // send side moves each message into its frame; the receive side
     // copies at most the part of a payload that a read buffered with its
     // frame's header. Copies are taken per payload byte decoded, which

@@ -1,6 +1,6 @@
 //! The shared wait primitives: [`Waiters`] for the blocking waits on a
 //! mutex-guarded condition that many threads may share, [`WorkSignal`]
-//! for the fabric's idle progress threads, and `WakeSocket` for the
+//! for the fabric's idle progress thread, and `WakeSocket` for the
 //! receive that sleeps in the kernel instead.
 //!
 //! Every blocking wait on a condition — the fabric's lane send queues
@@ -102,16 +102,16 @@ impl Waiters {
     }
 }
 
-/// A wakeup channel for the fabric's progress pool: callers with new
+/// A wakeup channel for the fabric's progress thread: callers with new
 /// work (a frame pushed onto a send queue, a repair request, shutdown)
-/// `notify()`, and idle progress threads `wait()` until something
-/// changes or a timer deadline arrives.
+/// `notify()`, and the idle thread `wait()`s until something changes
+/// or a timer deadline arrives.
 ///
 /// The epoch counter makes the fast paths cheap and race-free:
 /// - `notify()` is a single `fetch_add` plus a conditional condvar
 ///   signal — it only takes the mutex when a waiter has registered, so
-///   the steady-state (workers busy, nobody parked) costs one atomic.
-/// - A worker reads the epoch *before* scanning its endpoints, does the
+///   the steady-state (thread busy, nobody parked) costs one atomic.
+/// - The thread reads the epoch *before* scanning its endpoints, does the
 ///   scan, and parks only if the epoch is unchanged — work enqueued
 ///   mid-scan bumps the epoch and the park returns immediately instead
 ///   of being missed.

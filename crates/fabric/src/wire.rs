@@ -463,20 +463,15 @@ impl Frame {
         out
     }
 
-    /// Encode into `out`, replacing its contents and reusing its
-    /// capacity.
+    /// Encode into `out` as frame 0 of a lane, replacing its contents
+    /// and reusing its capacity.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        self.encode_into_with(out, &self.payload);
+        self.encode_lane_into(out, &self.payload, 0);
     }
 
-    /// [`Frame::encode_into`] with the payload supplied as a slice,
-    /// ignoring `self.payload`, as frame 0 of a lane.
-    pub fn encode_into_with(&self, out: &mut Vec<u8>, payload: &[u8]) {
-        self.encode_lane_into(out, payload, 0);
-    }
-
-    /// [`Frame::encode_into_with`] as frame `lseq` of its lane: the
-    /// header of [`Frame::encode_header_into`], then the payload.
+    /// Encode into `out` as frame `lseq` of its lane, carrying `payload`
+    /// (ignoring `self.payload`): the header of
+    /// [`Frame::encode_header_into`], then the payload.
     pub(crate) fn encode_lane_into(&self, out: &mut Vec<u8>, payload: &[u8], lseq: u64) {
         out.clear();
         out.reserve(HEADER_LEN + payload.len());
@@ -986,26 +981,6 @@ mod tests {
         let mut covered = bytes[..CRC_OFFSET].to_vec();
         covered.extend_from_slice(&bytes[HEADER_LEN..]);
         assert_eq!(stored, crc32c(&covered));
-    }
-
-    #[test]
-    fn encode_into_with_substitutes_the_payload() {
-        let f = Frame {
-            kind: FrameKind::Eager,
-            src: 1,
-            dst: 2,
-            tag: 3,
-            seq: 4,
-            aux: 0,
-            seg_idx: 0,
-            seg_count: 0,
-            payload: vec![],
-        };
-        let mut out = Vec::new();
-        f.encode_into_with(&mut out, &[9, 8, 7]);
-        let mut whole = f.clone();
-        whole.payload = vec![9, 8, 7];
-        assert_eq!(out, whole.encode(), "slice payload encodes identically");
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn eager_send_path_is_allocation_free_after_warmup() {
          but decoded only {decoded} frames itself"
     );
     // The claim covers frames the sender wrote onto the socket itself,
-    // not only the queue a progress worker drains.
+    // not only the queue the progress thread drains.
     assert!(
         after.inline_sends > before.inline_sends,
         "no steady-state send went inline"

@@ -10,9 +10,9 @@
 //! group*, paying its exact NIC-byte cost into the shared token bucket
 //! and claiming a sequence slot from the job's [`TagSpace`] — and (5)
 //! drives the fabric once ([`Fabric::drive`]: it writes what the pass
-//! sent and reads what arrived, as a progress worker would), then polls
-//! every in-flight collective's outstanding channels with the
-//! non-blocking [`Fabric::try_recv`], feeding arrivals to the
+//! sent and reads what arrived, as the fabric's progress thread would),
+//! then polls every in-flight collective's outstanding channels with
+//! the non-blocking [`Fabric::try_recv`], feeding arrivals to the
 //! collectives' executors.
 //!
 //! Every collective the engine runs is an [`NbColl`]: a recorded
@@ -26,7 +26,7 @@
 //! thread ever parks on a receive: a hundred concurrent collectives
 //! cost one polling thread, not a hundred blocked ones. Before the
 //! engine parks, sleeps or exits, it drives once more with `stay`
-//! false, which hands the wire back to the fabric's progress workers;
+//! false, which hands the wire back to the fabric's progress thread;
 //! it takes the wire back as soon as it wakes.
 //!
 //! ## Failure state machine (survive-and-complete)
@@ -325,8 +325,8 @@ impl Engine {
     }
 
     /// Park or sleep through `pause` with the wire handed back to the
-    /// fabric's progress workers, then drive it again at once: the
-    /// first admission after a pause must not wake a worker per send.
+    /// fabric's progress thread, then drive it again at once: the
+    /// first admission after a pause must not wake it once per send.
     fn off_wire(&self, pause: impl FnOnce()) {
         self.shared.fabric.drive(false);
         pause();

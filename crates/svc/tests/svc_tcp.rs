@@ -132,8 +132,9 @@ fn closed_loop_runs_node_local_steps_in_place_and_drives_the_wire() {
 
 #[test]
 fn dirty_wire_recovers_with_engine_written_acks() {
-    // Acks the engine writes and retransmits worker 0 sends must work
-    // together: every drop, duplicate and flipped bit is recovered.
+    // Acks the engine writes and retransmits the progress thread sends
+    // must work together: every drop, duplicate and flipped bit is
+    // recovered.
     let _serial = serial();
     let fabric = tcp(Duration::from_millis(5));
     let wire = Arc::new(WireChaos::new(&ChaosConfig {
