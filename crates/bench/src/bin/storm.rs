@@ -14,7 +14,9 @@
 //! [`WORLD`]-rank world (2 nodes). Knobs: `PIPMCOLL_SVC_JOBS` (default
 //! 16), `PIPMCOLL_STORM_COLLS` (collectives per job, default 16). With `PIPMCOLL_STORM_GATE=1` the process exits nonzero unless
 //! concurrent p99 ≤ serialized p99 and the fairness bound holds (zero
-//! failed requests is enforced unconditionally).
+//! failed requests and a drained service — no queued work, no held
+//! slot, every slot free or quarantined — are enforced
+//! unconditionally).
 //!
 //! Each mode also reports the engine's node-local steps run in place
 //! (`SvcStats::in_place`) and the payload frames it wrote or read on
@@ -59,9 +61,17 @@ struct JobOutcome {
     deferred: u64,
     p50_us: Option<u64>,
     p99_us: Option<u64>,
+    /// Collectives still queued after every request resolved.
+    queue_depth: usize,
+    /// Sequence slots still held after every request resolved.
+    slots_held: usize,
+    /// Free plus quarantined slots: the whole space once drained.
+    slots_idle: usize,
 }
 
 struct RunResult {
+    /// Sequence slots per job (`2^seq_bits`).
+    slot_cap: usize,
     wall_ms: f64,
     wrong_results: u64,
     jobs: Vec<JobOutcome>,
@@ -75,6 +85,19 @@ struct RunResult {
 impl RunResult {
     fn failed(&self) -> u64 {
         self.jobs.iter().map(|j| j.failed).sum::<u64>() + self.wrong_results
+    }
+
+    /// Assert the drained service's books: no job queues work or holds
+    /// a slot, and every job's slots are all free or quarantined.
+    fn assert_drained(&self, mode: &str) {
+        for (i, j) in self.jobs.iter().enumerate() {
+            assert_eq!(j.queue_depth, 0, "{mode} storm: job {i} still queues work");
+            assert_eq!(j.slots_held, 0, "{mode} storm: job {i} leaked seq slots");
+            assert_eq!(
+                j.slots_idle, self.slot_cap,
+                "{mode} storm: job {i} slot conservation"
+            );
+        }
     }
 
     /// Aggregate p99: the worst job's p99 (client-observed tail).
@@ -108,6 +131,7 @@ fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
         max_inflight,
         ..SvcConfig::new(WORLD)
     };
+    let slot_cap = 1 << cfg.seq_bits;
     let svc = Svc::new(Arc::clone(&fabric) as Arc<dyn Fabric>, cfg).expect("service starts");
     let jobs: Vec<_> = (0..load.jobs).map(|_| svc.job().expect("job")).collect();
 
@@ -149,6 +173,7 @@ fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
 
     let stats = svc.stats();
     RunResult {
+        slot_cap,
         wall_ms,
         wrong_results: wrong,
         in_place: stats.in_place,
@@ -162,6 +187,9 @@ fn run_storm(load: &StormLoad, max_inflight: Option<usize>) -> RunResult {
                 deferred: j.deferred,
                 p50_us: j.latency.p50_us,
                 p99_us: j.latency.p99_us,
+                queue_depth: j.queue_depth,
+                slots_held: j.slots_held,
+                slots_idle: j.slots_free + j.slots_quarantined,
             })
             .collect(),
     }
@@ -257,6 +285,8 @@ fn main() {
     // results is a broken service, whatever the latency numbers say.
     assert_eq!(conc.failed(), 0, "concurrent storm had failed requests");
     assert_eq!(ser.failed(), 0, "serialized storm had failed requests");
+    conc.assert_drained("concurrent");
+    ser.assert_drained("serialized");
     assert_eq!(
         conc.jobs.iter().map(|j| j.completed).sum::<u64>(),
         total as u64

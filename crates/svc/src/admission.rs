@@ -12,14 +12,19 @@
 //! Fairness invariant (checked by the storm bench): over any window in
 //! which every job has queued work, admitted bytes per job differ by at
 //! most one quantum plus one maximal collective — the classic DRR
-//! bound. The scheduler credits each job's deficit by one quantum per
-//! pass and admits from a job's FIFO head while its deficit covers the
-//! head's cost; an empty queue forfeits the credit (deficits don't
-//! accumulate while idle, so a returning job can't burst).
+//! bound. The scheduler credits each job's deficit by one quantum
+//! (`QUANTUM`, 4 KiB) per pass and admits from a job's FIFO head while
+//! its deficit covers the head's cost; an empty queue forfeits the
+//! credit (deficits don't accumulate while idle, so a returning job
+//! can't burst).
 //!
 //! [`nic_bytes`]: pipmcoll_core::nb::NbColl::nic_bytes
 
 use std::time::Instant;
+
+/// Deficit-round-robin quantum credited to each backlogged job per
+/// scheduler pass, bytes.
+pub(crate) const QUANTUM: u64 = 4 * 1024;
 
 /// A token bucket metering NIC bytes per second across all jobs.
 pub struct TokenBucket {

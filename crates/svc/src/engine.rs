@@ -29,6 +29,14 @@
 //! false, which hands the wire back to the fabric's progress thread;
 //! it takes the wire back as soon as it wakes.
 //!
+//! A collective is one `Coll` record from submission to resolution:
+//! admission fills in its in-flight part (slot, rank map, bytes sent,
+//! outstanding channels), a failure epoch's re-queue drops it again.
+//! Every outcome leaves through `Engine::resolve`, the only code here
+//! that publishes a result: gauges, NIC refund, slot and exactly one
+//! outcome counter are settled first, so a woken caller never reads
+//! counts that still include it.
+//!
 //! ## Failure state machine (survive-and-complete)
 //!
 //! ```text
@@ -37,14 +45,15 @@
 //!      ▲                                                       │
 //!      │   all cores commit an identical failed set F           │
 //!      ◀───────────────────────────────────────────────────────┘
-//!        F ≠ ∅: epoch += 1, members -= F; every affected active
-//!        (touches F, wounded, or stalled) has its slot quarantined,
-//!        unsent bytes refunded, and is re-queued **at the head** of
-//!        its job's FIFO to be re-planned on the densely re-ranked
-//!        survivor group under exponential backoff + jitter — unless
-//!        its retry cap is spent (RetriesExhausted) or its root died
-//!        (Unsatisfiable). Unaffected collectives keep polling the
-//!        whole time; only *admission* pauses during agreement.
+//!        F ≠ ∅: epoch += 1, members -= F; every affected collective
+//!        in flight (touches F, wounded, or stalled) drops its
+//!        in-flight part — slot quarantined, unsent bytes refunded —
+//!        and goes back **at the head** of its job's FIFO to be
+//!        re-planned on the densely re-ranked survivor group under
+//!        exponential backoff + jitter — unless its retry cap is
+//!        spent (RetriesExhausted) or its root died (Unsatisfiable).
+//!        Unaffected collectives keep polling the whole time; only
+//!        *admission* pauses during agreement.
 //! ```
 //!
 //! The agreement itself is the runtime's [`AgreeCore`] — the identical
@@ -54,9 +63,9 @@
 //! two layers can never collide on the wire.
 //!
 //! Failure containment: a fabric error or a progress stall fails *that*
-//! collective (its request resolves with the error, its sequence slot
-//! is quarantined so lingering frames can never alias a future
-//! collective) and the engine keeps driving the rest.
+//! collective (it resolves with the error through the one exit, which
+//! quarantines its sequence slot so lingering frames can never alias a
+//! future collective) and the engine keeps driving the rest.
 //!
 //! [`Fabric::health`]: pipmcoll_fabric::Fabric::health
 //! [`Fabric::try_recv`]: pipmcoll_fabric::Fabric::try_recv
@@ -75,12 +84,17 @@ use pipmcoll_core::nb::{CollSpec, Msg, NbColl, PlanError};
 use pipmcoll_fabric::{sync_timeout, tag, ChanKey, FabricError};
 use pipmcoll_rt::{AgreeCore, AgreeOutcome, AgreeStep, KillSpec, OpClass, RankSet};
 
-use crate::admission::{DrrLane, TokenBucket};
+use crate::admission::{DrrLane, TokenBucket, QUANTUM};
 use crate::tagspace::TagSpace;
 use crate::{JobCounters, Shared, SvcError};
 
-/// A submitted-but-not-admitted collective in a job's FIFO.
-struct Pending {
+/// One service collective from submission until [`Engine::resolve`]
+/// publishes its outcome; `flight` is set while it is admitted.
+struct Coll {
+    comm: u32,
+    /// Its job's index in [`Engine::jobs`].
+    job: usize,
+    /// Kept for re-planning on a shrunk group after a failure epoch.
     spec: CollSpec,
     req: Arc<crate::ReqShared>,
     submitted: Instant,
@@ -90,41 +104,26 @@ struct Pending {
     retries: u32,
     /// Backoff gate: not admitted before this instant.
     not_before: Option<Instant>,
-    /// The schedule planned at admission time, and the failure epoch
-    /// it was planned in (a later epoch changed the members under it).
+    /// The schedule planned before admission, and the failure epoch it
+    /// was planned in (a later epoch changed the members under it).
     plan: Option<NbColl>,
     plan_epoch: u64,
+    /// The plan's NIC bytes, paid into the token bucket at admission.
     cost: u64,
     /// Whether a deferral has been counted against stats yet.
     deferral_counted: bool,
+    /// The in-flight part: set by admission, dropped by a re-queue.
+    flight: Option<Flight>,
 }
 
-/// One job's scheduler-side state.
-struct JobSched {
-    fifo: VecDeque<Pending>,
-    lane: DrrLane,
-    tags: TagSpace,
-    counters: Arc<JobCounters>,
-}
-
-/// An admitted, in-flight collective.
-struct Active {
-    comm: u32,
+/// What an admitted collective holds while in flight.
+struct Flight {
     slot: u32,
-    coll: NbColl,
     /// Dense plan rank `j` is original rank `map[j]` (identity while no
     /// rank has failed).
     map: Vec<usize>,
-    /// Kept for re-planning on a shrunk group after a failure epoch.
-    spec: CollSpec,
-    req: Arc<crate::ReqShared>,
-    submitted: Instant,
-    deadline: Option<Instant>,
-    retry_max: u32,
-    retries: u32,
-    /// NIC bytes paid at admission, and how many actually hit the wire
-    /// (the difference is refunded if the collective dies early).
-    cost: u64,
+    /// Bytes the fabric accepted or that were handed over in place; the
+    /// rest of `cost` is refunded if the collective leaves flight early.
     sent_bytes: u64,
     /// A recoverable fabric error was seen: the collective must be
     /// re-planned after the next agreement commit, whatever it decides.
@@ -135,11 +134,12 @@ struct Active {
     outstanding: Vec<(ChanKey, u32, usize, usize)>,
 }
 
-/// One engine-driven agreement: a core per surviving member, all swept
-/// in lockstep on `tag::svc_agree(tag_epoch, sweep)`.
-struct AgreeRun {
-    tag_epoch: u32,
-    cores: Vec<(usize, AgreeCore)>,
+/// One job's scheduler-side state.
+struct JobSched {
+    fifo: VecDeque<Coll>,
+    lane: DrrLane,
+    tags: TagSpace,
+    counters: Arc<JobCounters>,
 }
 
 /// The engine loop: runs until [`Shared::stop`], then fails whatever is
@@ -150,15 +150,15 @@ pub(crate) fn run(shared: Arc<Shared>) {
 
 struct Engine {
     shared: Arc<Shared>,
-    jobs: HashMap<u32, JobSched>,
-    active: Vec<Active>,
+    /// Jobs in first-submission order: the rotation DRR visits.
+    jobs: Vec<JobSched>,
+    /// The index in `jobs` of each communicator id.
+    job_of: HashMap<u32, usize>,
+    /// Admitted collectives, each with its `flight` set.
+    active: Vec<Coll>,
     bucket: TokenBucket,
-    /// DRR visits jobs in a stable rotation of comm ids.
-    rotation: Vec<u32>,
     /// Current survivor group, sorted ascending.
     members: Vec<usize>,
-    /// All ranks ever committed failed.
-    failed: RankSet,
     /// The fault DSL's op counts and the ranks it killed.
     faults: Faults,
     /// The node of each world rank, where the fabric knows it: two
@@ -168,13 +168,9 @@ struct Engine {
     evidence: RankSet,
     /// Monotone counter naming each agreement's tag epoch.
     agree_seq: u32,
-    agree: Option<AgreeRun>,
-    /// Admission frozen: the last agreement resolved `QuorumLost` (the
-    /// engine may be on the minority side of a partition). Suspicion
-    /// evidence is deliberately kept, so detection keeps re-running
-    /// agreement after each cooldown — the first one that commits
-    /// (quorum regained) unfreezes admission.
-    frozen: bool,
+    /// The running agreement: a core per surviving member, all swept in
+    /// lockstep on `tag::svc_agree(agree_seq, sweep)`.
+    agree: Option<Vec<(usize, AgreeCore)>>,
     /// Cooldown after a commit so still-draining state can't spark an
     /// immediate re-agreement.
     no_detect_until: Instant,
@@ -184,7 +180,6 @@ struct Engine {
     /// xorshift64* state for backoff jitter (fixed seed: runs are
     /// deterministic modulo scheduling).
     rng: u64,
-    stall_after: Duration,
 }
 
 /// The fault DSL's state: per-rank `submit` / `poll` op counts, the
@@ -231,22 +226,17 @@ impl Engine {
     fn new(shared: Arc<Shared>) -> Engine {
         let world = shared.cfg.world;
         let bucket = TokenBucket::new(shared.cfg.nic_budget, shared.cfg.burst);
-        let mut kills = Vec::new();
-        for r in 0..world {
-            for k in shared.cfg.fault.triggers_for(r) {
-                if matches!(k.op, OpClass::Submit | OpClass::Poll) {
-                    kills.push(k);
-                }
-            }
-        }
+        let kills = (0..world)
+            .flat_map(|r| shared.cfg.fault.triggers_for(r))
+            .filter(|k| matches!(k.op, OpClass::Submit | OpClass::Poll))
+            .collect();
         let now = Instant::now();
         Engine {
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
+            job_of: HashMap::new(),
             active: Vec::new(),
             bucket,
-            rotation: Vec::new(),
             members: (0..world).collect(),
-            failed: RankSet::new(),
             faults: Faults {
                 kills,
                 submits: vec![0; world],
@@ -257,11 +247,9 @@ impl Engine {
             evidence: RankSet::new(),
             agree_seq: 0,
             agree: None,
-            frozen: false,
             no_detect_until: now,
             next_reap: now,
             rng: 0x9E37_79B9_7F4A_7C15,
-            stall_after: sync_timeout(),
             shared,
         }
     }
@@ -287,7 +275,7 @@ impl Engine {
             // (admitting would retry into the partition); polling
             // never does — unaffected jobs keep completing
             // collectives throughout.
-            if self.agree.is_none() && !self.frozen {
+            if self.agree.is_none() && !self.shared.frozen.load(Ordering::Relaxed) {
                 self.admit(now);
             }
             // Write what admission sent and read what arrived, so the
@@ -298,7 +286,7 @@ impl Engine {
                 .inflight
                 .store(self.active.len(), Ordering::Relaxed);
 
-            let queued: usize = self.jobs.values().map(|j| j.fifo.len()).sum();
+            let queued: usize = self.jobs.iter().map(|j| j.fifo.len()).sum();
             if self.agree.is_some() {
                 // Agreement sweeps pad on wall-clock deadlines; a short
                 // sleep beats a hot spin without costing precision.
@@ -313,15 +301,63 @@ impl Engine {
         }
     }
 
-    /// Remove active `i`, updating the in-flight gauge before its
-    /// request resolves: a caller woken by the resolution must not
-    /// read a count that still includes it.
-    fn take_active(&mut self, i: usize) -> Active {
-        let act = self.active.swap_remove(i);
-        self.shared
-            .inflight
-            .store(self.active.len(), Ordering::Relaxed);
-        act
+    /// The one exit: every collective, queued or admitted, resolves
+    /// here. [`Engine::settle`] its books, bump exactly one outcome
+    /// counter, and only then publish the result.
+    fn resolve(&mut self, mut c: Coll, outcome: crate::SvcResult<Vec<Vec<u8>>>) {
+        let counters = &self.settle(&mut c, outcome.is_ok()).counters;
+        let counter = match &outcome {
+            Ok(_) => {
+                counters.latency.record(c.submitted.elapsed());
+                &counters.completed
+            }
+            Err(SvcError::Cancelled) => &counters.cancelled,
+            Err(SvcError::DeadlineExpired { .. }) => &counters.deadline_expired,
+            Err(_) => &counters.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        c.req.complete(outcome);
+    }
+
+    /// Take `c` off the queued or in-flight gauge; if admitted, refund
+    /// the NIC bytes the fabric never accepted and release its slot if
+    /// `ok`, else quarantine it (frames bearing its tags may still be
+    /// in flight). Returns its job.
+    fn settle(&mut self, c: &mut Coll, ok: bool) -> &mut JobSched {
+        let sched = &mut self.jobs[c.job];
+        match c.flight.take() {
+            None => {
+                sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
+            }
+            Some(fl) => {
+                self.shared
+                    .inflight
+                    .store(self.active.len(), Ordering::Relaxed);
+                self.bucket.refund(c.cost.saturating_sub(fl.sent_bytes));
+                if ok {
+                    sched.tags.release(fl.slot);
+                } else {
+                    sched.tags.quarantine(fl.slot);
+                }
+            }
+        }
+        sched
+    }
+
+    /// Remove the next admitted collective at or after `*at` that `pick`
+    /// has a verdict on; calling again with the same cursor visits the rest.
+    fn pluck<T>(
+        &mut self,
+        at: &mut usize,
+        mut pick: impl FnMut(&Coll) -> Option<T>,
+    ) -> Option<(Coll, T)> {
+        while *at < self.active.len() {
+            if let Some(v) = pick(&self.active[*at]) {
+                return Some((self.active.swap_remove(*at), v));
+            }
+            *at += 1;
+        }
+        None
     }
 
     /// Park or sleep through `pause` with the wire handed back to the
@@ -346,23 +382,25 @@ impl Engine {
             let cfg = &self.shared.cfg;
             let deadline = sub.opts.deadline.or(cfg.deadline).map(|d| now + d);
             let retry_max = sub.opts.retry_max.unwrap_or(cfg.retry_max);
-            let sched = self.jobs.entry(sub.comm).or_insert_with(|| {
-                self.rotation.push(sub.comm);
-                JobSched {
+            let job = *self.job_of.entry(sub.comm).or_insert_with(|| {
+                // `Svc::job` registered the job's counters.
+                let all = self
+                    .shared
+                    .counters
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner());
+                let counters = Arc::clone(&all[&sub.comm]);
+                self.jobs.push(JobSched {
                     fifo: VecDeque::new(),
                     lane: DrrLane::default(),
-                    tags: TagSpace::new(self.shared.cfg.seq_bits),
-                    counters: self
-                        .shared
-                        .counters
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .get(&sub.comm)
-                        .cloned()
-                        .unwrap_or_default(),
-                }
+                    tags: TagSpace::with_gauges(cfg.seq_bits, Arc::clone(&counters.slots)),
+                    counters,
+                });
+                self.jobs.len() - 1
             });
-            sched.fifo.push_back(Pending {
+            self.jobs[job].fifo.push_back(Coll {
+                comm: sub.comm,
+                job,
                 spec: sub.spec,
                 req: sub.req,
                 submitted: now,
@@ -374,6 +412,7 @@ impl Engine {
                 plan_epoch: 0,
                 cost: 0,
                 deferral_counted: false,
+                flight: None,
             });
         }
     }
@@ -383,36 +422,27 @@ impl Engine {
     /// head only on a coarse 1 ms sweep (heads are groomed every
     /// admission round anyway).
     fn reap(&mut self, now: Instant) {
-        let mut i = 0;
-        while i < self.active.len() {
-            let act = &self.active[i];
-            let Some(e) = expired(&act.req, act.deadline, act.submitted, now) else {
-                i += 1;
-                continue;
-            };
-            let act = self.take_active(i);
-            self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
-            let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-            count_expired(&e, &sched.counters);
-            act.resolve(e, sched);
+        let mut at = 0;
+        while let Some((c, e)) = self.pluck(&mut at, |c| c.expired(now)) {
+            self.resolve(c, Err(e));
         }
         if now < self.next_reap {
             return;
         }
         self.next_reap = now + Duration::from_millis(1);
-        for sched in self.jobs.values_mut() {
-            let counters = &sched.counters;
-            sched
-                .fifo
-                .retain(|p| match expired(&p.req, p.deadline, p.submitted, now) {
-                    None => true,
-                    Some(e) => {
-                        count_expired(&e, counters);
-                        counters.queued.fetch_sub(1, Ordering::Relaxed);
-                        p.req.complete(Err(e));
-                        false
-                    }
-                });
+        for job in 0..self.jobs.len() {
+            let mut at = 0;
+            loop {
+                let fifo = &mut self.jobs[job].fifo;
+                let hit = fifo
+                    .range(at..)
+                    .enumerate()
+                    .find_map(|(k, c)| c.expired(now).map(|e| (at + k, e)));
+                let Some((k, e)) = hit else { break };
+                let c = fifo.remove(k).expect("found above");
+                at = k;
+                self.resolve(c, Err(e));
+            }
         }
     }
 
@@ -422,7 +452,7 @@ impl Engine {
         if self.agree.is_some() || now < self.no_detect_until {
             return;
         }
-        let member_bits = rank_bits(&self.members);
+        let member_bits = self.members.iter().fold(0u64, |b, &r| b | 1 << r);
         // Transport verdicts: retransmit-exhaustion deaths name a rank
         // directly; heartbeat silence names a node (ppn = 1: node id ==
         // rank). Dead lanes name no rank — stalls cover those.
@@ -451,11 +481,11 @@ impl Engine {
         } else {
             suspect_after * 2
         };
-        for act in &self.active {
-            if !act.outstanding.is_empty()
-                && now.saturating_duration_since(act.last_progress) > stall_cut
+        for fl in self.active.iter().filter_map(|c| c.flight.as_ref()) {
+            if !fl.outstanding.is_empty()
+                && now.saturating_duration_since(fl.last_progress) > stall_cut
             {
-                for &r in &act.map {
+                for &r in &fl.map {
                     self.evidence.insert(r);
                 }
             }
@@ -466,7 +496,7 @@ impl Engine {
         }
         self.agree_seq += 1;
         let delta = self.shared.cfg.agree_delta;
-        let fabric = Arc::clone(&self.shared.fabric);
+        let fabric = &self.shared.fabric;
         let mut cores = Vec::new();
         for &m in &self.members {
             if self.faults.killed.contains(m) {
@@ -481,48 +511,41 @@ impl Engine {
             }
             cores.push((m, core));
         }
-        self.agree = Some(AgreeRun {
-            tag_epoch: self.agree_seq,
-            cores,
-        });
+        self.agree = Some(cores);
     }
 
     /// Advance every agreement core one step; on unanimous commit,
     /// shrink the member set and re-queue affected collectives.
     fn drive_agreement(&mut self, now: Instant) {
-        let Some(mut run) = self.agree.take() else {
+        let Some(mut cores) = self.agree.take() else {
             return;
         };
-        let fabric = Arc::clone(&self.shared.fabric);
+        let fabric = &self.shared.fabric;
         let mut all_done = true;
-        for (rank, core) in run.cores.iter_mut() {
+        for (rank, core) in cores.iter_mut() {
             if core.committed().is_some() {
                 continue;
             }
-            let t = tag::svc_agree(run.tag_epoch, core.sweep());
+            let t = tag::svc_agree(self.agree_seq, core.sweep());
             for q in core.outstanding().to_vec() {
                 if let Ok(Some(p)) = fabric.try_recv((q, *rank, t)) {
                     core.deliver(q, &p);
                 }
             }
-            match core.step(now) {
-                AgreeStep::Done => {}
-                AgreeStep::Sweep(msgs) => {
-                    for m in msgs {
-                        let t = tag::svc_agree(run.tag_epoch, m.sweep);
-                        if fabric.send((*rank, m.to, t), m.payload).is_err() {
-                            core.send_failed(m.to);
-                        }
+            if let AgreeStep::Sweep(msgs) = core.step(now) {
+                for m in msgs {
+                    let t = tag::svc_agree(self.agree_seq, m.sweep);
+                    if fabric.send((*rank, m.to, t), m.payload).is_err() {
+                        core.send_failed(m.to);
                     }
                 }
-                AgreeStep::Poll | AgreeStep::Pad(_) => {}
             }
             if core.committed().is_none() {
                 all_done = false;
             }
         }
         if !all_done {
-            self.agree = Some(run);
+            self.agree = Some(cores);
             return;
         }
         // Survivor commit: a core that is itself in someone's committed
@@ -534,7 +557,7 @@ impl Engine {
         // instead of shrinking, because any set it picked could
         // diverge from what the other side of the partition decides.
         let mut union = RankSet::new();
-        for (_, c) in &run.cores {
+        for (_, c) in &cores {
             if let AgreeOutcome::Commit { failed, .. } = c.committed().expect("all cores done") {
                 union.union(failed);
             }
@@ -542,7 +565,7 @@ impl Engine {
         let mut committed = RankSet::new();
         let mut any_commit = false;
         let mut lost: Option<(RankSet, RankSet)> = None;
-        for (r, c) in &run.cores {
+        for (r, c) in &cores {
             if union.contains(*r) {
                 continue;
             }
@@ -561,109 +584,82 @@ impl Engine {
         self.no_detect_until = now + self.shared.cfg.suspect_after;
         if !any_commit {
             if let Some((survivors, members)) = lost {
-                self.freeze(survivors, members);
+                self.freeze(survivors, members, now);
                 return;
             }
         }
         // A commit — even of the empty set — proves quorum: unfreeze.
         self.evidence = RankSet::new();
-        if self.frozen {
-            self.frozen = false;
-            self.shared.frozen.store(false, Ordering::Relaxed);
-        }
+        self.shared.frozen.store(false, Ordering::Relaxed);
         if !committed.is_empty() {
-            self.failed.union(committed);
             self.members.retain(|r| !committed.contains(*r));
             self.shared.epoch.fetch_add(1, Ordering::Relaxed);
             self.shared
                 .failed_bits
-                .store(self.failed.bits(), Ordering::Relaxed);
+                .fetch_or(committed.bits(), Ordering::Relaxed);
         }
         // A shrunk group invalidates every plan made against the old
-        // one (the epoch moved); they are re-planned at admission.
-        self.requeue_troubled(committed, now);
+        // one (the epoch moved); they are re-planned at admission. A
+        // collective touching the committed set or a DSL-killed rank
+        // re-plans unless its retry cap is spent or its root is dead.
+        let killed = self.faults.killed;
+        let failed = RankSet::from_bits(self.shared.failed_bits.load(Ordering::Relaxed));
+        self.sweep_troubled(
+            now,
+            |r| committed.contains(r) || killed.contains(r),
+            |c| {
+                if c.retries >= c.retry_max {
+                    return Some(SvcError::RetriesExhausted {
+                        attempts: c.retries,
+                    });
+                }
+                let root = c.spec.root().filter(|&r| failed.contains(r))?;
+                Some(SvcError::Unsatisfiable { rank: root })
+            },
+        );
     }
 
-    /// Quorum lost: resolve every affected active with the typed
-    /// [`SvcError::QuorumLost`] (retrying would just stall against the
-    /// unreachable side again) and freeze admission. Suspicion
-    /// evidence is kept so detection re-runs agreement after each
-    /// cooldown; the first commit — quorum regained — unfreezes.
-    fn freeze(&mut self, survivors: RankSet, members: RankSet) {
-        self.frozen = true;
+    /// Quorum lost: resolve every affected collective in flight with
+    /// the typed [`SvcError::QuorumLost`] (retrying would just stall
+    /// against the unreachable side again) and freeze admission.
+    /// Suspicion evidence is kept so detection re-runs agreement after
+    /// each cooldown; the first commit — quorum regained — unfreezes.
+    fn freeze(&mut self, survivors: RankSet, members: RankSet, now: Instant) {
         self.shared.frozen.store(true, Ordering::Relaxed);
         let err = SvcError::QuorumLost {
             survivors: survivors.ranks(),
             members: members.len(),
         };
-        let mut i = 0;
-        while i < self.active.len() {
-            let affected = {
-                let a = &self.active[i];
-                a.wounded || a.map.iter().any(|r| !survivors.contains(*r))
-            };
-            if !affected {
-                i += 1;
-                continue;
-            }
-            let act = self.take_active(i);
-            self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
-            let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-            sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-            act.resolve(err.clone(), sched);
-        }
+        self.sweep_troubled(now, |r| !survivors.contains(r), |_| Some(err.clone()));
     }
 
-    /// Pull every troubled active (touches the committed set, wounded
-    /// by a recoverable error, or spanning a DSL-killed rank) back into
-    /// its job's FIFO head for a re-plan — or resolve it typed if its
-    /// retry cap is spent or its root is dead.
-    fn requeue_troubled(&mut self, committed: RankSet, now: Instant) {
-        let mut i = 0;
-        while i < self.active.len() {
-            let troubled = {
-                let a = &self.active[i];
-                a.wounded
-                    || a.map
-                        .iter()
-                        .any(|r| committed.contains(*r) || self.faults.killed.contains(*r))
-            };
-            if !troubled {
-                i += 1;
+    /// Take every collective in flight that is wounded or spans a rank
+    /// `dead` names out of flight: resolve it with `verdict`'s error,
+    /// or else push it back at its job's FIFO head, to be re-planned
+    /// after a backoff.
+    fn sweep_troubled(
+        &mut self,
+        now: Instant,
+        dead: impl Fn(usize) -> bool,
+        verdict: impl Fn(&Coll) -> Option<SvcError>,
+    ) {
+        let mut at = 0;
+        while let Some((mut c, fail)) = self.pluck(&mut at, |c| {
+            let fl = c.flight.as_ref()?;
+            (fl.wounded || fl.map.iter().any(|&r| dead(r))).then(|| verdict(c))
+        }) {
+            if let Some(e) = fail {
+                self.resolve(c, Err(e));
                 continue;
             }
-            let act = self.take_active(i);
-            self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
-            let backoff = self.backoff(act.retries);
-            let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-            if act.retries >= act.retry_max {
-                sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                let attempts = act.retries;
-                act.resolve(SvcError::RetriesExhausted { attempts }, sched);
-                continue;
-            }
-            if let Some(root) = act.spec.root().filter(|r| self.failed.contains(*r)) {
-                sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                act.resolve(SvcError::Unsatisfiable { rank: root }, sched);
-                continue;
-            }
-            sched.tags.quarantine(act.slot);
-            mirror_slots(sched);
+            c.not_before = Some(now + self.backoff(c.retries));
+            c.retries += 1;
+            c.plan = None;
+            c.deferral_counted = true;
+            let sched = self.settle(&mut c, false);
             sched.counters.retried.fetch_add(1, Ordering::Relaxed);
             sched.counters.queued.fetch_add(1, Ordering::Relaxed);
-            sched.fifo.push_front(Pending {
-                spec: act.spec,
-                req: act.req,
-                submitted: act.submitted,
-                deadline: act.deadline,
-                retry_max: act.retry_max,
-                retries: act.retries + 1,
-                not_before: Some(now + backoff),
-                plan: None,
-                plan_epoch: 0,
-                cost: 0,
-                deferral_counted: true,
-            });
+            sched.fifo.push_front(c);
         }
     }
 
@@ -694,91 +690,78 @@ impl Engine {
         let members = self.members.clone();
         let epoch = self.shared.epoch.load(Ordering::Relaxed);
         let world = self.shared.cfg.world;
-        let quantum = self.shared.cfg.quantum;
-        for ji in 0..self.rotation.len() {
-            let comm = self.rotation[ji];
-            let Some(sched) = self.jobs.get_mut(&comm) else {
-                continue;
-            };
+        for job in 0..self.jobs.len() {
             let mut credited = false;
             loop {
                 // Groom the head: cancellations, deadlines, backoff
                 // gates, (re-)planning.
-                let head_cost = loop {
-                    let Some(head) = sched.fifo.front_mut() else {
-                        break None;
+                let sched = &mut self.jobs[job];
+                let Some(head) = sched.fifo.front_mut() else {
+                    // Idle lanes forfeit their credit: a returning job
+                    // must not burst on banked quanta.
+                    sched.lane.forfeit();
+                    break;
+                };
+                if let Some(e) = head.expired(now) {
+                    let c = sched.fifo.pop_front().expect("head");
+                    self.resolve(c, Err(e));
+                    continue;
+                }
+                if head.not_before.is_some_and(|t| now < t) {
+                    // In backoff: the job sits this round out (FIFO
+                    // order is preserved across retries).
+                    break;
+                }
+                if head.plan.is_none() || head.plan_epoch != epoch {
+                    let planned = if members.is_empty() {
+                        Err(PlanError::RootFailed {
+                            root: head.spec.root().unwrap_or(0),
+                        })
+                    } else {
+                        head.spec.plan_on(&members)
                     };
-                    if let Some(e) = expired(&head.req, head.deadline, head.submitted, now) {
-                        let counters = &sched.counters;
-                        count_expired(&e, counters);
-                        counters.queued.fetch_sub(1, Ordering::Relaxed);
-                        sched.fifo.pop_front().expect("head").req.complete(Err(e));
-                        continue;
-                    }
-                    if head.not_before.is_some_and(|t| now < t) {
-                        // In backoff: the job sits this round out (FIFO
-                        // order is preserved across retries).
-                        break None;
-                    }
-                    if head.plan.is_none() || head.plan_epoch != epoch {
-                        let planned = if members.is_empty() {
-                            Err(PlanError::RootFailed {
-                                root: head.spec.root().unwrap_or(0),
-                            })
-                        } else {
-                            head.spec.plan_on(&members)
-                        };
-                        match planned {
-                            Ok(c) => {
-                                head.cost = c.nic_bytes();
-                                head.plan = Some(c);
-                                head.plan_epoch = epoch;
-                            }
-                            Err(e) => {
-                                let p = sched.fifo.pop_front().expect("head");
-                                sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
-                                sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                                p.req.complete(Err(match e {
+                    match planned {
+                        Ok(p) => {
+                            head.cost = p.nic_bytes();
+                            head.plan = Some(p);
+                            head.plan_epoch = epoch;
+                        }
+                        Err(e) => {
+                            let c = sched.fifo.pop_front().expect("head");
+                            self.resolve(
+                                c,
+                                Err(match e {
                                     PlanError::RootFailed { root } => {
                                         SvcError::Unsatisfiable { rank: root }
                                     }
                                     e => SvcError::Invalid(e),
-                                }));
-                                continue;
-                            }
+                                }),
+                            );
+                            continue;
                         }
                     }
-                    break Some(head.cost);
-                };
-                let Some(cost) = head_cost else {
-                    if sched.fifo.is_empty() {
-                        // Idle lanes forfeit their credit: a returning
-                        // job must not burst on banked quanta.
-                        sched.lane.forfeit();
-                    }
-                    break;
-                };
+                }
+                let cost = head.cost;
                 if !credited {
-                    sched.lane.credit(quantum, cost + quantum);
+                    sched.lane.credit(QUANTUM, cost + QUANTUM);
                     credited = true;
                 }
                 if budget_left == 0 || sched.lane.deficit < cost {
-                    defer(sched.fifo.front_mut().expect("head"), &sched.counters);
+                    head.defer(&sched.counters);
                     break;
                 }
                 let Some(slot) = sched.tags.acquire() else {
-                    defer(sched.fifo.front_mut().expect("head"), &sched.counters);
+                    head.defer(&sched.counters);
                     break;
                 };
                 if !self.bucket.try_take(cost) {
                     sched.tags.release(slot);
-                    defer(sched.fifo.front_mut().expect("head"), &sched.counters);
+                    head.defer(&sched.counters);
                     break;
                 }
                 assert!(sched.lane.try_pay(cost), "deficit checked above");
-                let mut p = sched.fifo.pop_front().expect("head exists");
+                let mut c = sched.fifo.pop_front().expect("head exists");
                 budget_left -= 1;
-                mirror_slots(sched);
                 sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
                 sched.counters.admitted.fetch_add(1, Ordering::Relaxed);
                 sched
@@ -790,42 +773,31 @@ impl Engine {
                 for &r in &members {
                     self.faults.tick(r, OpClass::Submit);
                 }
-                let mut act = Active {
-                    comm,
+                c.flight = Some(Flight {
                     slot,
-                    coll: p.plan.take().expect("groomed head is planned"),
                     map: members.clone(),
-                    spec: p.spec,
-                    req: p.req,
-                    submitted: p.submitted,
-                    deadline: p.deadline,
-                    retry_max: p.retry_max,
-                    retries: p.retries,
-                    cost,
                     sent_bytes: 0,
                     wounded: false,
                     last_progress: now,
                     outstanding: Vec::new(),
-                };
-                let first = act.coll.start();
+                });
+                let first = c.admitted().0.start();
                 match send_all(
-                    &mut act,
+                    &mut c,
                     &self.shared,
                     &self.nodes,
                     &mut self.faults,
                     &mut self.evidence,
                     first,
                 ) {
-                    Ok(()) if act.coll.done() => {
-                        // Degenerate (single-rank) collectives finish
-                        // without traffic.
-                        finish(act, sched, world);
+                    // Degenerate (single-rank) collectives finish
+                    // without traffic.
+                    Ok(()) if c.admitted().0.done() => {
+                        let out = c.outputs(world);
+                        self.resolve(c, Ok(out));
                     }
-                    Ok(()) => self.active.push(act),
-                    Err(e) => {
-                        sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                        act.resolve(e, sched);
-                    }
+                    Ok(()) => self.active.push(c),
+                    Err(e) => self.resolve(c, Err(e)),
                 }
             }
         }
@@ -833,39 +805,37 @@ impl Engine {
 
     /// Poll every in-flight collective's outstanding channels.
     fn poll(&mut self, now: Instant) -> bool {
-        let fabric = Arc::clone(&self.shared.fabric);
         let world = self.shared.cfg.world;
         let ft = self.shared.cfg.ft;
         // In ft mode a stall is the detector's business first; the
         // terminal verdict is a backstop at twice the window.
-        let stall_cut = if ft {
-            self.stall_after * 2
-        } else {
-            self.stall_after
-        };
+        let stall_cut = sync_timeout() * if ft { 2 } else { 1 };
         let mut progressed = false;
         let mut i = 0;
         while i < self.active.len() {
-            let act = &mut self.active[i];
+            let c = &mut self.active[i];
             let mut verdict: Option<SvcError> = None;
             let mut j = 0;
-            while j < act.outstanding.len() {
-                let (chan, phase, dsrc, ddst) = act.outstanding[j];
+            loop {
+                let (plan, fl) = c.admitted();
+                let Some(&(chan, phase, dsrc, ddst)) = fl.outstanding.get(j) else {
+                    break;
+                };
                 // A dead destination never polls; its frames rot under
                 // a tag headed for quarantine.
                 if self.faults.tick(chan.1, OpClass::Poll) {
                     j += 1;
                     continue;
                 }
-                match fabric.try_recv(chan) {
+                match self.shared.fabric.try_recv(chan) {
                     Ok(None) => j += 1,
                     Ok(Some(payload)) => {
                         progressed = true;
-                        act.outstanding.swap_remove(j);
-                        act.last_progress = now;
-                        let emitted = act.coll.deliver(dsrc, ddst, phase, payload);
+                        fl.outstanding.swap_remove(j);
+                        fl.last_progress = now;
+                        let emitted = plan.deliver(dsrc, ddst, phase, payload);
                         if let Err(e) = send_all(
-                            act,
+                            c,
                             &self.shared,
                             &self.nodes,
                             &mut self.faults,
@@ -879,9 +849,9 @@ impl Engine {
                     Err(e) if ft && recoverable(&e) => {
                         // Survivable: mark the collective for a re-plan
                         // and feed the detector; the channel is gone.
-                        act.wounded = true;
+                        fl.wounded = true;
                         note_suspects(&e, &mut self.evidence);
-                        act.outstanding.swap_remove(j);
+                        fl.outstanding.swap_remove(j);
                     }
                     Err(e) => {
                         verdict = Some(e.into());
@@ -889,28 +859,23 @@ impl Engine {
                     }
                 }
             }
-            if verdict.is_none()
-                && self.agree.is_none()
-                && !act.coll.done()
-                && now.saturating_duration_since(act.last_progress) > stall_cut
-            {
+            let (plan, fl) = c.admitted();
+            let done = plan.done();
+            let quiet = now.saturating_duration_since(fl.last_progress);
+            if verdict.is_none() && self.agree.is_none() && !done && quiet > stall_cut {
                 verdict = Some(SvcError::Stalled {
-                    waited: now.saturating_duration_since(act.last_progress),
-                    outstanding: act.outstanding.len(),
+                    waited: quiet,
+                    outstanding: fl.outstanding.len(),
                 });
             }
-            let done = act.coll.done();
             if let Some(e) = verdict {
-                let act = self.take_active(i);
-                self.bucket.refund(act.cost.saturating_sub(act.sent_bytes));
-                let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-                sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                act.resolve(e, sched);
+                let c = self.active.swap_remove(i);
+                self.resolve(c, Err(e));
             } else if done {
                 progressed = true;
-                let act = self.take_active(i);
-                let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-                finish(act, sched, world);
+                let mut c = self.active.swap_remove(i);
+                let out = c.outputs(world);
+                self.resolve(c, Ok(out));
             } else {
                 i += 1;
             }
@@ -920,54 +885,64 @@ impl Engine {
 
     /// Fail everything still queued or in flight with `Shutdown`.
     fn shutdown(&mut self) {
-        self.shared.inflight.store(0, Ordering::Relaxed);
-        for act in self.active.drain(..) {
-            let sched = self.jobs.get_mut(&act.comm).expect("job exists");
-            sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-            act.resolve(SvcError::Shutdown, sched);
+        let mut left = std::mem::take(&mut self.active);
+        for sched in &mut self.jobs {
+            left.extend(sched.fifo.drain(..));
         }
-        for sched in self.jobs.values_mut() {
-            while let Some(p) = sched.fifo.pop_front() {
-                sched.counters.queued.fetch_sub(1, Ordering::Relaxed);
-                sched.counters.failed.fetch_add(1, Ordering::Relaxed);
-                p.req.complete(Err(SvcError::Shutdown));
-            }
+        for c in left {
+            self.resolve(c, Err(SvcError::Shutdown));
         }
     }
 }
 
-impl Active {
-    /// Resolve as failed: the error to the request, the sequence slot
-    /// into quarantine (frames bearing its tags may still be in flight
-    /// somewhere — reuse would alias them onto a future collective).
-    /// The caller bumps whichever counter classifies the outcome.
-    fn resolve(self, e: SvcError, sched: &mut JobSched) {
-        sched.tags.quarantine(self.slot);
-        mirror_slots(sched);
-        self.req.complete(Err(e));
+impl Coll {
+    /// The plan and the in-flight part of an admitted collective.
+    fn admitted(&mut self) -> (&mut NbColl, &mut Flight) {
+        match (&mut self.plan, &mut self.flight) {
+            (Some(plan), Some(fl)) => (plan, fl),
+            _ => unreachable!("an admitted collective has a plan and a flight"),
+        }
     }
-}
 
-/// Resolve as completed: dense outputs expanded to world-rank order
-/// (dead ranks get empty buffers), latency to the histogram, sequence
-/// slot back to the job's pool.
-fn finish(act: Active, sched: &mut JobSched, world: usize) {
-    sched.counters.completed.fetch_add(1, Ordering::Relaxed);
-    sched.counters.latency.record(act.submitted.elapsed());
-    sched.tags.release(act.slot);
-    mirror_slots(sched);
-    let dense = act.coll.outputs();
-    let result = if act.map.len() == world {
-        // Identity map: the fast path every fault-free run takes.
-        dense
-    } else {
+    /// The cancel/deadline verdict on this collective at `now`.
+    fn expired(&self, now: Instant) -> Option<SvcError> {
+        if self.req.is_cancelled() {
+            Some(SvcError::Cancelled)
+        } else if self.deadline.is_some_and(|d| now >= d) {
+            Some(SvcError::DeadlineExpired {
+                waited: now.saturating_duration_since(self.submitted),
+            })
+        } else {
+            None
+        }
+    }
+
+    /// Count one deferral against stats, once per collective.
+    fn defer(&mut self, counters: &JobCounters) {
+        if !self.deferral_counted {
+            self.deferral_counted = true;
+            counters.deferred.fetch_add(1, Ordering::Relaxed);
+            counters
+                .deferred_bytes
+                .fetch_add(self.cost, Ordering::Relaxed);
+        }
+    }
+
+    /// A completed collective's dense outputs expanded to world-rank
+    /// order (dead ranks get empty buffers).
+    fn outputs(&mut self, world: usize) -> Vec<Vec<u8>> {
+        let (plan, fl) = self.admitted();
+        let dense = plan.outputs();
+        if fl.map.len() == world {
+            // Identity map: the fast path every fault-free run takes.
+            return dense;
+        }
         let mut out = vec![Vec::new(); world];
         for (j, buf) in dense.into_iter().enumerate() {
-            out[act.map[j]] = buf;
+            out[fl.map[j]] = buf;
         }
         out
-    };
-    act.req.complete(Ok(result));
+    }
 }
 
 /// Send `msgs`, registering the receive side of each for polling. A
@@ -977,44 +952,48 @@ fn finish(act: Active, sched: &mut JobSched, world: usize) {
 /// and works off whatever that delivery emits the same way. A
 /// DSL-killed source "sends" nothing, and a DSL-killed destination
 /// receives nothing — the receive still registers, so the stall is
-/// observable. Recoverable transport errors wound the collective
-/// instead of failing it (the retry path owns it from there); only
-/// structural errors are returned.
+/// observable. Only bytes the fabric accepted or that were handed over
+/// in place count as sent. Recoverable transport errors wound the
+/// collective instead of failing it (the retry path owns it from
+/// there); only structural errors are returned.
 fn send_all(
-    act: &mut Active,
+    c: &mut Coll,
     shared: &Shared,
     nodes: &[Option<usize>],
     faults: &mut Faults,
     evidence: &mut RankSet,
     msgs: Vec<Msg>,
 ) -> Result<(), SvcError> {
+    let comm = c.comm;
+    let (plan, fl) = c.admitted();
     let mut work = VecDeque::from(msgs);
     while let Some(m) = work.pop_front() {
-        let (os, od) = (act.map[m.src], act.map[m.dst]);
-        let chan: ChanKey = (os, od, tag::svc(act.comm, act.slot, m.phase));
+        let (os, od) = (fl.map[m.src], fl.map[m.dst]);
+        let chan: ChanKey = (os, od, tag::svc(comm, fl.slot, m.phase));
+        let bytes = m.payload.len() as u64;
         if faults.killed.contains(os) {
-            act.outstanding.push((chan, m.phase, m.src, m.dst));
+            fl.outstanding.push((chan, m.phase, m.src, m.dst));
             continue;
         }
-        act.sent_bytes += m.payload.len() as u64;
         if nodes[os].is_some() && nodes[os] == nodes[od] {
             if faults.tick(od, OpClass::Poll) {
-                act.outstanding.push((chan, m.phase, m.src, m.dst));
+                fl.outstanding.push((chan, m.phase, m.src, m.dst));
             } else {
                 shared.in_place.fetch_add(1, Ordering::Relaxed);
-                work.extend(act.coll.deliver(m.src, m.dst, m.phase, m.payload));
+                fl.sent_bytes += bytes;
+                work.extend(plan.deliver(m.src, m.dst, m.phase, m.payload));
             }
             continue;
         }
         match shared.fabric.send(chan, m.payload) {
-            Ok(()) => {}
+            Ok(()) => fl.sent_bytes += bytes,
             Err(e) if recoverable(&e) => {
-                act.wounded = true;
+                fl.wounded = true;
                 note_suspects(&e, evidence);
             }
             Err(e) => return Err(e.into()),
         }
-        act.outstanding.push((chan, m.phase, m.src, m.dst));
+        fl.outstanding.push((chan, m.phase, m.src, m.dst));
     }
     Ok(())
 }
@@ -1042,69 +1021,5 @@ fn note_suspects(e: &FabricError, evidence: &mut RankSet) {
             }
         }
         _ => {}
-    }
-}
-
-/// The cancel/deadline verdict on a queued or active request at `now`.
-fn expired(
-    req: &crate::ReqShared,
-    deadline: Option<Instant>,
-    submitted: Instant,
-    now: Instant,
-) -> Option<SvcError> {
-    if req.is_cancelled() {
-        Some(SvcError::Cancelled)
-    } else if deadline.is_some_and(|d| now >= d) {
-        Some(SvcError::DeadlineExpired {
-            waited: now.saturating_duration_since(submitted),
-        })
-    } else {
-        None
-    }
-}
-
-/// Count an [`expired`] verdict against its job.
-fn count_expired(e: &SvcError, counters: &JobCounters) {
-    let counter = match e {
-        SvcError::Cancelled => &counters.cancelled,
-        _ => &counters.deadline_expired,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The member list as a `RankSet` bitmap.
-fn rank_bits(members: &[usize]) -> u64 {
-    let mut s = RankSet::new();
-    for &r in members {
-        if r < 64 {
-            s.insert(r);
-        }
-    }
-    s.bits()
-}
-
-/// Mirror the tag-space gauges into the job's atomic counters so
-/// snapshots can check slot conservation without engine cooperation.
-fn mirror_slots(sched: &mut JobSched) {
-    sched
-        .counters
-        .slots_held
-        .store(sched.tags.held(), Ordering::Relaxed);
-    sched
-        .counters
-        .slots_free
-        .store(sched.tags.free(), Ordering::Relaxed);
-    sched
-        .counters
-        .slots_quarantined
-        .store(sched.tags.quarantined(), Ordering::Relaxed);
-}
-
-/// Count one deferral against stats, once per collective.
-fn defer(p: &mut Pending, counters: &Arc<JobCounters>) {
-    if !p.deferral_counted {
-        p.deferral_counted = true;
-        counters.deferred.fetch_add(1, Ordering::Relaxed);
-        counters.deferred_bytes.fetch_add(p.cost, Ordering::Relaxed);
     }
 }

@@ -67,6 +67,7 @@ use pipmcoll_model::{Datatype, ReduceOp};
 use pipmcoll_rt::FaultPlan;
 
 pub use pipmcoll_core::nb::{CollSpec as Spec, PlanError};
+use tagspace::SlotGauges;
 pub use tagspace::TagSpace;
 
 /// Result alias for service operations.
@@ -194,8 +195,6 @@ pub struct SvcConfig {
     pub nic_budget: Option<u64>,
     /// Token-bucket burst, bytes.
     pub burst: u64,
-    /// Deficit-round-robin quantum credited per scheduler pass, bytes.
-    pub quantum: u64,
     /// Cap on concurrently in-flight collectives across all jobs;
     /// `Some(1)` is the serialized baseline the storm bench compares
     /// against. `None` = bounded only by tag slots and admission.
@@ -251,7 +250,6 @@ impl SvcConfig {
             world,
             nic_budget,
             burst: 256 * 1024,
-            quantum: 4 * 1024,
             max_inflight: None,
             seq_bits: pipmcoll_fabric::tag::SVC_SEQ_BITS,
             ft: world <= 64,
@@ -277,39 +275,23 @@ pub struct SubmitOpts {
 }
 
 /// Per-job counters, shared between the engine and [`SvcStats`]
-/// snapshots. All atomic: the engine writes from its thread, snapshots
-/// read from anywhere.
+/// snapshots: one atomic per [`JobStats`] field of the same name
+/// (`queued` is its `queue_depth`, `slots` its three slot gauges). The
+/// engine writes from its thread, snapshots read from anywhere.
 #[derive(Default)]
 pub(crate) struct JobCounters {
-    /// Bytes of admitted collectives.
     pub admitted_bytes: AtomicU64,
-    /// Bytes of collectives that sat deferred at least one pass.
     pub deferred_bytes: AtomicU64,
-    /// Collectives admitted.
     pub admitted: AtomicU64,
-    /// Collectives deferred at least one pass before admission.
     pub deferred: AtomicU64,
-    /// Collectives completed successfully.
     pub completed: AtomicU64,
-    /// Collectives failed.
     pub failed: AtomicU64,
-    /// Collectives currently queued (submitted, not yet admitted).
     pub queued: AtomicUsize,
-    /// Collectives re-planned onto a shrunk survivor group.
     pub retried: AtomicU64,
-    /// Requests resolved by cancellation.
     pub cancelled: AtomicU64,
-    /// Requests resolved by deadline expiry.
     pub deadline_expired: AtomicU64,
-    /// Sequence-slot gauges, mirrored from the job's [`TagSpace`] after
-    /// every slot mutation so snapshots can check the conservation
-    /// invariant (`held + free + quarantined == 2^seq_bits`).
-    pub slots_held: AtomicUsize,
-    /// See [`JobCounters::slots_held`].
-    pub slots_free: AtomicUsize,
-    /// See [`JobCounters::slots_held`].
-    pub slots_quarantined: AtomicUsize,
-    /// Submission-to-completion latency.
+    /// Written by the job's [`TagSpace`] on every slot change.
+    pub slots: Arc<SlotGauges>,
     pub latency: LatencyHist,
 }
 
@@ -399,9 +381,11 @@ impl ReqShared {
         })
     }
 
-    /// Engine side: publish the outcome and wake waiters.
+    /// Engine side: publish the outcome and wake waiters. A request
+    /// resolves exactly once.
     pub(crate) fn complete(&self, result: SvcResult<Vec<Vec<u8>>>) {
         let mut g = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        debug_assert!(matches!(*g, ReqState::Pending), "request resolved twice");
         *g = ReqState::Ready(Some(result));
         self.waiters.notify(&g);
     }
@@ -584,7 +568,14 @@ impl Svc {
         if comm >= pipmcoll_fabric::tag::SVC_MAX_COMMS {
             return Err(SvcError::CommExhausted);
         }
-        let counters = Arc::new(JobCounters::default());
+        // Every slot is free until the engine's first admission.
+        let counters = Arc::new(JobCounters {
+            slots: Arc::new(SlotGauges {
+                free: AtomicUsize::new(1 << self.shared.cfg.seq_bits),
+                ..SlotGauges::default()
+            }),
+            ..JobCounters::default()
+        });
         self.shared
             .counters
             .lock()
@@ -618,9 +609,9 @@ impl Svc {
                 retried: c.retried.load(Ordering::Relaxed),
                 cancelled: c.cancelled.load(Ordering::Relaxed),
                 deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
-                slots_held: c.slots_held.load(Ordering::Relaxed),
-                slots_free: c.slots_free.load(Ordering::Relaxed),
-                slots_quarantined: c.slots_quarantined.load(Ordering::Relaxed),
+                slots_held: c.slots.held.load(Ordering::Relaxed),
+                slots_free: c.slots.free.load(Ordering::Relaxed),
+                slots_quarantined: c.slots.quarantined.load(Ordering::Relaxed),
                 latency: c.latency.snapshot(),
             })
             .collect();

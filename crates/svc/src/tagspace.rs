@@ -39,6 +39,8 @@
 //! in depth on top of that.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Releases a slot waits behind before it is ready to reissue.
 pub const COOL: usize = 64;
@@ -55,6 +57,15 @@ enum Slot {
     Quarantined,
 }
 
+/// A [`TagSpace`]'s slot counts, written by the space on every change
+/// so other threads can check conservation at any time.
+#[derive(Default)]
+pub(crate) struct SlotGauges {
+    pub held: AtomicUsize,
+    pub free: AtomicUsize,
+    pub quarantined: AtomicUsize,
+}
+
 /// A bounded, recycling allocator of sequence slots for one
 /// communicator.
 pub struct TagSpace {
@@ -68,10 +79,11 @@ pub struct TagSpace {
     /// Collectives ever granted a slot.
     issued: u64,
     /// Live gauge: slots currently [`Slot::Held`]. Tracked
-    /// incrementally so the stats mirror costs O(1), not a slot scan —
-    /// the admission hot loop reads these between token-bucket takes.
+    /// incrementally so publishing the gauges costs O(1), not a slot
+    /// scan — the admission hot loop changes them every collective.
     held: usize,
     quarantined: usize,
+    gauges: Arc<SlotGauges>,
 }
 
 impl TagSpace {
@@ -81,6 +93,12 @@ impl TagSpace {
     /// Panics if `seq_bits` exceeds the wire field width
     /// ([`pipmcoll_fabric::tag::SVC_SEQ_BITS`]) or is zero.
     pub fn new(seq_bits: u32) -> TagSpace {
+        TagSpace::with_gauges(seq_bits, Arc::default())
+    }
+
+    /// An allocator with `2^seq_bits` slots that publishes its counts
+    /// to `gauges`.
+    pub(crate) fn with_gauges(seq_bits: u32, gauges: Arc<SlotGauges>) -> TagSpace {
         assert!(
             (1..=pipmcoll_fabric::tag::SVC_SEQ_BITS).contains(&seq_bits),
             "seq_bits {seq_bits} outside 1..={}",
@@ -94,7 +112,15 @@ impl TagSpace {
             issued: 0,
             held: 0,
             quarantined: 0,
+            gauges,
         }
+    }
+
+    fn publish(&self) {
+        let g = &self.gauges;
+        g.held.store(self.held, Ordering::Relaxed);
+        g.free.store(self.free(), Ordering::Relaxed);
+        g.quarantined.store(self.quarantined, Ordering::Relaxed);
     }
 
     /// Total slots (2^seq_bits).
@@ -109,6 +135,7 @@ impl TagSpace {
         self.slots[slot as usize] = Slot::Held;
         self.issued += 1;
         self.held += 1;
+        self.publish();
         Some(slot)
     }
 
@@ -131,6 +158,7 @@ impl TagSpace {
             let cooled = self.cooling.pop_front().expect("window is non-empty");
             self.ready.push(cooled);
         }
+        self.publish();
     }
 
     /// Retire a failed collective's slot permanently: frames bearing
@@ -148,6 +176,7 @@ impl TagSpace {
         self.slots[slot as usize] = Slot::Quarantined;
         self.held -= 1;
         self.quarantined += 1;
+        self.publish();
     }
 
     /// Collectives ever granted a slot.

@@ -4,13 +4,19 @@
 //! bound on how many fabric channels a long-running job touches.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pipmcoll_fabric::chaos::{ChaosConfig, ChaosFabric};
-use pipmcoll_fabric::{ChanKey, Fabric, FabricDiag, FabricResult, FabricStats, InProcFabric};
+use pipmcoll_fabric::{
+    ChanKey, Fabric, FabricDiag, FabricError, FabricResult, FabricStats, InProcFabric,
+};
 use pipmcoll_model::{Datatype, ReduceOp};
-use pipmcoll_svc::{Request, Svc, SvcConfig, SvcError};
+use pipmcoll_svc::{Request, Spec, Svc, SvcConfig, SvcError};
+
+mod common;
+use common::assert_drained;
 
 fn ints(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -219,6 +225,7 @@ fn tag_space_exhaustion_wraps_safely_under_chaos_delay() {
     assert_eq!(j.slots_held, 0);
     assert_eq!(j.slots_quarantined, 0);
     assert_eq!(j.slots_free, 4);
+    assert_drained(&stats, 2, &[12]);
 }
 
 /// Satellite 3, failure half: a mid-storm rank death quarantines the
@@ -300,6 +307,7 @@ fn nic_budget_defers_but_still_completes() {
         burst: 64,
         ..SvcConfig::new(world)
     };
+    let seq_bits = cfg.seq_bits;
     let svc = Svc::new(inproc(), cfg).unwrap();
     let job = svc.job().unwrap();
     let mut launched = Vec::new();
@@ -319,6 +327,7 @@ fn nic_budget_defers_but_still_completes() {
         "a 64-byte burst must defer some of 8 queued collectives"
     );
     assert!(j.deferred_bytes > 0);
+    assert_drained(&stats, seq_bits, &[8]);
 }
 
 #[test]
@@ -334,6 +343,104 @@ fn dropping_the_service_fails_unadmitted_requests_with_shutdown() {
     let req = job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
     drop(svc);
     assert_eq!(req.wait().unwrap_err(), SvcError::Shutdown);
+}
+
+/// Forwards to an [`InProcFabric`], except that the first `send` fails
+/// with a structural (not recoverable) error.
+struct RefuseFirstSend {
+    inner: InProcFabric,
+    refused: AtomicBool,
+}
+
+impl Fabric for RefuseFirstSend {
+    fn name(&self) -> &'static str {
+        "refuse-first-send"
+    }
+
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+
+    fn send(&self, key: ChanKey, payload: Vec<u8>) -> FabricResult<()> {
+        if !self.refused.swap(true, Ordering::Relaxed) {
+            return Err(FabricError::QueuePoisoned { what: "test" });
+        }
+        self.inner.send(key, payload)
+    }
+
+    fn recv_within(&self, key: ChanKey, timeout: Duration) -> FabricResult<Vec<u8>> {
+        self.inner.recv_within(key, timeout)
+    }
+
+    fn try_recv(&self, key: ChanKey) -> FabricResult<Option<Vec<u8>>> {
+        self.inner.try_recv(key)
+    }
+
+    fn reset(&self) {
+        self.inner.reset()
+    }
+
+    fn stats(&self) -> FabricStats {
+        self.inner.stats()
+    }
+}
+
+/// A collective whose first send fails structurally at admission
+/// resolves failed and gives back every NIC byte the fabric did not
+/// accept. The bucket holds exactly one collective's bytes and refills
+/// at 1 B/s, so the next collective is admitted at once only if that
+/// refund happened.
+#[test]
+fn admission_send_failure_refunds_its_nic_bytes() {
+    let world = 4;
+    let (inputs, want) = allreduce_inputs(world, 9);
+    let members: Vec<usize> = (0..world).collect();
+    let cost = Spec::Allreduce {
+        dt: Datatype::Int32,
+        op: ReduceOp::Sum,
+        inputs: inputs.clone(),
+    }
+    .plan_on(&members)
+    .unwrap()
+    .nic_bytes();
+    let cfg = SvcConfig {
+        nic_budget: Some(1),
+        burst: cost,
+        ..SvcConfig::new(world)
+    };
+    let seq_bits = cfg.seq_bits;
+    let fabric = RefuseFirstSend {
+        inner: InProcFabric::new(),
+        refused: AtomicBool::new(false),
+    };
+    let svc = Svc::new(Arc::new(fabric), cfg).unwrap();
+    let job = svc.job().unwrap();
+    let first = job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs.clone());
+    assert!(matches!(
+        first.wait(),
+        Err(SvcError::Fabric(FabricError::QueuePoisoned { .. }))
+    ));
+    let second = job.iallreduce(Datatype::Int32, ReduceOp::Sum, inputs);
+    let cut = Instant::now() + Duration::from_secs(5);
+    let out = loop {
+        if let Some(res) = second.test() {
+            break res.expect("the refunded budget admits the next collective");
+        }
+        assert!(
+            Instant::now() < cut,
+            "the next collective waits on the bucket: the failed admission refunded nothing"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(out.iter().all(|o| from_ints(o) == want));
+    let stats = svc.stats();
+    let j = &stats.jobs[0];
+    assert_eq!((j.failed, j.completed), (1, 1));
+    assert_eq!(
+        j.slots_quarantined, 1,
+        "the failed collective's slot retires"
+    );
+    assert_drained(&stats, seq_bits, &[2]);
 }
 
 /// Forwards to an [`InProcFabric`] and records every distinct channel
@@ -474,6 +581,7 @@ fn malformed_spec_is_refused_and_the_engine_keeps_running() {
     let stats = svc.stats();
     assert_eq!((stats.jobs[0].failed, stats.jobs[0].admitted), (3, 0));
     assert_eq!((stats.jobs[1].completed, stats.jobs[1].failed), (1, 0));
+    assert_drained(&stats, pipmcoll_fabric::tag::SVC_SEQ_BITS, &[3, 1]);
 }
 
 /// World 66 with small concurrent allgathers: recursive doubling falls

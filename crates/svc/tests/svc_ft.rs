@@ -15,6 +15,9 @@ use pipmcoll_model::{Datatype, ReduceOp};
 use pipmcoll_rt::FaultPlan;
 use pipmcoll_svc::{Spec, SubmitOpts, Svc, SvcConfig, SvcError};
 
+mod common;
+use common::assert_drained;
+
 fn ints(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
@@ -67,7 +70,8 @@ fn sum_over(inputs: &[Vec<u8>], ranks: &[usize]) -> Vec<i32> {
 /// failed set must equal the victims, and no sequence slot may leak.
 fn run_kill_grid(world: usize, jobs_n: usize, colls: usize, fault: &str, victims: &[usize]) {
     let cfg = ft_cfg(world, fault);
-    let slot_cap = 1usize << cfg.seq_bits;
+    let seq_bits = cfg.seq_bits;
+    let slot_cap = 1usize << seq_bits;
     let svc = Svc::new(inproc(), cfg).unwrap();
     let jobs: Vec<_> = (0..jobs_n).map(|_| svc.job().unwrap()).collect();
 
@@ -127,6 +131,7 @@ fn run_kill_grid(world: usize, jobs_n: usize, colls: usize, fault: &str, victims
             j.comm
         );
     }
+    assert_drained(&stats, seq_bits, &vec![colls as u64; jobs_n]);
 }
 
 /// Fault tolerance tracks ranks in a 64-bit set: a larger world with
@@ -244,6 +249,7 @@ fn cancel_resolves_queued_request_promptly() {
         max_inflight: Some(0), // never admitted: the cancel hits the FIFO
         ..SvcConfig::new(world)
     };
+    let seq_bits = cfg.seq_bits;
     let svc = Svc::new(inproc(), cfg).unwrap();
     let job = svc.job().unwrap();
     let req = job.iallreduce(Datatype::Int32, ReduceOp::Sum, allreduce_inputs(world, 1));
@@ -256,6 +262,7 @@ fn cancel_resolves_queued_request_promptly() {
         j.slots_quarantined, 0,
         "a never-admitted collective held no slot to quarantine"
     );
+    assert_drained(&svc.stats(), seq_bits, &[1]);
 }
 
 /// Cancelling an *in-flight* collective quarantines its sequence slot:
@@ -273,6 +280,7 @@ fn cancel_quarantines_in_flight_slot() {
         fault: FaultPlan::parse("kill:rank=1@submit=1").unwrap(),
         ..SvcConfig::new(world)
     };
+    let seq_bits = cfg.seq_bits;
     let svc = Svc::new(inproc(), cfg).unwrap();
     let job = svc.job().unwrap();
     let req = job.iallreduce(Datatype::Int32, ReduceOp::Sum, allreduce_inputs(world, 2));
@@ -287,6 +295,7 @@ fn cancel_quarantines_in_flight_slot() {
     assert_eq!(j.cancelled, 1);
     assert_eq!(j.slots_quarantined, 1, "in-flight cancel retires the slot");
     assert_eq!(j.slots_held, 0);
+    assert_drained(&svc.stats(), seq_bits, &[1]);
 }
 
 #[test]
@@ -296,6 +305,7 @@ fn per_request_deadline_resolves_typed() {
         max_inflight: Some(0), // never admitted: the deadline must fire
         ..SvcConfig::new(world)
     };
+    let seq_bits = cfg.seq_bits;
     let svc = Svc::new(inproc(), cfg).unwrap();
     let job = svc.job().unwrap();
     let req = job.submit_with(
@@ -321,6 +331,7 @@ fn per_request_deadline_resolves_typed() {
     let j = &svc.stats().jobs[0];
     assert_eq!(j.deadline_expired, 1);
     assert_eq!(j.queue_depth, 0);
+    assert_drained(&svc.stats(), seq_bits, &[1]);
 }
 
 #[test]
@@ -331,6 +342,7 @@ fn config_default_deadline_applies_to_plain_submissions() {
         deadline: Some(Duration::from_millis(30)),
         ..SvcConfig::new(world)
     };
+    let seq_bits = cfg.seq_bits;
     let svc = Svc::new(inproc(), cfg).unwrap();
     let job = svc.job().unwrap();
     let req = job.iallreduce(Datatype::Int32, ReduceOp::Sum, allreduce_inputs(world, 4));
@@ -339,6 +351,7 @@ fn config_default_deadline_applies_to_plain_submissions() {
         SvcError::DeadlineExpired { .. }
     ));
     assert_eq!(svc.stats().jobs[0].deadline_expired, 1);
+    assert_drained(&svc.stats(), seq_bits, &[1]);
 }
 
 /// Dropping the only handle on an unfinished collective cancels it —
