@@ -7,7 +7,7 @@ use pipmcoll_bench::microbench::{black_box, Group, Throughput};
 use pipmcoll_core::{build_schedule, AllgatherParams, CollectiveSpec, LibraryProfile};
 use pipmcoll_engine::{simulate, EngineConfig};
 use pipmcoll_model::{presets, Topology};
-use pipmcoll_sched::dataflow::{execute, SchedulingPolicy};
+use pipmcoll_sched::dataflow::execute;
 use pipmcoll_sched::verify::pattern;
 
 fn bench_recording() {
@@ -43,10 +43,7 @@ fn bench_dataflow() {
         let sched = build_schedule(LibraryProfile::PipMColl, topo, &spec);
         g.throughput(Throughput::Elements(sched.total_ops() as u64));
         g.bench(&format!("mcoll_allgather/{nodes}x{ppn}"), || {
-            black_box(
-                execute(&sched, |r| pattern(r, 64), SchedulingPolicy::RoundRobin)
-                    .expect("interpret"),
-            );
+            black_box(execute(&sched, |r| pattern(r, 64)).expect("interpret"));
         });
     }
 }

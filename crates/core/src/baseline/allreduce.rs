@@ -281,8 +281,7 @@ mod tests {
     #[test]
     fn non_sum_ops() {
         use pipmcoll_model::{Datatype, ReduceOp};
-        use pipmcoll_sched::dataflow::execute_race_checked;
-        use pipmcoll_sched::verify::{double_pattern, reference_reduce};
+        use pipmcoll_sched::verify::{self, double_pattern, reference_reduce};
         for op in [ReduceOp::Max, ReduceOp::Min, ReduceOp::Prod] {
             let topo = Topology::new(3, 2);
             let p = AllreduceParams {
@@ -292,8 +291,7 @@ mod tests {
             };
             let sched =
                 record_with_sizes(topo, p.buf_sizes(), |c| allreduce_recursive_doubling(c, &p));
-            sched.validate().unwrap();
-            let res = execute_race_checked(&sched, |r| {
+            let res = verify::run(&sched, |r| {
                 pipmcoll_model::dtype::doubles_to_bytes(&double_pattern(r, 9))
             })
             .unwrap();

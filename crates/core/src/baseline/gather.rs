@@ -87,8 +87,7 @@ pub fn gather_binomial<C: Comm>(c: &mut C, cb: usize, root: usize) {
 mod tests {
     use super::*;
     use pipmcoll_model::Topology;
-    use pipmcoll_sched::dataflow::execute_race_checked;
-    use pipmcoll_sched::verify::pattern;
+    use pipmcoll_sched::verify::{self, pattern};
     use pipmcoll_sched::{record_with_sizes, BufSizes};
 
     fn run(nodes: usize, ppn: usize, cb: usize, root: usize) {
@@ -99,8 +98,7 @@ mod tests {
             |r| BufSizes::new(cb, if r == root { world * cb } else { 0 }),
             |c| gather_binomial(c, cb, root),
         );
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         let mut expect = Vec::new();
         for r in 0..world {
             expect.extend_from_slice(&pattern(r, cb));

@@ -39,7 +39,7 @@ pub fn barrier_mcoll<C: Comm>(c: &mut C) {
 mod tests {
     use super::*;
     use pipmcoll_model::Topology;
-    use pipmcoll_sched::dataflow::execute_race_checked;
+    use pipmcoll_sched::verify;
     use pipmcoll_sched::{record, BufSizes};
 
     #[test]
@@ -47,11 +47,7 @@ mod tests {
         for (nodes, ppn) in [(1usize, 1usize), (1, 6), (2, 2), (3, 3), (5, 2), (8, 1)] {
             let topo = Topology::new(nodes, ppn);
             let sched = record(topo, BufSizes::new(0, 0), barrier_mcoll);
-            sched
-                .validate()
-                .unwrap_or_else(|e| panic!("{nodes}x{ppn}: {e}"));
-            execute_race_checked(&sched, |_| Vec::new())
-                .unwrap_or_else(|e| panic!("{nodes}x{ppn}: {e}"));
+            verify::run(&sched, |_| Vec::new()).unwrap_or_else(|e| panic!("{nodes}x{ppn}: {e}"));
         }
     }
 

@@ -214,8 +214,7 @@ pub fn bcast_mcoll_large<C: Comm>(c: &mut C, cb: usize, root: usize) {
 mod tests {
     use super::*;
     use pipmcoll_model::Topology;
-    use pipmcoll_sched::dataflow::execute_race_checked;
-    use pipmcoll_sched::verify::pattern;
+    use pipmcoll_sched::verify::{self, pattern};
     use pipmcoll_sched::{record_with_sizes, BufSizes};
 
     fn run(
@@ -231,8 +230,7 @@ mod tests {
             |r| BufSizes::new(if r == root { cb } else { 0 }, cb),
             |c| algo(c, cb, root),
         );
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| {
+        let res = verify::run(&sched, |r| {
             if r == root {
                 pattern(root, cb)
             } else {

@@ -327,8 +327,7 @@ mod tests {
     use super::*;
     use pipmcoll_model::dtype::{bytes_to_doubles, doubles_to_bytes};
     use pipmcoll_model::Topology;
-    use pipmcoll_sched::dataflow::execute_race_checked;
-    use pipmcoll_sched::verify::{double_pattern, pattern, reference_reduce};
+    use pipmcoll_sched::verify::{self, double_pattern, pattern, reference_reduce};
     use pipmcoll_sched::{record, record_with_sizes, BufSizes};
 
     #[test]
@@ -336,8 +335,7 @@ mod tests {
         let topo = Topology::new(1, 6);
         let cb = 48;
         let sched = record(topo, BufSizes::new(cb, cb), |c| intra_bcast_small(c, cb));
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         for rank in 0..6 {
             assert_eq!(res.recv[rank], pattern(0, cb), "rank {rank}");
         }
@@ -348,8 +346,7 @@ mod tests {
         let topo = Topology::new(1, 4);
         let cb = 4096;
         let sched = record(topo, BufSizes::new(cb, cb), |c| intra_bcast_large(c, cb));
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         for rank in 0..4 {
             assert_eq!(res.recv[rank], pattern(0, cb));
         }
@@ -359,8 +356,7 @@ mod tests {
     fn bcast_single_process_node() {
         let topo = Topology::new(1, 1);
         let sched = record(topo, BufSizes::new(8, 8), |c| intra_bcast_small(c, 8));
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, 8)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, 8)).unwrap();
         assert_eq!(res.recv[0], pattern(0, 8));
     }
 
@@ -369,8 +365,7 @@ mod tests {
         for (p, cb) in [(4usize, 4096usize), (6, 513), (3, 96 * 1024), (8, 1 << 20)] {
             let topo = Topology::new(1, p);
             let sched = record(topo, BufSizes::new(cb, cb), |c| intra_bcast_chunked(c, cb));
-            sched.validate().unwrap();
-            let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+            let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
             for rank in 0..p {
                 assert_eq!(
                     res.recv[rank],
@@ -388,8 +383,7 @@ mod tests {
         let topo = Topology::new(1, 6);
         let cb = 3;
         let sched = record(topo, BufSizes::new(cb, cb), |c| intra_bcast_chunked(c, cb));
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         for rank in 0..6 {
             assert_eq!(res.recv[rank], pattern(0, cb), "rank {rank}");
         }
@@ -399,8 +393,7 @@ mod tests {
     fn bcast_chunked_single_process_node() {
         let topo = Topology::new(1, 1);
         let sched = record(topo, BufSizes::new(8, 8), |c| intra_bcast_chunked(c, 8));
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, 8)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, 8)).unwrap();
         assert_eq!(res.recv[0], pattern(0, 8));
     }
 
@@ -412,8 +405,7 @@ mod tests {
         let topo = Topology::new(1, 2);
         let cb = copy::CHUNK_BYTES * 2 + 17;
         let sched = record(topo, BufSizes::new(cb, cb), |c| intra_bcast_large(c, cb));
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         assert_eq!(res.recv[1], pattern(0, cb));
     }
 
@@ -427,8 +419,7 @@ mod tests {
         ] {
             let topo = Topology::new(1, p);
             let sched = record(topo, BufSizes::new(cb, cb), |c| intra_bcast(c, cb));
-            sched.validate().unwrap();
-            let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+            let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
             for rank in 0..p {
                 assert_eq!(
                     res.recv[rank],
@@ -448,8 +439,7 @@ mod tests {
             |r| BufSizes::new(cb, if r == 0 { 5 * cb } else { 0 }),
             |c| intra_gather(c, cb),
         );
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         let mut expect = Vec::new();
         for r in 0..5 {
             expect.extend_from_slice(&pattern(r, cb));
@@ -466,9 +456,7 @@ mod tests {
             let sched = record(topo, BufSizes::new(cb, cb), |c| {
                 intra_reduce_binomial(c, cb, ReduceOp::Sum, Datatype::Double)
             });
-            sched.validate().unwrap();
-            let res = execute_race_checked(&sched, |r| doubles_to_bytes(&double_pattern(r, count)))
-                .unwrap();
+            let res = verify::run(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
             assert_eq!(
                 bytes_to_doubles(&res.recv[0]),
                 reference_reduce(ReduceOp::Sum, p, count),
@@ -485,9 +473,7 @@ mod tests {
             let sched = record(topo, BufSizes::new(cb, cb), |c| {
                 intra_reduce_chunked(c, count, ReduceOp::Sum, Datatype::Double)
             });
-            sched.validate().unwrap();
-            let res = execute_race_checked(&sched, |r| doubles_to_bytes(&double_pattern(r, count)))
-                .unwrap();
+            let res = verify::run(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
             assert_eq!(
                 bytes_to_doubles(&res.recv[0]),
                 reference_reduce(ReduceOp::Sum, p, count),
@@ -504,9 +490,7 @@ mod tests {
         let sched = record(topo, BufSizes::new(cb, cb), |c| {
             intra_reduce_chunked(c, count, ReduceOp::Max, Datatype::Double)
         });
-        sched.validate().unwrap();
-        let res =
-            execute_race_checked(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
+        let res = verify::run(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
         assert_eq!(
             bytes_to_doubles(&res.recv[0]),
             reference_reduce(ReduceOp::Max, 4, count)
@@ -523,8 +507,7 @@ mod tests {
             |r| BufSizes::new(cb, if r % 3 == 0 { 3 * cb } else { 0 }),
             |c| intra_gather(c, cb),
         );
-        sched.validate().unwrap();
-        let res = execute_race_checked(&sched, |r| pattern(r, cb)).unwrap();
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap();
         for node in 0..2 {
             let root = node * 3;
             let mut expect = Vec::new();

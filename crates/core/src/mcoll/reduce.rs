@@ -169,8 +169,7 @@ mod tests {
     use super::*;
     use pipmcoll_model::dtype::{bytes_to_doubles, doubles_to_bytes};
     use pipmcoll_model::{ReduceOp, Topology};
-    use pipmcoll_sched::dataflow::execute_race_checked;
-    use pipmcoll_sched::verify::{double_pattern, reference_reduce};
+    use pipmcoll_sched::verify::{self, double_pattern, reference_reduce};
     use pipmcoll_sched::{record_with_sizes, BufSizes};
 
     fn run(nodes: usize, ppn: usize, count: usize, root: usize) {
@@ -182,9 +181,7 @@ mod tests {
             |r| BufSizes::new(cb, if r == root { cb } else { 0 }),
             |c| reduce_mcoll(c, &p, root),
         );
-        sched.validate().unwrap();
-        let res =
-            execute_race_checked(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
+        let res = verify::run(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
         assert_eq!(
             bytes_to_doubles(&res.recv[root]),
             reference_reduce(ReduceOp::Sum, topo.world_size(), count),
@@ -234,9 +231,7 @@ mod tests {
             |r| BufSizes::new(cb, if r == 0 { cb } else { 0 }),
             |c| reduce_mcoll(c, &p, 0),
         );
-        sched.validate().unwrap();
-        let res =
-            execute_race_checked(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
+        let res = verify::run(&sched, |r| doubles_to_bytes(&double_pattern(r, count))).unwrap();
         assert_eq!(
             bytes_to_doubles(&res.recv[0]),
             reference_reduce(ReduceOp::Max, 6, count)

@@ -597,7 +597,7 @@ impl NbColl {
 mod tests {
     use super::*;
     use pipmcoll_model::reduce_into;
-    use pipmcoll_sched::dataflow::execute_race_checked;
+    use pipmcoll_sched::verify;
 
     /// Drive a collective to completion over a lossless in-order loop:
     /// what the service does with a real fabric, minus the fabric.
@@ -1127,7 +1127,7 @@ mod tests {
                 assert_eq!(coll.nic_bytes(), bytes, "{what}: nic_bytes under {order:?}");
                 assert!(coll.outputs() == want, "{what}: {order:?} delivery");
                 emitted.get_or_insert_with(|| {
-                    let flow = execute_race_checked(coll.schedule(), |r| send[r].clone())
+                    let flow = verify::run(coll.schedule(), |r| send[r].clone())
                         .unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert!(flow.recv == want, "{what}: dataflow");
                 });

@@ -8,9 +8,10 @@
 //! which matches it against the channel's posted receives in MPI
 //! non-overtaking order. Two consumers drive it:
 //!
-//! * [`crate::dataflow`] delivers each send the moment it is issued
-//!   (`Exec::loop_back`) and sweeps the ranks under a
-//!   [`crate::dataflow::SchedulingPolicy`] — the sequential ground truth.
+//! * [`crate::dataflow`] runs the ranks in one fixed order, each until
+//!   it blocks, and delivers its sends before the next rank runs
+//!   (`Exec::loop_back`) — the sequential ground truth, executed once a
+//!   schedule has passed [`crate::hb::check`] ([`crate::verify::run`]).
 //! * The service's non-blocking collectives (`pipmcoll_core::nb`) run
 //!   every rank until it blocks, carry each sent payload over a real
 //!   fabric, and resume the destination when it arrives.
@@ -331,7 +332,6 @@ struct State {
     slots: Vec<Slot>,
     /// Sends issued and not yet drained: `(channel, payload)`.
     outbox: Vec<(usize, Vec<u8>)>,
-    ops_executed: usize,
 }
 
 impl<S: Borrow<Schedule>> Exec<S> {
@@ -347,7 +347,6 @@ impl<S: Borrow<Schedule>> Exec<S> {
             chans: vec![ChanState::default(); w.channels.len()],
             slots: vec![Slot::default(); w.slots],
             outbox: Vec::new(),
-            ops_executed: 0,
         };
         Exec { sched, st }
     }
@@ -375,11 +374,6 @@ impl<S: Borrow<Schedule>> Exec<S> {
     /// Whether every rank has.
     pub fn done(&self) -> bool {
         (0..self.st.ranks.len()).all(|r| self.rank_done(r))
-    }
-
-    /// Ops executed so far, across all ranks.
-    pub(crate) fn ops_executed(&self) -> usize {
-        self.st.ops_executed
     }
 
     /// Take the sends issued since the last drain, in issue order, as
@@ -424,17 +418,6 @@ impl<S: Borrow<Schedule>> Exec<S> {
         slots[(ch.base + st.arrived) as usize].payload = Some(payload);
         st.arrived += 1;
         settle(ch, st, slots, mem);
-    }
-
-    /// Attempt `rank`'s next op. Returns whether it executed; `false`
-    /// means the rank is done or blocked.
-    pub(crate) fn step(&mut self, rank: usize) -> Result<bool, DataflowError> {
-        let s: &Schedule = self.sched.borrow();
-        let w = s.wiring();
-        match w.steps[rank].get(self.st.ranks[rank].pc) {
-            Some(&op) => self.st.apply(s, w, rank, op),
-            None => Ok(false),
-        }
     }
 
     /// Run `rank` until it blocks or finishes; returns the ops executed.
@@ -517,7 +500,6 @@ impl State {
             ),
         }
         self.ranks[rank].pc += 1;
-        self.ops_executed += 1;
         Ok(true)
     }
 

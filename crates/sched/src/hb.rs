@@ -1,12 +1,14 @@
-//! Sound happens-before analysis of recorded schedules.
+//! Sound happens-before analysis of recorded schedules: the workspace's
+//! one race and deadlock proof.
 //!
-//! The dataflow interpreter's interleaving check ([`crate::dataflow::execute_race_checked`])
-//! replays a schedule under four scheduling policies and compares results.
-//! That catches many ordering bugs but is *unsound*: a race whose competing
-//! orders happen to produce identical bytes (or that none of the four
-//! policies exposes) slips through. This module closes the gap with a
+//! An execution shows what a schedule computes in the one order it ran;
+//! a race whose competing orders were never run, or happen to produce
+//! identical bytes, leaves no trace in it. This module instead runs a
 //! classical vector-clock analysis that reasons about *every* legal
-//! interleaving at once.
+//! interleaving at once. Every checked execution asks for it first:
+//! [`crate::verify::run`] (the tests' prove-then-execute call), the
+//! thread runtime's verified launch, and the non-blocking collectives'
+//! plan cache (`pipmcoll_core::nb`), which the service runs.
 //!
 //! # Model
 //!
@@ -984,8 +986,9 @@ mod tests {
 
     #[test]
     fn unsignalled_shared_write_is_a_race() {
-        // Same shape as dataflow's `racy_schedule_flagged`: peer copy-out
-        // into the root's recv races the root's own local copy.
+        // Same shape as verify's `racy_schedule_refused_before_any_byte_moves`:
+        // peer copy-out into the root's recv races the root's own local
+        // copy.
         let s = record(topo22(), BufSizes::new(4, 4), |c| match c.local() {
             0 => {
                 c.post_addr(0, Region::new(BufId::Recv, 0, 4));

@@ -17,9 +17,10 @@
 //! * **Resumable execution** ([`exec::Exec`]): the one interpreter of a
 //!   recorded schedule on real bytes — a program counter per rank, sends
 //!   to an outbox, arrivals handed back through `deliver`. It has three
-//!   consumers: the [`dataflow`] loop, which delivers every send at once
-//!   and provides ground truth for correctness (every collective in
-//!   `pipmcoll-core` is validated against MPI semantics through it);
+//!   consumers: the [`dataflow`] loop, which runs the ranks in one fixed
+//!   order, delivers every send at once, and provides ground truth for
+//!   correctness (every collective in `pipmcoll-core` is validated
+//!   against MPI semantics through it, by [`verify::run`]);
 //!   `pipmcoll-core`'s non-blocking collectives (`core::nb`); and, through
 //!   them, the multi-tenant service engine (`pipmcoll-svc`), which carries
 //!   the payloads over a real fabric.
@@ -28,11 +29,13 @@
 //! happens-before analysis: every op gets a vector clock, ordering edges
 //! come from send/recv matching, waits, address posts, flag counts and
 //! node barriers, and any unordered conflicting access to overlapping
-//! bytes of one buffer — under *any* interleaving, not just the ones the
-//! dataflow interpreter happens to sample — is reported as a race. The
-//! same graph yields deadlock detection with a named waits-for cycle. The
-//! thread runtime refuses to execute schedules that fail this analysis,
-//! and the service runs only schedules that passed it.
+//! bytes of one buffer — under *any* interleaving, not just the one the
+//! dataflow interpreter runs — is reported as a race. The same graph
+//! yields deadlock detection with a named waits-for cycle. It is the one
+//! race check: one proof, then one execution. [`verify::run`] proves
+//! every schedule the tests execute, the thread runtime refuses to
+//! execute schedules that fail the analysis, and the service runs only
+//! schedules that passed it.
 
 pub mod comm;
 pub mod dataflow;

@@ -1,14 +1,18 @@
-//! Collective-semantics checkers shared by unit, integration and property
-//! tests.
+//! Prove, then execute: the one checked way to run a schedule, and the
+//! collective-semantics checkers shared by unit, integration and
+//! property tests.
 //!
-//! Each collective has a precise MPI specification; these helpers build
-//! deterministic per-rank input patterns, run a schedule through the
-//! race-checked dataflow interpreter, and compare against the spec.
+//! [`run`] proves a schedule safe once — structural validation, then the
+//! sound happens-before race and deadlock analysis ([`crate::hb::check`])
+//! — and then executes it once, in the dataflow interpreter's one order.
+//! Each collective has a precise MPI specification; the `check_*`
+//! helpers build deterministic per-rank input patterns, [`run`] the
+//! schedule, and compare against the spec.
 
 use pipmcoll_model::dtype::{bytes_to_doubles, doubles_to_bytes};
 use pipmcoll_model::ReduceOp;
 
-use crate::dataflow::{execute_race_checked, DataflowError, DataflowResult};
+use crate::dataflow::{execute, DataflowResult};
 use crate::schedule::Schedule;
 
 /// Deterministic, rank- and position-dependent test pattern. Distinct ranks
@@ -119,14 +123,19 @@ pub fn reference_reduce(op: ReduceOp, world: usize, count: usize) -> Vec<f64> {
     acc
 }
 
-fn run(sched: &Schedule, send_init: impl Fn(usize) -> Vec<u8>) -> Result<DataflowResult, String> {
-    sched
-        .validate()
-        .map_err(|e: crate::schedule::ValidationError| format!("validation: {e}"))?;
-    // Sound race/deadlock analysis first: the interleaving sampling below
-    // only refutes determinism, it cannot prove the absence of races.
+/// Validate `sched`, prove it free of races and deadlocks under every
+/// interleaving ([`crate::hb::check`]), then execute it once
+/// ([`execute`]) with send buffers from `send_init`. A schedule that
+/// fails either proof is refused before any buffer is filled; the error
+/// names the failing stage (`validation`, `happens-before` or the
+/// dataflow error).
+pub fn run(
+    sched: &Schedule,
+    send_init: impl FnMut(usize) -> Vec<u8>,
+) -> Result<DataflowResult, String> {
+    sched.validate().map_err(|e| format!("validation: {e}"))?;
     crate::hb::check(sched).map_err(|e| format!("happens-before: {e}"))?;
-    execute_race_checked(sched, send_init).map_err(|e: DataflowError| e.to_string())
+    execute(sched, send_init).map_err(|e| e.to_string())
 }
 
 fn first_diff(a: &[u8], b: &[u8]) -> usize {
@@ -136,6 +145,45 @@ fn first_diff(a: &[u8], b: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{BufSizes, Comm};
+    use crate::ids::{BufId, Region, RemoteRegion};
+    use crate::trace::record;
+    use pipmcoll_model::Topology;
+
+    #[test]
+    fn racy_schedule_refused_before_any_byte_moves() {
+        // Rank 1 copies out into root's recv without any ordering vs
+        // root's own local_copy into the same region: racy by design
+        // (hb.rs's `unsignalled_shared_write_is_a_race` names the pair).
+        let s = record(Topology::new(2, 2), BufSizes::new(4, 4), |c| {
+            match c.local() {
+                0 => {
+                    c.post_addr(0, Region::new(BufId::Recv, 0, 4));
+                    c.local_copy(
+                        Region::new(BufId::Send, 0, 4),
+                        Region::new(BufId::Recv, 0, 4),
+                    );
+                    c.node_barrier();
+                }
+                1 => {
+                    c.copy_out(
+                        Region::new(BufId::Send, 0, 4),
+                        RemoteRegion::new(c.local_root(), 0, 0, 4),
+                    );
+                    c.node_barrier();
+                }
+                _ => unreachable!(),
+            }
+        });
+        let mut filled = 0;
+        let err = run(&s, |r| {
+            filled += 1;
+            vec![r as u8; 4]
+        })
+        .unwrap_err();
+        assert!(err.starts_with("happens-before"), "{err}");
+        assert_eq!(filled, 0, "a refused schedule fills no buffer");
+    }
 
     #[test]
     fn patterns_distinguish_ranks() {

@@ -81,7 +81,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pipmcoll_core::nb::{CollSpec, Msg, NbColl, PlanError};
-use pipmcoll_fabric::{sync_timeout, tag, ChanKey, FabricError};
+use pipmcoll_fabric::{sync_timeout, tag, ChanKey, ChaosRng, FabricError};
 use pipmcoll_rt::{AgreeCore, AgreeOutcome, AgreeStep, KillSpec, OpClass, RankSet};
 
 use crate::admission::{DrrLane, TokenBucket, QUANTUM};
@@ -120,8 +120,8 @@ struct Coll {
 struct Flight {
     slot: u32,
     /// Dense plan rank `j` is original rank `map[j]` (identity while no
-    /// rank has failed).
-    map: Vec<usize>,
+    /// rank has failed): the engine's member list of the admitting epoch.
+    map: Arc<[usize]>,
     /// Bytes the fabric accepted or that were handed over in place; the
     /// rest of `cost` is refunded if the collective leaves flight early.
     sent_bytes: u64,
@@ -157,8 +157,9 @@ struct Engine {
     /// Admitted collectives, each with its `flight` set.
     active: Vec<Coll>,
     bucket: TokenBucket,
-    /// Current survivor group, sorted ascending.
-    members: Vec<usize>,
+    /// Current survivor group, sorted ascending. Replaced, never
+    /// mutated, at a failure epoch, so admission shares it.
+    members: Arc<[usize]>,
     /// The fault DSL's op counts and the ranks it killed.
     faults: Faults,
     /// The node of each world rank, where the fabric knows it: two
@@ -177,9 +178,9 @@ struct Engine {
     /// Next full-FIFO reap sweep (head entries are groomed every
     /// admission round; deep entries only need this coarse sweep).
     next_reap: Instant,
-    /// xorshift64* state for backoff jitter (fixed seed: runs are
-    /// deterministic modulo scheduling).
-    rng: u64,
+    /// Backoff jitter (fixed seed: runs are deterministic modulo
+    /// scheduling).
+    rng: ChaosRng,
 }
 
 /// The fault DSL's state: per-rank `submit` / `poll` op counts, the
@@ -249,7 +250,7 @@ impl Engine {
             agree: None,
             no_detect_until: now,
             next_reap: now,
-            rng: 0x9E37_79B9_7F4A_7C15,
+            rng: ChaosRng::new(0x9E37_79B9_7F4A_7C15),
             shared,
         }
     }
@@ -485,7 +486,7 @@ impl Engine {
             if !fl.outstanding.is_empty()
                 && now.saturating_duration_since(fl.last_progress) > stall_cut
             {
-                for &r in &fl.map {
+                for &r in fl.map.iter() {
                     self.evidence.insert(r);
                 }
             }
@@ -498,11 +499,11 @@ impl Engine {
         let delta = self.shared.cfg.agree_delta;
         let fabric = &self.shared.fabric;
         let mut cores = Vec::new();
-        for &m in &self.members {
+        for &m in self.members.iter() {
             if self.faults.killed.contains(m) {
                 continue;
             }
-            let mut core = AgreeCore::new(m, self.members.clone(), self.evidence, true, delta);
+            let mut core = AgreeCore::new(m, self.members.to_vec(), self.evidence, true, delta);
             for msg in core.begin(now) {
                 let t = tag::svc_agree(self.agree_seq, msg.sweep);
                 if fabric.send((m, msg.to, t), msg.payload).is_err() {
@@ -592,7 +593,12 @@ impl Engine {
         self.evidence = RankSet::new();
         self.shared.frozen.store(false, Ordering::Relaxed);
         if !committed.is_empty() {
-            self.members.retain(|r| !committed.contains(*r));
+            self.members = self
+                .members
+                .iter()
+                .copied()
+                .filter(|&r| !committed.contains(r))
+                .collect();
             self.shared.epoch.fetch_add(1, Ordering::Relaxed);
             self.shared
                 .failed_bits
@@ -671,10 +677,7 @@ impl Engine {
         let capped = base
             .saturating_mul(1 << retries.min(8))
             .min(self.shared.cfg.suspect_after);
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let jitter_us = self.rng % (capped.as_micros().max(1) as u64 / 4 + 1);
+        let jitter_us = self.rng.next_u64() % (capped.as_micros().max(1) as u64 / 4 + 1);
         capped + Duration::from_micros(jitter_us)
     }
 
@@ -687,7 +690,7 @@ impl Engine {
             .max_inflight
             .unwrap_or(usize::MAX)
             .saturating_sub(self.active.len());
-        let members = self.members.clone();
+        let members = Arc::clone(&self.members);
         let epoch = self.shared.epoch.load(Ordering::Relaxed);
         let world = self.shared.cfg.world;
         for job in 0..self.jobs.len() {
@@ -750,15 +753,18 @@ impl Engine {
                     head.defer(&sched.counters);
                     break;
                 }
-                let Some(slot) = sched.tags.acquire() else {
-                    head.defer(&sched.counters);
-                    break;
-                };
+                // Tokens before the slot: a head that waits on the
+                // bucket must not cycle a slot through the cooling
+                // window every pass.
                 if !self.bucket.try_take(cost) {
-                    sched.tags.release(slot);
                     head.defer(&sched.counters);
                     break;
                 }
+                let Some(slot) = sched.tags.acquire() else {
+                    self.bucket.refund(cost);
+                    head.defer(&sched.counters);
+                    break;
+                };
                 assert!(sched.lane.try_pay(cost), "deficit checked above");
                 let mut c = sched.fifo.pop_front().expect("head exists");
                 budget_left -= 1;
@@ -770,12 +776,12 @@ impl Engine {
                     .fetch_add(cost, Ordering::Relaxed);
                 // Every participating rank performs a `submit` op — a
                 // DSL trigger here kills the rank *before* its sends.
-                for &r in &members {
+                for &r in members.iter() {
                     self.faults.tick(r, OpClass::Submit);
                 }
                 c.flight = Some(Flight {
                     slot,
-                    map: members.clone(),
+                    map: Arc::clone(&members),
                     sent_bytes: 0,
                     wounded: false,
                     last_progress: now,
@@ -1021,5 +1027,100 @@ fn note_suspects(e: &FabricError, evidence: &mut RankSet) {
             }
         }
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+    use std::sync::Mutex;
+
+    use pipmcoll_fabric::wait::WorkSignal;
+    use pipmcoll_fabric::InProcFabric;
+    use pipmcoll_model::{Datatype, ReduceOp};
+
+    use super::*;
+    use crate::{ReqShared, Submission, SubmitOpts, SvcConfig};
+
+    /// A metered config for world 2 whose bucket barely refills while a
+    /// test runs (1 B/s).
+    fn metered() -> SvcConfig {
+        SvcConfig {
+            nic_budget: Some(1),
+            ..SvcConfig::new(2)
+        }
+    }
+
+    /// An engine over an in-process fabric, not running, whose one job
+    /// has one 16 × i32 allreduce queued.
+    fn engine_with_one_queued(cfg: SvcConfig) -> Engine {
+        let spec = CollSpec::Allreduce {
+            dt: Datatype::Int32,
+            op: ReduceOp::Sum,
+            inputs: vec![vec![0; 64]; cfg.world],
+        };
+        let shared = Arc::new(Shared {
+            fabric: Arc::new(InProcFabric::new()),
+            cfg,
+            sig: WorkSignal::new(),
+            inbox: Mutex::new(vec![Submission {
+                comm: 0,
+                spec,
+                opts: SubmitOpts::default(),
+                req: ReqShared::new(),
+            }]),
+            stop: AtomicBool::new(false),
+            counters: Mutex::new(HashMap::from([(0, Arc::default())])),
+            inflight: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
+            failed_bits: AtomicU64::new(0),
+            frozen: AtomicBool::new(false),
+            in_place: AtomicU64::new(0),
+        });
+        let mut engine = Engine::new(shared);
+        engine.drain_inbox();
+        engine
+    }
+
+    #[test]
+    fn a_head_waiting_on_tokens_takes_no_slot() {
+        let cfg = metered();
+        let burst = cfg.burst;
+        let mut e = engine_with_one_queued(cfg);
+        assert!(e.bucket.try_take(burst), "empty the bucket");
+        for _ in 0..5 {
+            e.admit(Instant::now());
+        }
+        let job = &e.jobs[0];
+        assert_eq!(job.fifo.len(), 1, "the head still waits");
+        assert_eq!(job.tags.issued(), 0, "no slot was granted");
+        assert_eq!(job.counters.deferred.load(Ordering::Relaxed), 1);
+        // Tokens back: the head goes in on the slot a fresh space issues
+        // first, so no earlier pass pushed a slot through the cooling
+        // window.
+        e.bucket.refund(burst);
+        e.admit(Instant::now());
+        let job = &e.jobs[0];
+        assert!(job.fifo.is_empty());
+        assert_eq!(job.tags.issued(), 1);
+        assert_eq!(e.active.len(), 1);
+        assert_eq!(e.active[0].flight.as_ref().map(|f| f.slot), Some(0));
+    }
+
+    #[test]
+    fn a_head_waiting_on_a_slot_keeps_no_tokens() {
+        let cfg = SvcConfig {
+            seq_bits: 1,
+            ..metered()
+        };
+        let burst = cfg.burst;
+        let mut e = engine_with_one_queued(cfg);
+        let tags = &mut e.jobs[0].tags;
+        while tags.acquire().is_some() {}
+        for _ in 0..5 {
+            e.admit(Instant::now());
+        }
+        assert_eq!(e.jobs[0].fifo.len(), 1, "the head still waits");
+        assert!(e.bucket.try_take(burst), "every pass refunded its tokens");
     }
 }

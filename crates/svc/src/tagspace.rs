@@ -207,24 +207,9 @@ impl TagSpace {
 mod tests {
     use std::collections::HashSet;
 
+    use pipmcoll_fabric::ChaosRng;
+
     use super::*;
-
-    /// SplitMix64: a seeded, std-only stream for the randomized tests.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
 
     #[test]
     fn acquire_release_cycles_past_the_space_size() {
@@ -323,12 +308,12 @@ mod tests {
     fn working_set_stays_within_depth_plus_cooling_window() {
         let depth = 4;
         let mut ts = TagSpace::new(12);
-        let mut rng = Rng(0x5107);
+        let mut rng = ChaosRng::new(0x5107);
         let mut live: Vec<u32> = (0..depth).map(|_| ts.acquire().unwrap()).collect();
         let mut touched: HashSet<u32> = live.iter().copied().collect();
         for _ in 0..100_000 {
             // Completions arrive in any order.
-            let done = live.swap_remove(rng.below(live.len()));
+            let done = live.swap_remove(rng.range(0, live.len()));
             ts.release(done);
             let s = ts.acquire().unwrap();
             touched.insert(s);
@@ -372,12 +357,12 @@ mod tests {
     fn small_spaces_exhaust_only_when_nothing_is_free() {
         for seq_bits in 1..=3 {
             let mut ts = TagSpace::new(seq_bits);
-            let mut rng = Rng(0xA110C ^ u64::from(seq_bits));
+            let mut rng = ChaosRng::new(0xA110C ^ u64::from(seq_bits));
             let mut live: Vec<u32> = Vec::new();
             let mut dead = 0;
             let mut last_released = None;
             for step in 0..20_000 {
-                let roll = rng.below(8);
+                let roll = rng.range(0, 8);
                 if roll < 4 || live.is_empty() {
                     let free_before = ts.size() - live.len() - dead;
                     match ts.acquire() {
@@ -399,11 +384,11 @@ mod tests {
                     }
                     last_released = None;
                 } else if roll < 7 || dead + 1 >= ts.size() {
-                    let s = live.swap_remove(rng.below(live.len()));
+                    let s = live.swap_remove(rng.range(0, live.len()));
                     ts.release(s);
                     last_released = Some(s);
                 } else {
-                    let s = live.swap_remove(rng.below(live.len()));
+                    let s = live.swap_remove(rng.range(0, live.len()));
                     ts.quarantine(s);
                     dead += 1;
                     last_released = None;
@@ -419,13 +404,13 @@ mod tests {
         for seed in 0..8u64 {
             let mut ts = TagSpace::new(7);
             let cap = ts.size();
-            let mut rng = Rng(seed);
+            let mut rng = ChaosRng::new(seed);
             // Vecs, not hash sets: the picks below must replay from
             // the seed.
             let mut live: Vec<u32> = Vec::new();
             let mut dead: Vec<u32> = Vec::new();
             for step in 0..50_000 {
-                match rng.below(16) {
+                match rng.range(0, 16) {
                     0..=7 => {
                         if let Some(s) = ts.acquire() {
                             assert!(
@@ -442,10 +427,10 @@ mod tests {
                         }
                     }
                     8..=14 if !live.is_empty() => {
-                        ts.release(live.swap_remove(rng.below(live.len())));
+                        ts.release(live.swap_remove(rng.range(0, live.len())));
                     }
                     15 if !live.is_empty() && dead.len() < cap / 2 => {
-                        let s = live.swap_remove(rng.below(live.len()));
+                        let s = live.swap_remove(rng.range(0, live.len()));
                         ts.quarantine(s);
                         dead.push(s);
                     }

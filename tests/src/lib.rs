@@ -2,11 +2,11 @@
 
 use pipmcoll_core::{build_schedule, CollectiveSpec, LibraryProfile};
 use pipmcoll_model::Topology;
-use pipmcoll_sched::dataflow::execute_race_checked;
+use pipmcoll_sched::verify;
 use pipmcoll_sched::Schedule;
 
-/// Record `lib`'s schedule for `spec` and verify it against MPI semantics
-/// through the race-checked dataflow interpreter.
+/// Record `lib`'s schedule for `spec`, prove it race- and deadlock-free,
+/// execute it once and check the result against MPI semantics.
 pub fn verify_collective(
     lib: LibraryProfile,
     nodes: usize,
@@ -18,11 +18,12 @@ pub fn verify_collective(
     verify_schedule(&sched, spec)
 }
 
-/// Verify an already-recorded schedule against `spec`'s semantics.
+/// Verify an already-recorded schedule against `spec`'s semantics (through
+/// [`verify::run`]: validation, `hb::check`, then one dataflow execution).
 pub fn verify_schedule(sched: &Schedule, spec: &CollectiveSpec) -> Result<(), String> {
     match spec {
-        CollectiveSpec::Scatter(p) => pipmcoll_sched::verify::check_scatter(sched, p.root, p.cb),
-        CollectiveSpec::Allgather(p) => pipmcoll_sched::verify::check_allgather(sched, p.cb),
+        CollectiveSpec::Scatter(p) => verify::check_scatter(sched, p.root, p.cb),
+        CollectiveSpec::Allgather(p) => verify::check_allgather(sched, p.cb),
         CollectiveSpec::Allreduce(p) => {
             assert_eq!(
                 (p.dt, p.op),
@@ -32,16 +33,17 @@ pub fn verify_schedule(sched: &Schedule, spec: &CollectiveSpec) -> Result<(), St
                 ),
                 "the generic checker covers SUM over doubles"
             );
-            pipmcoll_sched::verify::check_allreduce_sum(sched, p.count)
+            verify::check_allreduce_sum(sched, p.count)
         }
     }
 }
 
-/// Run a schedule through the dataflow interpreter with the standard
-/// pattern inputs, returning final recv buffers (for rt cross-validation).
+/// Prove a schedule and run it through the dataflow interpreter with the
+/// standard pattern inputs, returning final recv buffers (for rt
+/// cross-validation).
 pub fn dataflow_recv(sched: &Schedule) -> Vec<Vec<u8>> {
-    execute_race_checked(sched, |r| {
-        pipmcoll_sched::verify::pattern(r, sched.programs()[r].sizes.send)
+    verify::run(sched, |r| {
+        verify::pattern(r, sched.programs()[r].sizes.send)
     })
     .expect("dataflow execution")
     .recv

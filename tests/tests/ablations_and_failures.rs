@@ -6,7 +6,7 @@ use pipmcoll_core::mcoll::{allgather_mcoll_large_opts, allgather_mcoll_small_k};
 use pipmcoll_core::{build_schedule, AllgatherParams, CollectiveSpec, LibraryProfile};
 use pipmcoll_engine::{simulate, EngineConfig};
 use pipmcoll_model::{presets, Mechanism, Topology};
-use pipmcoll_sched::dataflow::{execute, SchedulingPolicy};
+use pipmcoll_sched::dataflow::execute;
 use pipmcoll_sched::verify::{check_allgather, pattern};
 use pipmcoll_sched::{record_with_sizes, Op, Schedule};
 
@@ -192,8 +192,8 @@ fn stray_wait_flag_deadlocks_cleanly() {
         broken.validate().is_err(),
         "unsatisfiable flag must be flagged"
     );
-    let err = execute(&broken, |r| pattern(r, 32), SchedulingPolicy::RoundRobin)
-        .expect_err("interpreter must detect the deadlock");
+    let err =
+        execute(&broken, |r| pattern(r, 32)).expect_err("interpreter must detect the deadlock");
     assert!(err.message.contains("deadlock"), "{err}");
 }
 
@@ -212,8 +212,8 @@ fn corrupted_remote_offset_is_caught_at_runtime() {
         }
     }
     let broken = Schedule::new(sched.topo(), programs);
-    let err = execute(&broken, |r| pattern(r, 32), SchedulingPolicy::RoundRobin)
-        .expect_err("interpreter must reject the wild access");
+    let err =
+        execute(&broken, |r| pattern(r, 32)).expect_err("interpreter must reject the wild access");
     assert!(
         err.message.contains("exceeds posted region"),
         "unexpected error: {err}"

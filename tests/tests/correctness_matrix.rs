@@ -1,6 +1,7 @@
 //! Correctness matrix: every library profile × every collective × a grid of
-//! cluster shapes and sizes, all verified against MPI semantics through the
-//! race-checked dataflow interpreter.
+//! cluster shapes and sizes. Each schedule is proven race- and
+//! deadlock-free once (`hb::check`), executed once by the dataflow
+//! interpreter, and its result checked against MPI semantics.
 
 use pipmcoll_core::{
     AllgatherParams, AllreduceParams, CollectiveSpec, LibraryProfile, ScatterParams,

@@ -14,6 +14,7 @@ use pipmcoll_core::{
     build_schedule, AllgatherParams, AllreduceParams, CollectiveSpec, LibraryProfile, ScatterParams,
 };
 use pipmcoll_fabric::{ChaosConfig, ChaosFabric, InProcFabric, TcpConfig, TcpFabric};
+use pipmcoll_integration::TestRng;
 use pipmcoll_model::Topology;
 use pipmcoll_rt::{run_cluster_ft, run_cluster_verified_on, Algo, FaultPlan};
 use pipmcoll_sched::verify::pattern;
@@ -183,24 +184,6 @@ fn single_kill_over_tcp_completes_among_survivors() {
     );
 }
 
-/// Tiny deterministic generator for the kill grid (xorshift64*).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// Seeded kill grid: scatter/allgather/allreduce × k ∈ {1, 2, 4} lanes,
 /// killing 1–3 ranks at pseudo-random operation counts. Every cell
 /// asserts the survivors commit identical failed sets and match the
@@ -221,14 +204,14 @@ fn seeded_kill_grid_survives_across_collectives_and_lanes() {
         CollectiveSpec::Allgather(AllgatherParams { cb: 48 }),
         CollectiveSpec::Allreduce(AllreduceParams::sum_doubles(8)),
     ];
-    let mut rng = Rng(0x5EED_F00D_2026_0807);
+    let mut rng = TestRng::new(0x5EED_F00D_2026_0807);
     for (i, &spec) in specs.iter().enumerate() {
         for (l, &lanes) in [1usize, 2, 4].iter().enumerate() {
             // Cycle 1, 2, 3 victims across the grid cells.
             let kill_count = 1 + (i + l) % 3;
             let mut victims: Vec<usize> = Vec::new();
             while victims.len() < kill_count {
-                let r = 1 + rng.below((world - 1) as u64) as usize;
+                let r = 1 + rng.range(0, world - 1);
                 if !victims.contains(&r) {
                     victims.push(r);
                 }
@@ -243,7 +226,7 @@ fn seeded_kill_grid_survives_across_collectives_and_lanes() {
                 .iter()
                 .enumerate()
                 .map(|(v, &r)| {
-                    let at = if v == 0 { 1 } else { 1 + rng.below(3) };
+                    let at = if v == 0 { 1 } else { 1 + rng.range(0, 3) };
                     format!("kill:rank={r}@any={at}")
                 })
                 .collect();

@@ -15,18 +15,10 @@ use pipmcoll_core::{
 };
 use pipmcoll_integration::{verify_collective, TestRng};
 use pipmcoll_model::{Datatype, ReduceOp, Topology};
-use pipmcoll_sched::dataflow::execute_race_checked;
-use pipmcoll_sched::verify::{double_pattern, pattern, reference_reduce};
+use pipmcoll_sched::verify::{self, double_pattern, pattern, reference_reduce};
 use pipmcoll_sched::{record, record_with_sizes, BufSizes};
 
 const CASES: usize = 48;
-
-/// Structural validation plus the sound happens-before race/deadlock
-/// analysis — every recorded schedule must pass both before execution.
-fn check_sound(sched: &pipmcoll_sched::Schedule) {
-    sched.validate().unwrap_or_else(|e| panic!("{e}"));
-    pipmcoll_sched::hb::check(sched).unwrap_or_else(|e| panic!("{e}"));
-}
 
 fn shape(rng: &mut TestRng) -> (usize, usize) {
     (rng.range(1, 8), rng.range(1, 6))
@@ -87,8 +79,7 @@ fn baseline_bcast_gather_correct() {
             |r| BufSizes::new(if r == root { cb } else { 0 }, cb),
             |c| bcast_binomial(c, cb, root),
         );
-        check_sound(&sched);
-        let res = execute_race_checked(&sched, |r| {
+        let res = verify::run(&sched, |r| {
             if r == root {
                 pattern(root, cb)
             } else {
@@ -105,9 +96,7 @@ fn baseline_bcast_gather_correct() {
             |r| BufSizes::new(cb, if r == root { world * cb } else { 0 }),
             |c| gather_binomial(c, cb, root),
         );
-        check_sound(&sched);
-        let res =
-            execute_race_checked(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
         let mut expect = Vec::new();
         for r in 0..world {
             expect.extend_from_slice(&pattern(r, cb));
@@ -134,8 +123,7 @@ fn intranode_reduce_any_operator() {
                 intra_reduce_binomial(c, cb, op, Datatype::Double);
             }
         });
-        check_sound(&sched);
-        let res = execute_race_checked(&sched, |r| {
+        let res = verify::run(&sched, |r| {
             pipmcoll_model::dtype::doubles_to_bytes(&double_pattern(r, count))
         })
         .unwrap_or_else(|e| panic!("ppn={ppn} count={count} {op:?} chunked={chunked}: {e}"));
@@ -162,9 +150,7 @@ fn intranode_bcast_gather_correct() {
                 intra_bcast_small(c, cb);
             }
         });
-        check_sound(&sched);
-        let res =
-            execute_race_checked(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
         for rank in 0..ppn {
             assert_eq!(&res.recv[rank], &pattern(0, cb), "bcast large={large}");
         }
@@ -173,9 +159,7 @@ fn intranode_bcast_gather_correct() {
             |r| BufSizes::new(cb, if r == 0 { ppn * cb } else { 0 }),
             |c| intra_gather(c, cb),
         );
-        check_sound(&sched);
-        let res =
-            execute_race_checked(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
+        let res = verify::run(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
         let mut expect = Vec::new();
         for r in 0..ppn {
             expect.extend_from_slice(&pattern(r, cb));
@@ -200,9 +184,7 @@ fn baseline_allgathers_agree() {
             allgather_ring,
         ] {
             let sched = record_with_sizes(topo, p.buf_sizes(topo), |c| algo(c, &p));
-            check_sound(&sched);
-            let res =
-                execute_race_checked(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
+            let res = verify::run(&sched, |r| pattern(r, cb)).unwrap_or_else(|e| panic!("{e}"));
             outs.push(res.recv);
         }
         assert_eq!(&outs[0], &outs[1], "{nodes}x{ppn} cb={cb}");
@@ -224,8 +206,7 @@ fn baseline_allreduces_agree() {
             allreduce_rabenseifner,
         ] {
             let sched = record_with_sizes(topo, p.buf_sizes(), |c| algo(c, &p));
-            check_sound(&sched);
-            let res = execute_race_checked(&sched, |r| {
+            let res = verify::run(&sched, |r| {
                 pipmcoll_model::dtype::doubles_to_bytes(&double_pattern(r, count))
             })
             .unwrap_or_else(|e| panic!("{e}"));
